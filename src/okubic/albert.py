@@ -24,7 +24,7 @@ from .okubo import (
     polar,
     sample_okubo,
 )
-from .geometry import ProjPoint, VeroneseVector
+from .geometry import ProjPoint, VeroneseVector, vnorm
 
 HALF = F3(Fraction(1, 2))
 
@@ -34,109 +34,8 @@ def _half_polar(x: OkuboElement, y: OkuboElement) -> F3:
     return polar(x, y) * HALF
 
 
-class AlbertElement:
-    """(x0, x1, x2; λ0, λ1, λ2) with Okubo slots compact."""
-
-    __slots__ = ("x", "lam")
-
-    def __init__(self, x0, x1, x2, l0, l1, l2):
-        for xi in (x0, x1, x2):
-            if xi.flavor != COMPACT:
-                raise ValueError("Albert slots must be compact Okubo elements")
-        object.__setattr__(self, "x", (x0, x1, x2))
-        object.__setattr__(self, "lam", (F3.coerce(l0), F3.coerce(l1), F3.coerce(l2)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlbertElement values are immutable")
-
-    @classmethod
-    def zero(cls) -> AlbertElement:
-        z = OkuboElement.zero()
-        return cls(z, z, z, 0, 0, 0)
-
-    @classmethod
-    def unit(cls) -> AlbertElement:
-        z = OkuboElement.zero()
-        return cls(z, z, z, 1, 1, 1)
-
-    @classmethod
-    def scalar_idempotent(cls, i: int) -> AlbertElement:
-        """e_i = ω_i(1), the i-th primitive real idempotent."""
-        z = OkuboElement.zero()
-        lam = [F3()] * 3
-        lam[i] = F3(1)
-        return cls(z, z, z, *lam)
-
-    @classmethod
-    def okubo_slot(cls, i: int, x: OkuboElement) -> AlbertElement:
-        """w_i(x): x placed in Okubo slot i."""
-        z = OkuboElement.zero()
-        xs = [z, z, z]
-        xs[i] = x
-        return cls(*xs, 0, 0, 0)
-
-    @classmethod
-    def from_veronese(cls, v: VeroneseVector) -> AlbertElement:
-        return cls(*v.x, *v.lam)
-
-    def to_veronese(self) -> VeroneseVector:
-        return VeroneseVector(*self.x, *self.lam)
-
-    def __repr__(self):
-        return f"AlbertElement({self.x!r}; {self.lam!r})"
-
-    def __bool__(self):
-        return any(self.x) or any(self.lam)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlbertElement):
-            return NotImplemented
-        return self.x == other.x and self.lam == other.lam
-
-    def __add__(self, other):
-        return AlbertElement(
-            *(a + b for a, b in zip(self.x, other.x)),
-            *(a + b for a, b in zip(self.lam, other.lam)),
-        )
-
-    def __sub__(self, other):
-        return AlbertElement(
-            *(a - b for a, b in zip(self.x, other.x)),
-            *(a - b for a, b in zip(self.lam, other.lam)),
-        )
-
-    def __neg__(self):
-        return AlbertElement(*(-a for a in self.x), *(-a for a in self.lam))
-
-    def scale(self, c) -> AlbertElement:
-        c = F3.coerce(c)
-        return AlbertElement(*(a.scale(c) for a in self.x), *(c * l for l in self.lam))
-
-    def coords(self):
-        out = []
-        for xi in self.x:
-            out.extend(xi.coeffs)
-        out.extend(self.lam)
-        return tuple(out)
-
-    @classmethod
-    def from_coords(cls, coords) -> AlbertElement:
-        if len(coords) != 27:
-            raise ValueError("need 27 coordinates")
-        xs = [OkuboElement(coords[8 * i : 8 * (i + 1)]) for i in range(3)]
-        return cls(*xs, *coords[24:])
-
-    def to_json(self):
-        return {
-            "x": [xi.to_json() for xi in self.x],
-            "lambda": [l.to_json() for l in self.lam],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> AlbertElement:
-        xs = [OkuboElement.from_json(x) for x in obj["x"]]
-        lams = [F3.from_json(l) for l in obj["lambda"]]
-        return cls(*xs, *lams)
+# 𝔸_q lives on V, so an Albert element is a Veronese vector: one class.
+AlbertElement = VeroneseVector
 
 
 class AlbertAlgebra:
@@ -179,19 +78,13 @@ def trace(a: AlbertElement) -> F3:
     return l0 + l1 + l2
 
 
-def quad_norm(a: AlbertElement) -> F3:
-    """‖a‖ = 2n(x0)+2n(x1)+2n(x2)+λ0²+λ1²+λ2²."""
-    total = F3()
-    for xi in a.x:
-        total = total + F3(2) * okubo_norm(xi)
-    for l in a.lam:
-        total = total + l * l
-    return total
+# ‖a‖ on 𝔸_q is the norm β(a, a) of V
+quad_norm = vnorm
 
 
 def inner(a: AlbertElement, b: AlbertElement) -> F3:
     """Polarization ⟨a, b⟩ = ‖a+b‖ - ‖a‖ - ‖b‖."""
-    return quad_norm(a + b) - quad_norm(a) - quad_norm(b)
+    return vnorm(a + b) - vnorm(a) - vnorm(b)
 
 
 def cubic_norm(a: AlbertElement) -> F3:
@@ -224,8 +117,7 @@ ALBERT_HALF = AlbertAlgebra(Fraction(1, 2))
 
 def idempotent_from_point(q: ProjPoint) -> AlbertElement:
     """Trace-1 representative of the ray; a rank-1 idempotent of 𝔸_{1/2}."""
-    rep = q.rep
-    a = AlbertElement.from_veronese(rep)
+    a = q.rep
     t = trace(a)
     if not t:
         # impossible for nonzero compact Veronese vectors: n ≥ 0 termwise
@@ -237,7 +129,7 @@ def idempotent_from_point(q: ProjPoint) -> AlbertElement:
 def point_from_idempotent(a: AlbertElement) -> ProjPoint:
     if not is_rank1(ALBERT_HALF, a):
         raise ValueError("element is not a rank-1 idempotent of the q=1/2 algebra")
-    return ProjPoint(a.to_veronese())
+    return ProjPoint(a)
 
 
 def jordan_defect(algebra: AlbertAlgebra, a: AlbertElement, b: AlbertElement) -> AlbertElement:

@@ -4,7 +4,7 @@ Veronese embedding/decoding, kernel dimensions, and derivation reports.
 Exit codes: 0 pass, 1 invariant failure, 2 usage error, 3 validation error.
 All randomized suites require an explicit --seed; per-sample PRNG
 substreams are derived from (seed, index), so reports are byte-identical
-for identical flags regardless of --jobs.
+for identical flags.  --jobs is accepted but not yet used.
 """
 
 from __future__ import annotations
@@ -614,7 +614,7 @@ def _run_veronese(args, payload) -> int:
     if cubic_norm(eps):
         print(f"cubic norm {cubic_norm(eps)} != 0, not rank-1", file=sys.stderr)
         return EXIT_VALIDATION
-    if not veronese_check(eps.to_veronese()):
+    if not veronese_check(eps):
         print("coordinates violate the Veronese conditions", file=sys.stderr)
         return EXIT_VALIDATION
     point = plane_decode(point_from_idempotent(eps))
@@ -668,6 +668,14 @@ def _emit_text(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="okubic",
@@ -678,11 +686,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a verification suite")
     check.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    check.add_argument("--samples", type=int, default=100)
+    check.add_argument("--samples", type=positive_int, default=100)
     check.add_argument("--seed", type=int, required=True)
     check.add_argument("--flavor", choices=(COMPACT, SPLIT), default=None)
     check.add_argument("--q", default="1/2")
-    check.add_argument("--jobs", type=int, default=1)
+    check.add_argument("--jobs", type=positive_int, default=1)
     check.add_argument("--out", default=None)
     check.set_defaults(func=cmd_check)
 

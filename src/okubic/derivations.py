@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from .field import F3
 from .hurwitz import BASIS_LABELS as OCT_LABELS, petersson_structure_constants
-from .linalg import COMPACT, ExactMatrix, nullspace, rank, symmetric_signature
+from .linalg import (
+    COMPACT,
+    ExactMatrix,
+    bilinear,
+    nullspace,
+    rank,
+    symmetric_signature,
+)
 from .okubo import (
     BASIS_LABELS,
     OkuboElement,
@@ -28,7 +35,7 @@ from .okubo import (
 class AlgebraPresentation:
     """A finite-dimensional algebra as a structure-constant tensor over F3."""
 
-    __slots__ = ("dimension", "constants", "labels")
+    __slots__ = ("dimension", "constants", "labels", "_table")
 
     def __init__(self, constants, labels=None):
         constants = tuple(
@@ -46,6 +53,12 @@ class AlgebraPresentation:
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "constants", constants)
         object.__setattr__(self, "labels", tuple(labels))
+        # sparse view of the constants for linalg.bilinear
+        table = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            for plane in constants
+        )
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraPresentation values are immutable")
@@ -55,20 +68,7 @@ class AlgebraPresentation:
 
     def mul_coords(self, u, v):
         """Bilinear product of coordinate vectors."""
-        n = self.dimension
-        out = [F3()] * n
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            plane = self.constants[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in enumerate(plane[j]):
-                    if c:
-                        out[k] = out[k] + ab * c
-        return out
+        return bilinear(self._table, u, v, F3())
 
 
 def okubo_presentation(flavor: str = COMPACT) -> AlgebraPresentation:

@@ -14,8 +14,11 @@ Rational = Fraction
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(s)
+    """Parse "p/q" or "p" into a Fraction; malformed text raises ValueError."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def render_rational(q: Fraction) -> str:
@@ -193,8 +196,6 @@ class F3:
         return cls(parse_rational(obj["a"]), parse_rational(obj["b"]))
 
 
-F3_ZERO = F3()
-F3_ONE = F3(1)
 SQRT3 = F3(0, 1)
 
 
@@ -281,11 +282,6 @@ class C3:
     @classmethod
     def from_json(cls, obj) -> C3:
         return cls(F3.from_json(obj["re"]), F3.from_json(obj["im"]))
-
-
-C3_ZERO = C3()
-C3_ONE = C3(1)
-C3_I = C3(0, 1)
 
 
 def sample_rational(rng: random.Random) -> Fraction:

@@ -13,6 +13,7 @@ from .field import F3
 from .linalg import COMPACT, ExactMatrix, nullspace
 from .okubo import (
     OkuboElement,
+    gram_matrix,
     okubo_mul,
     okubo_norm,
     polar,
@@ -236,7 +237,12 @@ class SlopePoint:
 
 
 class VeroneseVector:
-    """Element (x0, x1, x2; λ0, λ1, λ2) of V ≅ 𝒪³×Q(√3)³."""
+    """Element (x0, x1, x2; λ0, λ1, λ2) of V ≅ 𝒪³×Q(√3)³.
+
+    V carries both the Okubic projective plane and the Albert algebra 𝔸_q,
+    so this one class is also ``albert.AlbertElement``: the rank-1
+    idempotents of 𝔸_{1/2} are the trace-1 Veronese vectors themselves.
+    """
 
     __slots__ = ("x", "lam")
 
@@ -252,6 +258,27 @@ class VeroneseVector:
     def zero(cls) -> VeroneseVector:
         z = OkuboElement.zero()
         return cls(z, z, z, 0, 0, 0)
+
+    @classmethod
+    def unit(cls) -> VeroneseVector:
+        z = OkuboElement.zero()
+        return cls(z, z, z, 1, 1, 1)
+
+    @classmethod
+    def scalar_idempotent(cls, i: int) -> VeroneseVector:
+        """e_i = ω_i(1), the i-th primitive real idempotent."""
+        z = OkuboElement.zero()
+        lam = [F3()] * 3
+        lam[i] = F3(1)
+        return cls(z, z, z, *lam)
+
+    @classmethod
+    def okubo_slot(cls, i: int, x: OkuboElement) -> VeroneseVector:
+        """w_i(x): x placed in Okubo slot i."""
+        z = OkuboElement.zero()
+        xs = [z, z, z]
+        xs[i] = x
+        return cls(*xs, 0, 0, 0)
 
     def __repr__(self):
         return f"VeroneseVector({self.x!r}; {self.lam!r})"
@@ -269,6 +296,15 @@ class VeroneseVector:
             *(a + b for a, b in zip(self.x, other.x)),
             *(a + b for a, b in zip(self.lam, other.lam)),
         )
+
+    def __sub__(self, other):
+        return VeroneseVector(
+            *(a - b for a, b in zip(self.x, other.x)),
+            *(a - b for a, b in zip(self.lam, other.lam)),
+        )
+
+    def __neg__(self):
+        return VeroneseVector(*(-a for a in self.x), *(-a for a in self.lam))
 
     def scale(self, c) -> VeroneseVector:
         c = F3.coerce(c)
@@ -408,7 +444,12 @@ def beta(v: VeroneseVector, w: VeroneseVector) -> F3:
 
 def vnorm(v: VeroneseVector) -> F3:
     """‖v‖ = β(v,v) = 2n(x0)+2n(x1)+2n(x2)+λ0²+λ1²+λ2²."""
-    return beta(v, v)
+    total = F3()
+    for xi in v.x:
+        total = total + F3(2) * okubo_norm(xi)
+    for l in v.lam:
+        total = total + l * l
+    return total
 
 
 def incident(q: ProjPoint, line: ProjLine) -> bool:
@@ -417,8 +458,6 @@ def incident(q: ProjPoint, line: ProjLine) -> bool:
 
 def beta_gram_row(v: VeroneseVector):
     """The 27 coefficients of the functional β(v, ·) in flat coordinates."""
-    from .okubo import gram_matrix
-
     g = gram_matrix(COMPACT)
     row = []
     for xi in v.x:

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from .field import Rational, parse_rational, render_rational, sample_rational
+from .linalg import bilinear
 
 BASIS_LABELS = ("e1", "e2", "u1", "u2", "u3", "v1", "v2", "v3")
 
@@ -126,17 +127,7 @@ class SplitOctonion:
 
 
 def oct_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
-    out = [Fraction(0)] * 8
-    for i, a in enumerate(x.coeffs):
-        if not a:
-            continue
-        row = MUL_TABLE[i]
-        for j, b in enumerate(y.coeffs):
-            if not b:
-                continue
-            for k, c in row[j]:
-                out[k] += a * b * c
-    return SplitOctonion(out)
+    return SplitOctonion(bilinear(MUL_TABLE, x.coeffs, y.coeffs, Fraction(0)))
 
 
 def oct_norm(x: SplitOctonion) -> Rational:

@@ -140,10 +140,6 @@ def eta_matrix(flavor: Flavor) -> Mat3:
     return Mat3.identity() if flavor == COMPACT else Mat3.diag(-1, 1, 1)
 
 
-def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    return a @ b
-
-
 def eta_dagger(x: Mat3, flavor: Flavor) -> Mat3:
     """η x† η for η = Id (compact) or diag(-1,1,1) (split); an involution."""
     eta = eta_matrix(flavor)
@@ -152,6 +148,28 @@ def eta_dagger(x: Mat3, flavor: Flavor) -> Mat3:
 
 def is_eta_hermitian(x: Mat3, flavor: Flavor) -> bool:
     return eta_dagger(x, flavor) == x
+
+
+def bilinear(table, u, v, zero):
+    """Product Σ u[a]·v[b]·c·b_k of coordinate vectors over a sparse table.
+
+    ``table[a][b]`` is a tuple of (k, c) pairs with b_a·b_b = Σ c·b_k; the
+    result has ``len(table)`` coordinates, each starting from ``zero``.
+    """
+    out = [zero] * len(table)
+    for a, ca in enumerate(u):
+        if not ca:
+            continue
+        row = table[a]
+        for b, cb in enumerate(v):
+            # skip before multiplying: many cells of a table are empty
+            cell = row[b]
+            if not cb or not cell:
+                continue
+            f = ca * cb
+            for k, c in cell:
+                out[k] = out[k] + f * c
+    return out
 
 
 class ExactMatrix:

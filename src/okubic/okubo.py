@@ -20,6 +20,7 @@ from .linalg import (
     COMPACT,
     SPLIT,
     ExactMatrix,
+    bilinear,
     Mat3,
     determinant,
     is_eta_hermitian,
@@ -227,18 +228,7 @@ def structure_constants_dense(flavor: str):
 
 def okubo_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     x._check_same_flavor(y)
-    sc = structure_constants(x.flavor)
-    out = [F3()] * 8
-    for a, ca in enumerate(x.coeffs):
-        if not ca:
-            continue
-        row = sc[a]
-        for b, cb in enumerate(y.coeffs):
-            if not cb:
-                continue
-            f = ca * cb
-            for k, c in row[b]:
-                out[k] = out[k] + f * c
+    out = bilinear(structure_constants(x.flavor), x.coeffs, y.coeffs, F3())
     return OkuboElement(out, x.flavor)
 
 
@@ -257,11 +247,7 @@ def okubo_norm(x: OkuboElement) -> F3:
 
 def okubo_norm_trace(x: OkuboElement) -> F3:
     """Oracle: n(x) = (1/6)Tr(x²) through the matrix view."""
-    m = x.to_matrix()
-    t = (m @ m).trace()
-    if t.im:
-        raise ValueError("trace of x² must be real")
-    return t.re * F3(SIXTH)
+    return mat_norm(x.to_matrix())
 
 
 def polar(x: OkuboElement, y: OkuboElement) -> F3:

@@ -34,7 +34,13 @@ from okubic.albert import (
     transposition_defect,
 )
 from okubic.field import F3
-from okubic.geometry import INFINITY, SlopePoint, plane_embed, sample_affine_point
+from okubic.geometry import (
+    INFINITY,
+    SlopePoint,
+    VeroneseVector,
+    plane_embed,
+    sample_affine_point,
+)
 from okubic.linalg import Mat3, nullspace, rank
 from okubic.okubo import OkuboElement, conjugation_automorphism
 
@@ -208,7 +214,7 @@ def test_coords_and_json_roundtrip():
 
 
 def test_veronese_conversion_roundtrip():
+    assert AlbertElement is VeroneseVector
     rng = random.Random(612)
-    v = plane_embed(sample_affine_point(rng)).rep
-    a = AlbertElement.from_veronese(v)
-    assert a.to_veronese() == v
+    proj = plane_embed(sample_affine_point(rng))
+    assert point_from_idempotent(idempotent_from_point(proj)) == proj

@@ -155,6 +155,38 @@ def test_kernel_rejects_garbage(capsys):
     assert code == EXIT_VALIDATION
 
 
+def _unit_payload_with_zero_denominator():
+    obj = AlbertElement.unit().to_json()
+    obj["lambda"][0]["a"] = "1/0"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "albert", "--seed", "1", "--samples", "1", "--q", "1/0"),
+        ("kernel", "e0", "--q", "1/0"),
+        ("kernel", _unit_payload_with_zero_denominator()),
+        ("veronese", "embed", '{"x": "1/0", "y": 0}'),
+        ("veronese", "decode", _unit_payload_with_zero_denominator()),
+    ],
+    ids=["check-q", "kernel-q", "kernel-json", "embed-json", "decode-json"],
+)
+def test_zero_denominator_in_input_is_a_validation_error(capsys, argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_counts_below_one_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "composition", "--seed", "1", flag, value])
+    assert exc.value.code == 2
+
+
 def test_derivations_okubo_report(capsys):
     code, out = run(capsys, "derivations", "okubo")
     assert code == EXIT_OK

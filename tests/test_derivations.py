@@ -19,6 +19,7 @@ from okubic.derivations import (
     trivial_presentation,
 )
 from okubic.field import F3, sample_f3
+from okubic.hurwitz import petersson_mul, sample_split_octonion
 from okubic.linalg import COMPACT, SPLIT
 from okubic.okubo import polar, sample_okubo
 
@@ -107,3 +108,9 @@ def test_presentation_product_matches_okubo_product():
         y = sample_okubo(rng, COMPACT)
         via_tensor = COMPACT_PRES.mul_coords(list(x.coeffs), list(y.coeffs))
         assert OkuboElement(via_tensor, COMPACT) == okubo_mul(x, y)
+    petersson = petersson_presentation()
+    for _ in range(20):
+        x = sample_split_octonion(rng)
+        y = sample_split_octonion(rng)
+        via_tensor = petersson.mul_coords(x.coeffs, y.coeffs)
+        assert via_tensor == [F3(c) for c in petersson_mul(x, y).coeffs]
