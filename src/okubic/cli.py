@@ -1,7 +1,8 @@
 """Command-line interface: verification suites, structure-constant tables,
 Veronese embedding/decoding, kernel dimensions, and derivation reports.
 
-Exit codes: 0 pass, 1 invariant failure, 2 usage error, 3 validation error.
+Exit codes: 0 pass, 1 invariant failure, 2 usage error (an unwritable --out
+included), 3 validation error.
 All randomized suites require an explicit --seed; per-sample PRNG
 substreams are derived from (seed, index), so reports are byte-identical
 for identical flags.  --jobs is accepted but not yet used.
@@ -15,6 +16,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 from .albert import (
     ALBERT_HALF,
@@ -90,49 +92,16 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
-SUITE_NAMES = (
-    "composition",
-    "flexibility",
-    "division",
-    "octonion",
-    "trivolution",
-    "michel-radicati",
-    "hurwitz",
-    "albert",
-    "veronese",
-    "automorphism",
-)
-
 TABLE_ALGEBRAS = ("okubo", "split-okubo", "split-octonion", "petersson")
 
-# Frozen Jordan-defect witness: a = w0(e) + w1(e), b = w0(i1).  The defect
-# is nonzero for q ∈ {1, -1, 2} and vanishes for q = ±1/2.
-JORDAN_WITNESS_A = (
-    (1, 0, 0, 0, 0, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0),
-    0,
-    0,
-    0,
-)
-JORDAN_WITNESS_B = (
-    (0, 1, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0),
-    0,
-    0,
-    0,
-)
-
-
 def jordan_witness():
-    """The persisted Jordan-defect witness pair (a, b)."""
+    """The frozen Jordan-defect witness pair (a, b) = (w0(e) + w1(e), w0(i1)).
 
-    def build(spec):
-        xs = [OkuboElement(c) for c in spec[:3]]
-        return AlbertElement(*xs, *spec[3:])
-
-    return build(JORDAN_WITNESS_A), build(JORDAN_WITNESS_B)
+    The defect is nonzero for q ∈ {1, -1, 2} and vanishes for q = ±1/2.
+    """
+    w = AlbertElement.okubo_slot
+    e, i1 = OkuboElement.basis(0), OkuboElement.basis(1)
+    return w(0, e) + w(1, e), w(0, i1)
 
 
 # Frozen Michel–Radicati witness: the matrices of i1 and i2 have
@@ -447,6 +416,7 @@ SUITE_FUNCS = {
     "veronese": suite_veronese,
     "automorphism": suite_automorphism,
 }
+SUITE_NAMES = tuple(SUITE_FUNCS)
 
 
 def render_q(q) -> str:
@@ -487,138 +457,114 @@ def cmd_check(args) -> int:
     return EXIT_OK if total == 0 else EXIT_FAILURE
 
 
-def _okubo_table_rows(flavor):
-    c = structure_constants_dense(flavor)
-    for a in range(8):
-        for b in range(8):
-            for k in range(8):
-                v = c[a][b][k]
-                yield f"{a},{b},{k},{render_rational(v.a)},{render_rational(v.b)}"
+def _okubo_table_rows(tensor):
+    for a, b, k in product(range(8), repeat=3):
+        v = tensor[a][b][k]
+        yield f"{a},{b},{k},{render_rational(v.a)},{render_rational(v.b)}"
 
 
-def _octonion_table_rows(mul):
-    for a in range(8):
-        for b in range(8):
-            prod = mul(SplitOctonion.basis(a), SplitOctonion.basis(b)).coeffs
-            support = [k for k, v in enumerate(prod) if v]
-            if not support:
-                yield f"{a},{b},,0"
-            else:
-                for k in support:
-                    yield f"{a},{b},{k},{render_rational(prod[k])}"
+def _octonion_table_rows(tensor):
+    for a, b in product(range(8), repeat=2):
+        prod = tensor[a][b]
+        support = [k for k, v in enumerate(prod) if v]
+        if not support:
+            yield f"{a},{b},,0"
+        for k in support:
+            yield f"{a},{b},{k},{render_rational(prod[k])}"
 
 
 def cmd_table(args) -> int:
     if args.algebra in ("okubo", "split-okubo"):
         flavor = COMPACT if args.algebra == "okubo" else SPLIT
-        if args.format == "csv":
-            rows = ["a,b,k,value_a,value_b"]
-            rows.extend(_okubo_table_rows(flavor))
-            _emit_text("\n".join(rows) + "\n", args.out)
-        else:
-            c = structure_constants_dense(flavor)
-            tensor = [
-                [[v.to_json() for v in row] for row in plane] for plane in c
-            ]
-            _emit({"algebra": args.algebra, "tensor": tensor}, args.out)
+        tensor = structure_constants_dense(flavor)
+        header, rows, render = "a,b,k,value_a,value_b", _okubo_table_rows, F3.to_json
     else:
         mul = oct_mul if args.algebra == "split-octonion" else petersson_mul
-        if args.format == "csv":
-            rows = ["a,b,k,value"]
-            rows.extend(_octonion_table_rows(mul))
-            _emit_text("\n".join(rows) + "\n", args.out)
-        else:
-            tensor = [
-                [
-                    [
-                        render_rational(v)
-                        for v in mul(
-                            SplitOctonion.basis(a), SplitOctonion.basis(b)
-                        ).coeffs
-                    ]
-                    for b in range(8)
-                ]
-                for a in range(8)
-            ]
-            _emit({"algebra": args.algebra, "tensor": tensor}, args.out)
+        basis = [SplitOctonion.basis(k) for k in range(8)]
+        tensor = [[mul(x, y).coeffs for y in basis] for x in basis]
+        header, rows, render = "a,b,k,value", _octonion_table_rows, render_rational
+    if args.format == "csv":
+        _emit_text("\n".join([header, *rows(tensor)]) + "\n", args.out)
+    else:
+        cells = [[[render(v) for v in cell] for cell in row] for row in tensor]
+        _emit({"algebra": args.algebra, "tensor": cells}, args.out)
     return EXIT_OK
 
 
+def _load(text, parse):
+    """Decode a JSON payload and parse it; a missing key or a value of the
+    wrong JSON type is reported as the ValueError of malformed input."""
+    try:
+        return parse(json.loads(text))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed payload: {exc!r}") from None
+
+
+def _parse_scalar(obj) -> F3:
+    """A Q(√3) scalar: its ``to_json`` object {"a", "b"} or a bare rational."""
+    if isinstance(obj, dict):
+        return F3.from_json(obj)
+    return F3(parse_rational(str(obj)))
+
+
 def _parse_okubo_payload(obj) -> OkuboElement:
+    """An Okubo element: its ``to_json`` object, a list of 8 coefficients
+    over (e, i1, …, i7), or a bare rational c meaning c·e."""
     if isinstance(obj, dict):
         return OkuboElement.from_json(obj)
-    # scalar shorthand: c means c·e
-    coeffs = [F3()] * 8
-    coeffs[0] = F3(parse_rational(str(obj)))
-    return OkuboElement(coeffs)
+    if isinstance(obj, list):
+        return OkuboElement([_parse_scalar(c) for c in obj])
+    return OkuboElement.basis(0).scale(_parse_scalar(obj))
 
 
-def _point_to_json(p):
+def _parse_albert_payload(obj) -> AlbertElement:
+    """{"x": [3 Okubo payloads], "lambda": [3 scalars]}, built slot by slot."""
+    x0, x1, x2 = (_parse_okubo_payload(x) for x in obj["x"])
+    l0, l1, l2 = (_parse_scalar(l) for l in obj["lambda"])
+    return AlbertElement(x0, x1, x2, l0, l1, l2)
+
+
+def _parse_point(obj):
+    """A plane point: "infinity", {"slope": s} or an affine {"x", "y"}."""
+    if obj == "infinity":
+        return INFINITY
+    if "slope" in obj:
+        return SlopePoint(_parse_okubo_payload(obj["slope"]))
+    return AffinePoint(_parse_okubo_payload(obj["x"]), _parse_okubo_payload(obj["y"]))
+
+
+def _point_json(p):
+    """(patch, JSON) of a plane point: its chart and its coordinates there."""
     if p is INFINITY:
-        return "infinity"
+        return "infinity", "infinity"
     if isinstance(p, SlopePoint):
-        return {"slope": p.s.to_json()}
-    return p.to_json()
-
-
-def _patch_of(p) -> str:
-    if p is INFINITY:
-        return "infinity"
-    if isinstance(p, SlopePoint):
-        return "slope"
-    return "affine"
+        return "slope", {"slope": p.s.to_json()}
+    return "affine", p.to_json()
 
 
 def cmd_veronese(args) -> int:
-    try:
-        payload = json.loads(args.payload)
-        return _run_veronese(args, payload)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"invalid payload: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-
-def _run_veronese(args, payload) -> int:
     if args.mode == "embed":
-        if payload == "infinity":
-            point = INFINITY
-        elif isinstance(payload, dict) and "slope" in payload:
-            point = SlopePoint(_parse_okubo_payload(payload["slope"]))
-        elif isinstance(payload, dict) and {"x", "y"} <= payload.keys():
-            point = AffinePoint(
-                _parse_okubo_payload(payload["x"]),
-                _parse_okubo_payload(payload["y"]),
-            )
-        else:
-            print("embed payload must be an affine point, a slope point, "
-                  'or "infinity"', file=sys.stderr)
-            return EXIT_VALIDATION
+        point = _load(args.payload, _parse_point)
         proj = plane_embed(point)
-        eps = idempotent_from_point(proj)
         out = {
-            "idempotent": eps.to_json(),
+            "idempotent": idempotent_from_point(proj).to_json(),
             "veronese": proj.rep.to_json(),
-            "patch": _patch_of(point),
+            "patch": _point_json(point)[0],
         }
-        _emit(out, args.out)
-        return EXIT_OK
-    # decode
-    eps = AlbertElement.from_json(payload)
-    t = trace(eps)
-    if t != F3(1):
-        print(f"trace={t}, not rank-1", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not is_idempotent(ALBERT_HALF, eps):
-        print("not idempotent in the q=1/2 algebra", file=sys.stderr)
-        return EXIT_VALIDATION
-    if cubic_norm(eps):
-        print(f"cubic norm {cubic_norm(eps)} != 0, not rank-1", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not veronese_check(eps):
-        print("coordinates violate the Veronese conditions", file=sys.stderr)
-        return EXIT_VALIDATION
-    point = plane_decode(point_from_idempotent(eps))
-    _emit({"point": _point_to_json(point), "patch": _patch_of(point)}, args.out)
+    else:
+        eps = _load(args.payload, _parse_albert_payload)
+        t = trace(eps)
+        if t != F3(1):
+            raise ValueError(f"trace={t}, not rank-1")
+        if not is_idempotent(ALBERT_HALF, eps):
+            raise ValueError("not idempotent in the q=1/2 algebra")
+        if cubic_norm(eps):
+            raise ValueError(f"cubic norm {cubic_norm(eps)} != 0, not rank-1")
+        if not veronese_check(eps):
+            raise ValueError("coordinates violate the Veronese conditions")
+        patch, point = _point_json(plane_decode(point_from_idempotent(eps)))
+        out = {"point": point, "patch": patch}
+    _emit(out, args.out)
     return EXIT_OK
 
 
@@ -634,11 +580,7 @@ def cmd_kernel(args) -> int:
     if args.element in NAMED_ELEMENTS:
         element = NAMED_ELEMENTS[args.element]()
     else:
-        try:
-            element = AlbertElement.from_json(json.loads(args.element))
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            print(f"cannot parse element: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        element = _load(args.element, _parse_albert_payload)
     algebra = AlbertAlgebra(parse_rational(args.q))
     image = rank(left_mult_operator(algebra, element))
     out = {"kernel_dim": 27 - image, "image_dim": image}
@@ -734,6 +676,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
+    except OverflowError:  # a JSON number such as 1e999 decodes to inf
+        raise ValueError(f"{s!r} is not a finite rational") from None
 
 
 def render_rational(q: Fraction) -> str:

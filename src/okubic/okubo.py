@@ -55,27 +55,7 @@ def _gamma(flavor: str) -> int:
 
 def basis_matrices(flavor: str):
     """Canonical basis (e, i1..i7) as Mat3 values for the given flavor."""
-    g = _gamma(flavor)
-    i = C3(0, 1)
-    return (
-        Mat3.diag(2, -1, -1),
-        Mat3([[0, 1, 0], [g, 0, 0], [0, 0, 0]]),
-        Mat3([[0, -g * i, 0], [i, 0, 0], [0, 0, 0]]),
-        Mat3.diag(1, -1, 0),
-        Mat3([[0, 0, 1], [0, 0, 0], [g, 0, 0]]),
-        Mat3([[0, 0, -g * i], [0, 0, 0], [i, 0, 0]]),
-        Mat3([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-        Mat3([[0, 0, 0], [0, 0, -i], [0, i, 0]]),
-    )
-
-
-_BASIS_CACHE = {}
-
-
-def _basis(flavor: str):
-    if flavor not in _BASIS_CACHE:
-        _BASIS_CACHE[flavor] = basis_matrices(flavor)
-    return _BASIS_CACHE[flavor]
+    return tuple(OkuboElement.basis(k, flavor).to_matrix() for k in range(8))
 
 
 class OkuboElement:
@@ -148,12 +128,14 @@ class OkuboElement:
             )
 
     def to_matrix(self) -> Mat3:
-        basis = _basis(self.flavor)
-        m = Mat3.zero()
-        for c, b in zip(self.coeffs, basis):
-            if c:
-                m = m + b.scale(C3(c))
-        return m
+        """Σ c_k·b_k in closed form; ``from_matrix`` reads the same entries back."""
+        g = _gamma(self.flavor)
+        c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
+        return Mat3([
+            [2 * c0 + c3, C3(c1, -g * c2), C3(c4, -g * c5)],
+            [C3(g * c1, c2), -c0 - c3, C3(c6, -c7)],
+            [C3(g * c4, c5), C3(c6, c7), -c0],
+        ])
 
     @classmethod
     def from_matrix(cls, m: Mat3, flavor: str = COMPACT) -> OkuboElement:

@@ -7,10 +7,13 @@ import pytest
 from okubic.albert import AlbertElement
 from okubic.cli import (
     EXIT_OK,
+    EXIT_USAGE,
     EXIT_VALIDATION,
+    SUITE_NAMES,
     jordan_witness,
     main,
 )
+from okubic.okubo import OkuboElement
 
 
 def run(capsys, *argv):
@@ -69,6 +72,23 @@ def test_albert_suite_reports_jordan_status(capsys):
     report = json.loads(out)
     assert report["jordan"]["defect_vanished_on_samples"] is False
     assert report["jordan"]["witness_defect_nonzero"] is True
+
+
+def test_suite_names_order_is_pinned():
+    # `check all` reports the suites in this order, and benchmark rounds run
+    # them in it; it comes from the insertion order of SUITE_FUNCS.
+    assert SUITE_NAMES == (
+        "composition",
+        "flexibility",
+        "division",
+        "octonion",
+        "trivolution",
+        "michel-radicati",
+        "hurwitz",
+        "albert",
+        "veronese",
+        "automorphism",
+    )
 
 
 def test_reports_are_deterministic(capsys):
@@ -176,6 +196,68 @@ def test_zero_denominator_in_input_is_a_validation_error(capsys, argv):
     code = main(list(argv))
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (
+            ("veronese", "embed", '{"x": [1,0,0,0,0,0,0,0], "y": 0}'),
+            ("veronese", "embed", '{"x": 1, "y": 0}'),
+        ),
+        (
+            ("veronese", "embed", '{"slope": [0,1,0,0,0,0,0,0]}'),
+            ("veronese", "embed",
+             json.dumps({"slope": OkuboElement.basis(1).to_json()})),
+        ),
+        (
+            ("kernel", '{"x": [0,0,0], "lambda": ["1","0","0"]}'),
+            ("kernel", "e0"),
+        ),
+    ],
+    ids=["embed-x-list", "embed-slope-list", "kernel-bare"],
+)
+def test_readme_payload_forms_are_accepted(capsys, argv, same_as):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == run(capsys, *same_as)[1]
+
+
+_ZERO = OkuboElement.zero().to_json()
+_ONE = {"a": "1", "b": "0"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "[1,2]"),
+        ("kernel", "5"),
+        ("veronese", "decode", "5"),
+        ("veronese", "embed", '{"x": 0}'),
+        ("kernel", json.dumps({"x": [_ZERO] * 2, "lambda": [_ONE] * 4})),
+        ("kernel", json.dumps({"x": [_ZERO] * 3,
+                               "lambda": [{"a": float("inf"), "b": "0"}, _ONE, _ONE]})),
+    ],
+    ids=["kernel-list", "kernel-int", "decode-int", "embed-no-y",
+         "kernel-slot-count", "kernel-infinite"],
+)
+def test_malformed_payload_is_a_validation_error(capsys, argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "okubo"), ("check", "composition", "--seed", "1", "--samples", "1")],
+    ids=["table", "check"],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    code = main([*argv, "--out", str(tmp_path / "missing" / "out.txt")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
     assert len(err.splitlines()) == 1
 
 

@@ -52,6 +52,22 @@ def test_basis_matrices_are_traceless_eta_hermitian():
             assert is_eta_hermitian(m, flavor)
 
 
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_closed_form_to_matrix_gives_the_canonical_basis(flavor):
+    g = 1 if flavor == COMPACT else -1
+    i = C3(0, 1)
+    assert basis_matrices(flavor) == (
+        Mat3.diag(2, -1, -1),
+        Mat3([[0, 1, 0], [g, 0, 0], [0, 0, 0]]),
+        Mat3([[0, -g * i, 0], [i, 0, 0], [0, 0, 0]]),
+        Mat3.diag(1, -1, 0),
+        Mat3([[0, 0, 1], [0, 0, 0], [g, 0, 0]]),
+        Mat3([[0, 0, -g * i], [0, 0, 0], [i, 0, 0]]),
+        Mat3([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        Mat3([[0, 0, 0], [0, 0, -i], [0, i, 0]]),
+    )
+
+
 def test_matrix_coefficient_bijection():
     rng = random.Random(401)
     for flavor in (COMPACT, SPLIT):
