@@ -127,8 +127,16 @@ def idempotent_from_point(q: ProjPoint) -> AlbertElement:
 
 
 def point_from_idempotent(a: AlbertElement) -> ProjPoint:
-    if not is_rank1(ALBERT_HALF, a):
-        raise ValueError("element is not a rank-1 idempotent of the q=1/2 algebra")
+    """The plane point of a rank-1 idempotent of 𝔸_{1/2}; each failed
+    condition raises its own ValueError (``ProjPoint`` checks Veronese)."""
+    t = trace(a)
+    if t != F3(1):
+        raise ValueError(f"trace={t}, not rank-1")
+    if not is_idempotent(ALBERT_HALF, a):
+        raise ValueError("not idempotent in the q=1/2 algebra")
+    n = cubic_norm(a)
+    if n:
+        raise ValueError(f"cubic norm {n} != 0, not rank-1")
     return ProjPoint(a)
 
 

@@ -13,14 +13,13 @@ from math import gcd
 Rational = Fraction
 
 
-def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction; malformed text raises ValueError."""
+def parse_rational(s) -> Fraction:
+    """Parse "p/q", "p" or a decimal into a Fraction; malformed input raises
+    ValueError.  A float is read as its shortest decimal, so 0.1 is 1/10."""
     try:
-        return Fraction(s)
+        return Fraction(str(s))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-    except OverflowError:  # a JSON number such as 1e999 decodes to inf
-        raise ValueError(f"{s!r} is not a finite rational") from None
 
 
 def render_rational(q: Fraction) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from .field import F3
-from .linalg import COMPACT, ExactMatrix, nullspace
+from .linalg import COMPACT, ExactMatrix, Vector, nullspace
 from .okubo import (
     OkuboElement,
     gram_matrix,
@@ -134,10 +134,6 @@ class AffinePoint:
     def to_json(self):
         return {"x": self.x.to_json(), "y": self.y.to_json()}
 
-    @classmethod
-    def from_json(cls, obj) -> AffinePoint:
-        return cls(OkuboElement.from_json(obj["x"]), OkuboElement.from_json(obj["y"]))
-
 
 class AffineLine:
     """[s, t] = {(x, s*x+t)}, vertical [c] = {c}×𝒪, or the line at infinity."""
@@ -236,99 +232,72 @@ class SlopePoint:
         return f"SlopePoint({self.s!r})"
 
 
-class VeroneseVector:
+class VeroneseVector(Vector):
     """Element (x0, x1, x2; λ0, λ1, λ2) of V ≅ 𝒪³×Q(√3)³.
 
     V carries both the Okubic projective plane and the Albert algebra 𝔸_q,
     so this one class is also ``albert.AlbertElement``: the rank-1
     idempotents of 𝔸_{1/2} are the trace-1 Veronese vectors themselves.
+    The 27 flat coordinates are the three Okubo slots, then the three λ.
     """
 
-    __slots__ = ("x", "lam")
+    __slots__ = ()
+
+    SIZE = 27
 
     def __init__(self, x0, x1, x2, l0, l1, l2):
         _require_compact(x0, x1, x2)
-        object.__setattr__(self, "x", (x0, x1, x2))
-        object.__setattr__(self, "lam", (F3.coerce(l0), F3.coerce(l1), F3.coerce(l2)))
+        super().__init__((*x0.coeffs, *x1.coeffs, *x2.coeffs, l0, l1, l2))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VeroneseVector values are immutable")
+    @classmethod
+    def from_coords(cls, coords) -> VeroneseVector:
+        out = object.__new__(cls)
+        Vector.__init__(out, coords)
+        return out
 
     @classmethod
     def zero(cls) -> VeroneseVector:
-        z = OkuboElement.zero()
-        return cls(z, z, z, 0, 0, 0)
+        return cls.from_coords([0] * 27)
 
     @classmethod
     def unit(cls) -> VeroneseVector:
-        z = OkuboElement.zero()
-        return cls(z, z, z, 1, 1, 1)
+        return cls.from_coords([0] * 24 + [1, 1, 1])
 
     @classmethod
     def scalar_idempotent(cls, i: int) -> VeroneseVector:
         """e_i = ω_i(1), the i-th primitive real idempotent."""
-        z = OkuboElement.zero()
-        lam = [F3()] * 3
-        lam[i] = F3(1)
-        return cls(z, z, z, *lam)
+        c = [0] * 27
+        c[24 + i] = 1
+        return cls.from_coords(c)
 
     @classmethod
     def okubo_slot(cls, i: int, x: OkuboElement) -> VeroneseVector:
         """w_i(x): x placed in Okubo slot i."""
-        z = OkuboElement.zero()
-        xs = [z, z, z]
-        xs[i] = x
-        return cls(*xs, 0, 0, 0)
+        _require_compact(x)
+        c = [0] * 27
+        c[8 * i : 8 * i + 8] = x.coeffs
+        return cls.from_coords(c)
+
+    @property
+    def x(self):
+        """The Okubo slots (x0, x1, x2)."""
+        c = self.coeffs
+        return tuple(OkuboElement(c[k : k + 8]) for k in (0, 8, 16))
+
+    @property
+    def lam(self):
+        """The scalars (λ0, λ1, λ2)."""
+        return self.coeffs[24:]
 
     def __repr__(self):
         return f"VeroneseVector({self.x!r}; {self.lam!r})"
 
-    def __bool__(self):
-        return any(self.x) or any(self.lam)
-
-    def __eq__(self, other):
-        if not isinstance(other, VeroneseVector):
-            return NotImplemented
-        return self.x == other.x and self.lam == other.lam
-
-    def __add__(self, other):
-        return VeroneseVector(
-            *(a + b for a, b in zip(self.x, other.x)),
-            *(a + b for a, b in zip(self.lam, other.lam)),
-        )
-
-    def __sub__(self, other):
-        return VeroneseVector(
-            *(a - b for a, b in zip(self.x, other.x)),
-            *(a - b for a, b in zip(self.lam, other.lam)),
-        )
-
-    def __neg__(self):
-        return VeroneseVector(*(-a for a in self.x), *(-a for a in self.lam))
-
-    def scale(self, c) -> VeroneseVector:
-        c = F3.coerce(c)
-        return VeroneseVector(
-            *(xi.scale(c) for xi in self.x), *(c * l for l in self.lam)
-        )
-
     def coords(self):
         """Flat 27-tuple over F3: three Okubo slots then three scalars."""
-        out = []
-        for xi in self.x:
-            out.extend(xi.coeffs)
-        out.extend(self.lam)
-        return tuple(out)
-
-    @classmethod
-    def from_coords(cls, coords) -> VeroneseVector:
-        if len(coords) != 27:
-            raise ValueError("need 27 coordinates")
-        xs = [OkuboElement(coords[8 * i : 8 * (i + 1)]) for i in range(3)]
-        return cls(*xs, *coords[24:])
+        return self.coeffs
 
     def proportional(self, other: VeroneseVector) -> bool:
-        return _proportional(self.coords(), other.coords())
+        return _proportional(self.coeffs, other.coeffs)
 
     def to_json(self):
         return {

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .field import Rational, parse_rational, render_rational, sample_rational
-from .linalg import bilinear
+from .linalg import Vector, bilinear
 
 BASIS_LABELS = ("e1", "e2", "u1", "u2", "u3", "v1", "v2", "v3")
 
@@ -58,19 +58,13 @@ MUL_TABLE = tuple(
 )
 
 
-class SplitOctonion:
+class SplitOctonion(Vector):
     """Free 8-dimensional rational vector with Table-style multiplication."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != 8:
-            raise ValueError("split octonion needs 8 coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplitOctonion values are immutable")
+    SIZE = 8
+    scalar = Fraction
 
     @classmethod
     def basis(cls, i: int) -> SplitOctonion:
@@ -94,30 +88,6 @@ class SplitOctonion:
         ]
         return "SplitOctonion(" + (" + ".join(terms) if terms else "0") + ")"
 
-    def __eq__(self, other):
-        if not isinstance(other, SplitOctonion):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __add__(self, other):
-        return SplitOctonion([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return SplitOctonion([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return SplitOctonion([-a for a in self.coeffs])
-
-    def scale(self, c) -> SplitOctonion:
-        c = Fraction(c)
-        return SplitOctonion([c * a for a in self.coeffs])
-
     def to_json(self):
         return [render_rational(c) for c in self.coeffs]
 
@@ -127,7 +97,7 @@ class SplitOctonion:
 
 
 def oct_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
-    return SplitOctonion(bilinear(MUL_TABLE, x.coeffs, y.coeffs, Fraction(0)))
+    return x._like(bilinear(MUL_TABLE, x.coeffs, y.coeffs, Fraction(0)))
 
 
 def oct_norm(x: SplitOctonion) -> Rational:

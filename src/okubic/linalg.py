@@ -94,10 +94,6 @@ class Mat3:
     def trace(self) -> C3:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
-    def transpose(self) -> Mat3:
-        r = self.rows
-        return Mat3([[r[j][i] for j in range(3)] for i in range(3)])
-
     def dagger(self) -> Mat3:
         """Conjugate transpose."""
         r = self.rows
@@ -129,10 +125,6 @@ class Mat3:
 
     def to_json(self):
         return [[x.to_json() for x in r] for r in self.rows]
-
-    @classmethod
-    def from_json(cls, obj) -> Mat3:
-        return cls([[C3.from_json(x) for x in r] for r in obj])
 
 
 def eta_matrix(flavor: Flavor) -> Mat3:
@@ -172,6 +164,69 @@ def bilinear(table, u, v, zero):
     return out
 
 
+class Vector:
+    """Immutable vector of ``SIZE`` coordinates, each coerced by ``scalar``.
+
+    The one implementation of equality, hashing, truth value, ``+``, ``-``,
+    negation and ``scale`` for the coordinate types.  Results are built by
+    ``_like`` from coordinates that are already scalars; a subclass with
+    more state than ``coeffs`` overrides ``_like`` (copy that state),
+    ``_key`` (what ``==`` and hashing compare) and ``_check`` (reject an
+    operand that cannot be combined with this one).
+    """
+
+    __slots__ = ("coeffs",)
+
+    SIZE = 0
+    scalar = F3.coerce
+
+    def __init__(self, coeffs):
+        coeffs = tuple(map(self.scalar, coeffs))
+        if len(coeffs) != self.SIZE:
+            raise ValueError(f"{type(self).__name__} needs {self.SIZE} coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def _like(self, coeffs):
+        out = object.__new__(type(self))
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        return out
+
+    def _key(self):
+        return self.coeffs
+
+    def _check(self, other) -> None:
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._like([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return self._like([-a for a in self.coeffs])
+
+    def scale(self, c):
+        c = self.scalar(c)
+        return self._like([c * a for a in self.coeffs])
+
+
 class ExactMatrix:
     """Dense matrix over F3 of arbitrary shape."""
 
@@ -190,11 +245,6 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix values are immutable")
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> ExactMatrix:
-        z = F3()
-        return cls([[z] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> ExactMatrix:
         return cls([[F3(1) if i == j else F3() for j in range(n)] for i in range(n)])
 
@@ -209,9 +259,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
-
-    def row(self, i):
-        return self.entries[i]
 
     def mul_vec(self, v):
         if len(v) != self.cols:

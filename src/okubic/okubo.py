@@ -20,8 +20,9 @@ from .linalg import (
     COMPACT,
     SPLIT,
     ExactMatrix,
-    bilinear,
     Mat3,
+    Vector,
+    bilinear,
     determinant,
     is_eta_hermitian,
 )
@@ -58,21 +59,31 @@ def basis_matrices(flavor: str):
     return tuple(OkuboElement.basis(k, flavor).to_matrix() for k in range(8))
 
 
-class OkuboElement:
+class OkuboElement(Vector):
     """8-vector over Q(√3) in the canonical basis, tagged with a flavor."""
 
-    __slots__ = ("coeffs", "flavor")
+    __slots__ = ("flavor",)
+
+    SIZE = 8
 
     def __init__(self, coeffs, flavor: str = COMPACT):
         _gamma(flavor)
-        coeffs = tuple(F3.coerce(c) for c in coeffs)
-        if len(coeffs) != 8:
-            raise ValueError("Okubo element needs 8 coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
         object.__setattr__(self, "flavor", flavor)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OkuboElement values are immutable")
+    def _like(self, coeffs) -> OkuboElement:
+        out = super()._like(coeffs)
+        object.__setattr__(out, "flavor", self.flavor)
+        return out
+
+    def _key(self):
+        return self.flavor, self.coeffs
+
+    def _check(self, other: OkuboElement) -> None:
+        if self.flavor != other.flavor:
+            raise FlavorMismatchError(
+                f"cannot mix {self.flavor} and {other.flavor} elements"
+            )
 
     @classmethod
     def zero(cls, flavor: str = COMPACT) -> OkuboElement:
@@ -90,42 +101,6 @@ class OkuboElement:
         ]
         body = " + ".join(terms) if terms else "0"
         return f"OkuboElement[{self.flavor}]({body})"
-
-    def __eq__(self, other):
-        if not isinstance(other, OkuboElement):
-            return NotImplemented
-        return self.flavor == other.flavor and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.flavor, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __add__(self, other):
-        self._check_same_flavor(other)
-        return OkuboElement(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.flavor
-        )
-
-    def __sub__(self, other):
-        self._check_same_flavor(other)
-        return OkuboElement(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.flavor
-        )
-
-    def __neg__(self):
-        return OkuboElement([-a for a in self.coeffs], self.flavor)
-
-    def scale(self, c) -> OkuboElement:
-        c = F3.coerce(c)
-        return OkuboElement([c * a for a in self.coeffs], self.flavor)
-
-    def _check_same_flavor(self, other: OkuboElement) -> None:
-        if self.flavor != other.flavor:
-            raise FlavorMismatchError(
-                f"cannot mix {self.flavor} and {other.flavor} elements"
-            )
 
     def to_matrix(self) -> Mat3:
         """Σ c_k·b_k in closed form; ``from_matrix`` reads the same entries back."""
@@ -167,7 +142,7 @@ def idempotent(flavor: str = COMPACT) -> OkuboElement:
 
 def okubo_mul_matrix(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     """Product through the 3×3 matrix representation (oracle path)."""
-    x._check_same_flavor(y)
+    x._check(y)
     a, b = x.to_matrix(), y.to_matrix()
     ab, ba = a @ b, b @ a
     m = ab.scale(MU) + ba.scale(MU_BAR) - Mat3.identity().scale(ab.trace() * C3(F3(THIRD)))
@@ -209,9 +184,8 @@ def structure_constants_dense(flavor: str):
 
 
 def okubo_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:
-    x._check_same_flavor(y)
-    out = bilinear(structure_constants(x.flavor), x.coeffs, y.coeffs, F3())
-    return OkuboElement(out, x.flavor)
+    x._check(y)
+    return x._like(bilinear(structure_constants(x.flavor), x.coeffs, y.coeffs, F3()))
 
 
 def okubo_norm(x: OkuboElement) -> F3:
@@ -234,7 +208,7 @@ def okubo_norm_trace(x: OkuboElement) -> F3:
 
 def polar(x: OkuboElement, y: OkuboElement) -> F3:
     """⟨x, y⟩ = n(x+y) - n(x) - n(y) = (1/3)Tr(xy)."""
-    x._check_same_flavor(y)
+    x._check(y)
     return okubo_norm(x + y) - okubo_norm(x) - okubo_norm(y)
 
 
@@ -257,10 +231,7 @@ def is_positive_definite(flavor: str) -> bool:
 
 def split_zero_divisor() -> OkuboElement:
     """Canonical norm-zero witness d = i1 + i6 in the split algebra."""
-    c = [F3()] * 8
-    c[1] = F3(1)
-    c[6] = F3(1)
-    return OkuboElement(c, SPLIT)
+    return OkuboElement.basis(1, SPLIT) + OkuboElement.basis(6, SPLIT)
 
 
 def zero_divisor_check(d: OkuboElement, rng: random.Random | None = None,

@@ -147,8 +147,11 @@ def test_rank1_idempotents_are_the_plane_points():
 
 
 def test_point_from_idempotent_rejects_non_rank1():
-    with pytest.raises(ValueError):
+    # each failed condition is named
+    with pytest.raises(ValueError, match="trace=3"):
         point_from_idempotent(AlbertElement.unit())
+    with pytest.raises(ValueError, match="not idempotent"):
+        point_from_idempotent(AlbertElement.scalar_idempotent(0) + W(0, B(1)))
 
 
 def test_left_mult_kernel_dimensions():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from okubic.albert import AlbertElement
+from okubic import cli
+from okubic.albert import AlbertAlgebra, AlbertElement
 from okubic.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -259,6 +260,40 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert len(err.splitlines()) == 1
+
+
+def test_unwritable_out_fails_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "x.json"
+    code = main(["check", "all", "--seed", "1", "--samples", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert calls == []
+
+
+def test_json_number_in_a_payload_is_a_decimal(capsys):
+    # λ = (t, -1/10, 0): slot 2 of L_λ vanishes, giving a 9-dimensional
+    # kernel, only when t is exactly 1/10
+    def payload(t):
+        return json.dumps({"x": [0, 0, 0], "lambda": [t, "-1/10", "0"]})
+
+    code, out = run(capsys, "kernel", payload({"a": 0.1, "b": 0}))
+    assert code == EXIT_OK
+    assert out == run(capsys, "kernel", payload("1/10"))[1]
+    assert json.loads(out) == {"kernel_dim": 9, "image_dim": 18}
+
+
+def test_veronese_decode_validates_once(capsys, monkeypatch):
+    code, out = run(capsys, "veronese", "embed", '{"x": "1/2", "y": "-3"}')
+    eps = json.dumps(json.loads(out)["idempotent"])
+    calls = []
+    mul = AlbertAlgebra.mul
+    monkeypatch.setattr(
+        AlbertAlgebra, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b)
+    )
+    code, _ = run(capsys, "veronese", "decode", eps)
+    assert code == EXIT_OK
+    assert len(calls) == 1  # the idempotency check, and nothing twice
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--jobs"])

@@ -26,6 +26,15 @@ def test_rational_render_parse_roundtrip():
     assert render_rational(Fraction(4, 2)) == "2"
 
 
+def test_json_numbers_parse_as_decimals():
+    # a JSON number is read from its text, not from its binary float value
+    assert parse_rational(0.1) == Fraction(1, 10)
+    assert parse_rational(-2.5e-3) == Fraction(-1, 400)
+    for bad in (True, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
 def test_f3_inverse_pinned_values():
     assert F3(1).inverse() == F3(1)
     assert F3(1, 1).inverse() == F3(Fraction(-1, 2), Fraction(1, 2))

@@ -1,15 +1,19 @@
 """Exact dense linear algebra over Q(√3) and Q(√3, i)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from okubic.albert import sample_albert
 from okubic.field import C3, F3, sample_c3, sample_f3
+from okubic.hurwitz import sample_split_octonion
 from okubic.linalg import (
     COMPACT,
     SPLIT,
     ExactMatrix,
     Mat3,
+    Vector,
     determinant,
     eta_dagger,
     is_eta_hermitian,
@@ -18,6 +22,7 @@ from okubic.linalg import (
     rref,
     symmetric_signature,
 )
+from okubic.okubo import sample_okubo
 
 
 def _random_mat3(rng):
@@ -125,3 +130,50 @@ def test_signature_is_congruence_invariant_on_samples():
         pos, neg, zero = symmetric_signature(m)
         assert pos + neg + zero == n
         assert pos + neg == rank(m)
+
+
+# The coordinate types share Vector's immutability, equality, hashing and
+# linear operations; each case builds two samples of one type.
+VECTOR_SAMPLERS = pytest.mark.parametrize(
+    "sample", [sample_okubo, sample_split_octonion, sample_albert],
+    ids=["okubo", "split-octonion", "albert"],
+)
+
+
+def _vector_pair(sample, seed):
+    rng = random.Random(seed)
+    return sample(rng), sample(rng)
+
+
+@VECTOR_SAMPLERS
+def test_vectors_are_immutable(sample):
+    x, _ = _vector_pair(sample, 207)
+    assert isinstance(x, Vector)
+    for attr in ("coeffs", "flavor", "x"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, attr, None)
+
+
+@VECTOR_SAMPLERS
+def test_vector_addition_and_negation(sample):
+    x, y = _vector_pair(sample, 208)
+    assert x + y - y == x
+    assert x + y == y + x
+    assert not x + (-x)
+    assert x
+
+
+@VECTOR_SAMPLERS
+def test_vector_scale_is_coordinatewise(sample):
+    x, _ = _vector_pair(sample, 209)
+    c = Fraction(-3, 2)
+    assert x.scale(c).coeffs == tuple(type(x).scalar(c) * a for a in x.coeffs)
+    assert type(x.scale(c)) is type(x)
+
+
+@VECTOR_SAMPLERS
+def test_equal_vectors_hash_equal(sample):
+    x, y = _vector_pair(sample, 210)
+    same = -(-x)
+    assert same is not x and same == x and hash(same) == hash(x)
+    assert len({x, same, y}) == 2

@@ -139,8 +139,9 @@ def test_non_unitality():
 
 
 def test_flavor_mismatch_is_rejected():
-    with pytest.raises(FlavorMismatchError):
-        okubo_mul(B(1, COMPACT), B(1, SPLIT))
+    for op in (okubo_mul, lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(FlavorMismatchError):
+            op(B(1, COMPACT), B(1, SPLIT))
 
 
 def test_division_dichotomy():
