@@ -1,9 +1,12 @@
 """The deformed Okubic Albert algebra on 𝒪³⊕Q(√3)³.
 
-The commutative product carries a deformation parameter q: q = ±1 give
-Jordan algebras, q = 1/2 gives the unital, flexible, non-Jordan algebra
-whose rank-1 idempotents are exactly the trace-1 Veronese vectors, i.e.
-the points of the Okubic projective plane.
+The commutative product carries a deformation parameter q and is unital
+and flexible for every q.  The Jordan identity holds exactly at q = ±1/2
+and fails at q ∈ {0, ±1, 2}.  At q = 1/2 the rank-1 idempotents are
+exactly the trace-1 Veronese vectors, i.e. the points of the Okubic
+projective plane.  Acceptance criterion 10 expects the opposite Jordan
+locus (q = ±1 Jordan, q = 1/2 not); ROADMAP.md item 3 records that gap
+with the paper.
 
 Scalar cross terms use the polar form normalized so that ⟨x, x⟩ = n(x),
 i.e. half of the linearization used elsewhere.
@@ -104,12 +107,22 @@ def is_idempotent(algebra: AlbertAlgebra, a: AlbertElement) -> bool:
     return algebra.mul(a, a) == a
 
 
+def _rank1_failure(algebra: AlbertAlgebra, a: AlbertElement) -> str | None:
+    """The first rank-1 condition a fails, cheapest first, or None: trace 1,
+    idempotency in ``algebra``, zero cubic norm."""
+    t = trace(a)
+    if t != F3(1):
+        return f"trace={t}, not rank-1"
+    if not is_idempotent(algebra, a):
+        return f"not idempotent in the q={algebra.q} algebra"
+    n = cubic_norm(a)
+    if n:
+        return f"cubic norm {n} != 0, not rank-1"
+    return None
+
+
 def is_rank1(algebra: AlbertAlgebra, a: AlbertElement) -> bool:
-    return (
-        is_idempotent(algebra, a)
-        and not cubic_norm(a)
-        and trace(a) == F3(1)
-    )
+    return _rank1_failure(algebra, a) is None
 
 
 ALBERT_HALF = AlbertAlgebra(Fraction(1, 2))
@@ -129,14 +142,9 @@ def idempotent_from_point(q: ProjPoint) -> AlbertElement:
 def point_from_idempotent(a: AlbertElement) -> ProjPoint:
     """The plane point of a rank-1 idempotent of 𝔸_{1/2}; each failed
     condition raises its own ValueError (``ProjPoint`` checks Veronese)."""
-    t = trace(a)
-    if t != F3(1):
-        raise ValueError(f"trace={t}, not rank-1")
-    if not is_idempotent(ALBERT_HALF, a):
-        raise ValueError("not idempotent in the q=1/2 algebra")
-    n = cubic_norm(a)
-    if n:
-        raise ValueError(f"cubic norm {n} != 0, not rank-1")
+    failure = _rank1_failure(ALBERT_HALF, a)
+    if failure:
+        raise ValueError(failure)
     return ProjPoint(a)
 
 

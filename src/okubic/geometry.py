@@ -256,10 +256,6 @@ class VeroneseVector(Vector):
         return out
 
     @classmethod
-    def zero(cls) -> VeroneseVector:
-        return cls.from_coords([0] * 27)
-
-    @classmethod
     def unit(cls) -> VeroneseVector:
         return cls.from_coords([0] * 24 + [1, 1, 1])
 

@@ -1,5 +1,7 @@
 """Exact dense linear algebra: 3×3 matrices over Q(√3, i) and
-arbitrary-shape matrices over Q(√3) with RREF/nullspace/rank.
+arbitrary-shape matrices over Q(√3).  RREF, rank, nullspace and the
+determinant come from one Gauss–Jordan pass; the signature of a
+symmetric matrix from diagonalization by congruence.
 
 Pivoting picks the first nonzero entry in column order; arithmetic is
 exact, so no magnitude considerations apply and results are
@@ -271,11 +273,14 @@ class ExactMatrix:
         return [[x.to_json() for x in r] for r in self.entries]
 
 
-def rref(m: ExactMatrix):
-    """Reduced row echelon form over Q(√3); returns (rref, pivot columns)."""
+def _gauss_jordan(m: ExactMatrix):
+    """Gauss–Jordan elimination over Q(√3): the reduced rows, the pivot
+    columns, and the product of the pivots divided by, negated once per
+    row swap (the determinant when every column of a square m pivots)."""
     a = [list(r) for r in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots = []
+    scale = F3(1)
     prow = 0
     for col in range(ncols):
         if prow >= nrows:
@@ -283,8 +288,12 @@ def rref(m: ExactMatrix):
         sel = next((r for r in range(prow, nrows) if a[r][col]), None)
         if sel is None:
             continue
-        a[prow], a[sel] = a[sel], a[prow]
-        inv = a[prow][col].inverse()
+        if sel != prow:
+            a[prow], a[sel] = a[sel], a[prow]
+            scale = -scale
+        p = a[prow][col]
+        scale = scale * p
+        inv = p.inverse()
         a[prow] = [inv * x for x in a[prow]]
         for r in range(nrows):
             if r != prow and a[r][col]:
@@ -292,7 +301,13 @@ def rref(m: ExactMatrix):
                 a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
         pivots.append(col)
         prow += 1
-    return ExactMatrix(a), pivots
+    return a, pivots, scale
+
+
+def rref(m: ExactMatrix):
+    """Reduced row echelon form over Q(√3); returns (rref, pivot columns)."""
+    rows, pivots, _ = _gauss_jordan(m)
+    return ExactMatrix(rows), pivots
 
 
 def rank(m: ExactMatrix) -> int:
@@ -315,26 +330,11 @@ def nullspace(m: ExactMatrix):
 
 
 def determinant(m: ExactMatrix) -> F3:
-    """Exact determinant over F3 by Gaussian elimination."""
+    """Exact determinant over F3 from one Gauss–Jordan pass."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    a = [list(r) for r in m.entries]
-    n = m.rows
-    det = F3(1)
-    for col in range(n):
-        sel = next((r for r in range(col, n) if a[r][col]), None)
-        if sel is None:
-            return F3()
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    _, pivots, scale = _gauss_jordan(m)
+    return scale if len(pivots) == m.rows else F3()
 
 
 def symmetric_signature(m: ExactMatrix):
@@ -382,14 +382,11 @@ def symmetric_signature(m: ExactMatrix):
         else:
             neg += 1
         dinv = d.inverse()
+        # the matching column operations would write only row `step`, which
+        # no later step reads, so the trailing block is already congruent
         for r in range(step + 1, n):
             if a[r][step]:
                 f = a[r][step] * dinv
                 for k in range(n):
                     a[r][k] = a[r][k] - f * a[step][k]
-        for c in range(step + 1, n):
-            if a[step][c]:
-                f = a[step][c] * dinv
-                for k in range(n):
-                    a[k][c] = a[k][c] - f * a[k][step]
     return pos, neg, zero

@@ -23,8 +23,8 @@ from .linalg import (
     Mat3,
     Vector,
     bilinear,
-    determinant,
     is_eta_hermitian,
+    symmetric_signature,
 )
 
 BASIS_LABELS = ("e", "i1", "i2", "i3", "i4", "i5", "i6", "i7")
@@ -220,13 +220,8 @@ def gram_matrix(flavor: str) -> ExactMatrix:
 
 
 def is_positive_definite(flavor: str) -> bool:
-    """Positive definiteness of the polar form via leading principal minors."""
-    g = gram_matrix(flavor)
-    for k in range(1, 9):
-        minor = ExactMatrix([r[:k] for r in g.entries[:k]])
-        if not determinant(minor).is_positive():
-            return False
-    return True
+    """Positive definiteness of the polar form: signature (8, 0, 0)."""
+    return symmetric_signature(gram_matrix(flavor)) == (8, 0, 0)
 
 
 def split_zero_divisor() -> OkuboElement:

@@ -1,5 +1,6 @@
 """Exact dense linear algebra over Q(√3) and Q(√3, i)."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -100,6 +101,45 @@ def test_determinant_matches_cofactor_expansion():
         assert C3(determinant(m)) == c.det()
 
 
+def test_determinant_sign_singular_and_shape():
+    assert determinant(ExactMatrix([[0, 1], [1, 0]])) == F3(-1)
+    assert determinant(ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])) == F3()
+    with pytest.raises(ValueError, match="non-square"):
+        determinant(ExactMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def _permutation_sign(perm):
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+        if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _leibniz_determinant(entries):
+    n = len(entries)
+    total = F3()
+    for perm in itertools.permutations(range(n)):
+        term = F3(_permutation_sign(perm))
+        for i in range(n):
+            term = term * entries[i][perm[i]]
+        total = total + term
+    return total
+
+
+def _sparse_f3(rng):
+    # a third of the entries are zero, so pivots need row swaps
+    return F3() if rng.randrange(3) == 0 else sample_f3(rng)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_determinant_matches_leibniz_formula(n):
+    rng = random.Random(211 + n)
+    for _ in range(6):
+        entries = [[_sparse_f3(rng) for _ in range(n)] for _ in range(n)]
+        assert determinant(ExactMatrix(entries)) == _leibniz_determinant(entries)
+
+
 def test_signature_of_diagonal_matrices():
     m = ExactMatrix(
         [
@@ -130,6 +170,34 @@ def test_signature_is_congruence_invariant_on_samples():
         pos, neg, zero = symmetric_signature(m)
         assert pos + neg + zero == n
         assert pos + neg == rank(m)
+
+
+def test_signature_is_invariant_under_congruence_with_zero_diagonal():
+    # a zero diagonal sends the first step, and often later ones, through
+    # the off-diagonal rescue
+    rng = random.Random(212)
+    n = 5
+    for _ in range(10):
+        a = [[F3()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = a[j][i] = _sparse_f3(rng)
+        p = [[_sparse_f3(rng) for _ in range(n)] for _ in range(n)]
+        if not determinant(ExactMatrix(p)):
+            continue
+        pap = [
+            [
+                sum(
+                    (p[k][i] * a[k][l] * p[l][j] for k in range(n) for l in range(n)),
+                    F3(),
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        assert symmetric_signature(ExactMatrix(pap)) == symmetric_signature(
+            ExactMatrix(a)
+        )
 
 
 # The coordinate types share Vector's immutability, equality, hashing and

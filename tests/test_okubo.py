@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from okubic.field import C3, F3, SQRT3, sample_rational
-from okubic.linalg import COMPACT, SPLIT, Mat3, is_eta_hermitian
+from okubic.linalg import (
+    COMPACT,
+    SPLIT,
+    ExactMatrix,
+    Mat3,
+    determinant,
+    is_eta_hermitian,
+    symmetric_signature,
+)
 from okubic.okubo import (
     FlavorMismatchError,
     HermiticityError,
@@ -299,6 +307,19 @@ def test_cayley_automorphisms():
             assert okubo_norm(phi(x)) == okubo_norm(x)
     with pytest.raises(SkewHermiticityError):
         cayley_unitary(Mat3.identity())
+
+
+def test_gram_signatures_are_pinned():
+    assert symmetric_signature(gram_matrix(COMPACT)) == (8, 0, 0)
+    assert symmetric_signature(gram_matrix(SPLIT)) == (4, 4, 0)
+
+
+def test_compact_gram_leading_minors_are_positive():
+    # Sylvester's criterion, an oracle for is_positive_definite that does
+    # not go through symmetric_signature
+    g = gram_matrix(COMPACT).entries
+    for k in range(1, 9):
+        assert determinant(ExactMatrix([r[:k] for r in g[:k]])).is_positive()
 
 
 def test_gram_matrix_and_structure_tensor_shapes():
