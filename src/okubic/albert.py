@@ -8,37 +8,61 @@ projective plane.  Acceptance criterion 10 expects the opposite Jordan
 locus (q = ±1 Jordan, q = 1/2 not); ROADMAP.md item 3 records that gap
 with the paper.
 
-Scalar cross terms use the polar form normalized so that ⟨x, x⟩ = n(x),
-i.e. half of the linearization used elsewhere.
+``AlbertAlgebra.mul`` is one ``linalg.bilinear`` call on the sparse 27×27
+structure-constant table of 𝔸_q (``_table``), built per q on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 from .field import F3, sample_f3
-from .linalg import COMPACT, ExactMatrix
+from .linalg import COMPACT, ExactMatrix, bilinear
 from .okubo import (
-    OkuboElement,
+    gram_matrix,
     idempotent,
     okubo_mul,
     okubo_norm,
     polar,
     sample_okubo,
+    structure_constants,
 )
 from .geometry import ProjPoint, VeroneseVector, vnorm
 
 HALF = F3(Fraction(1, 2))
 
 
-def _half_polar(x: OkuboElement, y: OkuboElement) -> F3:
-    # normalized so ⟨x, x⟩ = n(x)
-    return polar(x, y) * HALF
-
-
 # 𝔸_q lives on V, so an Albert element is a Veronese vector: one class.
 AlbertElement = VeroneseVector
+
+
+@functools.cache
+def _table(q: F3):
+    """𝔸_q as a ``bilinear`` table on the flat coordinates: for each cyclic
+    (i, j, k), (x; λ)∘(y; μ) has slot i (λ_j + λ_k)y_i/2 + (μ_j + μ_k)x_i/2
+    + q(x_j*y_k + y_j*x_k) and scalar i λ_iμ_i + (polar(x_j,y_j) + polar(x_k,y_k))/2."""
+    sc = structure_constants(COMPACT)
+    g = gram_matrix(COMPACT).entries
+    table = [[()] * 27 for _ in range(27)]
+
+    def put(a, b, cell):
+        # the product is commutative: one cell for both orders
+        table[a][b] = table[b][a] = tuple(cell)
+
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        put(24 + i, 24 + i, [(24 + i, F3(1))])
+        for s in range(8):
+            a = 8 * i + s
+            put(24 + j, a, [(a, HALF)])
+            put(24 + k, a, [(a, HALF)])
+            for t in range(8):
+                if g[s][t]:
+                    put(a, 8 * i + t, [(24 + l, g[s][t] * HALF) for l in (j, k)])
+                put(a, 8 * j + t, [(8 * k + m, q * c) for m, c in sc[s][t]])
+    return tuple(map(tuple, table))
 
 
 class AlbertAlgebra:
@@ -56,24 +80,7 @@ class AlbertAlgebra:
         return f"AlbertAlgebra(q={self.q})"
 
     def mul(self, a: AlbertElement, b: AlbertElement) -> AlbertElement:
-        q = self.q
-        x, lam = a.x, a.lam
-        y, mu = b.x, b.lam
-        xs = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            xs.append(
-                y[i].scale((lam[j] + lam[k]) * HALF)
-                + x[i].scale((mu[j] + mu[k]) * HALF)
-                + (okubo_mul(x[j], y[k]) + okubo_mul(y[j], x[k])).scale(q)
-            )
-        lams = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            lams.append(
-                lam[i] * mu[i] + _half_polar(x[j], y[j]) + _half_polar(x[k], y[k])
-            )
-        return AlbertElement(*xs, *lams)
+        return a._like(bilinear(_table(self.q), a.coeffs, b.coeffs, F3()))
 
 
 def trace(a: AlbertElement) -> F3:
@@ -81,25 +88,19 @@ def trace(a: AlbertElement) -> F3:
     return l0 + l1 + l2
 
 
-# ‖a‖ on 𝔸_q is the norm β(a, a) of V
+# ‖a‖ on 𝔸_q is the norm β(a, a) of V; its polarization is 2·geometry.beta
 quad_norm = vnorm
 
 
-def inner(a: AlbertElement, b: AlbertElement) -> F3:
-    """Polarization ⟨a, b⟩ = ‖a+b‖ - ‖a‖ - ‖b‖."""
-    return vnorm(a + b) - vnorm(a) - vnorm(b)
-
-
 def cubic_norm(a: AlbertElement) -> F3:
-    """N = λ0λ1λ2 - Σ λ_ν n(x_ν) + 2⟨(x0*e)*(x1*x2), e⟩ with the pinned e."""
+    """N = λ0λ1λ2 - Σ λ_ν n(x_ν) + polar((x0*e)*(x1*x2), e) with the pinned e."""
     x0, x1, x2 = a.x
     l0, l1, l2 = a.lam
     e = idempotent(COMPACT)
-    cross = _half_polar(okubo_mul(okubo_mul(x0, e), okubo_mul(x1, x2)), e)
     return (
         l0 * l1 * l2
         - (l0 * okubo_norm(x0) + l1 * okubo_norm(x1) + l2 * okubo_norm(x2))
-        + F3(2) * cross
+        + polar(okubo_mul(okubo_mul(x0, e), okubo_mul(x1, x2)), e)
     )
 
 

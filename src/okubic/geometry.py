@@ -354,6 +354,8 @@ class ProjLine:
     def __init__(self, w: VeroneseVector):
         if not w:
             raise ValueError("zero vector does not define a line")
+        if not veronese_check(w):
+            raise ValueError("representative fails the Veronese conditions")
         object.__setattr__(self, "w", w)
 
     def __setattr__(self, name, value):

@@ -10,6 +10,8 @@ deterministic across platforms.
 
 from __future__ import annotations
 
+import math
+
 from .field import C3, F3
 
 Flavor = str  # "compact" | "split"
@@ -275,12 +277,12 @@ class ExactMatrix:
 
 def _gauss_jordan(m: ExactMatrix):
     """Gauss–Jordan elimination over Q(√3): the reduced rows, the pivot
-    columns, and the product of the pivots divided by, negated once per
-    row swap (the determinant when every column of a square m pivots)."""
+    columns, the pivot values divided by, and (-1)^(number of row swaps)."""
     a = [list(r) for r in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots = []
-    scale = F3(1)
+    divisors = []
+    sign = 1
     prow = 0
     for col in range(ncols):
         if prow >= nrows:
@@ -290,9 +292,9 @@ def _gauss_jordan(m: ExactMatrix):
             continue
         if sel != prow:
             a[prow], a[sel] = a[sel], a[prow]
-            scale = -scale
+            sign = -sign
         p = a[prow][col]
-        scale = scale * p
+        divisors.append(p)
         inv = p.inverse()
         a[prow] = [inv * x for x in a[prow]]
         for r in range(nrows):
@@ -301,12 +303,12 @@ def _gauss_jordan(m: ExactMatrix):
                 a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
         pivots.append(col)
         prow += 1
-    return a, pivots, scale
+    return a, pivots, divisors, sign
 
 
 def rref(m: ExactMatrix):
     """Reduced row echelon form over Q(√3); returns (rref, pivot columns)."""
-    rows, pivots, _ = _gauss_jordan(m)
+    rows, pivots, _, _ = _gauss_jordan(m)
     return ExactMatrix(rows), pivots
 
 
@@ -333,8 +335,8 @@ def determinant(m: ExactMatrix) -> F3:
     """Exact determinant over F3 from one Gauss–Jordan pass."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    _, pivots, scale = _gauss_jordan(m)
-    return scale if len(pivots) == m.rows else F3()
+    _, pivots, divisors, sign = _gauss_jordan(m)
+    return math.prod(divisors, start=F3(sign)) if len(pivots) == m.rows else F3()
 
 
 def symmetric_signature(m: ExactMatrix):

@@ -12,6 +12,7 @@ matrix path retained as a cross-validation oracle.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -149,22 +150,18 @@ def okubo_mul_matrix(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     return OkuboElement.from_matrix(m, x.flavor)
 
 
-_SC_CACHE = {}
-
-
+@functools.cache
 def structure_constants(flavor: str):
     """Sparse tensor: sc[a][b] = tuple of (k, c) with b_a * b_b = Σ c·b_k."""
-    if flavor not in _SC_CACHE:
-        sc = []
-        for a in range(8):
-            row = []
-            ba = OkuboElement.basis(a, flavor)
-            for b in range(8):
-                prod = okubo_mul_matrix(ba, OkuboElement.basis(b, flavor))
-                row.append(tuple((k, c) for k, c in enumerate(prod.coeffs) if c))
-            sc.append(tuple(row))
-        _SC_CACHE[flavor] = tuple(sc)
-    return _SC_CACHE[flavor]
+    sc = []
+    for a in range(8):
+        row = []
+        ba = OkuboElement.basis(a, flavor)
+        for b in range(8):
+            prod = okubo_mul_matrix(ba, OkuboElement.basis(b, flavor))
+            row.append(tuple((k, c) for k, c in enumerate(prod.coeffs) if c))
+        sc.append(tuple(row))
+    return tuple(sc)
 
 
 def structure_constants_dense(flavor: str):
@@ -212,6 +209,7 @@ def polar(x: OkuboElement, y: OkuboElement) -> F3:
     return okubo_norm(x + y) - okubo_norm(x) - okubo_norm(y)
 
 
+@functools.cache
 def gram_matrix(flavor: str) -> ExactMatrix:
     basis = [OkuboElement.basis(k, flavor) for k in range(8)]
     return ExactMatrix(

@@ -7,11 +7,15 @@ points.  Left multiplication by any such idempotent has a 10-dimensional
 kernel.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import okubic
 from okubic.albert import (
     ALBERT_HALF,
     AlbertAlgebra,
@@ -20,7 +24,6 @@ from okubic.albert import (
     cyclic_shift,
     graded_triple_map,
     idempotent_from_point,
-    inner,
     is_graded_triple,
     is_idempotent,
     is_rank1,
@@ -38,11 +41,12 @@ from okubic.geometry import (
     INFINITY,
     SlopePoint,
     VeroneseVector,
+    beta,
     plane_embed,
     sample_affine_point,
 )
 from okubic.linalg import Mat3, nullspace, rank
-from okubic.okubo import OkuboElement, conjugation_automorphism
+from okubic.okubo import OkuboElement, conjugation_automorphism, okubo_mul, polar
 
 B = OkuboElement.basis
 W = AlbertElement.okubo_slot
@@ -52,6 +56,58 @@ Q_VALUES = (Fraction(-1), HALF, Fraction(1), Fraction(2))
 
 def _witness_pair():
     return W(0, B(0)) + W(1, B(0)), W(0, B(1))
+
+
+def _slotwise_mul(algebra, a, b):
+    """The product stated in ``albert._table``'s docstring, slot by slot: the
+    oracle for the structure-constant table behind ``AlbertAlgebra.mul``."""
+    half = F3(HALF)
+    q = algebra.q
+    x, lam = a.x, a.lam
+    y, mu = b.x, b.lam
+    xs, lams = [], []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        xs.append(
+            y[i].scale((lam[j] + lam[k]) * half)
+            + x[i].scale((mu[j] + mu[k]) * half)
+            + (okubo_mul(x[j], y[k]) + okubo_mul(y[j], x[k])).scale(q)
+        )
+        lams.append(
+            lam[i] * mu[i] + polar(x[j], y[j]) * half + polar(x[k], y[k]) * half
+        )
+    return AlbertElement(*xs, *lams)
+
+
+@pytest.mark.parametrize("q", (-1, -HALF, 0, HALF, 1, 2), ids=str)
+def test_mul_matches_the_slotwise_oracle(q):
+    algebra = AlbertAlgebra(q)
+    basis = [
+        AlbertElement.from_coords([int(i == j) for i in range(27)]) for j in range(27)
+    ]
+    for a in basis:
+        for b in basis:
+            assert algebra.mul(a, b) == _slotwise_mul(algebra, a, b)
+    rng = random.Random(613)
+    for _ in range(20):
+        a, b = sample_albert(rng), sample_albert(rng)
+        assert algebra.mul(a, b) == _slotwise_mul(algebra, a, b)
+
+
+def test_import_builds_no_table():
+    # both tables are built on first use, so importing the package stays cheap
+    code = (
+        "import okubic\n"
+        "from okubic import albert, okubo\n"
+        "print(okubo.structure_constants.cache_info().currsize,"
+        " albert._table.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(okubic.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_unit_and_scalar_idempotents():
@@ -122,12 +178,12 @@ def test_trace_norm_pinned_values():
     assert cubic_norm(e2) == F3()
 
 
-def test_inner_is_the_polarized_quadratic_norm():
+def test_beta_is_the_polarized_quadratic_norm():
     rng = random.Random(605)
     for _ in range(30):
         a, b = sample_albert(rng), sample_albert(rng)
-        assert inner(a, b) == quad_norm(a + b) - quad_norm(a) - quad_norm(b)
-        assert inner(a, a) == F3(2) * quad_norm(a)
+        assert quad_norm(a + b) - quad_norm(a) - quad_norm(b) == F3(2) * beta(a, b)
+        assert beta(a, a) == quad_norm(a)
 
 
 def test_rank1_idempotents_are_the_plane_points():

@@ -207,6 +207,14 @@ def test_incidence_is_representative_independent():
         assert incident(p, line) == incident(scaled, line)
 
 
+def test_proj_line_needs_a_veronese_vector():
+    # the unit is not Veronese: its β-complement is a hyperplane, not a line
+    with pytest.raises(ValueError, match="fails the Veronese conditions"):
+        ProjLine(VeroneseVector.unit())
+    with pytest.raises(ValueError, match="zero vector"):
+        ProjLine(VeroneseVector.from_coords([0] * 27))
+
+
 def test_beta_complement_dimensions():
     assert len(beta_complement([])) == 27
     v_inf = VeroneseVector(Z, Z, Z, F3(1), F3(), F3())
