@@ -178,7 +178,8 @@ def test_trace_norm_pinned_values():
     assert cubic_norm(e2) == F3()
 
 
-def test_beta_is_the_polarized_quadratic_norm():
+def test_inner_is_the_polarized_quadratic_norm():
+    """The inner product beta polarizes the quadratic norm."""
     rng = random.Random(605)
     for _ in range(30):
         a, b = sample_albert(rng), sample_albert(rng)
