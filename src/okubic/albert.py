@@ -156,14 +156,16 @@ def jordan_defect(algebra: AlbertAlgebra, a: AlbertElement, b: AlbertElement) ->
 
 
 def left_mult_operator(algebra: AlbertAlgebra, a: AlbertElement) -> ExactMatrix:
-    """27×27 matrix of b ↦ a∘b in flat coordinates."""
-    cols = []
-    for j in range(27):
-        basis_coords = [F3()] * 27
-        basis_coords[j] = F3(1)
-        out = algebra.mul(a, AlbertElement.from_coords(basis_coords))
-        cols.append(out.coords())
-    return ExactMatrix([[cols[j][i] for j in range(27)] for i in range(27)])
+    """27×27 matrix of b ↦ a∘b in flat coordinates, read off ``_table``:
+    entry [k][b] is Σ_s a[s]·c over the pairs (k, c) of cell [s][b]."""
+    table = _table(algebra.q)
+    m = [[F3()] * 27 for _ in range(27)]
+    for s, cs in enumerate(a.coeffs):
+        if cs:
+            for b, cell in enumerate(table[s]):
+                for k, c in cell:
+                    m[k][b] = m[k][b] + cs * c
+    return ExactMatrix(m)
 
 
 def cyclic_shift(a: AlbertElement) -> AlbertElement:

@@ -14,7 +14,7 @@ distinguished by a negative-definite trace form.
 from __future__ import annotations
 
 from .field import F3
-from .hurwitz import BASIS_LABELS as OCT_LABELS, petersson_structure_constants
+from .hurwitz import petersson_structure_constants
 from .linalg import (
     COMPACT,
     ExactMatrix,
@@ -24,7 +24,6 @@ from .linalg import (
     symmetric_signature,
 )
 from .okubo import (
-    BASIS_LABELS,
     OkuboElement,
     fix_tau,
     okubo_mul,
@@ -35,9 +34,9 @@ from .okubo import (
 class AlgebraPresentation:
     """A finite-dimensional algebra as a structure-constant tensor over F3."""
 
-    __slots__ = ("dimension", "constants", "labels", "_table")
+    __slots__ = ("dimension", "constants", "_table")
 
-    def __init__(self, constants, labels=None):
+    def __init__(self, constants):
         constants = tuple(
             tuple(tuple(F3.coerce(x) for x in row) for row in plane)
             for plane in constants
@@ -48,11 +47,8 @@ class AlgebraPresentation:
             for plane in constants
         ):
             raise ValueError("structure tensor must be n×n×n")
-        if labels is None:
-            labels = tuple(f"b{i}" for i in range(n))
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "labels", tuple(labels))
         # sparse view of the constants for linalg.bilinear
         table = tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
@@ -64,7 +60,7 @@ class AlgebraPresentation:
         raise AttributeError("AlgebraPresentation values are immutable")
 
     def __repr__(self):
-        return f"AlgebraPresentation(dim={self.dimension}, labels={self.labels})"
+        return f"AlgebraPresentation(dim={self.dimension})"
 
     def mul_coords(self, u, v):
         """Bilinear product of coordinate vectors."""
@@ -72,11 +68,11 @@ class AlgebraPresentation:
 
 
 def okubo_presentation(flavor: str = COMPACT) -> AlgebraPresentation:
-    return AlgebraPresentation(structure_constants_dense(flavor), BASIS_LABELS)
+    return AlgebraPresentation(structure_constants_dense(flavor))
 
 
 def petersson_presentation() -> AlgebraPresentation:
-    return AlgebraPresentation(petersson_structure_constants(), OCT_LABELS)
+    return AlgebraPresentation(petersson_structure_constants())
 
 
 def trivial_presentation(n: int) -> AlgebraPresentation:
@@ -86,7 +82,7 @@ def trivial_presentation(n: int) -> AlgebraPresentation:
 
 def idempotent_line_presentation() -> AlgebraPresentation:
     """The 1-dimensional algebra b*b = b; it has no nonzero derivations."""
-    return AlgebraPresentation([[[F3(1)]]], ("b",))
+    return AlgebraPresentation([[[F3(1)]]])
 
 
 def derivation_space(algebra: AlgebraPresentation):

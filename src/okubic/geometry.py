@@ -16,7 +16,6 @@ from .okubo import (
     gram_matrix,
     okubo_mul,
     okubo_norm,
-    polar,
     left_divide,
     sample_okubo,
 )
@@ -400,13 +399,9 @@ def plane_decode(q: ProjPoint):
 
 
 def beta(v: VeroneseVector, w: VeroneseVector) -> F3:
-    """β(v,w) = Σ(⟨x_ν, y_ν⟩ + λ_ν η_ν), the extension of the Okubo polar form."""
-    total = F3()
-    for xv, xw in zip(v.x, w.x):
-        total = total + polar(xv, xw)
-    for lv, lw in zip(v.lam, w.lam):
-        total = total + lv * lw
-    return total
+    """β(v,w) = Σ(⟨x_ν, y_ν⟩ + λ_ν η_ν), the extension of the Okubo polar form;
+    the functional ``beta_gram_row(v)`` applied to w."""
+    return sum((a * b for a, b in zip(beta_gram_row(v), w.coeffs) if a), F3())
 
 
 def vnorm(v: VeroneseVector) -> F3:

@@ -25,127 +25,6 @@ def _check_flavor(flavor: Flavor) -> None:
         raise ValueError(f"unknown flavor {flavor!r}")
 
 
-class Mat3:
-    """Dense 3×3 matrix over C3."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(C3.coerce(x) for x in r) for r in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("Mat3 requires a 3x3 array")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat3 values are immutable")
-
-    @classmethod
-    def zero(cls) -> Mat3:
-        return cls([[0, 0, 0]] * 3)
-
-    @classmethod
-    def identity(cls) -> Mat3:
-        return cls([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-    @classmethod
-    def diag(cls, a, b, c) -> Mat3:
-        return cls([[a, 0, 0], [0, b, 0], [0, 0, c]])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __repr__(self):
-        return f"Mat3({[[str(x) for x in r] for r in self.rows]})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat3):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __bool__(self):
-        return any(any(x for x in r) for r in self.rows)
-
-    def __add__(self, other):
-        return Mat3(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        return Mat3(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self):
-        return Mat3([[-a for a in r] for r in self.rows])
-
-    def scale(self, c) -> Mat3:
-        c = C3.coerce(c)
-        return Mat3([[c * a for a in r] for r in self.rows])
-
-    def __matmul__(self, other) -> Mat3:
-        a, b = self.rows, other.rows
-        return Mat3(
-            [
-                [sum((a[i][k] * b[k][j] for k in range(3)), C3()) for j in range(3)]
-                for i in range(3)
-            ]
-        )
-
-    def trace(self) -> C3:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
-    def dagger(self) -> Mat3:
-        """Conjugate transpose."""
-        r = self.rows
-        return Mat3([[r[j][i].conj() for j in range(3)] for i in range(3)])
-
-    def det(self) -> C3:
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-
-    def inverse(self) -> Mat3:
-        d = self.det()
-        if not d:
-            raise ZeroDivisionError("singular Mat3")
-        r = self.rows
-        cof = [
-            [
-                r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-                - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
-                for i in range(3)
-            ]
-            for j in range(3)
-        ]
-        dinv = d.inverse()
-        return Mat3([[dinv * x for x in row] for row in cof])
-
-    def to_json(self):
-        return [[x.to_json() for x in r] for r in self.rows]
-
-
-def eta_matrix(flavor: Flavor) -> Mat3:
-    _check_flavor(flavor)
-    return Mat3.identity() if flavor == COMPACT else Mat3.diag(-1, 1, 1)
-
-
-def eta_dagger(x: Mat3, flavor: Flavor) -> Mat3:
-    """η x† η for η = Id (compact) or diag(-1,1,1) (split); an involution."""
-    eta = eta_matrix(flavor)
-    return eta @ x.dagger() @ eta
-
-
-def is_eta_hermitian(x: Mat3, flavor: Flavor) -> bool:
-    return eta_dagger(x, flavor) == x
-
-
 def bilinear(table, u, v, zero):
     """Product Σ u[a]·v[b]·c·b_k of coordinate vectors over a sparse table.
 
@@ -229,6 +108,102 @@ class Vector:
     def scale(self, c):
         c = self.scalar(c)
         return self._like([c * a for a in self.coeffs])
+
+
+class Mat3(Vector):
+    """Dense 3×3 matrix over C3, its entries stored row by row in ``coeffs``."""
+
+    __slots__ = ()
+
+    SIZE = 9
+    scalar = C3.coerce
+
+    def __init__(self, rows):
+        rows = [tuple(r) for r in rows]
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise ValueError("Mat3 requires a 3x3 array")
+        super().__init__([x for r in rows for x in r])
+
+    @classmethod
+    def zero(cls) -> Mat3:
+        return cls([[0, 0, 0]] * 3)
+
+    @classmethod
+    def identity(cls) -> Mat3:
+        return cls([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    @classmethod
+    def diag(cls, a, b, c) -> Mat3:
+        return cls([[a, 0, 0], [0, b, 0], [0, 0, c]])
+
+    @property
+    def rows(self):
+        c = self.coeffs
+        return c[0:3], c[3:6], c[6:9]
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.coeffs[3 * i + j]
+
+    def __repr__(self):
+        return f"Mat3({[[str(x) for x in r] for r in self.rows]})"
+
+    def __matmul__(self, other) -> Mat3:
+        a, b = self.rows, other.rows
+        return self._like(
+            sum((a[i][k] * b[k][j] for k in range(3)), C3())
+            for i in range(3)
+            for j in range(3)
+        )
+
+    def trace(self) -> C3:
+        c = self.coeffs
+        return c[0] + c[4] + c[8]
+
+    def dagger(self) -> Mat3:
+        """Conjugate transpose."""
+        r = self.rows
+        return self._like(r[j][i].conj() for i in range(3) for j in range(3))
+
+    def det(self) -> C3:
+        r = self.rows
+        return (
+            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+        )
+
+    def inverse(self) -> Mat3:
+        d = self.det()
+        if not d:
+            raise ZeroDivisionError("singular Mat3")
+        r = self.rows
+        dinv = d.inverse()
+        # the adjugate: entry (j, i) is the (i, j) cofactor
+        return self._like(
+            dinv * (r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
+                    - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3])
+            for j in range(3)
+            for i in range(3)
+        )
+
+    def to_json(self):
+        return [[x.to_json() for x in r] for r in self.rows]
+
+
+def eta_matrix(flavor: Flavor) -> Mat3:
+    _check_flavor(flavor)
+    return Mat3.identity() if flavor == COMPACT else Mat3.diag(-1, 1, 1)
+
+
+def eta_dagger(x: Mat3, flavor: Flavor) -> Mat3:
+    """η x† η for η = Id (compact) or diag(-1,1,1) (split); an involution."""
+    eta = eta_matrix(flavor)
+    return eta @ x.dagger() @ eta
+
+
+def is_eta_hermitian(x: Mat3, flavor: Flavor) -> bool:
+    return eta_dagger(x, flavor) == x
 
 
 class ExactMatrix:

@@ -45,7 +45,7 @@ from okubic.geometry import (
     plane_embed,
     sample_affine_point,
 )
-from okubic.linalg import Mat3, nullspace, rank
+from okubic.linalg import ExactMatrix, Mat3, nullspace, rank
 from okubic.okubo import OkuboElement, conjugation_automorphism, okubo_mul, polar
 
 B = OkuboElement.basis
@@ -79,6 +79,18 @@ def _slotwise_mul(algebra, a, b):
     return AlbertElement(*xs, *lams)
 
 
+def _left_mult_by_products(algebra, a):
+    """Column j is a∘e_j for the flat basis vector e_j: the oracle for
+    ``left_mult_operator``, which reads the same table cell by cell."""
+    cols = []
+    for j in range(27):
+        basis_coords = [F3()] * 27
+        basis_coords[j] = F3(1)
+        out = algebra.mul(a, AlbertElement.from_coords(basis_coords))
+        cols.append(out.coords())
+    return ExactMatrix([[cols[j][i] for j in range(27)] for i in range(27)])
+
+
 @pytest.mark.parametrize("q", (-1, -HALF, 0, HALF, 1, 2), ids=str)
 def test_mul_matches_the_slotwise_oracle(q):
     algebra = AlbertAlgebra(q)
@@ -86,12 +98,26 @@ def test_mul_matches_the_slotwise_oracle(q):
         AlbertElement.from_coords([int(i == j) for i in range(27)]) for j in range(27)
     ]
     for a in basis:
+        assert left_mult_operator(algebra, a) == _left_mult_by_products(algebra, a)
         for b in basis:
             assert algebra.mul(a, b) == _slotwise_mul(algebra, a, b)
     rng = random.Random(613)
     for _ in range(20):
         a, b = sample_albert(rng), sample_albert(rng)
         assert algebra.mul(a, b) == _slotwise_mul(algebra, a, b)
+    for _ in range(3):
+        a = sample_albert(rng)
+        assert left_mult_operator(algebra, a) == _left_mult_by_products(algebra, a)
+
+
+def _fresh_python(code):
+    """The words ``code`` prints in a new interpreter that imports this okubic."""
+    src = os.path.dirname(os.path.dirname(okubic.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
 
 
 def test_import_builds_no_table():
@@ -102,12 +128,18 @@ def test_import_builds_no_table():
         "print(okubo.structure_constants.cache_info().currsize,"
         " albert._table.cache_info().currsize)"
     )
-    src = os.path.dirname(os.path.dirname(okubic.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh_python(code) == ["0", "0"]
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses, with the inspect module it imports, adds about a MiB to
+    # the peak resident size of a run
+    code = (
+        "import sys\n"
+        "import okubic, okubic.cli\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
     )
-    assert out.stdout.split() == ["0", "0"]
+    assert _fresh_python(code) == ["False", "False"]
 
 
 def test_unit_and_scalar_idempotents():

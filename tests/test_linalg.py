@@ -203,8 +203,8 @@ def test_signature_is_invariant_under_congruence_with_zero_diagonal():
 # The coordinate types share Vector's immutability, equality, hashing and
 # linear operations; each case builds two samples of one type.
 VECTOR_SAMPLERS = pytest.mark.parametrize(
-    "sample", [sample_okubo, sample_split_octonion, sample_albert],
-    ids=["okubo", "split-octonion", "albert"],
+    "sample", [sample_okubo, sample_split_octonion, sample_albert, _random_mat3],
+    ids=["okubo", "split-octonion", "albert", "mat3"],
 )
 
 
