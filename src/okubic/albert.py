@@ -8,8 +8,9 @@ projective plane.  Acceptance criterion 10 expects the opposite Jordan
 locus (q = ±1 Jordan, q = 1/2 not); ROADMAP.md item 3 records that gap
 with the paper.
 
-``AlbertAlgebra.mul`` is one ``linalg.bilinear`` call on the sparse 27×27
-structure-constant table of 𝔸_q (``_table``), built per q on first use.
+``AlbertAlgebra.mul`` and ``left_mult_operator`` read the integer form of
+the sparse 27×27 structure-constant table of 𝔸_q (``_table``), built per q
+on first use.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 from fractions import Fraction
 
 from .field import F3, sample_f3
-from .linalg import COMPACT, ExactMatrix, bilinear
+from .linalg import COMPACT, ExactMatrix, SparseTable, bilinear, bilinear_left
 from .okubo import (
     gram_matrix,
     idempotent,
@@ -43,7 +44,7 @@ def _table(q: F3):
     """𝔸_q as a ``bilinear`` table on the flat coordinates: for each cyclic
     (i, j, k), (x; λ)∘(y; μ) has slot i (λ_j + λ_k)y_i/2 + (μ_j + μ_k)x_i/2
     + q(x_j*y_k + y_j*x_k) and scalar i λ_iμ_i + (polar(x_j,y_j) + polar(x_k,y_k))/2."""
-    sc = structure_constants(COMPACT)
+    sc = structure_constants(COMPACT).cells
     g = gram_matrix(COMPACT).entries
     table = [[()] * 27 for _ in range(27)]
 
@@ -62,7 +63,7 @@ def _table(q: F3):
                 if g[s][t]:
                     put(a, 8 * i + t, [(24 + l, g[s][t] * HALF) for l in (j, k)])
                 put(a, 8 * j + t, [(8 * k + m, q * c) for m, c in sc[s][t]])
-    return tuple(map(tuple, table))
+    return SparseTable(table)
 
 
 class AlbertAlgebra:
@@ -80,7 +81,7 @@ class AlbertAlgebra:
         return f"AlbertAlgebra(q={self.q})"
 
     def mul(self, a: AlbertElement, b: AlbertElement) -> AlbertElement:
-        return a._like(bilinear(_table(self.q), a.coeffs, b.coeffs, F3()))
+        return a._like(bilinear(_table(self.q), a.coeffs, b.coeffs, F3))
 
 
 def trace(a: AlbertElement) -> F3:
@@ -156,16 +157,9 @@ def jordan_defect(algebra: AlbertAlgebra, a: AlbertElement, b: AlbertElement) ->
 
 
 def left_mult_operator(algebra: AlbertAlgebra, a: AlbertElement) -> ExactMatrix:
-    """27×27 matrix of b ↦ a∘b in flat coordinates, read off ``_table``:
-    entry [k][b] is Σ_s a[s]·c over the pairs (k, c) of cell [s][b]."""
-    table = _table(algebra.q)
-    m = [[F3()] * 27 for _ in range(27)]
-    for s, cs in enumerate(a.coeffs):
-        if cs:
-            for b, cell in enumerate(table[s]):
-                for k, c in cell:
-                    m[k][b] = m[k][b] + cs * c
-    return ExactMatrix(m)
+    """27×27 matrix of b ↦ a∘b in flat coordinates, read off the integer
+    form of ``_table`` as ``mul`` reads it."""
+    return ExactMatrix(bilinear_left(_table(algebra.q), a.coeffs))
 
 
 def cyclic_shift(a: AlbertElement) -> AlbertElement:

@@ -18,6 +18,7 @@ from .hurwitz import petersson_structure_constants
 from .linalg import (
     COMPACT,
     ExactMatrix,
+    SparseTable,
     bilinear,
     nullspace,
     rank,
@@ -49,12 +50,9 @@ class AlgebraPresentation:
             raise ValueError("structure tensor must be n×n×n")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "constants", constants)
-        # sparse view of the constants for linalg.bilinear
-        table = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-            for plane in constants
-        )
-        object.__setattr__(self, "_table", table)
+        # sparse integer view of the constants for linalg.bilinear
+        table = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in constants]
+        object.__setattr__(self, "_table", SparseTable(table))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraPresentation values are immutable")
@@ -64,7 +62,7 @@ class AlgebraPresentation:
 
     def mul_coords(self, u, v):
         """Bilinear product of coordinate vectors."""
-        return bilinear(self._table, u, v, F3())
+        return bilinear(self._table, u, v, F3)
 
 
 def okubo_presentation(flavor: str = COMPACT) -> AlgebraPresentation:

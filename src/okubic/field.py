@@ -107,7 +107,8 @@ class F3:
         return f"{render_rational(self.a)} + {render_rational(self.b)}*sqrt3"
 
     def __hash__(self):
-        return hash((self._an, self._bn, self._d))
+        # a rational F3 equals an int or Fraction, so it hashes like one
+        return hash((self._an, self._bn, self._d)) if self._bn else hash(self.a)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -225,7 +226,8 @@ class C3:
         return f"({self.re}) + ({self.im})i"
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real C3 equals its F3 part, so it hashes like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, F3)):

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .field import Rational, parse_rational, render_rational, sample_rational
-from .linalg import Vector, bilinear
+from .linalg import SparseTable, Vector, bilinear
 
 BASIS_LABELS = ("e1", "e2", "u1", "u2", "u3", "v1", "v2", "v3")
 
@@ -53,8 +53,8 @@ _TABLE_SPEC = {
     (V3, U3): [(E2, -1)],
 }
 
-MUL_TABLE = tuple(
-    tuple(tuple(_TABLE_SPEC.get((i, j), ())) for j in range(8)) for i in range(8)
+MUL_TABLE = SparseTable(
+    [[_TABLE_SPEC.get((i, j), ()) for j in range(8)] for i in range(8)]
 )
 
 
@@ -97,7 +97,7 @@ class SplitOctonion(Vector):
 
 
 def oct_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
-    return x._like(bilinear(MUL_TABLE, x.coeffs, y.coeffs, Fraction(0)))
+    return x._like(bilinear(MUL_TABLE, x.coeffs, y.coeffs, Fraction))
 
 
 def oct_norm(x: SplitOctonion) -> Rational:

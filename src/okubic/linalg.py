@@ -11,8 +11,9 @@ deterministic across platforms.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from .field import C3, F3
+from .field import C3, F3, _raw_f3
 
 Flavor = str  # "compact" | "split"
 
@@ -25,26 +26,76 @@ def _check_flavor(flavor: Flavor) -> None:
         raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def bilinear(table, u, v, zero):
-    """Product Σ u[a]·v[b]·c·b_k of coordinate vectors over a sparse table.
+class SparseTable:
+    """Structure constants: ``cells[a][b]`` holds the (k, c) with b_a·b_b =
+    Σ c·b_k, c an int, Fraction or F3, and ``ints`` the same cells as (k, A, B)
+    with c = (A + B√3)/``den``, one denominator for the whole table."""
 
-    ``table[a][b]`` is a tuple of (k, c) pairs with b_a·b_b = Σ c·b_k; the
-    result has ``len(table)`` coordinates, each starting from ``zero``.
-    """
-    out = [zero] * len(table)
-    for a, ca in enumerate(u):
-        if not ca:
-            continue
-        row = table[a]
-        for b, cb in enumerate(v):
-            # skip before multiplying: many cells of a table are empty
+    __slots__ = ("cells", "ints", "den")
+
+    def __init__(self, cells):
+        cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
+        nums, den = _numerators([c for row in cells for cell in row for _, c in cell])
+        nums = iter(nums)  # in the order the cells list their constants
+        ints = tuple(
+            tuple(tuple((k, *next(nums)) for k, _ in cell) for cell in row) for row in cells
+        )
+        for name, value in (("cells", cells), ("ints", ints), ("den", den)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseTable values are immutable")
+
+
+def _numerators(xs):
+    """Integers (a, b) with x = (a + b√3)/d for each x of ``xs`` (F3s,
+    Fractions or ints), and the one denominator d."""
+    parts = [
+        (x._an, x._bn, x._d) if isinstance(x, F3) else (x.numerator, 0, x.denominator)
+        for x in xs
+    ]
+    d = math.lcm(*(e for _, _, e in parts))
+    return [(a * (d // e), b * (d // e)) for a, b, e in parts], d
+
+
+def bilinear(table: SparseTable, u, v, scalar):
+    """Σ u[a]·v[b]·c·b_k over a sparse table, summed as integer numerators; each
+    coordinate is built once, as an F3 or (rational table and inputs) a Fraction."""
+    nu, du = _numerators(u)
+    nv, dv = _numerators(v)
+    nu = [(table.ints[a], ua, ub) for a, (ua, ub) in enumerate(nu) if ua or ub]
+    nv = [(b, va, vb) for b, (va, vb) in enumerate(nv) if va or vb]
+    out_a, out_b = [0] * len(table.ints), [0] * len(table.ints)
+    for row, ua, ub in nu:
+        for b, va, vb in nv:
             cell = row[b]
-            if not cb or not cell:
-                continue
-            f = ca * cb
-            for k, c in cell:
-                out[k] = out[k] + f * c
-    return out
+            if cell:
+                # (ua + ub√3)(va + vb√3) = fa + fb√3
+                fa, fb = ua * va + 3 * ub * vb, ua * vb + ub * va
+                fb3 = 3 * fb
+                for k, ca, cb in cell:
+                    out_a[k] += fa * ca + fb3 * cb
+                    out_b[k] += fa * cb + fb * ca
+    d = du * dv * table.den
+    if scalar is F3:
+        return [_raw_f3(a, b, d) for a, b in zip(out_a, out_b)]
+    return [Fraction(a, d) for a in out_a]
+
+
+def bilinear_left(table: SparseTable, u):
+    """Rows of the matrix of v ↦ ``bilinear(table, u, v, F3)``: entry [k][b]
+    is Σ_a u[a]·c over the pairs (k, c) of cell [a][b]."""
+    nu, du = _numerators(u)
+    n = len(table.ints)
+    out_a, out_b = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for row, (ua, ub) in zip(table.ints, nu):
+        ub3 = 3 * ub
+        for b, cell in enumerate(row):
+            for k, ca, cb in cell:
+                out_a[k][b] += ua * ca + ub3 * cb
+                out_b[k][b] += ua * cb + ub * ca
+    d = du * table.den
+    return [[_raw_f3(a, b, d) for a, b in zip(ra, rb)] for ra, rb in zip(out_a, out_b)]
 
 
 class Vector:

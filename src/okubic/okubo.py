@@ -6,8 +6,9 @@ vector over Q(√3) in the canonical basis (e, i1..i7), and a traceless
 
     x*y = μ·xy + μ̄·yx - (1/3)Tr(xy)·Id,   μ = (3 + i√3)/6,
 
-computed in bulk through a cached structure-constant tensor, with the
-matrix path retained as a cross-validation oracle.
+computed in bulk through a cached structure-constant tensor in integer
+form (``linalg.SparseTable``), with the matrix path retained as a
+cross-validation oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .linalg import (
     SPLIT,
     ExactMatrix,
     Mat3,
+    SparseTable,
     Vector,
     bilinear,
     is_eta_hermitian,
@@ -151,38 +153,30 @@ def okubo_mul_matrix(x: OkuboElement, y: OkuboElement) -> OkuboElement:
 
 
 @functools.cache
-def structure_constants(flavor: str):
-    """Sparse tensor: sc[a][b] = tuple of (k, c) with b_a * b_b = Σ c·b_k."""
+def structure_constants(flavor: str) -> SparseTable:
+    """Sparse tensor and its integer form: cells[a][b] holds (k, c) with b_a*b_b = Σ c·b_k."""
     sc = []
     for a in range(8):
         row = []
         ba = OkuboElement.basis(a, flavor)
         for b in range(8):
             prod = okubo_mul_matrix(ba, OkuboElement.basis(b, flavor))
-            row.append(tuple((k, c) for k, c in enumerate(prod.coeffs) if c))
-        sc.append(tuple(row))
-    return tuple(sc)
+            row.append([(k, c) for k, c in enumerate(prod.coeffs) if c])
+        sc.append(row)
+    return SparseTable(sc)
 
 
 def structure_constants_dense(flavor: str):
     """Dense 8×8×8 tensor of F3 values."""
-    sc = structure_constants(flavor)
-    zero = F3()
-    out = []
-    for a in range(8):
-        row = []
-        for b in range(8):
-            vec = [zero] * 8
-            for k, c in sc[a][b]:
-                vec[k] = c
-            row.append(tuple(vec))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(tuple(dict(cell).get(k, F3()) for k in range(8)) for cell in row)
+        for row in structure_constants(flavor).cells
+    )
 
 
 def okubo_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     x._check(y)
-    return x._like(bilinear(structure_constants(x.flavor), x.coeffs, y.coeffs, F3()))
+    return x._like(bilinear(structure_constants(x.flavor), x.coeffs, y.coeffs, F3))
 
 
 def okubo_norm(x: OkuboElement) -> F3:

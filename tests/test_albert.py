@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import okubic
+from okubic import albert as albert_module
 from okubic.albert import (
     ALBERT_HALF,
     AlbertAlgebra,
@@ -110,6 +111,13 @@ def test_mul_matches_the_slotwise_oracle(q):
         assert left_mult_operator(algebra, a) == _left_mult_by_products(algebra, a)
 
 
+def test_table_cache_hits_for_an_equal_q():
+    # _table is cached on the F3 q, so every spelling of one q shares a table
+    table = albert_module._table(F3(1) / 2)
+    assert albert_module._table(AlbertAlgebra(HALF).q) is table
+    assert albert_module._table(ALBERT_HALF.q) is table
+
+
 def _fresh_python(code):
     """The words ``code`` prints in a new interpreter that imports this okubic."""
     src = os.path.dirname(os.path.dirname(okubic.__file__))
@@ -121,14 +129,19 @@ def _fresh_python(code):
 
 
 def test_import_builds_no_table():
-    # both tables are built on first use, so importing the package stays cheap
+    # both tables, and so their integer forms, are built on first use, so
+    # importing the package stays cheap; the only integer table that exists
+    # after import is the split-octonion one of 32 constants
     code = (
+        "import gc\n"
         "import okubic\n"
-        "from okubic import albert, okubo\n"
+        "from okubic import albert, hurwitz, linalg, okubo\n"
         "print(okubo.structure_constants.cache_info().currsize,"
-        " albert._table.cache_info().currsize)"
+        " albert._table.cache_info().currsize,"
+        " [t is hurwitz.MUL_TABLE for t in gc.get_objects()"
+        " if isinstance(t, linalg.SparseTable)])"
     )
-    assert _fresh_python(code) == ["0", "0"]
+    assert _fresh_python(code) == ["0", "0", "[True]"]
 
 
 def test_import_loads_no_dataclasses_or_inspect():

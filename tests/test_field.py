@@ -117,3 +117,24 @@ def test_equality_against_plain_scalars():
     assert F3(Fraction(1, 2)) == Fraction(1, 2)
     assert C3(F3(0, 1)) == SQRT3
     assert F3(0, 1) != 0
+
+
+def test_equal_scalars_hash_equal():
+    # int, Fraction, F3 and C3 values that compare equal hash equal, so a
+    # set or dict key holds one of them
+    rng = random.Random(106)
+    values = [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)]
+    values += [sample_rational(rng) for _ in range(20)]
+    for q in values:
+        forms = [F3(q), C3(F3(q)), C3(q), Fraction(q)]
+        if Fraction(q).denominator == 1:
+            forms.append(int(q))
+        for x in forms:
+            assert x == q and hash(x) == hash(q)
+        assert len({q, *forms}) == 1
+    for _ in range(20):
+        x = sample_f3(rng)
+        assert hash(C3(x)) == hash(x) and len({x, C3(x)}) == 1
+        z = sample_c3(rng)
+        assert hash(C3(z.re, z.im)) == hash(z)
+    assert len({F3(1), 1}) == 1

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from okubic.albert import sample_albert
+from okubic import albert, derivations, hurwitz
+from okubic.albert import sample_albert, trace
 from okubic.field import C3, F3, sample_c3, sample_f3
+from okubic.geometry import VeroneseVector
 from okubic.hurwitz import sample_split_octonion
 from okubic.linalg import (
     COMPACT,
@@ -15,6 +17,8 @@ from okubic.linalg import (
     ExactMatrix,
     Mat3,
     Vector,
+    bilinear,
+    bilinear_left,
     determinant,
     eta_dagger,
     is_eta_hermitian,
@@ -23,7 +27,7 @@ from okubic.linalg import (
     rref,
     symmetric_signature,
 )
-from okubic.okubo import sample_okubo
+from okubic.okubo import okubo_mul_matrix, okubo_norm, sample_okubo, structure_constants
 
 
 def _random_mat3(rng):
@@ -245,3 +249,79 @@ def test_equal_vectors_hash_equal(sample):
     same = -(-x)
     assert same is not x and same == x and hash(same) == hash(x)
     assert len({x, same, y}) == 2
+
+
+def _bilinear_by_scalars(table, u, v, zero):
+    """The per-scalar product loop on the table's own cells: the oracle for
+    ``bilinear``, which sums integer numerators over one denominator."""
+    out = [zero] * len(table.cells)
+    for a, ca in enumerate(u):
+        if not ca:
+            continue
+        row = table.cells[a]
+        for b, cb in enumerate(v):
+            cell = row[b]
+            if not cb or not cell:
+                continue
+            f = ca * cb
+            for k, c in cell:
+                out[k] = out[k] + f * c
+    return out
+
+
+# Every table the library builds, with the scalar type of its coordinates.
+LIBRARY_TABLES = {
+    "okubo": (lambda: structure_constants(COMPACT), F3),
+    "split-okubo": (lambda: structure_constants(SPLIT), F3),
+    "octonion": (lambda: hurwitz.MUL_TABLE, Fraction),
+    "okubo-presentation": (lambda: derivations.okubo_presentation()._table, F3),
+    "petersson-presentation": (lambda: derivations.petersson_presentation()._table, F3),
+    **{
+        f"albert-q={q}": (lambda q=q: albert._table(F3(q)), F3)
+        for q in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
+                  Fraction(1), Fraction(2))
+    },
+}
+
+
+def _kernel_inputs(n, rng):
+    """Coordinate vectors of length n over F3: every basis vector, zero,
+    seeded samples, coordinates with denominators 1, 2, 3 and 7, and the
+    ~33-bit coordinates of the idempotent of a random affine point."""
+    basis = [[F3(int(i == j)) for i in range(n)] for j in range(n)]
+    samples = [[sample_f3(rng) for _ in range(n)] for _ in range(6)]
+    mixed = [
+        [F3(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))),
+            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+         for _ in range(n)]
+        for _ in range(4)
+    ]
+    # ε = (x, y, x*y; n(y), n(x), 1)/trace, with x*y from the matrix path so
+    # that no input depends on the kernel under test
+    x, y = sample_okubo(rng), sample_okubo(rng)
+    eps = VeroneseVector(x, y, okubo_mul_matrix(x, y), okubo_norm(y), okubo_norm(x), 1)
+    eps = eps.scale(trace(eps).inverse()).coeffs
+    tall = [list(eps[:n]), list(eps[-n:])]
+    return basis, [[F3()] * n] + samples + mixed + tall
+
+
+@pytest.mark.parametrize("name", LIBRARY_TABLES)
+def test_bilinear_matches_the_scalar_oracle(name):
+    make, scalar = LIBRARY_TABLES[name]
+    table = make()
+    n = len(table.cells)
+    basis, others = _kernel_inputs(n, random.Random(f"kernel:{name}"))
+    if scalar is Fraction:
+        basis, others = ([[c.a for c in u] for u in vs] for vs in (basis, others))
+    pairs = list(itertools.product(basis, repeat=2)) + list(itertools.product(others, repeat=2))
+    for u, v in pairs:
+        got = bilinear(table, u, v, scalar)
+        want = _bilinear_by_scalars(table, u, v, scalar(0))
+        assert got == want
+        assert [type(x) for x in got] == [scalar] * n
+        assert hash(tuple(got)) == hash(tuple(want))
+    if scalar is F3:
+        # column b of the left multiplication by u is u times basis vector b
+        for u in others:
+            cols = [_bilinear_by_scalars(table, u, e, F3()) for e in basis]
+            assert bilinear_left(table, u) == [list(row) for row in zip(*cols)]
