@@ -38,7 +38,7 @@ from .derivations import (
     okubo_presentation,
     petersson_presentation,
 )
-from .field import F3, parse_rational, render_rational, sample_rational
+from .field import C3, F3, parse_rational, render_rational, sample_rational
 from .geometry import (
     INFINITY,
     AffinePoint,
@@ -361,8 +361,6 @@ def suite_veronese(samples, seed, flavor, q):
 
 def _fixed_skew_matrices():
     """Deterministic rational skew-Hermitian seeds for Cayley transforms."""
-    from .field import C3
-
     i = C3(F3(), F3(1))
     i3 = C3(F3(), F3(Fraction(1, 3)))
     return (

@@ -202,7 +202,7 @@ class Mat3(Vector):
     def __matmul__(self, other) -> Mat3:
         a, b = self.rows, other.rows
         return self._like(
-            sum((a[i][k] * b[k][j] for k in range(3)), C3())
+            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
             for i in range(3)
             for j in range(3)
         )
@@ -242,15 +242,18 @@ class Mat3(Vector):
         return [[x.to_json() for x in r] for r in self.rows]
 
 
-def eta_matrix(flavor: Flavor) -> Mat3:
-    _check_flavor(flavor)
-    return Mat3.identity() if flavor == COMPACT else Mat3.diag(-1, 1, 1)
-
-
 def eta_dagger(x: Mat3, flavor: Flavor) -> Mat3:
-    """η x† η for η = Id (compact) or diag(-1,1,1) (split); an involution."""
-    eta = eta_matrix(flavor)
-    return eta @ x.dagger() @ eta
+    """η x† η for η = Id (compact) or diag(-1,1,1) (split); an involution.
+
+    Entry (i, j) is η_iη_j·conj(x_ji): the split flavor negates the four
+    entries that pair index 0 with index 1 or 2.
+    """
+    _check_flavor(flavor)
+    d = x.dagger()
+    if flavor == COMPACT:
+        return d
+    c = d.coeffs
+    return d._like((c[0], -c[1], -c[2], -c[3], c[4], c[5], -c[6], c[7], c[8]))
 
 
 def is_eta_hermitian(x: Mat3, flavor: Flavor) -> bool:

@@ -7,8 +7,9 @@ vector over Q(√3) in the canonical basis (e, i1..i7), and a traceless
     x*y = μ·xy + μ̄·yx - (1/3)Tr(xy)·Id,   μ = (3 + i√3)/6,
 
 computed in bulk through a cached structure-constant tensor in integer
-form (``linalg.SparseTable``), with the matrix path retained as a
-cross-validation oracle.
+form (``linalg.SparseTable``).  The matrix path is the Michel–Radicati
+product ``michel_radicati_mul`` at θ = √3/6: it is the source of that
+table and the cross-validation oracle for it.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ BASIS_LABELS = ("e", "i1", "i2", "i3", "i4", "i5", "i6", "i7")
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
-
-# μ = 1/2 + (√3/6)i and its conjugate
-MU = C3(F3(HALF), F3(0, SIXTH))
-MU_BAR = MU.conj()
 
 # θ value at which the deformed Michel-Radicati product is composition:
 # 1/(2√3) = √3/6
@@ -144,11 +141,10 @@ def idempotent(flavor: str = COMPACT) -> OkuboElement:
 
 
 def okubo_mul_matrix(x: OkuboElement, y: OkuboElement) -> OkuboElement:
-    """Product through the 3×3 matrix representation (oracle path)."""
+    """Product through the 3×3 matrix representation: the Michel–Radicati
+    product at θ = √3/6, where μ = 1/2 + iθ (oracle path)."""
     x._check(y)
-    a, b = x.to_matrix(), y.to_matrix()
-    ab, ba = a @ b, b @ a
-    m = ab.scale(MU) + ba.scale(MU_BAR) - Mat3.identity().scale(ab.trace() * C3(F3(THIRD)))
+    m = michel_radicati_mul(x.to_matrix(), y.to_matrix(), THETA_OKUBO, x.flavor)
     return OkuboElement.from_matrix(m, x.flavor)
 
 
@@ -296,38 +292,29 @@ class HermiticityError(ValueError):
     pass
 
 
-def _require_hermitian(m: Mat3, flavor: str, traceless: bool) -> None:
-    if not is_eta_hermitian(m, flavor):
-        raise HermiticityError("input is not η-Hermitian for this flavor")
-    if traceless and m.trace():
-        raise HermiticityError("input must be traceless")
-
-
 def michel_radicati_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> Mat3:
     """x⋆_θ y = (1/2+iθ)xy + (1/2-iθ)yx - (1/3)Tr(xy)Id on traceless
     η-Hermitian matrices; composition only at θ = ±√3/6."""
-    theta = F3.coerce(theta)
-    _require_hermitian(x, flavor, traceless=True)
-    _require_hermitian(y, flavor, traceless=True)
-    cp = C3(F3(HALF), theta)
-    cm = cp.conj()
-    xy, yx = x @ y, y @ x
-    return xy.scale(cp) + yx.scale(cm) - Mat3.identity().scale(xy.trace() * C3(F3(THIRD)))
+    if x.trace() or y.trace():
+        raise HermiticityError("input must be traceless")
+    p = traceful_mul(x, y, theta, flavor)
+    # Tr(p) = (1/2+iθ)Tr(xy) + (1/2-iθ)Tr(yx) = Tr(xy)
+    return p - Mat3.identity().scale(p.trace() * C3(F3(THIRD)))
 
 
 def traceful_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> Mat3:
     """x∘_θ y = (1/2+iθ)xy + (1/2-iθ)yx on η-Hermitian matrices; a
     non-commutative Jordan product for every θ."""
     theta = F3.coerce(theta)
-    _require_hermitian(x, flavor, traceless=False)
-    _require_hermitian(y, flavor, traceless=False)
+    if not (is_eta_hermitian(x, flavor) and is_eta_hermitian(y, flavor)):
+        raise HermiticityError("input is not η-Hermitian for this flavor")
     cp = C3(F3(HALF), theta)
     return (x @ y).scale(cp) + (y @ x).scale(cp.conj())
 
 
 def mat_norm(m: Mat3) -> F3:
-    """n(x) = (1/6)Tr(x²) directly on the matrix view."""
-    t = (m @ m).trace()
+    """n(x) = (1/6)Tr(x²) directly on the matrix view: Tr(x²) = Σ m_ij·m_ji."""
+    t = sum(m[i, j] * m[j, i] for i in range(3) for j in range(3))
     if t.im:
         raise ValueError("trace of x² must be real")
     return t.re * F3(SIXTH)

@@ -113,6 +113,28 @@ def test_norm_closed_form_matches_trace_oracle():
             assert okubo_norm(x) == okubo_norm_trace(x)
 
 
+def _mu_product(x, y):
+    """x*y = μxy + μ̄yx - (1/3)Tr(xy)Id with μ = 1/2 + (√3/6)i, written out
+    on the matrix view: the oracle for ``okubo_mul`` and ``okubo_mul_matrix``."""
+    mu = C3(F3(Fraction(1, 2)), F3(0, Fraction(1, 6)))
+    a, b = x.to_matrix(), y.to_matrix()
+    ab, ba = a @ b, b @ a
+    m = ab.scale(mu) + ba.scale(mu.conj()) - Mat3.identity().scale(ab.trace() * C3(THIRD))
+    return OkuboElement.from_matrix(m, x.flavor)
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_products_match_the_mu_product_oracle(flavor):
+    # pins the structure table, which is built through okubo_mul_matrix
+    rng = random.Random(417)
+    pairs = [(B(i, flavor), B(j, flavor)) for i in range(8) for j in range(8)]
+    pairs += [(sample_okubo(rng, flavor), sample_okubo(rng, flavor)) for _ in range(20)]
+    for x, y in pairs:
+        want = _mu_product(x, y)
+        assert okubo_mul(x, y) == want
+        assert okubo_mul_matrix(x, y) == want
+
+
 def test_structure_constant_path_equals_matrix_path():
     rng = random.Random(403)
     for flavor in (COMPACT, SPLIT):
@@ -260,12 +282,48 @@ def test_michel_radicati_composition_iff_okubo_theta():
     assert mat_norm(michel_radicati_mul(wx, wy, F3())) != mat_norm(wx) * mat_norm(wy)
 
 
+def test_michel_radicati_at_okubo_theta_is_the_split_product():
+    rng = random.Random(418)
+    for _ in range(20):
+        x, y = sample_okubo(rng, SPLIT), sample_okubo(rng, SPLIT)
+        prod = michel_radicati_mul(x.to_matrix(), y.to_matrix(), THETA_OKUBO, SPLIT)
+        assert prod == okubo_mul(x, y).to_matrix()
+
+
 def test_michel_radicati_rejects_bad_input():
-    with pytest.raises(HermiticityError):
-        michel_radicati_mul(Mat3.identity(), Mat3.identity(), F3())
+    i1 = basis_matrices(COMPACT)[1]
+    for x, y in ((Mat3.identity(), Mat3.identity()), (i1, Mat3.identity())):
+        with pytest.raises(HermiticityError, match="input must be traceless"):
+            michel_radicati_mul(x, y, F3())
     skew = Mat3([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    with pytest.raises(HermiticityError):
-        michel_radicati_mul(skew, skew, F3())
+    for x, y in ((skew, skew), (i1, skew)):
+        with pytest.raises(HermiticityError, match="input is not η-Hermitian for this flavor"):
+            michel_radicati_mul(x, y, F3())
+    # i1 of the compact algebra: traceless and Hermitian, but η x† η ≠ x
+    # for η = diag(-1, 1, 1)
+    with pytest.raises(HermiticityError, match="input is not η-Hermitian for this flavor"):
+        michel_radicati_mul(i1, i1, THETA_OKUBO, flavor=SPLIT)
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_matrix_view_product_counts(flavor, monkeypatch):
+    # Hermiticity and Tr(x²) are read off the entries; each product of two
+    # matrices is the two 3×3 products xy and yx
+    rng = random.Random(419)
+    x, y = sample_okubo(rng, flavor).to_matrix(), sample_okubo(rng, flavor).to_matrix()
+    calls = []
+    matmul = Mat3.__matmul__
+    monkeypatch.setattr(Mat3, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+
+    def products(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert products(is_eta_hermitian, x, flavor) == 0
+    assert products(mat_norm, x) == 0
+    assert products(traceful_mul, x, y, THETA_OKUBO, flavor) == 2
+    assert products(michel_radicati_mul, x, y, THETA_OKUBO, flavor) == 2
 
 
 def test_traceful_product_satisfies_jordan_identity_for_every_theta():
