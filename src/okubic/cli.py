@@ -5,7 +5,7 @@ Exit codes: 0 pass, 1 invariant failure, 2 usage error (an unwritable --out
 included), 3 validation error.
 All randomized suites require an explicit --seed; per-sample PRNG
 substreams are derived from (seed, index), so reports are byte-identical
-for identical flags.  --jobs is accepted but not yet used.
+for identical flags.
 """
 
 from __future__ import annotations
@@ -618,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, required=True)
     check.add_argument("--flavor", choices=(COMPACT, SPLIT), default=None)
     check.add_argument("--q", default="1/2")
-    check.add_argument("--jobs", type=positive_int, default=1)
     check.add_argument("--out", default=None)
     check.set_defaults(func=cmd_check)
 

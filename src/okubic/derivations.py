@@ -122,19 +122,21 @@ def is_derivation(algebra: AlgebraPresentation, d: ExactMatrix, u, v) -> bool:
     return lhs == [a + b for a, b in zip(rhs_a, rhs_b)]
 
 
+def _nonzero(m: ExactMatrix):
+    """(i, j, m[i, j]) for the nonzero entries of m."""
+    return [(i, j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x]
+
+
 def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n = a.rows
-    ab = [
-        [sum((a[i, k] * b[k, j] for k in range(n)), F3()) for j in range(n)]
-        for i in range(n)
-    ]
-    ba = [
-        [sum((b[i, k] * a[k, j] for k in range(n)), F3()) for j in range(n)]
-        for i in range(n)
-    ]
-    return ExactMatrix(
-        [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
-    )
+    """ab - ba, summed over the nonzero products only."""
+    out = [[F3()] * a.cols for _ in range(a.rows)]
+    for x, y, negate in ((a, b, False), (b, a, True)):
+        y_rows = [[(j, v) for j, v in enumerate(row) if v] for row in y.entries]
+        for i, k, u in _nonzero(x):
+            u = -u if negate else u
+            for j, v in y_rows[k]:
+                out[i][j] = out[i][j] + u * v
+    return ExactMatrix(out)
 
 
 def _flatten(m: ExactMatrix):
@@ -157,13 +159,9 @@ def check_lie_closure(basis) -> bool:
 def killing_matrix(basis) -> ExactMatrix:
     """Trace form K[i][j] = Tr(D_i D_j) on the derivation basis."""
     n = len(basis)
-    dim = basis[0].rows if basis else 0
 
     def tr(a, b):
-        return sum(
-            (a[i, k] * b[k, i] for i in range(dim) for k in range(dim)),
-            F3(),
-        )
+        return sum((u * b[k, i] for i, k, u in _nonzero(a) if b[k, i]), F3())
 
     return ExactMatrix([[tr(basis[i], basis[j]) for j in range(n)] for i in range(n)])
 

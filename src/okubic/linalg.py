@@ -1,7 +1,8 @@
 """Exact dense linear algebra: 3×3 matrices over Q(√3, i) and
 arbitrary-shape matrices over Q(√3).  RREF, rank, nullspace and the
-determinant come from one Gauss–Jordan pass; the signature of a
-symmetric matrix from diagonalization by congruence.
+determinant come from one Gauss–Jordan pass on integer numerators over one
+denominator per row, which builds F3 values only for its output; the
+signature of a symmetric matrix from diagonalization by congruence.
 
 Pivoting picks the first nonzero entry in column order; arithmetic is
 exact, so no magnitude considerations apply and results are
@@ -304,35 +305,65 @@ class ExactMatrix:
         return [[x.to_json() for x in r] for r in self.entries]
 
 
+def _reduced(na, nb, d):
+    """A row (na, nb, d) with the gcd of all its integers divided out."""
+    g = math.gcd(d, *na, *nb)
+    if g == 1:
+        return na, nb, d
+    return [x // g for x in na], [x // g for x in nb], d // g
+
+
 def _gauss_jordan(m: ExactMatrix):
     """Gauss–Jordan elimination over Q(√3): the reduced rows, the pivot
-    columns, the pivot values divided by, and (-1)^(number of row swaps)."""
-    a = [list(r) for r in m.entries]
+    columns, the pivot values divided by, and (-1)^(number of row swaps).
+    A row is integer lists (na, nb) over one d > 0, entry j being
+    (na[j] + nb[j]√3)/d; a row operation is one integer pass and one gcd,
+    and F3 values are built only for the divisors and the rows returned."""
+    a = []
+    for r in m.entries:
+        d = math.lcm(*(x._d for x in r))
+        a.append(([x._an * (d // x._d) for x in r], [x._bn * (d // x._d) for x in r], d))
     nrows, ncols = m.rows, m.cols
-    pivots = []
-    divisors = []
-    sign = 1
-    prow = 0
+    pivots, divisors, sign, prow = [], [], 1, 0
     for col in range(ncols):
-        if prow >= nrows:
-            break
-        sel = next((r for r in range(prow, nrows) if a[r][col]), None)
+        sel = next((r for r in range(prow, nrows) if a[r][0][col] or a[r][1][col]), None)
         if sel is None:
             continue
         if sel != prow:
             a[prow], a[sel] = a[sel], a[prow]
             sign = -sign
-        p = a[prow][col]
-        divisors.append(p)
-        inv = p.inverse()
-        a[prow] = [inv * x for x in a[prow]]
+        na, nb, d = a[prow]
+        pa, pb = na[col], nb[col]
+        divisors.append(_raw_f3(pa, pb, d))
+        # x/p = (xa + xb√3)(pa - pb√3)/(pa² - 3pb²): the row's d cancels
+        n = pa * pa - 3 * pb * pb
+        if n < 0:
+            pa, pb, n = -pa, -pb, -n
+        # the pivot entry becomes n/n, and d/d = 1 after the gcd
+        na, nb, d = a[prow] = _reduced([x * pa - 3 * y * pb for x, y in zip(na, nb)],
+                                       [y * pa - x * pb for x, y in zip(na, nb)], n)
+        support = [(j, na[j], nb[j]) for j in range(ncols) if na[j] or nb[j]]
         for r in range(nrows):
-            if r != prow and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
+            ra, rb, rd = a[r]
+            fa, fb = ra[col], rb[col]
+            if r == prow or not (fa or fb):
+                continue
+            # r - f·prow = (s·r - (fa + fb√3)·prow)/(s·rd) with f = g(fa + fb√3)/rd
+            # and d = g·s, so row r is rescaled only when s > 1
+            g = math.gcd(fa, fb, d)
+            s, fa, fb = d // g, fa // g, fb // g
+            if s > 1:
+                ra, rb = [s * x for x in ra], [s * x for x in rb]
+            fb3 = 3 * fb
+            for j, xa, xb in support:
+                ra[j] -= fa * xa + fb3 * xb
+                rb[j] -= fa * xb + fb * xa
+            a[r] = _reduced(ra, rb, s * rd)
         pivots.append(col)
         prow += 1
-    return a, pivots, divisors, sign
+    zero = F3()
+    rows = [[_raw_f3(x, y, d) if x or y else zero for x, y in zip(na, nb)] for na, nb, d in a]
+    return rows, pivots, divisors, sign
 
 
 def rref(m: ExactMatrix):

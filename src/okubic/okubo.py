@@ -298,8 +298,9 @@ def michel_radicati_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> M
     if x.trace() or y.trace():
         raise HermiticityError("input must be traceless")
     p = traceful_mul(x, y, theta, flavor)
-    # Tr(p) = (1/2+iθ)Tr(xy) + (1/2-iθ)Tr(yx) = Tr(xy)
-    return p - Mat3.identity().scale(p.trace() * C3(F3(THIRD)))
+    # Tr(p) = (1/2+iθ)Tr(xy) + (1/2-iθ)Tr(yx) = Tr(xy); entries 0, 4, 8 are the diagonal
+    t = p.trace() * C3(F3(THIRD))
+    return p._like(x - t if i % 4 == 0 else x for i, x in enumerate(p.coeffs))
 
 
 def traceful_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> Mat3:

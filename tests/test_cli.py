@@ -94,10 +94,7 @@ def test_suite_names_order_is_pinned():
 
 def test_reports_are_deterministic(capsys):
     _, first = run(capsys, "check", "trivolution", "--samples", "15", "--seed", "11")
-    _, second = run(
-        capsys, "check", "trivolution", "--samples", "15", "--seed", "11",
-        "--jobs", "4",
-    )
+    _, second = run(capsys, "check", "trivolution", "--samples", "15", "--seed", "11")
     assert first == second
 
 
@@ -296,12 +293,19 @@ def test_veronese_decode_validates_once(capsys, monkeypatch):
     assert len(calls) == 1  # the idempotency check, and nothing twice
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--jobs"])
+@pytest.mark.parametrize("flag", ["--samples"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_counts_below_one_are_usage_errors(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["check", "composition", "--seed", "1", flag, value])
     assert exc.value.code == 2
+
+
+def test_jobs_is_an_unknown_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "composition", "--seed", "1", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
 
 def test_derivations_okubo_report(capsys):

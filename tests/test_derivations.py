@@ -6,6 +6,7 @@ import pytest
 
 from okubic.derivations import (
     AlgebraPresentation,
+    _commutator,
     apply_derivation,
     check_lie_closure,
     check_tau_grading,
@@ -13,6 +14,7 @@ from okubic.derivations import (
     derivation_space,
     idempotent_line_presentation,
     is_derivation,
+    killing_matrix,
     killing_signature,
     okubo_presentation,
     petersson_presentation,
@@ -20,7 +22,7 @@ from okubic.derivations import (
 )
 from okubic.field import F3, sample_f3
 from okubic.hurwitz import petersson_mul, sample_split_octonion
-from okubic.linalg import COMPACT, SPLIT
+from okubic.linalg import COMPACT, SPLIT, ExactMatrix
 from okubic.okubo import polar, sample_okubo
 
 
@@ -114,3 +116,49 @@ def test_presentation_product_matches_okubo_product():
         y = sample_split_octonion(rng)
         via_tensor = petersson.mul_coords(x.coeffs, y.coeffs)
         assert via_tensor == [F3(c) for c in petersson_mul(x, y).coeffs]
+
+
+def _dense_commutator(a, b):
+    n = a.rows
+    return [
+        [
+            sum((a[i, k] * b[k, j] for k in range(n)), F3())
+            - sum((b[i, k] * a[k, j] for k in range(n)), F3())
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _dense_trace_form(basis):
+    n = basis[0].rows
+    return [
+        [sum((a[i, k] * b[k, i] for i in range(n) for k in range(n)), F3()) for b in basis]
+        for a in basis
+    ]
+
+
+def _random_sparse_matrices():
+    # nonzero diagonals, which the derivation bases below do not have
+    rng = random.Random(611)
+    return [
+        ExactMatrix([[sample_f3(rng) if rng.randrange(3) == 0 else F3() for _ in range(8)]
+                     for _ in range(8)])
+        for _ in range(4)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: COMPACT_BASIS, lambda: derivation_space(okubo_presentation(SPLIT))[1],
+     lambda: derivation_space(petersson_presentation())[1], _random_sparse_matrices],
+    ids=["okubo", "split-okubo", "petersson", "random-sparse"],
+)
+def test_sparse_commutators_and_trace_form_match_the_dense_formulas(make):
+    basis = make()
+    for a in basis:
+        for b in basis:
+            got = _commutator(a, b)
+            assert got == ExactMatrix(_dense_commutator(a, b))
+            assert all(type(x) is F3 for row in got.entries for x in row)
+    assert killing_matrix(basis) == ExactMatrix(_dense_trace_form(basis))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from okubic import albert, derivations, hurwitz
+from okubic import albert, derivations, geometry, hurwitz, okubo
 from okubic.albert import sample_albert, trace
 from okubic.field import C3, F3, sample_c3, sample_f3
 from okubic.geometry import VeroneseVector
@@ -17,6 +17,7 @@ from okubic.linalg import (
     ExactMatrix,
     Mat3,
     Vector,
+    _gauss_jordan,
     bilinear,
     bilinear_left,
     determinant,
@@ -342,3 +343,157 @@ def test_bilinear_matches_the_scalar_oracle(name):
         for u in others:
             cols = [_bilinear_by_scalars(table, u, e, F3()) for e in basis]
             assert bilinear_left(table, u) == [list(row) for row in zip(*cols)]
+
+
+def _gauss_jordan_by_scalars(m):
+    """The per-scalar Gauss–Jordan loop over F3 entries: the oracle for
+    ``_gauss_jordan``, which eliminates on integer numerators per row."""
+    a = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    divisors = []
+    sign = 1
+    prow = 0
+    for col in range(ncols):
+        if prow >= nrows:
+            break
+        sel = next((r for r in range(prow, nrows) if a[r][col]), None)
+        if sel is None:
+            continue
+        if sel != prow:
+            a[prow], a[sel] = a[sel], a[prow]
+            sign = -sign
+        p = a[prow][col]
+        divisors.append(p)
+        inv = p.inverse()
+        a[prow] = [inv * x for x in a[prow]]
+        for r in range(nrows):
+            if r != prow and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
+        pivots.append(col)
+        prow += 1
+    return a, pivots, divisors, sign
+
+
+def _bits(values):
+    """The stored integer triple and the type of every scalar."""
+    return [(type(x), x._an, x._bn, x._d) for x in values]
+
+
+def _assert_same_elimination(m):
+    rows, pivots, divisors, sign = _gauss_jordan(m)
+    want_rows, want_pivots, want_divisors, want_sign = _gauss_jordan_by_scalars(m)
+    assert [_bits(r) for r in rows] == [_bits(r) for r in want_rows]
+    assert (pivots, sign) == (want_pivots, want_sign)
+    assert _bits(divisors) == _bits(want_divisors)
+    assert len(rows) == m.rows and all(len(r) == m.cols for r in rows)
+
+
+def _permute_tensor(c, perm, signs):
+    """Structure constants in the basis b'_i = s_i b_{π(i)}:
+    c'[i][j][k] = s_i s_j s_k c[π i][π j][π k]."""
+    n = len(perm)
+    return [
+        [
+            [c[perm[i]][perm[j]][perm[k]] * (signs[i] * signs[j] * signs[k]) for k in range(n)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _leibniz_matrix(constants, monkeypatch):
+    """The 512×64 system that ``derivation_space`` hands to ``nullspace``."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "nullspace", lambda m: seen.append(m) or [])
+        derivations.derivation_space(derivations.AlgebraPresentation(constants))
+    return seen[0]
+
+
+DERIVATION_TENSORS = {
+    "okubo": lambda: okubo.structure_constants_dense(COMPACT),
+    "split-okubo": lambda: okubo.structure_constants_dense(SPLIT),
+    "petersson": hurwitz.petersson_structure_constants,
+}
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["plain", "signed-permuted"])
+@pytest.mark.parametrize("name", DERIVATION_TENSORS)
+def test_gauss_jordan_matches_the_scalar_oracle_on_leibniz_systems(name, permuted, monkeypatch):
+    constants = DERIVATION_TENSORS[name]()
+    if permuted:
+        rng = random.Random(f"leibniz:{name}")
+        perm = list(range(8))
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(8)]
+        constants = _permute_tensor(constants, perm, signs)
+    m = _leibniz_matrix(constants, monkeypatch)
+    assert (m.rows, m.cols) == (512, 64)
+    _assert_same_elimination(m)
+
+
+ALBERT_QS = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@pytest.mark.parametrize("q", ALBERT_QS, ids=str)
+def test_gauss_jordan_matches_the_scalar_oracle_on_left_multiplication(q):
+    rng = random.Random(f"left-mult:{q}")
+    eps = albert.idempotent_from_point(geometry.plane_embed(geometry.sample_affine_point(rng)))
+    algebra = albert.AlbertAlgebra(q)
+    for a in (eps, sample_albert(rng)):
+        _assert_same_elimination(albert.left_mult_operator(algebra, a))
+
+
+def _edge_matrices():
+    rng = random.Random(213)
+    r3 = F3(0, 1)
+    mixed = [
+        [F3(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))),
+            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+         for _ in range(6)]
+        for _ in range(5)
+    ]
+    # the idempotent of an affine point, built on the matrix path, in cyclic shifts
+    x, y = sample_okubo(rng), sample_okubo(rng)
+    eps = VeroneseVector(x, y, okubo_mul_matrix(x, y), okubo_norm(y), okubo_norm(x), 1)
+    eps = eps.scale(trace(eps).inverse()).coeffs
+    shifts = [eps[3 * i:] + eps[:3 * i] for i in range(9)]
+    big = [
+        [F3(Fraction(rng.getrandbits(33) - 2**32, rng.getrandbits(33) | 1),
+            Fraction(rng.getrandbits(33) - 2**32, rng.getrandbits(33) | 1))
+         for _ in range(7)]
+        for _ in range(5)
+    ]
+    deficient = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1], [1, 2, 4, 5], [0, 0, 0, 0]]
+    return {
+        "empty": [],
+        "all-zero": [[0] * 4 for _ in range(3)],
+        "rank-deficient": deficient,
+        "zero-column-first": [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+        "mixed-denominators": mixed,
+        "negative-norm-pivots": [[r3, 1, 2, r3], [1 + r3, r3, 0, 1], [2, 1 + r3, r3, 3]],
+        "affine-idempotent-shifts": shifts,
+        "33-bit": big,
+        "sparse-square": [[_sparse_f3(rng) for _ in range(6)] for _ in range(6)],
+        "sparse-wide": [[_sparse_f3(rng) for _ in range(9)] for _ in range(4)],
+        "sparse-tall": [[_sparse_f3(rng) for _ in range(4)] for _ in range(9)],
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_matrices()))
+def test_gauss_jordan_matches_the_scalar_oracle_on_edge_cases(name):
+    m = ExactMatrix(_edge_matrices()[name])
+    _assert_same_elimination(m)
+
+
+def test_gauss_jordan_edge_case_values():
+    r3 = F3(0, 1)
+    assert _gauss_jordan(ExactMatrix([])) == ([], [], [], 1)
+    assert _gauss_jordan(ExactMatrix([[0, 0], [0, 0]]))[1:] == ([], [], 1)
+    # pivots √3 and 1 + √3 have norms -3 and -2
+    rows, pivots, divisors, sign = _gauss_jordan(ExactMatrix([[0, 1 + r3], [r3, 1]]))
+    assert (pivots, divisors, sign) == ([0, 1], [r3, 1 + r3], -1)
+    assert rows == [[F3(1), F3()], [F3(), F3(1)]]
+    assert determinant(ExactMatrix([[0, 1 + r3], [r3, 1]])) == -r3 * (1 + r3)
