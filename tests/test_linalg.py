@@ -449,17 +449,9 @@ def test_gauss_jordan_matches_the_scalar_oracle_on_left_multiplication(q):
 def _edge_matrices():
     rng = random.Random(213)
     r3 = F3(0, 1)
-    mixed = [
-        [F3(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))),
-            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
-         for _ in range(6)]
-        for _ in range(5)
-    ]
-    # the idempotent of an affine point, built on the matrix path, in cyclic shifts
-    x, y = sample_okubo(rng), sample_okubo(rng)
-    eps = VeroneseVector(x, y, okubo_mul_matrix(x, y), okubo_norm(y), okubo_norm(x), 1)
-    eps = eps.scale(trace(eps).inverse()).coeffs
-    shifts = [eps[3 * i:] + eps[:3 * i] for i in range(9)]
+    # rows: zero, 6 samples, 4 with denominators 1, 2, 3 and 7, and 2 slices
+    # of an affine point's idempotent (about 32 bits)
+    _, vectors = _kernel_inputs(7, rng)
     big = [
         [F3(Fraction(rng.getrandbits(33) - 2**32, rng.getrandbits(33) | 1),
             Fraction(rng.getrandbits(33) - 2**32, rng.getrandbits(33) | 1))
@@ -472,9 +464,10 @@ def _edge_matrices():
         "all-zero": [[0] * 4 for _ in range(3)],
         "rank-deficient": deficient,
         "zero-column-first": [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
-        "mixed-denominators": mixed,
+        "kernel-inputs": vectors,
+        "mixed-denominators": vectors[7:11],
         "negative-norm-pivots": [[r3, 1, 2, r3], [1 + r3, r3, 0, 1], [2, 1 + r3, r3, 3]],
-        "affine-idempotent-shifts": shifts,
+        "affine-idempotent": vectors[11:] + vectors[1:4],
         "33-bit": big,
         "sparse-square": [[_sparse_f3(rng) for _ in range(6)] for _ in range(6)],
         "sparse-wide": [[_sparse_f3(rng) for _ in range(9)] for _ in range(4)],
