@@ -19,7 +19,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .field import F3, sample_f3
+from .field import F3, Frozen, sample_f3
 from .linalg import COMPACT, ExactMatrix, SparseTable, bilinear, bilinear_left
 from .okubo import (
     gram_matrix,
@@ -66,16 +66,13 @@ def _table(q: F3):
     return SparseTable(table)
 
 
-class AlbertAlgebra:
+class AlbertAlgebra(Frozen):
     """𝔸_q(𝒪) for a fixed deformation parameter q."""
 
     __slots__ = ("q",)
 
     def __init__(self, q):
         object.__setattr__(self, "q", F3.coerce(q))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlbertAlgebra values are immutable")
 
     def __repr__(self):
         return f"AlbertAlgebra(q={self.q})"
@@ -185,22 +182,6 @@ def lift_okubo_automorphism(phi):
         return AlbertElement(*(phi(xi) for xi in a.x), *a.lam)
 
     return lifted
-
-
-def graded_triple_map(phis, shift: int = 1):
-    """Φ(w_i(x)) = w_{i+shift}(φ_i(x)), Φ(ω_i(λ)) = ω_{i+shift}(λ)."""
-    if len(phis) != 3:
-        raise ValueError("need three Okubo automorphisms")
-
-    def mapped(a: AlbertElement) -> AlbertElement:
-        xs = [None, None, None]
-        lams = [None, None, None]
-        for i in range(3):
-            xs[(i + shift) % 3] = phis[i](a.x[i])
-            lams[(i + shift) % 3] = a.lam[i]
-        return AlbertElement(*xs, *lams)
-
-    return mapped
 
 
 def is_graded_triple(phi0, phi1, phi2, rng: random.Random, samples: int = 50) -> bool:

@@ -13,7 +13,7 @@ distinguished by a negative-definite trace form.
 
 from __future__ import annotations
 
-from .field import F3
+from .field import F3, Frozen
 from .hurwitz import petersson_structure_constants
 from .linalg import (
     COMPACT,
@@ -32,7 +32,7 @@ from .okubo import (
 )
 
 
-class AlgebraPresentation:
+class AlgebraPresentation(Frozen):
     """A finite-dimensional algebra as a structure-constant tensor over F3."""
 
     __slots__ = ("dimension", "constants", "_table")
@@ -54,9 +54,6 @@ class AlgebraPresentation:
         table = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in constants]
         object.__setattr__(self, "_table", SparseTable(table))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraPresentation values are immutable")
-
     def __repr__(self):
         return f"AlgebraPresentation(dim={self.dimension})"
 
@@ -71,16 +68,6 @@ def okubo_presentation(flavor: str = COMPACT) -> AlgebraPresentation:
 
 def petersson_presentation() -> AlgebraPresentation:
     return AlgebraPresentation(petersson_structure_constants())
-
-
-def trivial_presentation(n: int) -> AlgebraPresentation:
-    z = F3()
-    return AlgebraPresentation([[[z] * n for _ in range(n)] for _ in range(n)])
-
-
-def idempotent_line_presentation() -> AlgebraPresentation:
-    """The 1-dimensional algebra b*b = b; it has no nonzero derivations."""
-    return AlgebraPresentation([[[F3(1)]]])
 
 
 def derivation_space(algebra: AlgebraPresentation):
@@ -112,14 +99,6 @@ def derivation_space(algebra: AlgebraPresentation):
             ExactMatrix([[vec[r * n + s] for s in range(n)] for r in range(n)])
         )
     return len(basis), basis
-
-
-def is_derivation(algebra: AlgebraPresentation, d: ExactMatrix, u, v) -> bool:
-    """Leibniz rule on one coordinate pair: D(u*v) = D(u)*v + u*D(v)."""
-    lhs = d.mul_vec(algebra.mul_coords(u, v))
-    rhs_a = algebra.mul_coords(d.mul_vec(u), v)
-    rhs_b = algebra.mul_coords(u, d.mul_vec(v))
-    return lhs == [a + b for a, b in zip(rhs_a, rhs_b)]
 
 
 def _nonzero(m: ExactMatrix):
@@ -171,10 +150,6 @@ def killing_signature(basis):
     if not basis:
         return (0, 0, 0)
     return symmetric_signature(killing_matrix(basis))
-
-
-def apply_derivation(d: ExactMatrix, x: OkuboElement) -> OkuboElement:
-    return OkuboElement(d.mul_vec(list(x.coeffs)), x.flavor)
 
 
 # indices of the trivolution-fixed part (e, i3, i6, i7) and its complement

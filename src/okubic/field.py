@@ -37,6 +37,16 @@ def _coerce_rational(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
+class Frozen:
+    """Base of the value types: instances are set up in their constructors
+    and never change afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+
 def _init_f3(obj, an: int, bn: int, d: int) -> None:
     if d < 0:
         an, bn, d = -an, -bn, -d
@@ -56,7 +66,7 @@ def _raw_f3(an: int, bn: int, d: int):
     return out
 
 
-class F3:
+class F3(Frozen):
     """Element a + b√3 of the real quadratic field Q(√3).
 
     Stored as an integer triple (a·d, b·d, d) over a common denominator
@@ -76,9 +86,6 @@ class F3:
             b.numerator * (d // b.denominator),
             d,
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("F3 values are immutable")
 
     @property
     def a(self) -> Fraction:
@@ -201,7 +208,7 @@ class F3:
 SQRT3 = F3(0, 1)
 
 
-class C3:
+class C3(Frozen):
     """Element re + im·i of Q(√3, i)."""
 
     __slots__ = ("re", "im")
@@ -209,9 +216,6 @@ class C3:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", F3.coerce(re))
         object.__setattr__(self, "im", F3.coerce(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("C3 values are immutable")
 
     @classmethod
     def coerce(cls, x) -> C3:
@@ -294,7 +298,3 @@ def sample_rational(rng: random.Random) -> Fraction:
 
 def sample_f3(rng: random.Random) -> F3:
     return F3(sample_rational(rng), sample_rational(rng))
-
-
-def sample_c3(rng: random.Random) -> C3:
-    return C3(sample_f3(rng), sample_f3(rng))

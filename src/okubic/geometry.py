@@ -9,8 +9,8 @@ the compact (division) flavor only.
 from __future__ import annotations
 
 import random
-from .field import F3
-from .linalg import COMPACT, ExactMatrix, Vector, nullspace
+from .field import F3, Frozen
+from .linalg import COMPACT, Vector
 from .okubo import (
     OkuboElement,
     gram_matrix,
@@ -48,7 +48,7 @@ def _require_compact(*xs: OkuboElement) -> None:
             raise NotCompactError("the Okubic geometry is defined over the compact flavor")
 
 
-class ProjLinePoint:
+class ProjLinePoint(Frozen):
     """Ray ℝ(x, ξ1, ξ2) on the quadric n(x) - ξ1ξ2 = 0."""
 
     __slots__ = ("x", "xi1", "xi2")
@@ -64,9 +64,6 @@ class ProjLinePoint:
         object.__setattr__(self, "xi1", xi1)
         object.__setattr__(self, "xi2", xi2)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjLinePoint values are immutable")
-
     def __repr__(self):
         return f"ProjLinePoint({self.x!r}, {self.xi1}, {self.xi2})"
 
@@ -77,12 +74,6 @@ class ProjLinePoint:
         if not isinstance(other, ProjLinePoint):
             return NotImplemented
         return _proportional(self.coords(), other.coords())
-
-    def scale(self, c) -> ProjLinePoint:
-        c = F3.coerce(c)
-        if not c:
-            raise ValueError("zero scaling of a projective point")
-        return ProjLinePoint(self.x.scale(c), c * self.xi1, c * self.xi2)
 
 
 def _proportional(a, b) -> bool:
@@ -111,16 +102,13 @@ def line_chart(q: ProjLinePoint):
     return INFINITY
 
 
-class AffinePoint:
+class AffinePoint(Frozen):
     __slots__ = ("x", "y")
 
     def __init__(self, x: OkuboElement, y: OkuboElement):
         _require_compact(x, y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinePoint values are immutable")
 
     def __eq__(self, other):
         if not isinstance(other, AffinePoint):
@@ -134,7 +122,7 @@ class AffinePoint:
         return {"x": self.x.to_json(), "y": self.y.to_json()}
 
 
-class AffineLine:
+class AffineLine(Frozen):
     """[s, t] = {(x, s*x+t)}, vertical [c] = {c}×𝒪, or the line at infinity."""
 
     __slots__ = ("kind", "s", "t", "c")
@@ -150,9 +138,6 @@ class AffineLine:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineLine values are immutable")
 
     @classmethod
     def sloped(cls, s, t) -> AffineLine:
@@ -183,13 +168,6 @@ class AffineLine:
             return f"AffineLine[{self.c!r}]"
         return "AffineLine[infinity]"
 
-    def to_json(self):
-        if self.kind == "sloped":
-            return {"kind": "sloped", "s": self.s.to_json(), "t": self.t.to_json()}
-        if self.kind == "vertical":
-            return {"kind": "vertical", "c": self.c.to_json()}
-        return {"kind": "infinity"}
-
 
 def affine_incident(p: AffinePoint, line: AffineLine) -> bool:
     if line.kind == "sloped":
@@ -210,7 +188,7 @@ def affine_join(p1: AffinePoint, p2: AffinePoint) -> AffineLine:
     return AffineLine.sloped(s, t)
 
 
-class SlopePoint:
+class SlopePoint(Frozen):
     """Point at infinity (s) of all lines with slope s."""
 
     __slots__ = ("s",)
@@ -218,9 +196,6 @@ class SlopePoint:
     def __init__(self, s: OkuboElement):
         _require_compact(s)
         object.__setattr__(self, "s", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SlopePoint values are immutable")
 
     def __eq__(self, other):
         if not isinstance(other, SlopePoint):
@@ -321,7 +296,7 @@ def veronese_check(v: VeroneseVector) -> bool:
     )
 
 
-class ProjPoint:
+class ProjPoint(Frozen):
     """Ray of a nonzero Veronese vector."""
 
     __slots__ = ("rep",)
@@ -333,9 +308,6 @@ class ProjPoint:
             raise ValueError("representative fails the Veronese conditions")
         object.__setattr__(self, "rep", rep)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint values are immutable")
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
@@ -345,7 +317,7 @@ class ProjPoint:
         return f"ProjPoint({self.rep!r})"
 
 
-class ProjLine:
+class ProjLine(Frozen):
     """ℓ_w = w^⊥ for a nonzero Veronese vector w."""
 
     __slots__ = ("w",)
@@ -356,9 +328,6 @@ class ProjLine:
         if not veronese_check(w):
             raise ValueError("representative fails the Veronese conditions")
         object.__setattr__(self, "w", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjLine values are immutable")
 
 
 def plane_embed(p) -> ProjPoint:
@@ -426,14 +395,6 @@ def beta_gram_row(v: VeroneseVector):
         row.extend(g.mul_vec(list(xi.coeffs)))
     row.extend(v.lam)
     return row
-
-
-def beta_complement(points):
-    """Exact basis of the β-orthogonal complement of the given vectors in V."""
-    if not points:
-        return [list(r) for r in ExactMatrix.identity(27).entries]
-    m = ExactMatrix([beta_gram_row(v) for v in points])
-    return nullspace(m)
 
 
 def sample_affine_point(rng: random.Random) -> AffinePoint:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import C3, F3, _raw_f3
+from .field import C3, F3, Frozen, _raw_f3
 
 Flavor = str  # "compact" | "split"
 
@@ -27,7 +27,7 @@ def _check_flavor(flavor: Flavor) -> None:
         raise ValueError(f"unknown flavor {flavor!r}")
 
 
-class SparseTable:
+class SparseTable(Frozen):
     """Structure constants: ``cells[a][b]`` holds the (k, c) with b_a·b_b =
     Σ c·b_k, c an int, Fraction or F3, and ``ints`` the same cells as (k, A, B)
     with c = (A + B√3)/``den``, one denominator for the whole table."""
@@ -43,9 +43,6 @@ class SparseTable:
         )
         for name, value in (("cells", cells), ("ints", ints), ("den", den)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseTable values are immutable")
 
 
 def _numerators(xs):
@@ -99,7 +96,7 @@ def bilinear_left(table: SparseTable, u):
     return [[_raw_f3(a, b, d) for a, b in zip(ra, rb)] for ra, rb in zip(out_a, out_b)]
 
 
-class Vector:
+class Vector(Frozen):
     """Immutable vector of ``SIZE`` coordinates, each coerced by ``scalar``.
 
     The one implementation of equality, hashing, truth value, ``+``, ``-``,
@@ -120,9 +117,6 @@ class Vector:
         if len(coeffs) != self.SIZE:
             raise ValueError(f"{type(self).__name__} needs {self.SIZE} coefficients")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} values are immutable")
 
     def _like(self, coeffs):
         out = object.__new__(type(self))
@@ -261,7 +255,7 @@ def is_eta_hermitian(x: Mat3, flavor: Flavor) -> bool:
     return eta_dagger(x, flavor) == x
 
 
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """Dense matrix over F3 of arbitrary shape."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -274,13 +268,6 @@ class ExactMatrix:
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix values are immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> ExactMatrix:
-        return cls([[F3(1) if i == j else F3() for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -300,9 +287,6 @@ class ExactMatrix:
         return [
             sum((a * x for a, x in zip(r, v) if a), F3()) for r in self.entries
         ]
-
-    def to_json(self):
-        return [[x.to_json() for x in r] for r in self.entries]
 
 
 def _reduced(na, nb, d):

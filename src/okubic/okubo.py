@@ -26,6 +26,7 @@ from .linalg import (
     Mat3,
     SparseTable,
     Vector,
+    _check_flavor,
     bilinear,
     is_eta_hermitian,
     symmetric_signature,
@@ -47,11 +48,8 @@ class FlavorMismatchError(ValueError):
 
 
 def _gamma(flavor: str) -> int:
-    if flavor == COMPACT:
-        return 1
-    if flavor == SPLIT:
-        return -1
-    raise ValueError(f"unknown flavor {flavor!r}")
+    _check_flavor(flavor)
+    return 1 if flavor == COMPACT else -1
 
 
 def basis_matrices(flavor: str):
@@ -186,11 +184,6 @@ def okubo_norm(x: OkuboElement) -> F3:
         + c[7] * c[7]
     )
     return diag + offd * F3(THIRD)
-
-
-def okubo_norm_trace(x: OkuboElement) -> F3:
-    """Oracle: n(x) = (1/6)Tr(x²) through the matrix view."""
-    return mat_norm(x.to_matrix())
 
 
 def polar(x: OkuboElement, y: OkuboElement) -> F3:

@@ -23,7 +23,6 @@ from okubic.albert import (
     AlbertElement,
     cubic_norm,
     cyclic_shift,
-    graded_triple_map,
     idempotent_from_point,
     is_graded_triple,
     is_idempotent,
@@ -90,6 +89,22 @@ def _left_mult_by_products(algebra, a):
         out = algebra.mul(a, AlbertElement.from_coords(basis_coords))
         cols.append(out.coords())
     return ExactMatrix([[cols[j][i] for j in range(27)] for i in range(27)])
+
+
+def _graded_triple_map(phis, shift: int = 1):
+    """Φ(w_i(x)) = w_{i+shift}(φ_i(x)), Φ(ω_i(λ)) = ω_{i+shift}(λ)."""
+    if len(phis) != 3:
+        raise ValueError("need three Okubo automorphisms")
+
+    def mapped(a: AlbertElement) -> AlbertElement:
+        xs = [None, None, None]
+        lams = [None, None, None]
+        for i in range(3):
+            xs[(i + shift) % 3] = phis[i](a.x[i])
+            lams[(i + shift) % 3] = a.lam[i]
+        return AlbertElement(*xs, *lams)
+
+    return mapped
 
 
 @pytest.mark.parametrize("q", (-1, -HALF, 0, HALF, 1, 2), ids=str)
@@ -304,7 +319,7 @@ def test_graded_triples():
     identity = lambda x: x
     assert not is_graded_triple(phi, identity, identity, rng, 20)
     # a multiplicative triple shifted one slot preserves the product
-    mapped = graded_triple_map((phi, phi, phi), shift=1)
+    mapped = _graded_triple_map((phi, phi, phi), shift=1)
     for _ in range(20):
         a, b = sample_albert(rng), sample_albert(rng)
         assert mapped(ALBERT_HALF.mul(a, b)) == ALBERT_HALF.mul(mapped(a), mapped(b))

@@ -7,6 +7,7 @@ import pytest
 from okubic import cli
 from okubic.albert import AlbertAlgebra, AlbertElement
 from okubic.cli import (
+    EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
@@ -14,7 +15,7 @@ from okubic.cli import (
     jordan_witness,
     main,
 )
-from okubic.okubo import OkuboElement
+from okubic.okubo import OkuboElement, sample_okubo
 
 
 def run(capsys, *argv):
@@ -90,6 +91,26 @@ def test_suite_names_order_is_pinned():
         "veronese",
         "automorphism",
     )
+
+
+def test_invariant_failure_exits_one_and_reports_the_inputs(capsys, monkeypatch):
+    # x*y = x breaks n(x*y) = n(x)n(y), so every composition sample fails
+    monkeypatch.setattr(cli, "okubo_mul", lambda x, y: x)
+    code, out = run(capsys, "check", "composition", "--seed", "3", "--samples", "4")
+    assert code == EXIT_FAILURE
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 8
+    for entry in failures:
+        assert set(entry) == {"check", "flavor", "index", "x", "y"}
+        rng = cli._rng_for(3, f"composition:{entry['flavor']}:{entry['index']}")
+        x, y = sample_okubo(rng, entry["flavor"]), sample_okubo(rng, entry["flavor"])
+        assert OkuboElement.from_json(entry["x"]) == x
+        assert OkuboElement.from_json(entry["y"]) == y
+    code, out = run(capsys, "check", "all", "--seed", "3", "--samples", "4")
+    assert code == EXIT_FAILURE
+    report = json.loads(out)
+    assert report["failures_total"] == sum(len(s["failures"]) for s in report["suites"])
+    assert report["failures_total"] >= 8
 
 
 def test_reports_are_deterministic(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from okubic import albert, derivations, geometry, hurwitz, okubo
 from okubic.albert import sample_albert, trace
-from okubic.field import C3, F3, sample_c3, sample_f3
+from okubic.field import C3, F3, Frozen, sample_f3
 from okubic.geometry import VeroneseVector
 from okubic.hurwitz import sample_split_octonion
 from okubic.linalg import (
@@ -16,6 +16,7 @@ from okubic.linalg import (
     SPLIT,
     ExactMatrix,
     Mat3,
+    SparseTable,
     Vector,
     _gauss_jordan,
     bilinear,
@@ -32,7 +33,7 @@ from okubic.okubo import okubo_mul_matrix, okubo_norm, sample_okubo, structure_c
 
 
 def _random_mat3(rng):
-    return Mat3([[sample_c3(rng) for _ in range(3)] for _ in range(3)])
+    return Mat3([[C3(sample_f3(rng), sample_f3(rng)) for _ in range(3)] for _ in range(3)])
 
 
 def test_mat3_inverse_and_det():
@@ -242,6 +243,36 @@ def test_vectors_are_immutable(sample):
     for attr in ("coeffs", "flavor", "x"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(x, attr, None)
+
+
+# One value of each class that takes its immutability from field.Frozen.
+_E, _Z = okubo.idempotent(), okubo.OkuboElement.zero()
+FROZEN_VALUES = [
+    F3(1, 2),
+    C3(1, 2),
+    SparseTable([[[(0, 1)]]]),
+    Vector(()),
+    ExactMatrix([[1, 2]]),
+    derivations.AlgebraPresentation([[[1]]]),
+    albert.AlbertAlgebra(Fraction(1, 2)),
+    geometry.line_embed(_E),
+    geometry.AffinePoint(_E, _Z),
+    geometry.AffineLine.vertical(_E),
+    geometry.SlopePoint(_E),
+    geometry.plane_embed(geometry.INFINITY),
+    geometry.ProjLine(geometry.plane_embed(geometry.INFINITY).rep),
+]
+
+
+@pytest.mark.parametrize("value", FROZEN_VALUES, ids=lambda v: type(v).__name__)
+def test_frozen_values_are_immutable_and_have_no_dict(value):
+    name = type(value).__name__
+    assert isinstance(value, Frozen)
+    slots = [a for cls in type(value).__mro__ for a in getattr(cls, "__slots__", ())]
+    for attr in (*slots, "undeclared"):
+        with pytest.raises(AttributeError, match=f"^{name} values are immutable$"):
+            setattr(value, attr, None)
+    assert not hasattr(value, "__dict__")
 
 
 @VECTOR_SAMPLERS
