@@ -39,12 +39,25 @@ def _coerce_rational(x) -> Fraction:
 
 class Frozen:
     """Base of the value types: instances are set up in their constructors
-    and never change afterwards."""
+    and never change afterwards.  Two values of one type are equal, and hash
+    equal, when their ``_key()`` values are equal; the default key is the
+    object's identity."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def _key(self):
+        return id(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _init_f3(obj, an: int, bn: int, d: int) -> None:

@@ -21,8 +21,10 @@ from .okubo import (
 )
 
 
-class Infinity:
+class Infinity(Frozen):
     """The point at infinity of the projective line."""
+
+    __slots__ = ()
 
     _instance = None
 
@@ -70,19 +72,15 @@ class ProjLinePoint(Frozen):
     def coords(self):
         return (*self.x.coeffs, self.xi1, self.xi2)
 
-    def __eq__(self, other):
-        if not isinstance(other, ProjLinePoint):
-            return NotImplemented
-        return _proportional(self.coords(), other.coords())
+    def _key(self):
+        return _ray(self.coords())
 
 
-def _proportional(a, b) -> bool:
-    """True iff the nonzero tuples a and b are F3-proportional."""
-    pivot = next((i for i, x in enumerate(a) if x), None)
-    if pivot is None or not b[pivot]:
-        return False
-    r = b[pivot] / a[pivot]
-    return all(r * x == y for x, y in zip(a, b))
+def _ray(coords) -> tuple:
+    """The nonzero tuple scaled so that its first nonzero entry is 1:
+    F3-proportional tuples, and only they, give the same ray."""
+    inv = next(x for x in coords if x).inverse()
+    return tuple(inv * x for x in coords)
 
 
 def line_embed(p) -> ProjLinePoint:
@@ -110,10 +108,8 @@ class AffinePoint(Frozen):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def __eq__(self, other):
-        if not isinstance(other, AffinePoint):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
+    def _key(self):
+        return self.x, self.y
 
     def __repr__(self):
         return f"AffinePoint({self.x!r}, {self.y!r})"
@@ -151,15 +147,8 @@ class AffineLine(Frozen):
     def at_infinity(cls) -> AffineLine:
         return cls("infinity")
 
-    def __eq__(self, other):
-        if not isinstance(other, AffineLine):
-            return NotImplemented
-        return (self.kind, self.s, self.t, self.c) == (
-            other.kind,
-            other.s,
-            other.t,
-            other.c,
-        )
+    def _key(self):
+        return self.kind, self.s, self.t, self.c
 
     def __repr__(self):
         if self.kind == "sloped":
@@ -197,10 +186,8 @@ class SlopePoint(Frozen):
         _require_compact(s)
         object.__setattr__(self, "s", s)
 
-    def __eq__(self, other):
-        if not isinstance(other, SlopePoint):
-            return NotImplemented
-        return self.s == other.s
+    def _key(self):
+        return self.s
 
     def __repr__(self):
         return f"SlopePoint({self.s!r})"
@@ -266,9 +253,6 @@ class VeroneseVector(Vector):
         """Flat 27-tuple over F3: three Okubo slots then three scalars."""
         return self.coeffs
 
-    def proportional(self, other: VeroneseVector) -> bool:
-        return _proportional(self.coeffs, other.coeffs)
-
     def to_json(self):
         return {
             "x": [xi.to_json() for xi in self.x],
@@ -308,10 +292,8 @@ class ProjPoint(Frozen):
             raise ValueError("representative fails the Veronese conditions")
         object.__setattr__(self, "rep", rep)
 
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.rep.proportional(other.rep)
+    def _key(self):
+        return _ray(self.rep.coeffs)
 
     def __repr__(self):
         return f"ProjPoint({self.rep!r})"
@@ -328,6 +310,12 @@ class ProjLine(Frozen):
         if not veronese_check(w):
             raise ValueError("representative fails the Veronese conditions")
         object.__setattr__(self, "w", w)
+
+    def _key(self):
+        return _ray(self.w.coeffs)
+
+    def __repr__(self):
+        return f"ProjLine({self.w!r})"
 
 
 def plane_embed(p) -> ProjPoint:

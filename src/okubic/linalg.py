@@ -99,12 +99,13 @@ def bilinear_left(table: SparseTable, u):
 class Vector(Frozen):
     """Immutable vector of ``SIZE`` coordinates, each coerced by ``scalar``.
 
-    The one implementation of equality, hashing, truth value, ``+``, ``-``,
-    negation and ``scale`` for the coordinate types.  Results are built by
-    ``_like`` from coordinates that are already scalars; a subclass with
-    more state than ``coeffs`` overrides ``_like`` (copy that state),
-    ``_key`` (what ``==`` and hashing compare) and ``_check`` (reject an
-    operand that cannot be combined with this one).
+    The one implementation of truth value, ``+``, ``-``, negation and
+    ``scale`` for the coordinate types; equality and hashing are
+    ``Frozen``'s, on the key ``coeffs``.  Results are built by ``_like``
+    from coordinates that are already scalars; a subclass with more state
+    than ``coeffs`` overrides ``_like`` (copy that state), ``_key`` (what
+    ``==`` and hashing compare) and ``_check`` (reject an operand that
+    cannot be combined with this one).
     """
 
     __slots__ = ("coeffs",)
@@ -128,14 +129,6 @@ class Vector(Frozen):
 
     def _check(self, other) -> None:
         pass
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __bool__(self):
         return any(self.coeffs)
@@ -273,10 +266,8 @@ class ExactMatrix(Frozen):
         i, j = ij
         return self.entries[i][j]
 
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.entries == other.entries
+    def _key(self):
+        return self.entries
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"

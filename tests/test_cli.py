@@ -15,6 +15,7 @@ from okubic.cli import (
     jordan_witness,
     main,
 )
+from okubic.geometry import SlopePoint
 from okubic.okubo import OkuboElement, sample_okubo
 
 
@@ -42,6 +43,19 @@ def test_composition_suite_passes(capsys):
     report = json.loads(out)
     assert report["suite"] == "composition"
     assert report["failures"] == []
+
+
+def test_veronese_suite_round_trips_every_point_kind(capsys, monkeypatch):
+    code, out = run(capsys, "check", "veronese", "--samples", "4", "--seed", "5")
+    assert code == EXIT_OK
+    assert json.loads(out)["failures"] == []
+    # a decode that always lands on one slope point misses all three kinds
+    monkeypatch.setattr(cli, "plane_decode", lambda q: SlopePoint(OkuboElement.zero()))
+    code, out = run(capsys, "check", "veronese", "--samples", "4", "--seed", "5")
+    assert code == EXIT_FAILURE
+    failures = json.loads(out)["failures"]
+    kinds = [f["kind"] for f in failures if f["check"] == "plane-roundtrip"]
+    assert sorted(kinds) == ["affine"] * 4 + ["infinity"] + ["slope"] * 4
 
 
 def test_division_split_reports_witness(capsys):

@@ -1,6 +1,7 @@
 """Okubic projective line, affine plane, Veronese vectors, and the
 projective plane with β-incidence."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -82,6 +83,57 @@ def test_ray_equality_is_proportionality():
     q = ProjLinePoint(E.scale(F3(-3)), F3(-3), F3(-3))
     assert p == q
     assert p != line_embed(Z)
+
+
+def _scaled_line_point(ray, c):
+    return ProjLinePoint(ray.x.scale(c), ray.xi1 * c, ray.xi2 * c)
+
+
+def _plane_points(rng):
+    return [INFINITY, SlopePoint(sample_okubo(rng)), sample_affine_point(rng)]
+
+
+# Rays of each kind, and the ray through the representative scaled by c.
+RAYS = {
+    "ProjLinePoint": (
+        lambda rng: [line_embed(INFINITY), line_embed(sample_okubo(rng))],
+        _scaled_line_point,
+    ),
+    "ProjPoint": (
+        lambda rng: [plane_embed(p) for p in _plane_points(rng)],
+        lambda ray, c: ProjPoint(ray.rep.scale(c)),
+    ),
+    "ProjLine": (
+        lambda rng: [ProjLine(plane_embed(p).rep) for p in _plane_points(rng)],
+        lambda ray, c: ProjLine(ray.w.scale(c)),
+    ),
+}
+
+
+@pytest.mark.parametrize("sample, rescale", RAYS.values(), ids=RAYS)
+def test_rays_compare_and_hash_by_their_normalised_representative(sample, rescale):
+    rng = random.Random(508)
+    for _ in range(3):
+        for ray in sample(rng):
+            scaled = [rescale(ray, F3(c)) for c in (Fraction(-5, 3), 2)]
+            for other in scaled:
+                assert other == ray and hash(other) == hash(ray)
+            assert len({ray, *scaled}) == 1
+
+
+def test_proj_lines_through_different_veronese_vectors_differ():
+    points = [INFINITY, SlopePoint(E), AffinePoint(Z, Z), AffinePoint(E, Z)]
+    lines = [ProjLine(plane_embed(p).rep) for p in points]
+    for a, b in itertools.combinations(lines, 2):
+        assert a != b and not a == b
+    assert len(set(lines)) == len(lines)
+    # a point and a line given by one vector are values of different types
+    assert plane_embed(INFINITY) != lines[0]
+
+
+def test_proj_line_repr_names_its_vector():
+    w = plane_embed(SlopePoint(E)).rep
+    assert repr(ProjLine(w)) == f"ProjLine({w!r})"
 
 
 def test_split_inputs_are_rejected():
@@ -175,11 +227,14 @@ def test_plane_roundtrip_on_samples():
         p = sample_affine_point(rng)
         emb = plane_embed(p)
         assert veronese_check(emb.rep)
-        assert plane_decode(emb) == p
+        back = plane_decode(emb)
+        assert back == p and hash(back) == hash(p)
         s = SlopePoint(sample_okubo(rng))
         emb2 = plane_embed(s)
         assert veronese_check(emb2.rep)
-        assert plane_decode(emb2) == s
+        back = plane_decode(emb2)
+        assert back == s and hash(back) == hash(s)
+        assert p != s and p != INFINITY and s != INFINITY
     assert plane_decode(plane_embed(INFINITY)) is INFINITY
 
 

@@ -1,8 +1,10 @@
 """Exact dense linear algebra over Q(√3) and Q(√3, i)."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +263,7 @@ FROZEN_VALUES = [
     geometry.SlopePoint(_E),
     geometry.plane_embed(geometry.INFINITY),
     geometry.ProjLine(geometry.plane_embed(geometry.INFINITY).rep),
+    geometry.INFINITY,
 ]
 
 
@@ -273,6 +276,94 @@ def test_frozen_values_are_immutable_and_have_no_dict(value):
         with pytest.raises(AttributeError, match=f"^{name} values are immutable$"):
             setattr(value, attr, None)
     assert not hasattr(value, "__dict__")
+
+
+def _slope_point(k):
+    return geometry.SlopePoint(okubo.OkuboElement.basis(k))
+
+
+def _affine_point(k):
+    return geometry.AffinePoint(okubo.idempotent(), okubo.OkuboElement.basis(k))
+
+
+def _proj_line(p):
+    return geometry.ProjLine(geometry.plane_embed(p).rep)
+
+
+# Each class with a value key: a builder called twice for twins, and a value
+# of the same class with another key.
+KEYED = {
+    "Vector": (lambda: Vector(()), None),
+    "OkuboElement": (lambda: okubo.OkuboElement.basis(3), okubo.OkuboElement.basis(4)),
+    "VeroneseVector": (VeroneseVector.unit, VeroneseVector.scalar_idempotent(0)),
+    "Mat3": (Mat3.identity, Mat3.zero()),
+    "ExactMatrix": (lambda: ExactMatrix([[1, Fraction(1, 3)]]), ExactMatrix([[1, 0]])),
+    "AffinePoint": (lambda: _affine_point(1), _affine_point(2)),
+    "AffineLine-sloped": (lambda: geometry.AffineLine.sloped(okubo.idempotent(), _Z),
+                          geometry.AffineLine.sloped(_E, okubo.OkuboElement.basis(1))),
+    "AffineLine-vertical": (lambda: geometry.AffineLine.vertical(okubo.idempotent()),
+                            geometry.AffineLine.vertical(_Z)),
+    "AffineLine-infinity": (geometry.AffineLine.at_infinity,
+                            geometry.AffineLine.vertical(_Z)),
+    "SlopePoint": (lambda: _slope_point(1), _slope_point(2)),
+    "ProjLinePoint": (lambda: geometry.line_embed(okubo.idempotent()),
+                      geometry.line_embed(geometry.INFINITY)),
+    "ProjPoint": (lambda: geometry.plane_embed(_slope_point(1)),
+                  geometry.plane_embed(_slope_point(2))),
+    "ProjLine": (lambda: _proj_line(geometry.INFINITY), _proj_line(_slope_point(1))),
+}
+
+
+@pytest.mark.parametrize("build, other", KEYED.values(), ids=KEYED)
+def test_keyed_twins_compare_and_hash_equal(build, other):
+    x, twin = build(), build()
+    assert twin is not x and twin == x and not twin != x
+    assert hash(twin) == hash(x) and len({x, twin}) == 1
+    if other is not None:
+        assert type(other) is type(x) and other != x and not other == x
+
+
+# The tables and algebras keep the default key, their identity.
+IDENTITY_KEYED = {
+    "SparseTable": lambda: SparseTable([[[(0, 1)]]]),
+    "AlgebraPresentation": lambda: derivations.AlgebraPresentation([[[1]]]),
+    "AlbertAlgebra": lambda: albert.AlbertAlgebra(Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("build", IDENTITY_KEYED.values(), ids=IDENTITY_KEYED)
+def test_tables_and_algebras_equal_only_themselves(build):
+    x, twin = build(), build()
+    assert x == x and hash(x) == hash(x)
+    assert x != twin and not x == twin and len({x, twin}) == 2
+
+
+def _classes_defining(method):
+    """Names of the classes in the okubic sources whose body defines or
+    assigns ``method``."""
+    names = set()
+    for path in Path(geometry.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined = [item.name]
+                elif isinstance(item, ast.Assign):
+                    defined = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                if method in defined:
+                    names.add(node.name)
+    return sorted(names)
+
+
+def test_one_immutable_base_and_one_equality():
+    # F3 and C3 keep numeric equality: they compare and hash like ints and
+    # Fractions of the same value.
+    assert _classes_defining("__setattr__") == ["Frozen"]
+    assert _classes_defining("__eq__") == ["C3", "F3", "Frozen"]
+    assert _classes_defining("__hash__") == ["C3", "F3", "Frozen"]
 
 
 @VECTOR_SAMPLERS
