@@ -5,7 +5,8 @@ Exit codes: 0 pass, 1 invariant failure, 2 usage error (an unwritable --out
 included), 3 validation error.
 All randomized suites require an explicit --seed; per-sample PRNG
 substreams are derived from (seed, index), so reports are byte-identical
-for identical flags.
+for identical flags.  Each JSON payload format has one parser, the
+``from_json`` of its type; only the plane-point format is parsed here.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def suite_albert(samples, seed, flavor, q):
     witness_defect = bool(jordan_defect(algebra, wa, wb))
     extras = {
         "jordan": {
-            "q": render_q(q),
+            "q": render_rational(q),
             "defect_vanished_on_samples": jordan_clean,
             "witness_defect_nonzero": witness_defect,
         }
@@ -413,10 +414,6 @@ SUITE_FUNCS = {
 SUITE_NAMES = tuple(SUITE_FUNCS)
 
 
-def render_q(q) -> str:
-    return render_rational(Fraction(q))
-
-
 def run_suite(name, samples, seed, flavor, q):
     failures, extras = SUITE_FUNCS[name](samples, seed, flavor, q)
     report = {
@@ -428,7 +425,7 @@ def run_suite(name, samples, seed, flavor, q):
     if flavor is not None:
         report["flavor"] = flavor
     if name == "albert":
-        report["q"] = render_q(q)
+        report["q"] = render_rational(q)
     report.update(extras)
     return report
 
@@ -494,37 +491,13 @@ def _load(text, parse):
         raise ValueError(f"malformed payload: {exc!r}") from None
 
 
-def _parse_scalar(obj) -> F3:
-    """A Q(√3) scalar: its ``to_json`` object {"a", "b"} or a bare rational."""
-    if isinstance(obj, dict):
-        return F3.from_json(obj)
-    return F3(parse_rational(obj))
-
-
-def _parse_okubo_payload(obj) -> OkuboElement:
-    """An Okubo element: its ``to_json`` object, a list of 8 coefficients
-    over (e, i1, …, i7), or a bare rational c meaning c·e."""
-    if isinstance(obj, dict):
-        return OkuboElement.from_json(obj)
-    if isinstance(obj, list):
-        return OkuboElement([_parse_scalar(c) for c in obj])
-    return OkuboElement.basis(0).scale(_parse_scalar(obj))
-
-
-def _parse_albert_payload(obj) -> AlbertElement:
-    """{"x": [3 Okubo payloads], "lambda": [3 scalars]}, built slot by slot."""
-    x0, x1, x2 = (_parse_okubo_payload(x) for x in obj["x"])
-    l0, l1, l2 = (_parse_scalar(l) for l in obj["lambda"])
-    return AlbertElement(x0, x1, x2, l0, l1, l2)
-
-
 def _parse_point(obj):
     """A plane point: "infinity", {"slope": s} or an affine {"x", "y"}."""
     if obj == "infinity":
         return INFINITY
     if "slope" in obj:
-        return SlopePoint(_parse_okubo_payload(obj["slope"]))
-    return AffinePoint(_parse_okubo_payload(obj["x"]), _parse_okubo_payload(obj["y"]))
+        return SlopePoint(OkuboElement.from_json(obj["slope"]))
+    return AffinePoint(OkuboElement.from_json(obj["x"]), OkuboElement.from_json(obj["y"]))
 
 
 def _point_json(p):
@@ -546,7 +519,7 @@ def cmd_veronese(args) -> int:
             "patch": _point_json(point)[0],
         }
     else:
-        eps = _load(args.payload, _parse_albert_payload)
+        eps = _load(args.payload, AlbertElement.from_json)
         patch, point = _point_json(plane_decode(point_from_idempotent(eps)))
         out = {"point": point, "patch": patch}
     _emit(out, args.out)
@@ -565,7 +538,7 @@ def cmd_kernel(args) -> int:
     if args.element in NAMED_ELEMENTS:
         element = NAMED_ELEMENTS[args.element]()
     else:
-        element = _load(args.element, _parse_albert_payload)
+        element = _load(args.element, AlbertElement.from_json)
     algebra = AlbertAlgebra(parse_rational(args.q))
     image = rank(left_mult_operator(algebra, element))
     out = {"kernel_dim": 27 - image, "image_dim": image}

@@ -215,7 +215,11 @@ class F3(Frozen):
 
     @classmethod
     def from_json(cls, obj) -> F3:
-        return cls(parse_rational(obj["a"]), parse_rational(obj["b"]))
+        """The one parser of a Q(√3) scalar: its ``to_json`` object
+        {"a", "b"} for a + b√3, or a bare rational (see ``parse_rational``)."""
+        if isinstance(obj, dict):
+            return cls(parse_rational(obj["a"]), parse_rational(obj["b"]))
+        return cls(parse_rational(obj))
 
 
 SQRT3 = F3(0, 1)

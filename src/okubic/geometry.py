@@ -123,17 +123,18 @@ class AffineLine(Frozen):
 
     __slots__ = ("kind", "s", "t", "c")
 
+    # the fields each kind takes; the others stay None, so _key is a normal form
+    _FIELDS = {"sloped": ("s", "t"), "vertical": ("c",), "infinity": ()}
+
     def __init__(self, kind, s=None, t=None, c=None):
-        if kind not in ("sloped", "vertical", "infinity"):
-            raise ValueError(f"unknown line kind {kind!r}")
-        if kind == "sloped":
-            _require_compact(s, t)
-        elif kind == "vertical":
-            _require_compact(c)
+        fields = {"s": s, "t": t, "c": c}
+        given = tuple(name for name, value in fields.items() if value is not None)
+        if given != self._FIELDS.get(kind):
+            raise ValueError(f"no AffineLine of kind {kind!r} has the fields {given}")
+        _require_compact(*(fields[name] for name in given))
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "c", c)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def sloped(cls, s, t) -> AffineLine:
@@ -261,9 +262,13 @@ class VeroneseVector(Vector):
 
     @classmethod
     def from_json(cls, obj) -> VeroneseVector:
-        xs = [OkuboElement.from_json(x) for x in obj["x"]]
-        lams = [F3.from_json(l) for l in obj["lambda"]]
-        return cls(*xs, *lams)
+        """The one parser of a Veronese vector (Albert element):
+        {"x": [x0, x1, x2], "lambda": [λ0, λ1, λ2]}, each slot read by
+        ``OkuboElement.from_json`` and each λ by ``F3.from_json``; any other
+        count of slots or of λ raises ValueError."""
+        x0, x1, x2 = (OkuboElement.from_json(x) for x in obj["x"])
+        l0, l1, l2 = (F3.from_json(l) for l in obj["lambda"])
+        return cls(x0, x1, x2, l0, l1, l2)
 
 
 def veronese_check(v: VeroneseVector) -> bool:

@@ -131,7 +131,15 @@ class OkuboElement(Vector):
 
     @classmethod
     def from_json(cls, obj) -> OkuboElement:
-        return cls([F3.from_json(c) for c in obj["coeffs"]], obj["flavor"])
+        """The one parser of an Okubo element: its ``to_json`` object
+        {"flavor", "coeffs"}, a list of 8 coefficients over (e, i1, …, i7)
+        (compact), or a bare rational c meaning c·e (compact).  Each
+        coefficient is read by ``F3.from_json``."""
+        if isinstance(obj, dict):
+            return cls([F3.from_json(c) for c in obj["coeffs"]], obj["flavor"])
+        if isinstance(obj, list):
+            return cls([F3.from_json(c) for c in obj])
+        return cls.basis(0).scale(F3.from_json(obj))
 
 
 def idempotent(flavor: str = COMPACT) -> OkuboElement:

@@ -331,6 +331,11 @@ def test_coords_and_json_roundtrip():
         a = sample_albert(rng)
         assert AlbertElement.from_coords(a.coords()) == a
         assert AlbertElement.from_json(a.to_json()) == a
+    # exactly three Okubo slots and three λ, or ValueError
+    zero, one = OkuboElement.zero().to_json(), F3(1).to_json()
+    for slots, lams in ((2, 3), (4, 3), (3, 2), (3, 4), (2, 4)):
+        with pytest.raises(ValueError):
+            AlbertElement.from_json({"x": [zero] * slots, "lambda": [one] * lams})
 
 
 def test_veronese_conversion_roundtrip():

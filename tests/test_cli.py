@@ -15,7 +15,8 @@ from okubic.cli import (
     jordan_witness,
     main,
 )
-from okubic.geometry import SlopePoint
+from okubic.field import F3
+from okubic.geometry import AffinePoint, SlopePoint
 from okubic.okubo import OkuboElement, sample_okubo
 
 
@@ -232,29 +233,72 @@ def test_zero_denominator_in_input_is_a_validation_error(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+_E8 = [1, 0, 0, 0, 0, 0, 0, 0]
+_E0_JSON = AlbertElement.scalar_idempotent(0).to_json()
+
+
+# Each README payload form, the form the CLI must treat the same way, and
+# a builder of the value that the types' from_json read from the first form:
+# the CLI must build exactly that value from both forms.
 @pytest.mark.parametrize(
-    "argv, same_as",
+    "argv, same_as, read",
     [
         (
             ("veronese", "embed", '{"x": [1,0,0,0,0,0,0,0], "y": 0}'),
             ("veronese", "embed", '{"x": 1, "y": 0}'),
+            lambda: AffinePoint(OkuboElement.from_json(_E8), OkuboElement.from_json(0)),
         ),
         (
             ("veronese", "embed", '{"slope": [0,1,0,0,0,0,0,0]}'),
             ("veronese", "embed",
              json.dumps({"slope": OkuboElement.basis(1).to_json()})),
+            lambda: SlopePoint(OkuboElement.from_json([0, 1, 0, 0, 0, 0, 0, 0])),
         ),
         (
             ("kernel", '{"x": [0,0,0], "lambda": ["1","0","0"]}'),
             ("kernel", "e0"),
+            lambda: AlbertElement.from_json({"x": [0, 0, 0], "lambda": ["1", "0", "0"]}),
+        ),
+        (
+            ("veronese", "embed",
+             json.dumps({"x": {"flavor": "compact", "coeffs": _E8}, "y": 0})),
+            ("veronese", "embed", '{"x": 1, "y": 0}'),
+            lambda: AffinePoint(OkuboElement.from_json({"flavor": "compact", "coeffs": _E8}),
+                                OkuboElement.from_json(0)),
+        ),
+        (
+            ("veronese", "embed",
+             '{"x": "1/2", "y": [{"a": "-3", "b": "0"}, 0, 0, 0, 0, 0, 0, 0]}'),
+            ("veronese", "embed", '{"x": "1/2", "y": "-3"}'),
+            lambda: AffinePoint(OkuboElement.from_json("1/2"),
+                                OkuboElement.basis(0).scale(F3.from_json({"a": "-3", "b": "0"}))),
+        ),
+        (
+            ("kernel", json.dumps(_E0_JSON)),
+            ("kernel", "e0"),
+            lambda: AlbertElement.from_json(_E0_JSON),
+        ),
+        (
+            ("kernel", json.dumps({"x": [0, [0] * 8, OkuboElement.zero().to_json()],
+                                   "lambda": [{"a": "1", "b": "0"}, 0, "0"]})),
+            ("kernel", "e0"),
+            lambda: AlbertElement(*[OkuboElement.zero()] * 3, F3.from_json({"a": "1", "b": "0"}),
+                                  F3.from_json(0), F3.from_json("0")),
         ),
     ],
-    ids=["embed-x-list", "embed-slope-list", "kernel-bare"],
+    ids=["embed-x-list", "embed-slope-list", "kernel-bare", "embed-coeffs-rationals",
+         "embed-coeff-objects", "kernel-to-json", "kernel-mixed-forms"],
 )
-def test_readme_payload_forms_are_accepted(capsys, argv, same_as):
+def test_readme_payload_forms_are_accepted(capsys, monkeypatch, argv, same_as, read):
+    built = []
+    for name in ("plane_embed", "left_mult_operator"):
+        f = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, f=f: built.append(args[-1]) or f(*args))
     code, out = run(capsys, *argv)
     assert code == EXIT_OK
     assert out == run(capsys, *same_as)[1]
+    expected = read()
+    assert built == [expected, expected]
 
 
 _ZERO = OkuboElement.zero().to_json()
@@ -269,11 +313,13 @@ _ONE = {"a": "1", "b": "0"}
         ("veronese", "decode", "5"),
         ("veronese", "embed", '{"x": 0}'),
         ("kernel", json.dumps({"x": [_ZERO] * 2, "lambda": [_ONE] * 4})),
+        ("kernel", json.dumps({"x": [_ZERO] * 4, "lambda": [_ONE] * 3})),
+        ("veronese", "decode", json.dumps({"x": [_ZERO] * 3, "lambda": [_ONE] * 2})),
         ("kernel", json.dumps({"x": [_ZERO] * 3,
                                "lambda": [{"a": float("inf"), "b": "0"}, _ONE, _ONE]})),
     ],
     ids=["kernel-list", "kernel-int", "decode-int", "embed-no-y",
-         "kernel-slot-count", "kernel-infinite"],
+         "kernel-slot-count", "kernel-four-slots", "decode-two-lambda", "kernel-infinite"],
 )
 def test_malformed_payload_is_a_validation_error(capsys, argv):
     code = main(list(argv))

@@ -109,6 +109,9 @@ def test_json_roundtrip():
         assert F3.from_json(x.to_json()) == x
         z = C3(sample_f3(rng), sample_f3(rng))
         assert C3.from_json(z.to_json()) == z
+    # a bare rational is the other form of a scalar
+    assert F3.from_json("-1/3") == F3(Fraction(-1, 3))
+    assert F3.from_json(0.1) == F3.from_json({"a": "1/10", "b": 0}) == F3(Fraction(1, 10))
 
 
 def test_equality_against_plain_scalars():

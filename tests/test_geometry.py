@@ -152,6 +152,24 @@ def test_affine_incidence_pinned_values():
         affine_incident(AffinePoint(Z, Z), AffineLine.at_infinity())
 
 
+def test_affine_line_takes_exactly_the_fields_of_its_kind():
+    # so its key is a normal form: one line, one key
+    assert AffineLine("sloped", s=E, t=Z) == AffineLine.sloped(E, Z)
+    assert AffineLine("vertical", c=E) == AffineLine.vertical(E)
+    assert AffineLine("infinity") == AffineLine.at_infinity()
+    for kind, fields in (
+        ("sloped", {"s": E, "t": Z, "c": E}),
+        ("sloped", {"s": E}),
+        ("sloped", {"t": Z, "c": E}),
+        ("vertical", {}),
+        ("vertical", {"s": E, "c": E}),
+        ("infinity", {"s": E}),
+        ("parallel", {"s": E, "t": Z}),
+    ):
+        with pytest.raises(ValueError):
+            AffineLine(kind, **fields)
+
+
 def test_affine_join_pinned_values():
     assert affine_join(AffinePoint(Z, Z), AffinePoint(Z, E)) == AffineLine.vertical(Z)
     assert affine_join(AffinePoint(E, Z), AffinePoint(Z, Z)) == AffineLine.sloped(Z, Z)

@@ -402,3 +402,13 @@ def test_json_roundtrip():
         for _ in range(20):
             x = sample_okubo(rng, flavor)
             assert OkuboElement.from_json(x.to_json()) == x
+    # a list of 8 coefficients and a bare rational c (meaning c·e) are compact
+    assert OkuboElement.from_json([0, "1/2", 0, 0, 0, 0, 0, {"a": 0, "b": 1}]) == (
+        OkuboElement.basis(1).scale(F3(Fraction(1, 2))) + OkuboElement.basis(7).scale(SQRT3)
+    )
+    assert OkuboElement.from_json("-2") == OkuboElement.basis(0).scale(F3(-2))
+    assert OkuboElement.from_json({"flavor": SPLIT, "coeffs": [1, 0, 0, 0, 0, 0, 0, 0]}) == (
+        OkuboElement.basis(0, SPLIT)
+    )
+    with pytest.raises(ValueError):
+        OkuboElement.from_json([1, 2])
