@@ -372,6 +372,7 @@ def _fixed_skew_matrices():
 def suite_automorphism(samples, seed, flavor, q):
     failures = []
     phis = [conjugation_automorphism(s) for s in _fixed_skew_matrices()]
+    lifted = lift_okubo_automorphism(phis[0])
     for i in range(samples):
         rng = _rng_for(seed, f"automorphism:{i}")
         x = sample_okubo(rng, COMPACT)
@@ -387,7 +388,6 @@ def suite_automorphism(samples, seed, flavor, q):
             cyclic_shift(a), cyclic_shift(b)
         ):
             _fail(failures, "cyclic-shift", index=i)
-        lifted = lift_okubo_automorphism(phis[0])
         if lifted(ALBERT_HALF.mul(a, b)) != ALBERT_HALF.mul(lifted(a), lifted(b)):
             _fail(failures, "lifted-automorphism", index=i)
     rng = _rng_for(seed, "automorphism:triples")

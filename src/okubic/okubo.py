@@ -335,14 +335,21 @@ def cayley_unitary(s: Mat3) -> Mat3:
 
 
 def conjugation_automorphism(s: Mat3):
-    """Okubo automorphism x ↦ u x u† from the Cayley transform of s."""
+    """Okubo automorphism x ↦ u x u† from the Cayley transform of s.
+
+    φ is Q(√3)-linear, so it is built once as an 8×8 map: row a of a
+    one-column table holds the image of b_a, each read back (and checked)
+    by ``from_matrix``, and φ(x) is one ``bilinear`` pass over it."""
     u = cayley_unitary(s)
     udag = u.dagger()
+    images = (OkuboElement.from_matrix(u @ b @ udag, COMPACT) for b in basis_matrices(COMPACT))
+    table = SparseTable([[(k, c) for k, c in enumerate(y.coeffs) if c]] for y in images)
+    one = (F3(1),)
 
     def phi(x: OkuboElement) -> OkuboElement:
         if x.flavor != COMPACT:
             raise FlavorMismatchError("conjugation automorphisms act on the compact flavor")
-        return OkuboElement.from_matrix(u @ x.to_matrix() @ udag, COMPACT)
+        return x._like(bilinear(table, x.coeffs, one, F3))
 
     return phi
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from okubic.cli import _fixed_skew_matrices
 from okubic.field import C3, F3, SQRT3, sample_rational
 from okubic.linalg import (
     COMPACT,
@@ -171,6 +172,10 @@ def test_flavor_mismatch_is_rejected():
     for op in (okubo_mul, lambda x, y: x + y, lambda x, y: x - y):
         with pytest.raises(FlavorMismatchError):
             op(B(1, COMPACT), B(1, SPLIT))
+    # the Cayley automorphisms act on the compact flavor only
+    phi = conjugation_automorphism(_fixed_skew_matrices()[0])
+    with pytest.raises(FlavorMismatchError):
+        phi(B(1, SPLIT))
 
 
 def test_division_dichotomy():
@@ -325,6 +330,18 @@ def test_matrix_view_product_counts(flavor, monkeypatch):
     assert products(michel_radicati_mul, x, y, THETA_OKUBO, flavor) == 2
 
 
+def test_cayley_phi_makes_no_matrix_products(monkeypatch):
+    # the 3×3 products u·b·u† are made once per s, when φ is built
+    phis = [conjugation_automorphism(s) for s in _fixed_skew_matrices()]
+    calls = []
+    matmul = Mat3.__matmul__
+    monkeypatch.setattr(Mat3, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    x = sample_okubo(random.Random(420))
+    for phi in phis:
+        phi(x)
+    assert calls == []
+
+
 def test_traceful_product_satisfies_jordan_identity_for_every_theta():
     rng = random.Random(413)
     for _ in range(50):
@@ -343,18 +360,7 @@ def test_traceful_product_satisfies_jordan_identity_for_every_theta():
 
 def test_cayley_automorphisms():
     rng = random.Random(414)
-    skews = (
-        Mat3([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
-        Mat3([[0, 0, Fraction(1, 2)], [0, 0, 1], [Fraction(-1, 2), -1, 0]]),
-        Mat3(
-            [
-                [C3(0, 1), C3(0, Fraction(1, 3)), 0],
-                [C3(0, Fraction(1, 3)), C3(0, -1), 1],
-                [0, -1, 0],
-            ]
-        ),
-    )
-    for s in skews:
+    for s in _fixed_skew_matrices():
         u = cayley_unitary(s)
         assert u @ u.dagger() == Mat3.identity()
         phi = conjugation_automorphism(s)
@@ -364,6 +370,43 @@ def test_cayley_automorphisms():
             assert okubo_norm(phi(x)) == okubo_norm(x)
     with pytest.raises(SkewHermiticityError):
         cayley_unitary(Mat3.identity())
+
+
+def _phi_by_conjugation(s):
+    """Cayley automorphism x ↦ u x u† through the 3×3 matrix view (oracle)."""
+    u = cayley_unitary(s)
+    udag = u.dagger()
+    return lambda x: OkuboElement.from_matrix(u @ x.to_matrix() @ udag, COMPACT)
+
+
+def _bits(x):
+    return x.flavor, [(type(c), c._an, c._bn, c._d) for c in x.coeffs]
+
+
+def test_cayley_phi_matches_conjugation_bit_for_bit():
+    rng = random.Random(421)
+    inputs = [B(k) for k in range(8)] + [OkuboElement.zero()]
+    inputs += [sample_okubo(rng) for _ in range(200)]
+    # mixed denominators 1, 2, 3 and 7 in both parts of the coefficients
+    dens = (1, 2, 3, 7)
+    inputs += [
+        OkuboElement([
+            F3(Fraction(rng.randint(-9, 9), rng.choice(dens)),
+               Fraction(rng.randint(-9, 9), rng.choice(dens)))
+            for _ in range(8)
+        ])
+        for _ in range(20)
+    ]
+    # about 33-bit numerators and denominators
+    big = lambda: Fraction(rng.randint(-(2**33), 2**33), rng.randint(1, 2**33))
+    inputs += [OkuboElement([F3(big(), big()) for _ in range(8)]) for _ in range(20)]
+    for s in _fixed_skew_matrices():
+        fast, slow = conjugation_automorphism(s), _phi_by_conjugation(s)
+        for x in inputs:
+            want, got = slow(x), fast(x)
+            assert got == want
+            assert hash(got) == hash(want)
+            assert _bits(got) == _bits(want)
 
 
 def test_gram_signatures_are_pinned():
