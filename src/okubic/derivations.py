@@ -1,5 +1,5 @@
-"""Derivation Lie algebras of 8-dimensional algebras given by structure
-constants, computed exactly as the nullspace of the Leibniz system.
+"""Derivation Lie algebras of algebras given by structure constants,
+computed exactly as the nullspace of the Leibniz system.
 
 For an algebra with product b_i*b_j = Σ_k c[i][j][k] b_k, a matrix D is a
 derivation iff for every basis pair
@@ -19,8 +19,9 @@ from .linalg import (
     COMPACT,
     ExactMatrix,
     SparseTable,
+    _gauss_jordan,
+    _kernel,
     bilinear,
-    nullspace,
     rank,
     symmetric_signature,
 )
@@ -50,7 +51,7 @@ class AlgebraPresentation(Frozen):
             raise ValueError("structure tensor must be n×n×n")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "constants", constants)
-        # sparse integer view of the constants for linalg.bilinear
+        # sparse integer view of the constants for linalg.bilinear and the Leibniz rows
         table = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in constants]
         object.__setattr__(self, "_table", SparseTable(table))
 
@@ -73,32 +74,26 @@ def petersson_presentation() -> AlgebraPresentation:
 def derivation_space(algebra: AlgebraPresentation):
     """(dimension, basis of n×n derivation matrices), solved exactly.
 
-    Unknown D[r][s] sits at flat index r*n + s; one equation per basis
-    triple (i, j, k).
+    Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one
+    integer row over the table's denominator, read from its integer form.
     """
-    n = algebra.dimension
-    c = algebra.constants
-    zero = F3()
+    ints, den = algebra._table.ints, algebra._table.den
+    n = len(ints)
     rows = []
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                row = [zero] * (n * n)
-                for m in range(n):
-                    if c[i][j][m]:
-                        row[k * n + m] = row[k * n + m] + c[i][j][m]
-                for r in range(n):
-                    if c[r][j][k]:
-                        row[r * n + i] = row[r * n + i] - c[r][j][k]
-                    if c[i][r][k]:
-                        row[r * n + j] = row[r * n + j] - c[i][r][k]
-                rows.append(row)
-    basis = []
-    for vec in nullspace(ExactMatrix(rows)):
-        basis.append(
-            ExactMatrix([[vec[r * n + s] for s in range(n)] for r in range(n)])
-        )
-    return len(basis), basis
+            # (equation k, unknown, A, B) for each term c = (A + B√3)/den
+            terms = [(k, k * n + m, a, b) for k in range(n) for m, a, b in ints[i][j]]
+            terms += [(k, r * n + i, -a, -b) for r in range(n) for k, a, b in ints[r][j]]
+            terms += [(k, r * n + j, -a, -b) for r in range(n) for k, a, b in ints[i][r]]
+            eqs = [([0] * (n * n), [0] * (n * n), den) for _ in range(n)]
+            for k, col, a, b in terms:
+                eqs[k][0][col] += a
+                eqs[k][1][col] += b
+            rows += eqs
+    reduced, pivots, _, _ = _gauss_jordan(rows, n * n)
+    kernel = _kernel(reduced, pivots, n * n)
+    return len(kernel), [ExactMatrix([v[r * n:r * n + n] for r in range(n)]) for v in kernel]
 
 
 def _nonzero(m: ExactMatrix):

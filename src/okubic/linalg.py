@@ -288,17 +288,13 @@ def _reduced(na, nb, d):
     return [x // g for x in na], [x // g for x in nb], d // g
 
 
-def _gauss_jordan(m: ExactMatrix):
-    """Gauss–Jordan elimination over Q(√3): the reduced rows, the pivot
-    columns, the pivot values divided by, and (-1)^(number of row swaps).
-    A row is integer lists (na, nb) over one d > 0, entry j being
-    (na[j] + nb[j]√3)/d; a row operation is one integer pass and one gcd,
-    and F3 values are built only for the divisors and the rows returned."""
-    a = []
-    for r in m.entries:
-        d = math.lcm(*(x._d for x in r))
-        a.append(([x._an * (d // x._d) for x in r], [x._bn * (d // x._d) for x in r], d))
-    nrows, ncols = m.rows, m.cols
+def _gauss_jordan(rows, ncols):
+    """Gauss–Jordan elimination over Q(√3) on integer rows (na, nb, d), entry j
+    being (na[j] + nb[j]√3)/d with d > 0: the reduced rows over F3, the pivot
+    columns, the pivot values divided by, and (-1)^(number of row swaps).  A row
+    operation is one integer pass and one gcd; the input rows are not changed."""
+    a = [(list(na), list(nb), d) for na, nb, d in rows]
+    nrows = len(a)
     pivots, divisors, sign, prow = [], [], 1, 0
     for col in range(ncols):
         sel = next((r for r in range(prow, nrows) if a[r][0][col] or a[r][1][col]), None)
@@ -341,9 +337,15 @@ def _gauss_jordan(m: ExactMatrix):
     return rows, pivots, divisors, sign
 
 
+def _int_rows(m: ExactMatrix):
+    """The rows of m as integer rows (na, nb, d) for ``_gauss_jordan``."""
+    return [([a for a, _ in nums], [b for _, b in nums], d)
+            for nums, d in map(_numerators, m.entries)]
+
+
 def rref(m: ExactMatrix):
     """Reduced row echelon form over Q(√3); returns (rref, pivot columns)."""
-    rows, pivots, _, _ = _gauss_jordan(m)
+    rows, pivots, _, _ = _gauss_jordan(_int_rows(m), m.cols)
     return ExactMatrix(rows), pivots
 
 
@@ -351,26 +353,29 @@ def rank(m: ExactMatrix) -> int:
     return len(rref(m)[1])
 
 
+def _kernel(rows, pivots, ncols):
+    """Kernel basis of reduced F3 rows with these pivots: one vector per free column."""
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [F3()] * ncols
+        v[fc] = F3(1)
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -rows[prow][fc]
+        basis.append(v)
+    return basis
+
+
 def nullspace(m: ExactMatrix):
     """Exact basis of {v : m·v = 0}; one vector per free column."""
     red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [F3()] * m.cols
-        v[fc] = F3(1)
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -red.entries[prow][fc]
-        basis.append(v)
-    return basis
+    return _kernel(red.entries, pivots, m.cols)
 
 
 def determinant(m: ExactMatrix) -> F3:
     """Exact determinant over F3 from one Gauss–Jordan pass."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    _, pivots, divisors, sign = _gauss_jordan(m)
+    _, pivots, divisors, sign = _gauss_jordan(_int_rows(m), m.cols)
     return math.prod(divisors, start=F3(sign)) if len(pivots) == m.rows else F3()
 
 

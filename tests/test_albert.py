@@ -282,6 +282,39 @@ def test_left_mult_kernel_dimensions():
     assert len(nullspace(left_mult_operator(ALBERT_HALF, eps))) == 10
 
 
+def _minus_identity(m, lam):
+    return ExactMatrix([[x - lam if i == j else x for j, x in enumerate(row)]
+                        for i, row in enumerate(m.entries)])
+
+
+def test_peirce_decomposition_of_affine_idempotents():
+    # L_ε of a rank-1 idempotent at q = 1/2 splits V into its 0, 1/2 and 1
+    # eigenspaces, of dimensions 10, 16 and 1
+    rng = random.Random(613)
+    for _ in range(3):
+        eps = idempotent_from_point(plane_embed(sample_affine_point(rng)))
+        op = left_mult_operator(ALBERT_HALF, eps)
+        dims = [len(nullspace(_minus_identity(op, lam))) for lam in (0, HALF, 1)]
+        assert dims == [10, 16, 1]
+
+
+def _negate_slots(a):
+    """σ(x; λ) = (−x; λ)."""
+    return AlbertElement.from_coords([-c for c in a.coeffs[:24]] + list(a.coeffs[24:]))
+
+
+@pytest.mark.parametrize("q", [HALF, Fraction(1)], ids=str)
+def test_slot_negation_maps_a_q_onto_a_minus_q(q):
+    # σ(a ∘_q b) = σa ∘_{−q} σb, so 𝔸_q ≅ 𝔸_{−q} and the Jordan locus {±1/2}
+    # is symmetric; the identity map is not such an isomorphism
+    plus, minus = AlbertAlgebra(q), AlbertAlgebra(-q)
+    basis = [AlbertElement.from_coords([int(i == k) for i in range(27)]) for k in range(27)]
+    pairs = [(a, b) for a in basis for b in basis]
+    assert all(_negate_slots(plus.mul(a, b)) == minus.mul(_negate_slots(a), _negate_slots(b))
+               for a, b in pairs)
+    assert any(plus.mul(a, b) != minus.mul(a, b) for a, b in pairs)
+
+
 def test_cyclic_shift_is_an_automorphism():
     rng = random.Random(608)
     for q in (HALF, Fraction(1)):

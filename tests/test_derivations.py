@@ -1,6 +1,7 @@
 """Derivation Lie algebras computed from the Leibniz nullspace."""
 
 import random
+import types
 
 import pytest
 
@@ -21,6 +22,10 @@ from okubic.hurwitz import petersson_mul, sample_split_octonion
 from okubic.linalg import COMPACT, SPLIT, ExactMatrix
 from okubic.okubo import OkuboElement, polar, sample_okubo
 
+# the tensors, the seam on derivation_space and the row reading of the
+# elimination oracle in test_linalg
+from test_linalg import DERIVATION_TENSORS, _bits, _f3_rows, _leibniz_rows, _signed_permuted
+
 
 def _is_derivation(algebra, d, u, v):
     """Leibniz rule on one coordinate pair: D(u*v) = D(u)*v + u*D(v)."""
@@ -36,6 +41,63 @@ COMPACT_DIM, COMPACT_BASIS = derivation_space(COMPACT_PRES)
 
 def test_compact_okubo_derivations_have_dimension_eight():
     assert COMPACT_DIM == 8
+
+
+def test_derivation_space_builds_one_matrix_per_basis_element(monkeypatch):
+    # the Leibniz system is never an ExactMatrix: only the 8 n×n results are
+    built = []
+    init = ExactMatrix.__init__
+    monkeypatch.setattr(ExactMatrix, "__init__",
+                        lambda self, entries: init(self, entries) or built.append(self))
+    dim, basis = derivation_space(okubo_presentation(COMPACT))
+    assert dim == 8 and built == basis
+    assert all((m.rows, m.cols) == (8, 8) for m in built)
+
+
+def test_derivation_space_reads_only_the_table():
+    table_only = types.SimpleNamespace(_table=COMPACT_PRES._table)
+    assert derivation_space(table_only) == (COMPACT_DIM, COMPACT_BASIS)
+
+
+def _leibniz_rows_by_scalars(c):
+    """The dense F3 Leibniz rows from a structure tensor c: the oracle for the
+    integer rows ``derivation_space`` writes from the table's integer form."""
+    n = len(c)
+    zero = F3()
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [zero] * (n * n)
+                for m in range(n):
+                    if c[i][j][m]:
+                        row[k * n + m] = row[k * n + m] + c[i][j][m]
+                for r in range(n):
+                    if c[r][j][k]:
+                        row[r * n + i] = row[r * n + i] - c[r][j][k]
+                    if c[i][r][k]:
+                        row[r * n + j] = row[r * n + j] - c[i][r][k]
+                rows.append(row)
+    return rows
+
+
+LEIBNIZ_TENSORS = {
+    **DERIVATION_TENSORS,
+    **{f"{name}-signed-permuted": lambda name=name: _signed_permuted(name)
+       for name in DERIVATION_TENSORS},
+    "idempotent-line": lambda: [[[1]]],
+    "zero-n2": lambda: [[[0] * 2] * 2] * 2,
+}
+
+
+@pytest.mark.parametrize("name", LEIBNIZ_TENSORS)
+def test_leibniz_rows_match_the_scalar_oracle(name, monkeypatch):
+    algebra = AlgebraPresentation(LEIBNIZ_TENSORS[name]())
+    n = algebra.dimension
+    rows, ncols = _leibniz_rows(algebra, monkeypatch)
+    assert (len(rows), ncols) == (n ** 3, n * n)
+    want = _leibniz_rows_by_scalars(algebra.constants)
+    assert [_bits(r) for r in _f3_rows(rows)] == [_bits(r) for r in want]
 
 
 def test_split_okubo_and_petersson_derivations():

@@ -1,6 +1,7 @@
 """Exact dense linear algebra over Q(√3) and Q(√3, i)."""
 
 import ast
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from okubic.linalg import (
     SparseTable,
     Vector,
     _gauss_jordan,
+    _int_rows,
     bilinear,
     bilinear_left,
     determinant,
@@ -503,13 +505,31 @@ def _bits(values):
     return [(type(x), x._an, x._bn, x._d) for x in values]
 
 
-def _assert_same_elimination(m):
-    rows, pivots, divisors, sign = _gauss_jordan(m)
-    want_rows, want_pivots, want_divisors, want_sign = _gauss_jordan_by_scalars(m)
-    assert [_bits(r) for r in rows] == [_bits(r) for r in want_rows]
+def _f3_rows(rows):
+    """Integer rows (na, nb, d) read as F3 rows through the public constructor."""
+    return [[F3(Fraction(a, d), Fraction(b, d)) for a, b in zip(na, nb)] for na, nb, d in rows]
+
+
+def _assert_same_elimination(rows, ncols):
+    """``_gauss_jordan`` on integer rows against the scalar oracle on the same
+    rows read as F3, value by value; the input rows are left unchanged."""
+    before = copy.deepcopy(rows)
+    got, pivots, divisors, sign = _gauss_jordan(rows, ncols)
+    assert rows == before
+    want_rows, want_pivots, want_divisors, want_sign = _gauss_jordan_by_scalars(
+        ExactMatrix(_f3_rows(rows)))
+    assert [_bits(r) for r in got] == [_bits(r) for r in want_rows]
     assert (pivots, sign) == (want_pivots, want_sign)
     assert _bits(divisors) == _bits(want_divisors)
-    assert len(rows) == m.rows and all(len(r) == m.cols for r in rows)
+    assert len(got) == len(rows) and all(len(r) == ncols for r in got)
+
+
+def _assert_same_elimination_of(m):
+    """The same check on the integer rows ``rref`` and ``determinant`` read
+    from m, which must be m's entries exactly."""
+    rows = _int_rows(m)
+    assert ExactMatrix(_f3_rows(rows)) == m
+    _assert_same_elimination(rows, m.cols)
 
 
 def _permute_tensor(c, perm, signs):
@@ -525,12 +545,14 @@ def _permute_tensor(c, perm, signs):
     ]
 
 
-def _leibniz_matrix(constants, monkeypatch):
-    """The 512×64 system that ``derivation_space`` hands to ``nullspace``."""
+def _leibniz_rows(algebra, monkeypatch):
+    """The integer rows and column count that ``derivation_space`` hands to
+    ``_gauss_jordan``."""
     seen = []
     with monkeypatch.context() as patch:
-        patch.setattr(derivations, "nullspace", lambda m: seen.append(m) or [])
-        derivations.derivation_space(derivations.AlgebraPresentation(constants))
+        patch.setattr(derivations, "_gauss_jordan",
+                      lambda rows, ncols: seen.append((rows, ncols)) or _gauss_jordan(rows, ncols))
+        derivations.derivation_space(algebra)
     return seen[0]
 
 
@@ -541,19 +563,22 @@ DERIVATION_TENSORS = {
 }
 
 
+def _signed_permuted(name):
+    """The tensor ``name`` in a seeded signed permutation of its basis."""
+    rng = random.Random(f"leibniz:{name}")
+    perm = list(range(8))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(8)]
+    return _permute_tensor(DERIVATION_TENSORS[name](), perm, signs)
+
+
 @pytest.mark.parametrize("permuted", [False, True], ids=["plain", "signed-permuted"])
 @pytest.mark.parametrize("name", DERIVATION_TENSORS)
 def test_gauss_jordan_matches_the_scalar_oracle_on_leibniz_systems(name, permuted, monkeypatch):
-    constants = DERIVATION_TENSORS[name]()
-    if permuted:
-        rng = random.Random(f"leibniz:{name}")
-        perm = list(range(8))
-        rng.shuffle(perm)
-        signs = [rng.choice((1, -1)) for _ in range(8)]
-        constants = _permute_tensor(constants, perm, signs)
-    m = _leibniz_matrix(constants, monkeypatch)
-    assert (m.rows, m.cols) == (512, 64)
-    _assert_same_elimination(m)
+    constants = _signed_permuted(name) if permuted else DERIVATION_TENSORS[name]()
+    rows, ncols = _leibniz_rows(derivations.AlgebraPresentation(constants), monkeypatch)
+    assert (len(rows), ncols) == (512, 64)
+    _assert_same_elimination(rows, ncols)
 
 
 ALBERT_QS = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -565,7 +590,7 @@ def test_gauss_jordan_matches_the_scalar_oracle_on_left_multiplication(q):
     eps = albert.idempotent_from_point(geometry.plane_embed(geometry.sample_affine_point(rng)))
     algebra = albert.AlbertAlgebra(q)
     for a in (eps, sample_albert(rng)):
-        _assert_same_elimination(albert.left_mult_operator(algebra, a))
+        _assert_same_elimination_of(albert.left_mult_operator(algebra, a))
 
 
 def _edge_matrices():
@@ -599,16 +624,19 @@ def _edge_matrices():
 
 @pytest.mark.parametrize("name", list(_edge_matrices()))
 def test_gauss_jordan_matches_the_scalar_oracle_on_edge_cases(name):
-    m = ExactMatrix(_edge_matrices()[name])
-    _assert_same_elimination(m)
+    _assert_same_elimination_of(ExactMatrix(_edge_matrices()[name]))
 
 
 def test_gauss_jordan_edge_case_values():
     r3 = F3(0, 1)
-    assert _gauss_jordan(ExactMatrix([])) == ([], [], [], 1)
-    assert _gauss_jordan(ExactMatrix([[0, 0], [0, 0]]))[1:] == ([], [], 1)
-    # pivots √3 and 1 + √3 have norms -3 and -2
-    rows, pivots, divisors, sign = _gauss_jordan(ExactMatrix([[0, 1 + r3], [r3, 1]]))
+    assert _gauss_jordan([], 0) == ([], [], [], 1)
+    assert _gauss_jordan([([0, 0], [0, 0], 1)] * 2, 2)[1:] == ([], [], 1)
+    # rows [0, 1 + √3] and [√3, 1]: pivots √3 and 1 + √3 have norms -3 and -2
+    rows, pivots, divisors, sign = _gauss_jordan([([0, 1], [0, 1], 1), ([0, 1], [1, 0], 1)], 2)
     assert (pivots, divisors, sign) == ([0, 1], [r3, 1 + r3], -1)
     assert rows == [[F3(1), F3()], [F3(), F3(1)]]
     assert determinant(ExactMatrix([[0, 1 + r3], [r3, 1]])) == -r3 * (1 + r3)
+    # a row that is not in lowest terms: [2, 2√3]/4 = [1/2, √3/2]
+    rows, pivots, divisors, sign = _gauss_jordan([([2, 0], [0, 2], 4)], 2)
+    assert (pivots, _bits(divisors), sign) == ([0], [(F3, 1, 0, 2)], 1)
+    assert _bits(rows[0]) == [(F3, 1, 0, 1), (F3, 0, 1, 1)]
