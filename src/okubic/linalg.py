@@ -1,8 +1,11 @@
 """Exact dense linear algebra: 3×3 matrices over Q(√3, i) and
-arbitrary-shape matrices over Q(√3).  RREF, rank, nullspace and the
-determinant come from one Gauss–Jordan pass on integer numerators over one
-denominator per row, which builds F3 values only for its output; the
-signature of a symmetric matrix from diagonalization by congruence.
+arbitrary-shape matrices over Q(√3).  A 3×3 product, and Tr(x²), are summed
+as integer numerators over one denominator per matrix and build each entry
+once; a traceful product (1/2+iθ)xy + (1/2-iθ)yx is one such product.  RREF,
+rank, nullspace and the determinant come from one Gauss–Jordan pass on
+integer numerators over one denominator per row, which builds F3 values
+only for its pivot rows; the signature of a symmetric matrix from
+diagonalization by congruence.
 
 Pivoting picks the first nonzero entry in column order; arithmetic is
 exact, so no magnitude considerations apply and results are
@@ -94,6 +97,27 @@ def bilinear_left(table: SparseTable, u):
                 out_b[k][b] += ua * cb + ub * ca
     d = du * table.den
     return [[_raw_f3(a, b, d) for a, b in zip(ra, rb)] for ra, rb in zip(out_a, out_b)]
+
+
+def _c3_numerators(zs):
+    """Integers (ra, rb, ia, ib) with z = (ra + rb√3 + (ia + ib√3)i)/d for
+    each C3 z of ``zs``, and the one denominator d."""
+    nums, d = _numerators([p for z in zs for p in (z.re, z.im)])
+    return [nums[k] + nums[k + 1] for k in range(0, len(nums), 2)], d
+
+
+def _c3_dot(xs, ys, d) -> C3:
+    """Σ x·y/d for pairs of integer tuples (ra, rb, ia, ib) from
+    ``_c3_numerators``: the four-term product over Q(√3, i), summed as
+    integers and built once."""
+    ra = rb = ia = ib = 0
+    for (xra, xrb, xia, xib), (yra, yrb, yia, yib) in zip(xs, ys):
+        # (xr + xi·i)(yr + yi·i) = xr·yr - xi·yi + (xr·yi + xi·yr)i, each part in Q(√3)
+        ra += xra * yra + 3 * xrb * yrb - xia * yia - 3 * xib * yib
+        rb += xra * yrb + xrb * yra - xia * yib - xib * yia
+        ia += xra * yia + 3 * xrb * yib + xia * yra + 3 * xib * yrb
+        ib += xra * yib + xrb * yia + xia * yrb + xib * yra
+    return C3(_raw_f3(ra, rb, d), _raw_f3(ia, ib, d))
 
 
 class Vector(Frozen):
@@ -188,12 +212,10 @@ class Mat3(Vector):
         return f"Mat3({[[str(x) for x in r] for r in self.rows]})"
 
     def __matmul__(self, other) -> Mat3:
-        a, b = self.rows, other.rows
-        return self._like(
-            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-            for i in range(3)
-            for j in range(3)
-        )
+        (a, da), (b, db) = _c3_numerators(self.coeffs), _c3_numerators(other.coeffs)
+        cols = [b[j::3] for j in range(3)]
+        d = da * db
+        return self._like(_c3_dot(a[i:i + 3], col, d) for i in (0, 3, 6) for col in cols)
 
     def trace(self) -> C3:
         c = self.coeffs
@@ -332,9 +354,11 @@ def _gauss_jordan(rows, ncols):
             a[r] = _reduced(ra, rb, s * rd)
         pivots.append(col)
         prow += 1
+    # every row below the pivot rows is zero: they share one zero row
     zero = F3()
-    rows = [[_raw_f3(x, y, d) if x or y else zero for x, y in zip(na, nb)] for na, nb, d in a]
-    return rows, pivots, divisors, sign
+    rows = [[_raw_f3(x, y, d) if x or y else zero for x, y in zip(na, nb)]
+            for na, nb, d in a[:prow]]
+    return rows + [[zero] * ncols] * (nrows - prow), pivots, divisors, sign
 
 
 def _int_rows(m: ExactMatrix):

@@ -26,15 +26,17 @@ from .linalg import (
     Mat3,
     SparseTable,
     Vector,
+    _c3_dot,
+    _c3_numerators,
     _check_flavor,
     bilinear,
+    eta_dagger,
     is_eta_hermitian,
     symmetric_signature,
 )
 
 BASIS_LABELS = ("e", "i1", "i2", "i3", "i4", "i5", "i6", "i7")
 
-HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
 
@@ -310,16 +312,23 @@ def traceful_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> Mat3:
     theta = F3.coerce(theta)
     if not (is_eta_hermitian(x, flavor) and is_eta_hermitian(y, flavor)):
         raise HermiticityError("input is not η-Hermitian for this flavor")
-    cp = C3(F3(HALF), theta)
-    return (x @ y).scale(cp) + (y @ x).scale(cp.conj())
+    # yx = η(xy)†η for η-Hermitian x and y, so one 3×3 product gives both
+    p = x @ y
+    nums, d = _c3_numerators(p.coeffs + eta_dagger(p, flavor).coeffs)
+    # 1/2 ± iθ = (t ± 2i(a + b√3))/(2t) for θ = (a + b√3)/t
+    a, b, t = theta._an, theta._bn, theta._d
+    mus = (t, 0, 2 * a, 2 * b), (t, 0, -2 * a, -2 * b)
+    return p._like(_c3_dot(mus, (nums[k], nums[k + 9]), 2 * t * d) for k in range(9))
 
 
 def mat_norm(m: Mat3) -> F3:
-    """n(x) = (1/6)Tr(x²) directly on the matrix view: Tr(x²) = Σ m_ij·m_ji."""
-    t = sum(m[i, j] * m[j, i] for i in range(3) for j in range(3))
+    """n(x) = (1/6)Tr(x²) directly on the matrix view: Tr(x²) = Σ m_ij·m_ji,
+    summed as integer numerators."""
+    nums, d = _c3_numerators(m.coeffs)
+    t = _c3_dot(nums, (nums[3 * j + i] for i in range(3) for j in range(3)), 6 * d * d)
     if t.im:
         raise ValueError("trace of x² must be real")
-    return t.re * F3(SIXTH)
+    return t.re
 
 
 class SkewHermiticityError(ValueError):

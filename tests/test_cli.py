@@ -1,5 +1,6 @@
 """Command-line interface: suites, tables, veronese, kernel, derivations."""
 
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+# sha256 of the whole stdout of three commands; a change that is meant to
+# keep every report byte-identical must keep these digests
+STDOUT_SHA256 = {
+    ("check", "all", "--seed", "42", "--samples", "10"):
+        "b029212842e566c367a00b9a30383c2fbde8fb76ac27c4aa06f1298f44365131",
+    ("table", "okubo"): "ce0b663c22bc4a95ab9dda1d05d88a8c6329e1ae384b726497bf93544cf6adf0",
+    ("kernel", "e0"): "64292318a583dd0d8bc7c639c5bed9407ce02472a7864d2a792bfb236eb5e136",
+}
+
+
+@pytest.mark.parametrize("argv", STDOUT_SHA256, ids=" ".join)
+def test_stdout_is_pinned_byte_for_byte(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
 def test_unknown_suite_is_a_usage_error(capsys):

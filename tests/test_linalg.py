@@ -59,6 +59,55 @@ def test_det_is_multiplicative():
         assert (a @ b).det() == a.det() * b.det()
 
 
+def _matmul_by_scalars(a, b):
+    """The 3×3 product as 27 C3 products: the oracle for ``Mat3.__matmul__``,
+    which sums integer numerators over one denominator per matrix."""
+    a, b = a.rows, b.rows
+    return Mat3([
+        [a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)]
+        for i in range(3)
+    ])
+
+
+def _mat3_bits(m):
+    """The type of every entry and part, and the stored integer triple of every part."""
+    return type(m), [(type(z), *_bits((z.re, z.im))) for z in m.coeffs]
+
+
+def _oracle_mat3s():
+    """Zero, the identity, seeded samples, entries with denominators 1, 2, 3
+    and 7, and entries with ≈33-bit numerators and denominators."""
+    rng = random.Random(215)
+    dens = (1, 2, 3, 7)
+    mixed = lambda: Fraction(rng.randint(-9, 9), rng.choice(dens))
+    big = lambda: Fraction(rng.randint(-(2**33), 2**33), rng.randint(1, 2**33))
+
+    def of(part):
+        return Mat3([[C3(F3(part(), part()), F3(part(), part())) for _ in range(3)]
+                     for _ in range(3)])
+
+    return {
+        "zero": [Mat3.zero()],
+        "identity": [Mat3.identity()],
+        "random": [_random_mat3(rng) for _ in range(12)],
+        "denominators-1-2-3-7": [of(mixed) for _ in range(8)],
+        "33-bit": [of(big) for _ in range(4)],
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_mat3s()))
+def test_matmul_matches_the_scalar_oracle_bit_for_bit(name):
+    groups = _oracle_mat3s()
+    pool = [m for ms in groups.values() for m in ms]
+    for a in groups[name]:
+        for b in pool:
+            for x, y in ((a, b), (b, a)):
+                got, want = x @ y, _matmul_by_scalars(x, y)
+                assert got == want
+                assert hash(got) == hash(want)
+                assert _mat3_bits(got) == _mat3_bits(want)
+
+
 def test_eta_dagger_is_an_involution():
     rng = random.Random(203)
     for flavor in (COMPACT, SPLIT):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from okubic.cli import _fixed_skew_matrices
-from okubic.field import C3, F3, SQRT3, sample_rational
+from okubic.field import C3, F3, SQRT3, sample_f3, sample_rational
 from okubic.linalg import (
     COMPACT,
     SPLIT,
@@ -312,7 +312,7 @@ def test_michel_radicati_rejects_bad_input():
 @pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
 def test_matrix_view_product_counts(flavor, monkeypatch):
     # Hermiticity and Tr(x²) are read off the entries; each product of two
-    # matrices is the two 3×3 products xy and yx
+    # matrices is the one 3×3 product xy, and yx is η(xy)†η
     rng = random.Random(419)
     x, y = sample_okubo(rng, flavor).to_matrix(), sample_okubo(rng, flavor).to_matrix()
     calls = []
@@ -326,8 +326,77 @@ def test_matrix_view_product_counts(flavor, monkeypatch):
 
     assert products(is_eta_hermitian, x, flavor) == 0
     assert products(mat_norm, x) == 0
-    assert products(traceful_mul, x, y, THETA_OKUBO, flavor) == 2
-    assert products(michel_radicati_mul, x, y, THETA_OKUBO, flavor) == 2
+    assert products(traceful_mul, x, y, THETA_OKUBO, flavor) == 1
+    assert products(michel_radicati_mul, x, y, THETA_OKUBO, flavor) == 1
+
+
+def _traceful_by_two_products(x, y, theta, flavor):
+    """(1/2+iθ)xy + (1/2-iθ)yx as the two 3×3 products xy and yx: the oracle
+    for ``traceful_mul``, which makes one and combines integer numerators."""
+    cp = C3(F3(Fraction(1, 2)), F3.coerce(theta))
+    return (x @ y).scale(cp) + (y @ x).scale(cp.conj())
+
+
+def _mat_norm_by_scalars(m):
+    """(1/6)Σ m_ij·m_ji as C3 products: the oracle for ``mat_norm``."""
+    t = sum(m[i, j] * m[j, i] for i in range(3) for j in range(3))
+    if t.im:
+        raise ValueError("trace of x² must be real")
+    return t.re * F3(Fraction(1, 6))
+
+
+def _scalar_bits(values):
+    return [(type(x), x._an, x._bn, x._d) for x in values]
+
+
+def _mat3_bits(m):
+    return type(m), [(type(z), *_scalar_bits((z.re, z.im))) for z in m.coeffs]
+
+
+def _oracle_elements(rng, flavor):
+    """The basis, zero, seeded samples, coefficients with denominators 1, 2,
+    3 and 7, and coefficients with ≈33-bit numerators and denominators."""
+    dens = (1, 2, 3, 7)
+    mixed = lambda: Fraction(rng.randint(-9, 9), rng.choice(dens))
+    big = lambda: Fraction(rng.randint(-(2**33), 2**33), rng.randint(1, 2**33))
+    xs = [B(k, flavor) for k in range(8)] + [OkuboElement.zero(flavor)]
+    xs += [sample_okubo(rng, flavor) for _ in range(8)]
+    xs += [OkuboElement([F3(part(), part()) for _ in range(8)], flavor)
+           for part in (mixed, big) for _ in range(4)]
+    return xs
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_traceful_mul_matches_two_products_bit_for_bit(flavor):
+    rng = random.Random(422)
+    # traceful η-Hermitian inputs: an Okubo matrix plus a rational multiple of Id
+    mats = [x.to_matrix() + Mat3.identity().scale(sample_rational(rng))
+            for x in _oracle_elements(rng, flavor)]
+    thetas = (F3(), F3(1), THETA_OKUBO, -THETA_OKUBO, sample_f3(rng))
+    for x, y in zip(mats, mats[1:] + mats[:1]):
+        for a, b in ((x, y), (x, x), (y, x)):
+            for theta in thetas:
+                got = traceful_mul(a, b, theta, flavor)
+                want = _traceful_by_two_products(a, b, theta, flavor)
+                assert got == want
+                assert hash(got) == hash(want)
+                assert _mat3_bits(got) == _mat3_bits(want)
+
+
+def test_mat_norm_matches_the_scalar_oracle_bit_for_bit():
+    rng = random.Random(423)
+    mats = [x.to_matrix() for flavor in (COMPACT, SPLIT) for x in _oracle_elements(rng, flavor)]
+    mats += [traceful_mul(x, y, sample_f3(rng)) for x, y in zip(mats[:17], mats[1:18])]
+    for m in mats:
+        got, want = mat_norm(m), _mat_norm_by_scalars(m)
+        assert got == want and hash(got) == hash(want)
+        assert _scalar_bits([got]) == _scalar_bits([want])
+    # Tr(x²) = 2i for x = diag(1 + i, 0, 0)
+    for m in (Mat3.diag(C3(1, 1), 0, 0), Mat3([[0, 1, 0], [C3(0, 1), 0, 0], [0, 0, 0]])):
+        with pytest.raises(ValueError, match="trace of x² must be real"):
+            _mat_norm_by_scalars(m)
+        with pytest.raises(ValueError, match="trace of x² must be real"):
+            mat_norm(m)
 
 
 def test_cayley_phi_makes_no_matrix_products(monkeypatch):
