@@ -22,7 +22,7 @@ from fractions import Fraction
 from .field import F3, Frozen, sample_f3
 from .linalg import COMPACT, ExactMatrix, SparseTable, bilinear, bilinear_left
 from .okubo import (
-    gram_matrix,
+    gram_table,
     idempotent,
     okubo_mul,
     okubo_norm,
@@ -45,7 +45,7 @@ def _table(q: F3):
     (i, j, k), (x; λ)∘(y; μ) has slot i (λ_j + λ_k)y_i/2 + (μ_j + μ_k)x_i/2
     + q(x_j*y_k + y_j*x_k) and scalar i λ_iμ_i + (polar(x_j,y_j) + polar(x_k,y_k))/2."""
     sc = structure_constants(COMPACT).cells
-    g = gram_matrix(COMPACT).entries
+    g = gram_table(COMPACT).cells
     table = [[()] * 27 for _ in range(27)]
 
     def put(a, b, cell):
@@ -60,8 +60,8 @@ def _table(q: F3):
             put(24 + j, a, [(a, HALF)])
             put(24 + k, a, [(a, HALF)])
             for t in range(8):
-                if g[s][t]:
-                    put(a, 8 * i + t, [(24 + l, g[s][t] * HALF) for l in (j, k)])
+                for _, c in g[s][t]:
+                    put(a, 8 * i + t, [(24 + l, c * HALF) for l in (j, k)])
                 put(a, 8 * j + t, [(8 * k + m, q * c) for m, c in sc[s][t]])
     return SparseTable(table)
 

@@ -33,6 +33,7 @@ from .albert import (
     lift_okubo_automorphism,
     point_from_idempotent,
     sample_albert,
+    trace,
 )
 from .derivations import (
     derivation_report,
@@ -353,7 +354,7 @@ def suite_veronese(samples, seed, flavor, q):
         w = plane_embed(sample_affine_point(rng)).rep
         if beta(v, w) != beta(w, v):
             _fail(failures, "beta-symmetry", index=i)
-        if beta(v, v) != vnorm(v):
+        if vnorm(v) != trace(v) * trace(v):  # Veronese: Σ2n(x_ν) + Σλ_ν² = (Σλ_ν)²
             _fail(failures, "beta-norm", index=i)
     return failures, {}
 

@@ -192,6 +192,8 @@ class F3(Frozen):
         )
 
     def __truediv__(self, other):
+        if isinstance(other, int) and other:  # (a + b√3)/(d·m): no inverse, no product
+            return _raw_f3(self._an, self._bn, self._d * other)
         return self * F3.coerce(other).inverse()
 
     def __rtruediv__(self, other):

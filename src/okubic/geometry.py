@@ -2,18 +2,20 @@
 
 The projective line is the quadric {ℝ(x, ξ1, ξ2) : n(x) = ξ1ξ2}; the
 projective plane consists of rays of Veronese vectors in 𝒪³×Q(√3)³
-with incidence given by the bilinear form β.  Everything here is for
-the compact (division) flavor only.
+with incidence given by the bilinear form β, a one-coordinate
+``bilinear`` table (``beta_table``) built from the Okubo Gram table.
+Everything here is for the compact (division) flavor only.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from .field import F3, Frozen
-from .linalg import COMPACT, Vector
+from .linalg import COMPACT, SparseTable, Vector, bilinear
 from .okubo import (
     OkuboElement,
-    gram_matrix,
+    gram_table,
     okubo_mul,
     okubo_norm,
     left_divide,
@@ -360,34 +362,33 @@ def plane_decode(q: ProjPoint):
     raise ValueError("Veronese vector with all λ zero cannot be a point")
 
 
+@functools.cache
+def beta_table() -> SparseTable:
+    """β as a one-coordinate ``bilinear`` table on the flat coordinates: the
+    compact Okubo Gram table on each slot and 1 on each λ."""
+    g = gram_table(COMPACT).cells
+    cells = [[()] * 27 for _ in range(27)]
+    for i in (0, 8, 16):
+        for s in range(8):
+            cells[i + s][i:i + 8] = g[s]
+    for l in range(24, 27):
+        cells[l][l] = ((0, 1),)
+    return SparseTable(cells, 1)
+
+
 def beta(v: VeroneseVector, w: VeroneseVector) -> F3:
-    """β(v,w) = Σ(⟨x_ν, y_ν⟩ + λ_ν η_ν), the extension of the Okubo polar form;
-    the functional ``beta_gram_row(v)`` applied to w."""
-    return sum((a * b for a, b in zip(beta_gram_row(v), w.coeffs) if a), F3())
+    """β(v,w) = Σ(⟨x_ν, y_ν⟩ + λ_ν η_ν), the extension of the Okubo polar form:
+    one ``bilinear`` pass over ``beta_table``."""
+    return bilinear(beta_table(), v.coeffs, w.coeffs, F3)[0]
 
 
 def vnorm(v: VeroneseVector) -> F3:
     """‖v‖ = β(v,v) = 2n(x0)+2n(x1)+2n(x2)+λ0²+λ1²+λ2²."""
-    total = F3()
-    for xi in v.x:
-        total = total + F3(2) * okubo_norm(xi)
-    for l in v.lam:
-        total = total + l * l
-    return total
+    return beta(v, v)
 
 
 def incident(q: ProjPoint, line: ProjLine) -> bool:
     return not beta(q.rep, line.w)
-
-
-def beta_gram_row(v: VeroneseVector):
-    """The 27 coefficients of the functional β(v, ·) in flat coordinates."""
-    g = gram_matrix(COMPACT)
-    row = []
-    for xi in v.x:
-        row.extend(g.mul_vec(list(xi.coeffs)))
-    row.extend(v.lam)
-    return row
 
 
 def sample_affine_point(rng: random.Random) -> AffinePoint:

@@ -1,5 +1,7 @@
 """Exact dense linear algebra: 3×3 matrices over Q(√3, i) and
-arbitrary-shape matrices over Q(√3).  A 3×3 product, and Tr(x²), are summed
+arbitrary-shape matrices over Q(√3), and the one kernel ``bilinear`` that
+evaluates every product and bilinear form given by a ``SparseTable`` on
+integer numerators.  A 3×3 product, and Tr(x²), are summed
 as integer numerators over one denominator per matrix and build each entry
 once; a traceful product (1/2+iθ)xy + (1/2-iθ)yx is one such product.  RREF,
 rank, nullspace and the determinant come from one Gauss–Jordan pass on
@@ -33,18 +35,21 @@ def _check_flavor(flavor: Flavor) -> None:
 class SparseTable(Frozen):
     """Structure constants: ``cells[a][b]`` holds the (k, c) with b_a·b_b =
     Σ c·b_k, c an int, Fraction or F3, and ``ints`` the same cells as (k, A, B)
-    with c = (A + B√3)/``den``, one denominator for the whole table."""
+    with c = (A + B√3)/``den``, one denominator for the whole table.  There
+    are ``size`` output coordinates k: as many as rows for a product, and one
+    for a bilinear form, whose value is ``bilinear(table, u, v, F3)[0]``."""
 
-    __slots__ = ("cells", "ints", "den")
+    __slots__ = ("cells", "ints", "den", "size")
 
-    def __init__(self, cells):
+    def __init__(self, cells, size=None):
         cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
         nums, den = _numerators([c for row in cells for cell in row for _, c in cell])
         nums = iter(nums)  # in the order the cells list their constants
         ints = tuple(
             tuple(tuple((k, *next(nums)) for k, _ in cell) for cell in row) for row in cells
         )
-        for name, value in (("cells", cells), ("ints", ints), ("den", den)):
+        size = len(cells) if size is None else size
+        for name, value in (("cells", cells), ("ints", ints), ("den", den), ("size", size)):
             object.__setattr__(self, name, value)
 
 
@@ -66,7 +71,7 @@ def bilinear(table: SparseTable, u, v, scalar):
     nv, dv = _numerators(v)
     nu = [(table.ints[a], ua, ub) for a, (ua, ub) in enumerate(nu) if ua or ub]
     nv = [(b, va, vb) for b, (va, vb) in enumerate(nv) if va or vb]
-    out_a, out_b = [0] * len(table.ints), [0] * len(table.ints)
+    out_a, out_b = [0] * table.size, [0] * table.size
     for row, ua, ub in nu:
         for b, va, vb in nv:
             cell = row[b]
@@ -88,7 +93,7 @@ def bilinear_left(table: SparseTable, u):
     is Σ_a u[a]·c over the pairs (k, c) of cell [a][b]."""
     nu, du = _numerators(u)
     n = len(table.ints)
-    out_a, out_b = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    out_a, out_b = [[0] * n for _ in range(table.size)], [[0] * n for _ in range(table.size)]
     for row, (ua, ub) in zip(table.ints, nu):
         ub3 = 3 * ub
         for b, cell in enumerate(row):

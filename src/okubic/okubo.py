@@ -9,7 +9,9 @@ vector over Q(√3) in the canonical basis (e, i1..i7), and a traceless
 computed in bulk through a cached structure-constant tensor in integer
 form (``linalg.SparseTable``).  The matrix path is the Michel–Radicati
 product ``michel_radicati_mul`` at θ = √3/6: it is the source of that
-table and the cross-validation oracle for it.
+table and the cross-validation oracle for it.  The polar form ⟨x, y⟩ is a
+one-coordinate table in closed form (``gram_table``), n(x) = ⟨x, x⟩/2, and
+``mat_norm`` = (1/6)Tr(x²) on the matrix view is their oracle.
 """
 
 from __future__ import annotations
@@ -183,30 +185,33 @@ def okubo_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     return x._like(bilinear(structure_constants(x.flavor), x.coeffs, y.coeffs, F3))
 
 
-def okubo_norm(x: OkuboElement) -> F3:
-    """n(x) = (1/6)Tr(x²), in coordinate closed form."""
-    g = _gamma(x.flavor)
-    c = x.coeffs
-    diag = c[0] * c[0] + c[0] * c[3] + c[3] * c[3] * F3(THIRD)
-    offd = (
-        g * (c[1] * c[1] + c[2] * c[2] + c[4] * c[4] + c[5] * c[5])
-        + c[6] * c[6]
-        + c[7] * c[7]
-    )
-    return diag + offd * F3(THIRD)
+@functools.cache
+def gram_table(flavor: str) -> SparseTable:
+    """The polar form ⟨x, y⟩ = n(x+y) - n(x) - n(y) = (1/3)Tr(xy) as a
+    one-coordinate ``bilinear`` table, in closed form from
+    n(x) = c0² + c0c3 + c3²/3 + (γ(c1² + c2² + c4² + c5²) + c6² + c7²)/3."""
+    g, t = F3(Fraction(2 * _gamma(flavor), 3)), F3(2 * THIRD)
+    diag = (F3(2), g, g, t, g, g, t, t)
+    cells = [[((0, diag[a]),) if a == b else () for b in range(8)] for a in range(8)]
+    cells[0][3] = cells[3][0] = ((0, F3(1)),)
+    return SparseTable(cells, 1)
 
 
 def polar(x: OkuboElement, y: OkuboElement) -> F3:
-    """⟨x, y⟩ = n(x+y) - n(x) - n(y) = (1/3)Tr(xy)."""
+    """⟨x, y⟩ = n(x+y) - n(x) - n(y) = (1/3)Tr(xy), one pass over ``gram_table``."""
     x._check(y)
-    return okubo_norm(x + y) - okubo_norm(x) - okubo_norm(y)
+    return bilinear(gram_table(x.flavor), x.coeffs, y.coeffs, F3)[0]
 
 
-@functools.cache
+def okubo_norm(x: OkuboElement) -> F3:
+    """n(x) = (1/6)Tr(x²) = ⟨x, x⟩/2."""
+    return polar(x, x) / 2
+
+
 def gram_matrix(flavor: str) -> ExactMatrix:
-    basis = [OkuboElement.basis(k, flavor) for k in range(8)]
+    """The dense view of ``gram_table``: entry (a, b) is ⟨b_a, b_b⟩."""
     return ExactMatrix(
-        [[polar(bi, bj) for bj in basis] for bi in basis]
+        [[cell[0][1] if cell else 0 for cell in row] for row in gram_table(flavor).cells]
     )
 
 

@@ -144,19 +144,21 @@ def _fresh_python(code):
 
 
 def test_import_builds_no_table():
-    # both tables, and so their integer forms, are built on first use, so
-    # importing the package stays cheap; the only integer table that exists
-    # after import is the split-octonion one of 32 constants
+    # the product and Gram tables, and so their integer forms, are built on
+    # first use, so importing the package stays cheap; the only integer table
+    # that exists after import is the split-octonion one of 32 constants
     code = (
         "import gc\n"
         "import okubic\n"
-        "from okubic import albert, hurwitz, linalg, okubo\n"
+        "from okubic import albert, geometry, hurwitz, linalg, okubo\n"
         "print(okubo.structure_constants.cache_info().currsize,"
         " albert._table.cache_info().currsize,"
+        " okubo.gram_table.cache_info().currsize,"
+        " geometry.beta_table.cache_info().currsize,"
         " [t is hurwitz.MUL_TABLE for t in gc.get_objects()"
         " if isinstance(t, linalg.SparseTable)])"
     )
-    assert _fresh_python(code) == ["0", "0", "[True]"]
+    assert _fresh_python(code) == ["0", "0", "0", "0", "[True]"]
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -21,7 +21,6 @@ from okubic.geometry import (
     affine_incident,
     affine_join,
     beta,
-    beta_gram_row,
     incident,
     line_chart,
     line_embed,
@@ -31,20 +30,83 @@ from okubic.geometry import (
     veronese_check,
     vnorm,
 )
+from okubic.albert import sample_albert
 from okubic.linalg import COMPACT, SPLIT, ExactMatrix, nullspace
-from okubic.okubo import OkuboElement, idempotent, okubo_mul, okubo_norm, sample_okubo
+from okubic.okubo import (
+    OkuboElement,
+    gram_matrix,
+    idempotent,
+    mat_norm,
+    okubo_mul,
+    okubo_norm,
+    sample_okubo,
+)
 
 B = OkuboElement.basis
 E = idempotent(COMPACT)
 Z = OkuboElement.zero()
 
 
+def _beta_gram_row(v):
+    """The 27 coefficients of the functional β(v, ·) in flat coordinates:
+    the Gram matrix applied to each Okubo slot, then the λ."""
+    g = gram_matrix(COMPACT)
+    row = []
+    for xi in v.x:
+        row.extend(g.mul_vec(list(xi.coeffs)))
+    row.extend(v.lam)
+    return row
+
+
+def _beta_by_gram_row(v, w):
+    """β(v, w) as ``_beta_gram_row(v)`` applied to w, one F3 product and sum
+    per term: the oracle for ``beta``."""
+    return sum((a * b for a, b in zip(_beta_gram_row(v), w.coeffs) if a), F3())
+
+
+def _vnorm_by_norms(v):
+    """‖v‖ = 2n(x0)+2n(x1)+2n(x2)+λ0²+λ1²+λ2², each n(x) as (1/6)Tr(x²) on
+    the matrix view: the oracle for ``vnorm``."""
+    total = F3()
+    for xi in v.x:
+        total = total + F3(2) * mat_norm(xi.to_matrix())
+    for l in v.lam:
+        total = total + l * l
+    return total
+
+
 def _beta_complement(points):
     """Exact basis of the β-orthogonal complement of the given vectors in V."""
     if not points:
         return [[F3(int(i == j)) for j in range(27)] for i in range(27)]
-    m = ExactMatrix([beta_gram_row(v) for v in points])
+    m = ExactMatrix([_beta_gram_row(v) for v in points])
     return nullspace(m)
+
+
+def _bits(x):
+    return type(x), x._an, x._bn, x._d
+
+
+def test_beta_and_vnorm_match_the_oracles_bit_for_bit():
+    rng = random.Random(508)
+    vs = [plane_embed(INFINITY).rep]
+    vs += [plane_embed(SlopePoint(sample_okubo(rng))).rep for _ in range(5)]
+    vs += [plane_embed(sample_affine_point(rng)).rep for _ in range(5)]
+    # ~33-bit coordinates: the trace-1 idempotent of an affine point
+    vs += [v.scale(sum(v.lam, F3()).inverse()) for v in vs[6:8]]
+    vs += [sample_albert(rng) for _ in range(5)]
+    # denominators 1, 2, 3 and 7, and random 33-bit coordinates
+    mixed = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+    big = lambda: Fraction(rng.randint(-(2**33), 2**33), rng.randint(1, 2**33))
+    vs += [VeroneseVector.from_coords([F3(part(), part()) for _ in range(27)])
+           for part in (mixed, big) for _ in range(2)]
+    vs += [VeroneseVector.from_coords([0] * 27)]
+    for v in vs:
+        got, want = vnorm(v), _vnorm_by_norms(v)
+        assert got == want and hash(got) == hash(want) and _bits(got) == _bits(want)
+        for w in vs:
+            got, want = beta(v, w), _beta_by_gram_row(v, w)
+            assert got == want and hash(got) == hash(want) and _bits(got) == _bits(want)
 
 
 def test_line_embed_pinned_values():

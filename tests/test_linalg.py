@@ -33,7 +33,7 @@ from okubic.linalg import (
     rref,
     symmetric_signature,
 )
-from okubic.okubo import okubo_mul_matrix, okubo_norm, sample_okubo, structure_constants
+from okubic.okubo import mat_norm, okubo_mul_matrix, sample_okubo, structure_constants
 
 
 def _random_mat3(rng):
@@ -445,7 +445,7 @@ def test_equal_vectors_hash_equal(sample):
 def _bilinear_by_scalars(table, u, v, zero):
     """The per-scalar product loop on the table's own cells: the oracle for
     ``bilinear``, which sums integer numerators over one denominator."""
-    out = [zero] * len(table.cells)
+    out = [zero] * table.size
     for a, ca in enumerate(u):
         if not ca:
             continue
@@ -472,6 +472,10 @@ LIBRARY_TABLES = {
         for q in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
                   Fraction(1), Fraction(2))
     },
+    # the bilinear forms, each a table with one output coordinate
+    "okubo-gram": (lambda: okubo.gram_table(COMPACT), F3),
+    "split-okubo-gram": (lambda: okubo.gram_table(SPLIT), F3),
+    "beta": (geometry.beta_table, F3),
 }
 
 
@@ -487,10 +491,11 @@ def _kernel_inputs(n, rng):
          for _ in range(n)]
         for _ in range(4)
     ]
-    # ε = (x, y, x*y; n(y), n(x), 1)/trace, with x*y from the matrix path so
-    # that no input depends on the kernel under test
+    # ε = (x, y, x*y; n(y), n(x), 1)/trace, with x*y and n from the matrix
+    # path so that no input depends on the kernel under test
     x, y = sample_okubo(rng), sample_okubo(rng)
-    eps = VeroneseVector(x, y, okubo_mul_matrix(x, y), okubo_norm(y), okubo_norm(x), 1)
+    nx, ny = mat_norm(x.to_matrix()), mat_norm(y.to_matrix())
+    eps = VeroneseVector(x, y, okubo_mul_matrix(x, y), ny, nx, 1)
     eps = eps.scale(trace(eps).inverse()).coeffs
     tall = [list(eps[:n]), list(eps[-n:])]
     return basis, [[F3()] * n] + samples + mixed + tall
@@ -509,7 +514,7 @@ def test_bilinear_matches_the_scalar_oracle(name):
         got = bilinear(table, u, v, scalar)
         want = _bilinear_by_scalars(table, u, v, scalar(0))
         assert got == want
-        assert [type(x) for x in got] == [scalar] * n
+        assert [type(x) for x in got] == [scalar] * table.size
         assert hash(tuple(got)) == hash(tuple(want))
     if scalar is F3:
         # column b of the left multiplication by u is u times basis vector b

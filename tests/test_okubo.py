@@ -17,6 +17,8 @@ from okubic.linalg import (
     is_eta_hermitian,
     symmetric_signature,
 )
+from okubic.albert import sample_albert
+from okubic.geometry import beta, plane_embed, sample_affine_point, vnorm
 from okubic.okubo import (
     FlavorMismatchError,
     HermiticityError,
@@ -108,9 +110,49 @@ def test_norm_closed_form_matches_trace_oracle():
         for k in range(8):
             b = B(k, flavor)
             assert okubo_norm(b) == mat_norm(b.to_matrix())
+            assert _norm_closed_form(b) == mat_norm(b.to_matrix())
         for _ in range(100):
             x = sample_okubo(rng, flavor)
             assert okubo_norm(x) == mat_norm(x.to_matrix())
+            assert _norm_closed_form(x) == mat_norm(x.to_matrix())
+
+
+def _norm_closed_form(x):
+    """n(x) = (1/6)Tr(x²) in coordinate closed form, 13 F3 products and 9
+    additions: the oracle for ``okubo_norm``, which reads the Gram table."""
+    g = 1 if x.flavor == COMPACT else -1
+    c = x.coeffs
+    diag = c[0] * c[0] + c[0] * c[3] + c[3] * c[3] * THIRD
+    offd = (
+        g * (c[1] * c[1] + c[2] * c[2] + c[4] * c[4] + c[5] * c[5])
+        + c[6] * c[6]
+        + c[7] * c[7]
+    )
+    return diag + offd * THIRD
+
+
+def _polar_by_norms(x, y):
+    """⟨x, y⟩ = n(x+y) - n(x) - n(y) through three closed-form norms: the
+    oracle for ``polar``."""
+    return _norm_closed_form(x + y) - _norm_closed_form(x) - _norm_closed_form(y)
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_forms_match_the_closed_form_oracles_bit_for_bit(flavor):
+    rng = random.Random(424)
+    basis = [B(k, flavor) for k in range(8)]
+    xs = _oracle_elements(rng, flavor)
+    pairs = [(x, y) for x in basis for y in basis]
+    pairs += [(sample_okubo(rng, flavor), sample_okubo(rng, flavor)) for _ in range(20)]
+    pairs += [(x, y) for x in xs for y in xs[8:]]
+    for x, y in pairs:
+        for got, want in ((polar(x, y), _polar_by_norms(x, y)),
+                          (okubo_norm(x), _norm_closed_form(x))):
+            assert got == want and hash(got) == hash(want)
+            assert _scalar_bits([got]) == _scalar_bits([want])
+    # the dense view is the polarization on basis pairs
+    g = gram_matrix(flavor)
+    assert g == ExactMatrix([[_polar_by_norms(x, y) for y in basis] for x in basis])
 
 
 def _mu_product(x, y):
@@ -169,7 +211,7 @@ def test_non_unitality():
 
 
 def test_flavor_mismatch_is_rejected():
-    for op in (okubo_mul, lambda x, y: x + y, lambda x, y: x - y):
+    for op in (okubo_mul, polar, lambda x, y: x + y, lambda x, y: x - y):
         with pytest.raises(FlavorMismatchError):
             op(B(1, COMPACT), B(1, SPLIT))
     # the Cayley automorphisms act on the compact flavor only
@@ -328,6 +370,28 @@ def test_matrix_view_product_counts(flavor, monkeypatch):
     assert products(mat_norm, x) == 0
     assert products(traceful_mul, x, y, THETA_OKUBO, flavor) == 1
     assert products(michel_radicati_mul, x, y, THETA_OKUBO, flavor) == 1
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_forms_make_no_scalar_products_or_sums(flavor, monkeypatch):
+    # each form is one integer pass over a Gram table that builds its one
+    # value at the end: no F3 product or sum on the way
+    rng = random.Random(425)
+    x, y = sample_okubo(rng, flavor), sample_okubo(rng, flavor)
+    v = plane_embed(sample_affine_point(rng)).rep
+    w = sample_albert(rng)
+    forms = [(okubo_norm, x), (polar, x, y)]
+    if flavor == COMPACT:
+        forms += [(beta, v, w), (vnorm, w)]
+    for fn, *args in forms:
+        fn(*args)  # the tables are built on first use
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        op = getattr(F3, name)
+        monkeypatch.setattr(F3, name, lambda a, b, op=op: calls.append(1) or op(a, b))
+    for fn, *args in forms:
+        fn(*args)
+        assert calls == [], fn.__name__
 
 
 def _traceful_by_two_products(x, y, theta, flavor):
