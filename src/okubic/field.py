@@ -316,4 +316,8 @@ def sample_rational(rng: random.Random) -> Fraction:
 
 
 def sample_f3(rng: random.Random) -> F3:
-    return F3(sample_rational(rng), sample_rational(rng))
+    """a + b√3 for a, b drawn as ``sample_rational`` draws them, in its order,
+    built as one integer triple."""
+    an, ad = rng.randint(-9, 9), rng.choice((1, 2, 3))
+    bn, bd = rng.randint(-9, 9), rng.choice((1, 2, 3))
+    return _raw_f3(an * bd, bn * ad, ad * bd)

@@ -6,8 +6,8 @@ as integer numerators over one denominator per matrix and build each entry
 once; a traceful product (1/2+iθ)xy + (1/2-iθ)yx is one such product.  RREF,
 rank, nullspace and the determinant come from one Gauss–Jordan pass on
 integer numerators over one denominator per row, which builds F3 values
-only for its pivot rows; the signature of a symmetric matrix from
-diagonalization by congruence.
+only for its pivot rows; the signature of a symmetric matrix comes by
+congruence on the same integer rows and pivot step.
 
 Pivoting picks the first nonzero entry in column order; arithmetic is
 exact, so no magnitude considerations apply and results are
@@ -315,11 +315,46 @@ def _reduced(na, nb, d):
     return [x // g for x in na], [x // g for x in nb], d // g
 
 
+def _pivot(a, prow, col, rows):
+    """The one row operation on integer rows (na, nb, d), entry j being
+    (na[j] + nb[j]√3)/d with d > 0: divide row ``prow`` of a by its entry in
+    column ``col``, clear that column from each row of ``rows``, and return
+    the pivot entry as an F3.  Each row operation is one integer pass and
+    one gcd."""
+    na, nb, d = a[prow]
+    pa, pb = na[col], nb[col]
+    pivot = _raw_f3(pa, pb, d)
+    # x/p = (xa + xb√3)(pa - pb√3)/(pa² - 3pb²): the row's d cancels
+    n = pa * pa - 3 * pb * pb
+    if n < 0:
+        pa, pb, n = -pa, -pb, -n
+    # the pivot entry becomes n/n, and d/d = 1 after the gcd
+    na, nb, d = a[prow] = _reduced([x * pa - 3 * y * pb for x, y in zip(na, nb)],
+                                   [y * pa - x * pb for x, y in zip(na, nb)], n)
+    support = [(j, xa, xb) for j, (xa, xb) in enumerate(zip(na, nb)) if xa or xb]
+    for r in rows:
+        ra, rb, rd = a[r]
+        fa, fb = ra[col], rb[col]
+        if not (fa or fb):
+            continue
+        # r - f·prow = (s·r - (fa + fb√3)·prow)/(s·rd) with f = g(fa + fb√3)/rd
+        # and d = g·s, so row r is rescaled only when s > 1
+        g = math.gcd(fa, fb, d)
+        s, fa, fb = d // g, fa // g, fb // g
+        if s > 1:
+            ra, rb = [s * x for x in ra], [s * x for x in rb]
+        fb3 = 3 * fb
+        for j, xa, xb in support:
+            ra[j] -= fa * xa + fb3 * xb
+            rb[j] -= fa * xb + fb * xa
+        a[r] = _reduced(ra, rb, s * rd)
+    return pivot
+
+
 def _gauss_jordan(rows, ncols):
-    """Gauss–Jordan elimination over Q(√3) on integer rows (na, nb, d), entry j
-    being (na[j] + nb[j]√3)/d with d > 0: the reduced rows over F3, the pivot
-    columns, the pivot values divided by, and (-1)^(number of row swaps).  A row
-    operation is one integer pass and one gcd; the input rows are not changed."""
+    """Gauss–Jordan elimination over Q(√3) on integer rows (na, nb, d) through
+    ``_pivot``: the reduced rows over F3, the pivot columns, the pivot values
+    divided by, and (-1)^(number of row swaps).  The input rows are not changed."""
     a = [(list(na), list(nb), d) for na, nb, d in rows]
     nrows = len(a)
     pivots, divisors, sign, prow = [], [], 1, 0
@@ -330,33 +365,7 @@ def _gauss_jordan(rows, ncols):
         if sel != prow:
             a[prow], a[sel] = a[sel], a[prow]
             sign = -sign
-        na, nb, d = a[prow]
-        pa, pb = na[col], nb[col]
-        divisors.append(_raw_f3(pa, pb, d))
-        # x/p = (xa + xb√3)(pa - pb√3)/(pa² - 3pb²): the row's d cancels
-        n = pa * pa - 3 * pb * pb
-        if n < 0:
-            pa, pb, n = -pa, -pb, -n
-        # the pivot entry becomes n/n, and d/d = 1 after the gcd
-        na, nb, d = a[prow] = _reduced([x * pa - 3 * y * pb for x, y in zip(na, nb)],
-                                       [y * pa - x * pb for x, y in zip(na, nb)], n)
-        support = [(j, na[j], nb[j]) for j in range(ncols) if na[j] or nb[j]]
-        for r in range(nrows):
-            ra, rb, rd = a[r]
-            fa, fb = ra[col], rb[col]
-            if r == prow or not (fa or fb):
-                continue
-            # r - f·prow = (s·r - (fa + fb√3)·prow)/(s·rd) with f = g(fa + fb√3)/rd
-            # and d = g·s, so row r is rescaled only when s > 1
-            g = math.gcd(fa, fb, d)
-            s, fa, fb = d // g, fa // g, fb // g
-            if s > 1:
-                ra, rb = [s * x for x in ra], [s * x for x in rb]
-            fb3 = 3 * fb
-            for j, xa, xb in support:
-                ra[j] -= fa * xa + fb3 * xb
-                rb[j] -= fa * xb + fb * xa
-            a[r] = _reduced(ra, rb, s * rd)
+        divisors.append(_pivot(a, prow, col, (r for r in range(nrows) if r != prow)))
         pivots.append(col)
         prow += 1
     # every row below the pivot rows is zero: they share one zero row
@@ -411,53 +420,39 @@ def determinant(m: ExactMatrix) -> F3:
 def symmetric_signature(m: ExactMatrix):
     """Signature (pos, neg, zero) of a symmetric F3 matrix.
 
-    Diagonalizes by exact congruence transformations; valid because the
-    real embedding of Q(√3) orders the field.
+    Diagonalizes by exact congruence on m's integer rows, one ``_pivot`` per
+    step; valid because the real embedding of Q(√3) orders the field.
     """
     if m.rows != m.cols:
         raise ValueError("signature of non-square matrix")
     n = m.rows
-    a = [list(r) for r in m.entries]
-    pos = neg = zero = 0
+    a = _int_rows(m)
+    pos = neg = 0
     for step in range(n):
-        # find a nonzero diagonal entry
-        sel = next((k for k in range(step, n) if a[k][k]), None)
+        sel = next((k for k in range(step, n) if a[k][0][k] or a[k][1][k]), None)
         if sel is None:
-            offd = next(
-                (
-                    (i, j)
-                    for i in range(step, n)
-                    for j in range(i + 1, n)
-                    if a[i][j]
-                ),
-                None,
-            )
+            offd = next(((i, j) for i in range(step, n) for j in range(i + 1, n)
+                         if a[i][0][j] or a[i][1][j]), None)
             if offd is None:
-                zero += n - step
                 break
-            i, j = offd
-            # a[i][i] = a[j][j] = 0, a[i][j] ≠ 0: row/col addition makes
-            # a new nonzero diagonal entry 2*a[i][j]
-            for k in range(n):
-                a[i][k] = a[i][k] + a[j][k]
-            for k in range(n):
-                a[k][i] = a[k][i] + a[k][j]
-            sel = i
+            sel, j = offd
+            # a[sel][sel] = a[j][j] = 0 ≠ a[sel][j]: row sel += row j and column
+            # sel += column j make a new nonzero diagonal entry 2·a[sel][j]
+            (ia, ib, di), (ja, jb, dj) = a[sel], a[j]
+            si, sj = dj // math.gcd(di, dj), di // math.gcd(di, dj)
+            a[sel] = _reduced([si * x + sj * y for x, y in zip(ia, ja)],
+                              [si * x + sj * y for x, y in zip(ib, jb)], si * di)
+            for ra, rb, _ in a:
+                ra[sel] += ra[j]
+                rb[sel] += rb[j]
         if sel != step:
             a[step], a[sel] = a[sel], a[step]
-            for k in range(n):
-                a[k][step], a[k][sel] = a[k][sel], a[k][step]
-        d = a[step][step]
-        if d.is_positive():
+            for ra, rb, _ in a:
+                ra[step], ra[sel], rb[step], rb[sel] = ra[sel], ra[step], rb[sel], rb[step]
+        # the matching column operations would write only row `step`, which
+        # no later step reads, so the trailing block is already congruent
+        if _pivot(a, step, step, range(step + 1, n)).is_positive():
             pos += 1
         else:
             neg += 1
-        dinv = d.inverse()
-        # the matching column operations would write only row `step`, which
-        # no later step reads, so the trailing block is already congruent
-        for r in range(step + 1, n):
-            if a[r][step]:
-                f = a[r][step] * dinv
-                for k in range(n):
-                    a[r][k] = a[r][k] - f * a[step][k]
-    return pos, neg, zero
+    return pos, neg, n - pos - neg

@@ -34,6 +34,14 @@ STDOUT_SHA256 = {
         "b029212842e566c367a00b9a30383c2fbde8fb76ac27c4aa06f1298f44365131",
     ("table", "okubo"): "ce0b663c22bc4a95ab9dda1d05d88a8c6329e1ae384b726497bf93544cf6adf0",
     ("kernel", "e0"): "64292318a583dd0d8bc7c639c5bed9407ce02472a7864d2a792bfb236eb5e136",
+    # the derivation reports print the trace-form signature; split Okubo and
+    # Petersson print the same report
+    ("derivations", "okubo"):
+        "94ee3379bfe00e87c4a30f8de0cf561251f51803481f6909d6844ea583c5d6e7",
+    ("derivations", "split-okubo"):
+        "c6b5f61ee14abd6002da2b459ff5a0ab0688be229741c588418f7a5058e11799",
+    ("derivations", "petersson"):
+        "c6b5f61ee14abd6002da2b459ff5a0ab0688be229741c588418f7a5058e11799",
 }
 
 

@@ -140,3 +140,15 @@ def test_equal_scalars_hash_equal():
         z = C3(sample_f3(rng), sample_f3(rng))
         assert hash(C3(z.re, z.im)) == hash(z)
     assert len({F3(1), 1}) == 1
+
+
+def test_sample_f3_is_two_sample_rationals():
+    # sample_f3 builds its integer triple from the draws sample_rational
+    # makes, in the same order: the same value, hash and stream state
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            got, want = sample_f3(rng), F3(sample_rational(ref), sample_rational(ref))
+            assert (type(got), got._an, got._bn, got._d) == (F3, want._an, want._bn, want._d)
+            assert hash(got) == hash(want)
+            assert rng.getstate() == ref.getstate()

@@ -236,44 +236,51 @@ def test_signature_needs_off_diagonal_rescue():
     assert symmetric_signature(m) == (1, 1, 0)
 
 
-def test_signature_is_congruence_invariant_on_samples():
+def _congruence_samples():
     rng = random.Random(206)
+    samples = []
     for _ in range(20):
-        n = 3
-        a = [[sample_f3(rng) for _ in range(n)] for _ in range(n)]
-        sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+        a = [[sample_f3(rng) for _ in range(3)] for _ in range(3)]
+        samples.append([[a[i][j] + a[j][i] for j in range(3)] for i in range(3)])
+    return samples
+
+
+def test_signature_is_congruence_invariant_on_samples():
+    for sym in _congruence_samples():
         m = ExactMatrix(sym)
         pos, neg, zero = symmetric_signature(m)
-        assert pos + neg + zero == n
+        assert pos + neg + zero == 3
         assert pos + neg == rank(m)
 
 
-def test_signature_is_invariant_under_congruence_with_zero_diagonal():
-    # a zero diagonal sends the first step, and often later ones, through
-    # the off-diagonal rescue
+def _zero_diagonal_pairs():
+    """Pairs (A, PᵀAP) for a zero-diagonal A and an invertible P."""
     rng = random.Random(212)
     n = 5
+    pairs = []
     for _ in range(10):
         a = [[F3()] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 a[i][j] = a[j][i] = _sparse_f3(rng)
         p = [[_sparse_f3(rng) for _ in range(n)] for _ in range(n)]
-        if not determinant(ExactMatrix(p)):
-            continue
-        pap = [
-            [
-                sum(
-                    (p[k][i] * a[k][l] * p[l][j] for k in range(n) for l in range(n)),
-                    F3(),
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        assert symmetric_signature(ExactMatrix(pap)) == symmetric_signature(
-            ExactMatrix(a)
-        )
+        if determinant(ExactMatrix(p)):
+            pairs.append((a, _congruent(p, a)))
+    return pairs
+
+
+def test_signature_is_invariant_under_congruence_with_zero_diagonal():
+    # a zero diagonal sends the first step, and often later ones, through
+    # the off-diagonal rescue
+    for a, pap in _zero_diagonal_pairs():
+        assert symmetric_signature(ExactMatrix(pap)) == symmetric_signature(ExactMatrix(a))
+
+
+def _congruent(p, a):
+    """Pᵀ A P over F3."""
+    n, k = len(a), len(p[0])
+    return [[sum((p[r][i] * a[r][s] * p[s][j] for r in range(n) for s in range(n)), F3())
+             for j in range(k)] for i in range(k)]
 
 
 # The coordinate types share Vector's immutability, equality, hashing and
@@ -694,3 +701,146 @@ def test_gauss_jordan_edge_case_values():
     rows, pivots, divisors, sign = _gauss_jordan([([2, 0], [0, 2], 4)], 2)
     assert (pivots, _bits(divisors), sign) == ([0], [(F3, 1, 0, 2)], 1)
     assert _bits(rows[0]) == [(F3, 1, 0, 1), (F3, 0, 1, 1)]
+
+
+def _signature_by_scalars(m):
+    """Diagonalization by congruence on F3 entries: the oracle for
+    ``symmetric_signature``, which runs on integer rows through ``_pivot``."""
+    n = m.rows
+    a = [list(r) for r in m.entries]
+    pos = neg = zero = 0
+    for step in range(n):
+        # find a nonzero diagonal entry
+        sel = next((k for k in range(step, n) if a[k][k]), None)
+        if sel is None:
+            offd = next(((i, j) for i in range(step, n) for j in range(i + 1, n) if a[i][j]),
+                        None)
+            if offd is None:
+                zero += n - step
+                break
+            i, j = offd
+            # a[i][i] = a[j][j] = 0, a[i][j] ≠ 0: row/col addition makes
+            # a new nonzero diagonal entry 2*a[i][j]
+            for k in range(n):
+                a[i][k] = a[i][k] + a[j][k]
+            for k in range(n):
+                a[k][i] = a[k][i] + a[k][j]
+            sel = i
+        if sel != step:
+            a[step], a[sel] = a[sel], a[step]
+            for k in range(n):
+                a[k][step], a[k][sel] = a[k][sel], a[k][step]
+        d = a[step][step]
+        if d.is_positive():
+            pos += 1
+        else:
+            neg += 1
+        dinv = d.inverse()
+        for r in range(step + 1, n):
+            if a[r][step]:
+                f = a[r][step] * dinv
+                for k in range(n):
+                    a[r][k] = a[r][k] - f * a[step][k]
+    return pos, neg, zero
+
+
+def _mixed_f3(rng):
+    # a third zero; otherwise a + b√3 with denominators 1, 2, 3 and 7
+    if rng.randrange(3) == 0:
+        return F3()
+    return F3(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))),
+              Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+
+
+def _symmetric(rng, n, diagonal=True):
+    a = [[F3()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if diagonal else i + 1, n):
+            a[i][j] = a[j][i] = _mixed_f3(rng)
+    return a
+
+
+def _trace_form(name):
+    """The trace form of the derivation algebra of a tensor of
+    ``DERIVATION_TENSORS``, as ``killing_signature`` reads it."""
+    algebra = derivations.AlgebraPresentation(DERIVATION_TENSORS[name]())
+    return derivations.killing_matrix(derivations.derivation_space(algebra)[1])
+
+
+def _seeded(make):
+    """A zero-argument case builder that draws from its own seeded stream."""
+    return lambda: make(random.Random(f"signature:{make.__name__}"))
+
+
+def _samples(rng):
+    # 25 matrices of each size 1-9
+    return [_symmetric(rng, n) for n in range(1, 10) for _ in range(25)]
+
+
+def _zero_diagonal(rng):
+    return [_symmetric(rng, n, diagonal=False) for n in range(2, 8) for _ in range(8)]
+
+
+def _congruences(rng):
+    # Pᵀ A P for a zero-diagonal A, P square or of fewer columns
+    return [
+        _congruent([[_mixed_f3(rng) for _ in range(k)] for _ in range(n)], _symmetric(rng, n, False))
+        for n, k in [(3, 3), (4, 4), (5, 5), (5, 3), (6, 6), (6, 4), (7, 7)] for _ in range(4)
+    ]
+
+
+def _rank_deficient(rng):
+    # Bᵀ D B for B of k < n rows and D diagonal in {-1, 0, 2}
+    return [
+        _congruent([[_mixed_f3(rng) for _ in range(n)] for _ in range(k)],
+                   [[F3(rng.choice((-1, 0, 2))) if i == j else F3() for j in range(k)]
+                    for i in range(k)])
+        for n, k in [(4, 2), (6, 3), (7, 5), (9, 4)] for _ in range(3)
+    ]
+
+
+def _negative_definite(rng):
+    # -PᵀP for a 12×12 integer P
+    p = [[F3(rng.randint(-9, 9)) for _ in range(12)] for _ in range(12)]
+    return [[[-sum((p[k][i] * p[k][j] for k in range(12)), F3()) for j in range(12)]
+             for i in range(12)]]
+
+
+R3 = F3(0, 1)
+
+# Named builders of lists of symmetric matrices for the signature oracle;
+# the "hyperbolic", "zero-diagonal" and "zero-diagonal-congruences" cases go
+# through the off-diagonal rescue
+SIGNATURE_INPUTS = {
+    "diagonal": lambda: [[[2, 0, 0], [0, -1, 0], [0, 0, 0]], [[-2 + R3]], [[R3, 0], [0, 1 - R3]]],
+    "hyperbolic": lambda: [[[0, 1], [1, 0]], [[0, R3 / 7], [R3 / 7, 0]],
+                           [[0, 0, F3(1) / 3], [0, 0, 0], [F3(1) / 3, 0, F3(1) / 2]]],
+    "zero": lambda: [[[0] * n for _ in range(n)] for n in (1, 2, 5)],
+    # the fixed cases of the congruence tests above
+    "congruence-samples": _congruence_samples,
+    "zero-diagonal-congruences": lambda: [m for pair in _zero_diagonal_pairs() for m in pair],
+    "seeded": _seeded(_samples),
+    "zero-diagonal": _seeded(_zero_diagonal),
+    "congruences": _seeded(_congruences),
+    "rank-deficient": _seeded(_rank_deficient),
+    "negative-definite": _seeded(_negative_definite),
+    "gram-compact": lambda: [okubo.gram_matrix(COMPACT).entries],
+    "gram-split": lambda: [okubo.gram_matrix(SPLIT).entries],
+    **{f"trace-form-{name}": lambda name=name: [_trace_form(name).entries]
+       for name in DERIVATION_TENSORS},
+}
+
+
+@pytest.mark.parametrize("name", SIGNATURE_INPUTS)
+def test_signature_matches_the_scalar_oracle(name):
+    for entries in SIGNATURE_INPUTS[name]():
+        m = ExactMatrix(entries)
+        got = symmetric_signature(m)
+        assert type(got) is tuple and [type(x) for x in got] == [int] * 3
+        assert got == _signature_by_scalars(m)
+        assert sum(got) == m.rows and got[0] + got[1] == rank(m)
+
+
+def test_signature_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="signature of non-square matrix"):
+        symmetric_signature(ExactMatrix([[1, 0]]))

@@ -380,15 +380,18 @@ def test_forms_make_no_scalar_products_or_sums(flavor, monkeypatch):
     x, y = sample_okubo(rng, flavor), sample_okubo(rng, flavor)
     v = plane_embed(sample_affine_point(rng)).rep
     w = sample_albert(rng)
-    forms = [(okubo_norm, x), (polar, x, y)]
+    # the signature is congruence on integer rows through linalg._pivot; the
+    # hyperbolic plane goes through its off-diagonal rescue
+    forms = [(okubo_norm, x), (polar, x, y), (symmetric_signature, gram_matrix(flavor)),
+             (symmetric_signature, ExactMatrix([[0, 1], [1, 0]]))]
     if flavor == COMPACT:
         forms += [(beta, v, w), (vnorm, w)]
     for fn, *args in forms:
         fn(*args)  # the tables are built on first use
     calls = []
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "inverse"):
         op = getattr(F3, name)
-        monkeypatch.setattr(F3, name, lambda a, b, op=op: calls.append(1) or op(a, b))
+        monkeypatch.setattr(F3, name, lambda *a, op=op: calls.append(1) or op(*a))
     for fn, *args in forms:
         fn(*args)
         assert calls == [], fn.__name__
