@@ -19,6 +19,7 @@ from .linalg import (
     COMPACT,
     ExactMatrix,
     SparseTable,
+    _add_entry,
     _gauss_jordan,
     _kernel,
     bilinear,
@@ -74,8 +75,8 @@ def petersson_presentation() -> AlgebraPresentation:
 def derivation_space(algebra: AlgebraPresentation):
     """(dimension, basis of n×n derivation matrices), solved exactly.
 
-    Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one
-    integer row over the table's denominator, read from its integer form.
+    Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
+    integer row read from the table's integer form; the shortest go first.
     """
     ints, den = algebra._table.ints, algebra._table.den
     n = len(ints)
@@ -86,12 +87,11 @@ def derivation_space(algebra: AlgebraPresentation):
             terms = [(k, k * n + m, a, b) for k in range(n) for m, a, b in ints[i][j]]
             terms += [(k, r * n + i, -a, -b) for r in range(n) for k, a, b in ints[r][j]]
             terms += [(k, r * n + j, -a, -b) for r in range(n) for k, a, b in ints[i][r]]
-            eqs = [([0] * (n * n), [0] * (n * n), den) for _ in range(n)]
+            eqs = [({}, {}, den) for _ in range(n)]
             for k, col, a, b in terms:
-                eqs[k][0][col] += a
-                eqs[k][1][col] += b
+                _add_entry(eqs[k][0], eqs[k][1], col, a, b)
             rows += eqs
-    reduced, pivots, _, _ = _gauss_jordan(rows, n * n)
+    reduced, pivots, _, _ = _gauss_jordan(sorted(rows, key=lambda row: len(row[0])), n * n)
     kernel = _kernel(reduced, pivots, n * n)
     return len(kernel), [ExactMatrix([v[r * n:r * n + n] for r in range(n)]) for v in kernel]
 

@@ -1,13 +1,13 @@
-"""Exact dense linear algebra: 3×3 matrices over Q(√3, i) and
-arbitrary-shape matrices over Q(√3), and the one kernel ``bilinear`` that
-evaluates every product and bilinear form given by a ``SparseTable`` on
-integer numerators.  A 3×3 product, and Tr(x²), are summed
-as integer numerators over one denominator per matrix and build each entry
-once; a traceful product (1/2+iθ)xy + (1/2-iθ)yx is one such product.  RREF,
-rank, nullspace and the determinant come from one Gauss–Jordan pass on
-integer numerators over one denominator per row, which builds F3 values
-only for its pivot rows; the signature of a symmetric matrix comes by
-congruence on the same integer rows and pivot step.
+"""Exact linear algebra: 3×3 matrices over Q(√3, i) and arbitrary-shape
+matrices over Q(√3), and the one kernel ``bilinear`` that evaluates every
+product and bilinear form given by a ``SparseTable`` on integer numerators.
+A 3×3 product, and Tr(x²), are summed as integer numerators over one
+denominator per matrix and build each entry once; a traceful product
+(1/2+iθ)xy + (1/2-iθ)yx is one such product.  RREF, rank, nullspace and the
+determinant come from one Gauss–Jordan pass on sparse integer rows (the
+nonzero entries only, as integer numerators over one denominator per row),
+which builds F3 values only for its pivot rows; the signature of a
+symmetric matrix comes by congruence on the same rows and pivot step.
 
 Pivoting picks the first nonzero entry in column order; arithmetic is
 exact, so no magnitude considerations apply and results are
@@ -34,22 +34,21 @@ def _check_flavor(flavor: Flavor) -> None:
 
 class SparseTable(Frozen):
     """Structure constants: ``cells[a][b]`` holds the (k, c) with b_a·b_b =
-    Σ c·b_k, c an int, Fraction or F3, and ``ints`` the same cells as (k, A, B)
-    with c = (A + B√3)/``den``, one denominator for the whole table.  There
-    are ``size`` output coordinates k: as many as rows for a product, and one
-    for a bilinear form, whose value is ``bilinear(table, u, v, F3)[0]``."""
+    Σ c·b_k, c an int, Fraction or F3, ``ints`` the same cells as (k, A, B) with
+    c = (A + B√3)/``den`` (one denominator), and ``nonzero[a]`` the (b, ints[a][b])
+    of the nonempty cells.  There are ``size`` output coordinates k: as many as
+    rows for a product, one for a form, whose value is ``bilinear(...)[0]``."""
 
-    __slots__ = ("cells", "ints", "den", "size")
+    __slots__ = ("cells", "ints", "nonzero", "den", "size")
 
     def __init__(self, cells, size=None):
         cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
         nums, den = _numerators([c for row in cells for cell in row for _, c in cell])
-        nums = iter(nums)  # in the order the cells list their constants
-        ints = tuple(
-            tuple(tuple((k, *next(nums)) for k, _ in cell) for cell in row) for row in cells
-        )
+        it = iter(nums)  # in the order the cells list their constants
+        ints = tuple(tuple(tuple((k, *next(it)) for k, _ in cell) for cell in row) for row in cells)
+        nonzero = tuple(tuple((b, cell) for b, cell in enumerate(row) if cell) for row in ints)
         size = len(cells) if size is None else size
-        for name, value in (("cells", cells), ("ints", ints), ("den", den), ("size", size)):
+        for name, value in zip(self.__slots__, (cells, ints, nonzero, den, size)):
             object.__setattr__(self, name, value)
 
 
@@ -65,17 +64,16 @@ def _numerators(xs):
 
 
 def bilinear(table: SparseTable, u, v, scalar):
-    """Σ u[a]·v[b]·c·b_k over a sparse table, summed as integer numerators; each
-    coordinate is built once, as an F3 or (rational table and inputs) a Fraction."""
+    """Σ u[a]·v[b]·c·b_k over each row's nonempty cells, summed as integer
+    numerators; each coordinate is built once, an F3 or a Fraction."""
     nu, du = _numerators(u)
     nv, dv = _numerators(v)
-    nu = [(table.ints[a], ua, ub) for a, (ua, ub) in enumerate(nu) if ua or ub]
-    nv = [(b, va, vb) for b, (va, vb) in enumerate(nv) if va or vb]
+    nu = [(table.nonzero[a], ua, ub) for a, (ua, ub) in enumerate(nu) if ua or ub]
     out_a, out_b = [0] * table.size, [0] * table.size
     for row, ua, ub in nu:
-        for b, va, vb in nv:
-            cell = row[b]
-            if cell:
+        for b, cell in row:
+            va, vb = nv[b]
+            if va or vb:
                 # (ua + ub√3)(va + vb√3) = fa + fb√3
                 fa, fb = ua * va + 3 * ub * vb, ua * vb + ub * va
                 fb3 = 3 * fb
@@ -94,14 +92,15 @@ def bilinear_left(table: SparseTable, u):
     nu, du = _numerators(u)
     n = len(table.ints)
     out_a, out_b = [[0] * n for _ in range(table.size)], [[0] * n for _ in range(table.size)]
-    for row, (ua, ub) in zip(table.ints, nu):
+    for row, (ua, ub) in zip(table.nonzero, nu):
         ub3 = 3 * ub
-        for b, cell in enumerate(row):
+        for b, cell in row:
             for k, ca, cb in cell:
                 out_a[k][b] += ua * ca + ub3 * cb
                 out_b[k][b] += ua * cb + ub * ca
-    d = du * table.den
-    return [[_raw_f3(a, b, d) for a, b in zip(ra, rb)] for ra, rb in zip(out_a, out_b)]
+    d, zero = du * table.den, F3()
+    return [[_raw_f3(a, b, d) if a or b else zero for a, b in zip(ra, rb)]
+            for ra, rb in zip(out_a, out_b)]
 
 
 def _c3_numerators(zs):
@@ -309,76 +308,95 @@ class ExactMatrix(Frozen):
 
 def _reduced(na, nb, d):
     """A row (na, nb, d) with the gcd of all its integers divided out."""
-    g = math.gcd(d, *na, *nb)
+    g = math.gcd(d, *na.values(), *nb.values())
     if g == 1:
         return na, nb, d
-    return [x // g for x in na], [x // g for x in nb], d // g
+    return {j: x // g for j, x in na.items()}, {j: x // g for j, x in nb.items()}, d // g
+
+
+def _add_entry(na, nb, j, xa, xb):
+    """Add (xa + xb√3)/d to entry j of a sparse row (na, nb, d), dropping it at zero."""
+    na[j], nb[j] = na.get(j, 0) + xa, nb.get(j, 0) + xb
+    if not (na[j] or nb[j]):
+        del na[j], nb[j]
 
 
 def _pivot(a, prow, col, rows):
-    """The one row operation on integer rows (na, nb, d), entry j being
-    (na[j] + nb[j]√3)/d with d > 0: divide row ``prow`` of a by its entry in
-    column ``col``, clear that column from each row of ``rows``, and return
-    the pivot entry as an F3.  Each row operation is one integer pass and
-    one gcd."""
+    """The one row operation on sparse integer rows (na, nb, d), dicts from the
+    column j of each nonzero entry (na[j] + nb[j]√3)/d, d > 0: divide row ``prow``
+    of a by its entry in column ``col``, clear that column from each row of ``rows``
+    (one pass over the pivot row's entries, one gcd), and return the pivot as an F3."""
     na, nb, d = a[prow]
     pa, pb = na[col], nb[col]
     pivot = _raw_f3(pa, pb, d)
-    # x/p = (xa + xb√3)(pa - pb√3)/(pa² - 3pb²): the row's d cancels
-    n = pa * pa - 3 * pb * pb
-    if n < 0:
-        pa, pb, n = -pa, -pb, -n
-    # the pivot entry becomes n/n, and d/d = 1 after the gcd
-    na, nb, d = a[prow] = _reduced([x * pa - 3 * y * pb for x, y in zip(na, nb)],
-                                   [y * pa - x * pb for x, y in zip(na, nb)], n)
-    support = [(j, xa, xb) for j, (xa, xb) in enumerate(zip(na, nb)) if xa or xb]
+    if pb or pa != d:  # the pivot entry is not yet 1
+        # x/p = (xa + xb√3)(pa - pb√3)/(pa² - 3pb²): the row's d cancels
+        n = pa * pa - 3 * pb * pb
+        if n < 0:
+            pa, pb, n = -pa, -pb, -n
+        # the pivot entry becomes n/n, and d/d = 1 after the gcd
+        na, nb, d = a[prow] = _reduced({j: x * pa - 3 * nb[j] * pb for j, x in na.items()},
+                                       {j: y * pa - na[j] * pb for j, y in nb.items()}, n)
+    support = [(j, xa, nb[j]) for j, xa in na.items() if j != col]
     for r in rows:
         ra, rb, rd = a[r]
-        fa, fb = ra[col], rb[col]
-        if not (fa or fb):
+        if col not in ra:
             continue
+        fa, fb = ra.pop(col), rb.pop(col)  # column col cancels exactly
         # r - f·prow = (s·r - (fa + fb√3)·prow)/(s·rd) with f = g(fa + fb√3)/rd
         # and d = g·s, so row r is rescaled only when s > 1
         g = math.gcd(fa, fb, d)
         s, fa, fb = d // g, fa // g, fb // g
         if s > 1:
-            ra, rb = [s * x for x in ra], [s * x for x in rb]
+            ra, rb = {j: s * x for j, x in ra.items()}, {j: s * x for j, x in rb.items()}
         fb3 = 3 * fb
         for j, xa, xb in support:
-            ra[j] -= fa * xa + fb3 * xb
-            rb[j] -= fa * xb + fb * xa
+            ya = ra.get(j, 0) - fa * xa - fb3 * xb
+            yb = rb.get(j, 0) - fa * xb - fb * xa
+            if ya or yb:
+                ra[j], rb[j] = ya, yb
+            else:
+                del ra[j], rb[j]
         a[r] = _reduced(ra, rb, s * rd)
     return pivot
 
 
 def _gauss_jordan(rows, ncols):
-    """Gauss–Jordan elimination over Q(√3) on integer rows (na, nb, d) through
-    ``_pivot``: the reduced rows over F3, the pivot columns, the pivot values
-    divided by, and (-1)^(number of row swaps).  The input rows are not changed."""
-    a = [(list(na), list(nb), d) for na, nb, d in rows]
+    """Gauss–Jordan elimination over Q(√3) on sparse integer rows (na, nb, d)
+    through ``_pivot``: the reduced rows over F3, the pivot columns, the pivot
+    values divided by, and (-1)^(number of row swaps).  Pivots clear the rows
+    below them, then (last first) the rows above; the input rows are unchanged."""
+    a = [(dict(na), dict(nb), d) for na, nb, d in rows]
     nrows = len(a)
     pivots, divisors, sign, prow = [], [], 1, 0
     for col in range(ncols):
-        sel = next((r for r in range(prow, nrows) if a[r][0][col] or a[r][1][col]), None)
-        if sel is None:
+        hits = [r for r in range(prow, nrows) if col in a[r][0]]
+        if not hits:
             continue
-        if sel != prow:
-            a[prow], a[sel] = a[sel], a[prow]
+        if hits[0] != prow:
+            a[prow], a[hits[0]] = a[hits[0]], a[prow]
             sign = -sign
-        divisors.append(_pivot(a, prow, col, (r for r in range(nrows) if r != prow)))
+        divisors.append(_pivot(a, prow, col, hits[1:]))
         pivots.append(col)
         prow += 1
+    for prow, col in reversed(list(enumerate(pivots))):
+        _pivot(a, prow, col, [r for r in range(prow) if col in a[r][0]])
     # every row below the pivot rows is zero: they share one zero row
     zero = F3()
-    rows = [[_raw_f3(x, y, d) if x or y else zero for x, y in zip(na, nb)]
-            for na, nb, d in a[:prow]]
-    return rows + [[zero] * ncols] * (nrows - prow), pivots, divisors, sign
+    rows = [[_raw_f3(na[j], nb[j], d) if j in na else zero for j in range(ncols)]
+            for na, nb, d in a[:len(pivots)]]
+    return rows + [[zero] * ncols] * (nrows - len(pivots)), pivots, divisors, sign
 
 
 def _int_rows(m: ExactMatrix):
-    """The rows of m as integer rows (na, nb, d) for ``_gauss_jordan``."""
-    return [([a for a, _ in nums], [b for _, b in nums], d)
-            for nums, d in map(_numerators, m.entries)]
+    """The rows of m as sparse integer rows (na, nb, d) for ``_gauss_jordan``:
+    the nonzero entries only, over the lcm of their denominators."""
+    rows = []
+    for nz in ([(j, x) for j, x in enumerate(row) if x._an or x._bn] for row in m.entries):
+        d = math.lcm(*[x._d for _, x in nz])
+        rows.append(({j: x._an * (d // x._d) for j, x in nz},
+                     {j: x._bn * (d // x._d) for j, x in nz}, d))
+    return rows
 
 
 def rref(m: ExactMatrix):
@@ -429,10 +447,9 @@ def symmetric_signature(m: ExactMatrix):
     a = _int_rows(m)
     pos = neg = 0
     for step in range(n):
-        sel = next((k for k in range(step, n) if a[k][0][k] or a[k][1][k]), None)
+        sel = next((k for k in range(step, n) if k in a[k][0]), None)
         if sel is None:
-            offd = next(((i, j) for i in range(step, n) for j in range(i + 1, n)
-                         if a[i][0][j] or a[i][1][j]), None)
+            offd = next(((i, j) for i in range(step, n) for j in sorted(a[i][0]) if j > i), None)
             if offd is None:
                 break
             sel, j = offd
@@ -440,15 +457,18 @@ def symmetric_signature(m: ExactMatrix):
             # sel += column j make a new nonzero diagonal entry 2·a[sel][j]
             (ia, ib, di), (ja, jb, dj) = a[sel], a[j]
             si, sj = dj // math.gcd(di, dj), di // math.gcd(di, dj)
-            a[sel] = _reduced([si * x + sj * y for x, y in zip(ia, ja)],
-                              [si * x + sj * y for x, y in zip(ib, jb)], si * di)
+            ra, rb = {c: si * x for c, x in ia.items()}, {c: si * x for c, x in ib.items()}
+            for c, x in ja.items():
+                _add_entry(ra, rb, c, sj * x, sj * jb[c])
+            a[sel] = _reduced(ra, rb, si * di)
             for ra, rb, _ in a:
-                ra[sel] += ra[j]
-                rb[sel] += rb[j]
+                if j in ra:
+                    _add_entry(ra, rb, sel, ra[j], rb[j])
         if sel != step:
             a[step], a[sel] = a[sel], a[step]
-            for ra, rb, _ in a:
-                ra[step], ra[sel], rb[step], rb[sel] = ra[sel], ra[step], rb[sel], rb[step]
+            swap = {step: sel, sel: step}
+            a = [({swap.get(j, j): x for j, x in ra.items()},
+                  {swap.get(j, j): x for j, x in rb.items()}, d) for ra, rb, d in a]
         # the matching column operations would write only row `step`, which
         # no later step reads, so the trailing block is already congruent
         if _pivot(a, step, step, range(step + 1, n)).is_positive():

@@ -1,15 +1,16 @@
-"""Exact dense linear algebra over Q(√3) and Q(√3, i)."""
+"""Exact linear algebra over Q(√3) and Q(√3, i)."""
 
 import ast
 import copy
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from okubic import albert, derivations, geometry, hurwitz, okubo
+from okubic import albert, derivations, geometry, hurwitz, linalg, okubo
 from okubic.albert import sample_albert, trace
 from okubic.field import C3, F3, Frozen, sample_f3
 from okubic.geometry import VeroneseVector
@@ -206,6 +207,14 @@ def _leibniz_determinant(entries):
 def _sparse_f3(rng):
     # a third of the entries are zero, so pivots need row swaps
     return F3() if rng.randrange(3) == 0 else sample_f3(rng)
+
+
+def _mixed_f3(rng):
+    # a third zero; otherwise a + b√3 with denominators 1, 2, 3 and 7
+    if rng.randrange(3) == 0:
+        return F3()
+    return F3(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))),
+              Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -566,9 +575,21 @@ def _bits(values):
     return [(type(x), x._an, x._bn, x._d) for x in values]
 
 
-def _f3_rows(rows):
-    """Integer rows (na, nb, d) read as F3 rows through the public constructor."""
-    return [[F3(Fraction(a, d), Fraction(b, d)) for a, b in zip(na, nb)] for na, nb, d in rows]
+def _f3_rows(rows, ncols):
+    """Sparse integer rows (na, nb, d) read as dense F3 rows of ``ncols``
+    entries through the public constructor; a column a row does not store
+    is zero."""
+    return [[F3(Fraction(na.get(j, 0), d), Fraction(nb.get(j, 0), d)) for j in range(ncols)]
+            for na, nb, d in rows]
+
+
+def _assert_sparse(rows):
+    """Each row stores the same columns in na and nb, no zero entry, and a
+    positive denominator."""
+    for na, nb, d in rows:
+        assert type(na) is dict and type(nb) is dict and type(d) is int and d > 0
+        assert na.keys() == nb.keys()
+        assert all(na[j] or nb[j] for j in na)
 
 
 def _assert_same_elimination(rows, ncols):
@@ -578,7 +599,7 @@ def _assert_same_elimination(rows, ncols):
     got, pivots, divisors, sign = _gauss_jordan(rows, ncols)
     assert rows == before
     want_rows, want_pivots, want_divisors, want_sign = _gauss_jordan_by_scalars(
-        ExactMatrix(_f3_rows(rows)))
+        ExactMatrix(_f3_rows(rows, ncols)))
     assert [_bits(r) for r in got] == [_bits(r) for r in want_rows]
     assert (pivots, sign) == (want_pivots, want_sign)
     assert _bits(divisors) == _bits(want_divisors)
@@ -589,8 +610,27 @@ def _assert_same_elimination_of(m):
     """The same check on the integer rows ``rref`` and ``determinant`` read
     from m, which must be m's entries exactly."""
     rows = _int_rows(m)
-    assert ExactMatrix(_f3_rows(rows)) == m
+    assert ExactMatrix(_f3_rows(rows, m.cols)) == m
     _assert_same_elimination(rows, m.cols)
+
+
+def _left_mult_at_half():
+    rng = random.Random("int-rows")
+    eps = albert.idempotent_from_point(geometry.plane_embed(geometry.sample_affine_point(rng)))
+    return albert.left_mult_operator(albert.AlbertAlgebra(Fraction(1, 2)), eps)
+
+
+@pytest.mark.parametrize("make", [lambda: okubo.gram_matrix(COMPACT), _left_mult_at_half],
+                         ids=["gram-compact", "left-mult-27"])
+def test_int_rows_store_exactly_the_nonzero_entries(make):
+    m = make()
+    rows = _int_rows(m)
+    _assert_sparse(rows)
+    assert [sorted(na) for na, _, _ in rows] == [
+        [j for j, x in enumerate(row) if x] for row in m.entries]
+    # one denominator per row: the lcm of its nonzero entries' denominators
+    assert [d for _, _, d in rows] == [math.lcm(*(x._d for x in row if x)) for row in m.entries]
+    assert ExactMatrix(_f3_rows(rows, m.cols)) == m
 
 
 def _permute_tensor(c, perm, signs):
@@ -680,7 +720,24 @@ def _edge_matrices():
         "sparse-square": [[_sparse_f3(rng) for _ in range(6)] for _ in range(6)],
         "sparse-wide": [[_sparse_f3(rng) for _ in range(9)] for _ in range(4)],
         "sparse-tall": [[_sparse_f3(rng) for _ in range(4)] for _ in range(9)],
+        # row 1 loses column 1 to row 0, and column 1 then pivots on row 2
+        "cancels-off-pivot": [[r3, 1, 2, 0], [2 * r3, 2, 5, 1], [0, 3, 0, r3]],
+        "zero-row-between": [[1, 2, 0, 0], [0, 0, 0, 0], [0, 3, 1, 0], [0, 0, 0, 0], [2, 0, 0, 1]],
+        "last-column-only": [[0, 0, 0, 5], [1, 2, 3, 4], [0, 0, 0, 1 + r3], [0, 1, 0, 0]],
+        "tall-sparse-fill-in": _tall_sparse(rng, 40, 12),
     }
+
+
+def _tall_sparse(rng, nrows, ncols):
+    """Rows with two or three nonzero entries of mixed denominators, so that
+    elimination fills in columns that no input row of a pivot stores."""
+    rows = []
+    for _ in range(nrows):
+        row = [F3()] * ncols
+        for j in rng.sample(range(ncols), rng.choice((2, 3))):
+            row[j] = _mixed_f3(rng) or F3(1)
+        rows.append(row)
+    return rows
 
 
 @pytest.mark.parametrize("name", list(_edge_matrices()))
@@ -691,16 +748,34 @@ def test_gauss_jordan_matches_the_scalar_oracle_on_edge_cases(name):
 def test_gauss_jordan_edge_case_values():
     r3 = F3(0, 1)
     assert _gauss_jordan([], 0) == ([], [], [], 1)
-    assert _gauss_jordan([([0, 0], [0, 0], 1)] * 2, 2)[1:] == ([], [], 1)
+    assert _gauss_jordan([({}, {}, 1)] * 2, 2)[1:] == ([], [], 1)
     # rows [0, 1 + √3] and [√3, 1]: pivots √3 and 1 + √3 have norms -3 and -2
-    rows, pivots, divisors, sign = _gauss_jordan([([0, 1], [0, 1], 1), ([0, 1], [1, 0], 1)], 2)
+    rows, pivots, divisors, sign = _gauss_jordan(
+        [({1: 1}, {1: 1}, 1), ({0: 0, 1: 1}, {0: 1, 1: 0}, 1)], 2)
     assert (pivots, divisors, sign) == ([0, 1], [r3, 1 + r3], -1)
     assert rows == [[F3(1), F3()], [F3(), F3(1)]]
     assert determinant(ExactMatrix([[0, 1 + r3], [r3, 1]])) == -r3 * (1 + r3)
     # a row that is not in lowest terms: [2, 2√3]/4 = [1/2, √3/2]
-    rows, pivots, divisors, sign = _gauss_jordan([([2, 0], [0, 2], 4)], 2)
+    rows, pivots, divisors, sign = _gauss_jordan([({0: 2, 1: 0}, {0: 0, 1: 2}, 4)], 2)
     assert (pivots, _bits(divisors), sign) == ([0], [(F3, 1, 0, 2)], 1)
     assert _bits(rows[0]) == [(F3, 1, 0, 1), (F3, 0, 1, 1)]
+
+
+def test_tall_sparse_case_fills_in(monkeypatch):
+    # some row operation writes an entry into a column its row did not store
+    filled, pivot = [], linalg._pivot
+
+    def watched(a, prow, col, rows):
+        rows = list(rows)
+        before = [set(a[r][0]) for r in rows]
+        out = pivot(a, prow, col, rows)
+        filled.extend(set(a[r][0]) - b for r, b in zip(rows, before))
+        return out
+
+    monkeypatch.setattr(linalg, "_pivot", watched)
+    m = ExactMatrix(_edge_matrices()["tall-sparse-fill-in"])
+    _gauss_jordan(_int_rows(m), m.cols)
+    assert (m.rows, m.cols) == (40, 12) and any(filled)
 
 
 def _signature_by_scalars(m):
@@ -742,14 +817,6 @@ def _signature_by_scalars(m):
                 for k in range(n):
                     a[r][k] = a[r][k] - f * a[step][k]
     return pos, neg, zero
-
-
-def _mixed_f3(rng):
-    # a third zero; otherwise a + b√3 with denominators 1, 2, 3 and 7
-    if rng.randrange(3) == 0:
-        return F3()
-    return F3(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))),
-              Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
 
 
 def _symmetric(rng, n, diagonal=True):
