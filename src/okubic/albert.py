@@ -155,8 +155,8 @@ def jordan_defect(algebra: AlbertAlgebra, a: AlbertElement, b: AlbertElement) ->
 
 def left_mult_operator(algebra: AlbertAlgebra, a: AlbertElement) -> ExactMatrix:
     """27×27 matrix of b ↦ a∘b in flat coordinates, read off the integer
-    form of ``_table`` as ``mul`` reads it."""
-    return ExactMatrix(bilinear_left(_table(algebra.q), a.coeffs))
+    form of ``_table`` as ``mul`` reads it, as sparse integer rows."""
+    return ExactMatrix._from_ints(bilinear_left(_table(algebra.q), a.coeffs), 27)
 
 
 def cyclic_shift(a: AlbertElement) -> AlbertElement:

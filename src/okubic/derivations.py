@@ -20,8 +20,10 @@ from .linalg import (
     ExactMatrix,
     SparseTable,
     _add_entry,
+    _common_denominator,
     _gauss_jordan,
     _kernel,
+    _reduced,
     bilinear,
     rank,
     symmetric_signature,
@@ -96,48 +98,50 @@ def derivation_space(algebra: AlgebraPresentation):
     return len(kernel), [ExactMatrix([v[r * n:r * n + n] for r in range(n)]) for v in kernel]
 
 
-def _nonzero(m: ExactMatrix):
-    """(i, j, m[i, j]) for the nonzero entries of m."""
-    return [(i, j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x]
-
-
 def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """ab - ba, summed over the nonzero products only."""
-    out = [[F3()] * a.cols for _ in range(a.rows)]
-    for x, y, negate in ((a, b, False), (b, a, True)):
-        y_rows = [[(j, v) for j, v in enumerate(row) if v] for row in y.entries]
-        for i, k, u in _nonzero(x):
-            u = -u if negate else u
-            for j, v in y_rows[k]:
-                out[i][j] = out[i][j] + u * v
-    return ExactMatrix(out)
+    """ab - ba summed on integer rows over the one denominator Da·Db."""
+    (ra, da), (rb, db) = _common_denominator(a.ints), _common_denominator(b.ints)
+    rows = [({}, {}) for _ in ra]
+    for x, y, sign in ((ra, rb, 1), (rb, ra, -1)):
+        for (na, nb), (xa, xb) in zip(rows, x):
+            for k, u in xa.items():
+                (ya, yb), u, v = y[k], sign * u, sign * xb[k]
+                for j, s in ya.items():
+                    _add_entry(na, nb, j, u * s + 3 * v * yb[j], u * yb[j] + v * s)
+    return ExactMatrix._from_ints([_reduced(na, nb, da * db) for na, nb in rows], a.cols)
 
 
 def _flatten(m: ExactMatrix):
-    return [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+    """m row by row as one gcd-reduced sparse integer row (na, nb, d)."""
+    rows, d = _common_denominator(m.ints)
+    flat = [(i * m.cols + j, x, nb[j]) for i, (na, nb) in enumerate(rows) for j, x in na.items()]
+    return {c: x for c, x, _ in flat}, {c: y for c, _, y in flat}, d
 
 
 def check_lie_closure(basis) -> bool:
     """[D_i, D_j] lies in the span of the basis, by an exact rank test."""
     if not basis:
         return True
-    span_rows = [_flatten(d) for d in basis]
-    base_rank = rank(ExactMatrix(span_rows))
-    rows = list(span_rows)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            rows.append(_flatten(_commutator(basis[i], basis[j])))
-    return rank(ExactMatrix(rows)) == base_rank
+    rows, ncols = [_flatten(d) for d in basis], basis[0].rows * basis[0].cols
+    base_rank = rank(ExactMatrix._from_ints(rows, ncols))
+    rows += [_flatten(_commutator(a, b)) for i, a in enumerate(basis) for b in basis[i + 1:]]
+    return rank(ExactMatrix._from_ints(rows, ncols)) == base_rank
 
 
 def killing_matrix(basis) -> ExactMatrix:
-    """Trace form K[i][j] = Tr(D_i D_j) on the derivation basis."""
-    n = len(basis)
-
-    def tr(a, b):
-        return sum((u * b[k, i] for i, k, u in _nonzero(a) if b[k, i]), F3())
-
-    return ExactMatrix([[tr(basis[i], basis[j]) for j in range(n)] for i in range(n)])
+    """Trace form K[i][j] = Tr(D_i D_j) = Σ D_i[r, k]·D_j[k, r] on the derivation
+    basis, summed on the flattened integer rows over one denominator D, as K·D²."""
+    n, (flat, big) = basis[0].cols, _common_denominator([_flatten(m) for m in basis])
+    rows = []
+    for xa, xb in flat:
+        na, nb = {}, {}
+        for j, (ya, yb) in enumerate(flat):
+            for c, u in xa.items():
+                t = c % n * n + c // n  # entry r·n + k of D_i meets entry k·n + r of D_j
+                if t in ya:
+                    _add_entry(na, nb, j, u * ya[t] + 3 * xb[c] * yb[t], u * yb[t] + xb[c] * ya[t])
+        rows.append(_reduced(na, nb, big * big))
+    return ExactMatrix._from_ints(rows, len(basis))
 
 
 def killing_signature(basis):

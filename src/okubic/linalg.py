@@ -6,8 +6,8 @@ denominator per matrix and build each entry once; a traceful product
 (1/2+iθ)xy + (1/2-iθ)yx is one such product.  RREF, rank, nullspace and the
 determinant come from one Gauss–Jordan pass on sparse integer rows (the
 nonzero entries only, as integer numerators over one denominator per row),
-which builds F3 values only for its pivot rows; the signature of a
-symmetric matrix comes by congruence on the same rows and pivot step.
+the one stored form of an ``ExactMatrix``; the signature of a symmetric
+matrix comes by congruence on the same rows and pivot step.
 
 Pivoting picks the first nonzero entry in column order; arithmetic is
 exact, so no magnitude considerations apply and results are
@@ -25,6 +25,7 @@ Flavor = str  # "compact" | "split"
 
 COMPACT = "compact"
 SPLIT = "split"
+_ZERO, _ONE = F3(), F3(1)
 
 
 def _check_flavor(flavor: Flavor) -> None:
@@ -87,8 +88,9 @@ def bilinear(table: SparseTable, u, v, scalar):
 
 
 def bilinear_left(table: SparseTable, u):
-    """Rows of the matrix of v ↦ ``bilinear(table, u, v, F3)``: entry [k][b]
-    is Σ_a u[a]·c over the pairs (k, c) of cell [a][b]."""
+    """Rows of the matrix of v ↦ ``bilinear(table, u, v, F3)`` as gcd-reduced
+    sparse integer rows (na, nb, d): entry [k][b] is Σ_a u[a]·c over the pairs
+    (k, c) of cell [a][b]."""
     nu, du = _numerators(u)
     n = len(table.ints)
     out_a, out_b = [[0] * n for _ in range(table.size)], [[0] * n for _ in range(table.size)]
@@ -98,9 +100,12 @@ def bilinear_left(table: SparseTable, u):
             for k, ca, cb in cell:
                 out_a[k][b] += ua * ca + ub3 * cb
                 out_b[k][b] += ua * cb + ub * ca
-    d, zero = du * table.den, F3()
-    return [[_raw_f3(a, b, d) if a or b else zero for a, b in zip(ra, rb)]
-            for ra, rb in zip(out_a, out_b)]
+    d, rows = du * table.den, []
+    for ra, rb in zip(out_a, out_b):
+        g = math.gcd(d, *ra, *rb)  # zeros leave the gcd as it is
+        rows.append(({b: x // g for b, x in enumerate(ra) if x or rb[b]},
+                     {b: y // g for b, y in enumerate(rb) if y or ra[b]}, d // g))
+    return rows
 
 
 def _c3_numerators(zs):
@@ -275,25 +280,41 @@ def is_eta_hermitian(x: Mat3, flavor: Flavor) -> bool:
 
 
 class ExactMatrix(Frozen):
-    """Dense matrix over F3 of arbitrary shape."""
+    """Matrix over F3 of arbitrary shape, stored only as the gcd-reduced sparse integer
+    rows (na, nb, d), d > 0, that ``_gauss_jordan`` takes; F3 entries are built on demand."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "ints")
 
     def __init__(self, entries):
-        entries = tuple(tuple(F3.coerce(x) for x in r) for r in entries)
-        cols = len(entries[0]) if entries else 0
-        if any(len(r) != cols for r in entries):
+        # each row over the lcm of its denominators, which leaves it gcd-reduced
+        rows = [_numerators([F3.coerce(x) for x in r]) for r in entries]
+        cols = len(rows[0][0]) if rows else 0
+        if any(len(nums) != cols for nums, _ in rows):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        rows = [({j: a for j, (a, b) in enumerate(nums) if a or b},
+                 {j: b for j, (a, b) in enumerate(nums) if a or b}, d) for nums, d in rows]
+        for name, value in zip(self.__slots__, (len(rows), cols, tuple(rows))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_ints(cls, rows, cols):
+        """The matrix of gcd-reduced sparse integer rows, stored as given."""
+        out = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (len(rows), cols, tuple(rows))):
+            object.__setattr__(out, name, value)
+        return out
+
+    @property
+    def entries(self):
+        return tuple(tuple(self[i, j] for j in range(self.cols)) for i in range(self.rows))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        na, nb, d = self.ints[i]
+        return _raw_f3(na[j], nb[j], d) if j in na else _ZERO
 
     def _key(self):
-        return self.entries
+        return self.cols, tuple((frozenset(na.items()), frozenset(nb.items()), d) for na, nb, d in self.ints)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -301,9 +322,10 @@ class ExactMatrix(Frozen):
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return [
-            sum((a * x for a, x in zip(r, v) if a), F3()) for r in self.entries
-        ]
+        nv, dv = _numerators(v)
+        return [_raw_f3(sum(x * nv[j][0] + 3 * nb[j] * nv[j][1] for j, x in na.items()),
+                        sum(x * nv[j][1] + nb[j] * nv[j][0] for j, x in na.items()), d * dv)
+                for na, nb, d in self.ints]
 
 
 def _reduced(na, nb, d):
@@ -312,6 +334,13 @@ def _reduced(na, nb, d):
     if g == 1:
         return na, nb, d
     return {j: x // g for j, x in na.items()}, {j: x // g for j, x in nb.items()}, d // g
+
+
+def _common_denominator(rows):
+    """Sparse integer rows (na, nb, d) as pairs (na, nb) over the lcm of their d, and that lcm."""
+    big = math.lcm(*(d for _, _, d in rows))
+    return [({j: x * (big // d) for j, x in na.items()}, {j: y * (big // d) for j, y in nb.items()})
+            for na, nb, d in rows], big
 
 
 def _add_entry(na, nb, j, xa, xb):
@@ -325,10 +354,10 @@ def _pivot(a, prow, col, rows):
     """The one row operation on sparse integer rows (na, nb, d), dicts from the
     column j of each nonzero entry (na[j] + nb[j]√3)/d, d > 0: divide row ``prow``
     of a by its entry in column ``col``, clear that column from each row of ``rows``
-    (one pass over the pivot row's entries, one gcd), and return the pivot as an F3."""
+    (one pass over the pivot row's entries, one gcd), and return the pivot (pa, pb, d)."""
     na, nb, d = a[prow]
     pa, pb = na[col], nb[col]
-    pivot = _raw_f3(pa, pb, d)
+    pivot = pa, pb, d
     if pb or pa != d:  # the pivot entry is not yet 1
         # x/p = (xa + xb√3)(pa - pb√3)/(pa² - 3pb²): the row's d cancels
         n = pa * pa - 3 * pb * pb
@@ -362,10 +391,10 @@ def _pivot(a, prow, col, rows):
 
 
 def _gauss_jordan(rows, ncols):
-    """Gauss–Jordan elimination over Q(√3) on sparse integer rows (na, nb, d)
-    through ``_pivot``: the reduced rows over F3, the pivot columns, the pivot
-    values divided by, and (-1)^(number of row swaps).  Pivots clear the rows
-    below them, then (last first) the rows above; the input rows are unchanged."""
+    """Gauss–Jordan elimination over Q(√3) on sparse integer rows (na, nb, d) through
+    ``_pivot``: the reduced rows (gcd-reduced if the input rows are), the pivot columns,
+    the pivots divided by as (pa, pb, d), and (-1)^(number of row swaps).  Pivots clear
+    the rows below them, then (last first) the rows above; the input rows are unchanged."""
     a = [(dict(na), dict(nb), d) for na, nb, d in rows]
     nrows = len(a)
     pivots, divisors, sign, prow = [], [], 1, 0
@@ -382,27 +411,13 @@ def _gauss_jordan(rows, ncols):
     for prow, col in reversed(list(enumerate(pivots))):
         _pivot(a, prow, col, [r for r in range(prow) if col in a[r][0]])
     # every row below the pivot rows is zero: they share one zero row
-    zero = F3()
-    rows = [[_raw_f3(na[j], nb[j], d) if j in na else zero for j in range(ncols)]
-            for na, nb, d in a[:len(pivots)]]
-    return rows + [[zero] * ncols] * (nrows - len(pivots)), pivots, divisors, sign
-
-
-def _int_rows(m: ExactMatrix):
-    """The rows of m as sparse integer rows (na, nb, d) for ``_gauss_jordan``:
-    the nonzero entries only, over the lcm of their denominators."""
-    rows = []
-    for nz in ([(j, x) for j, x in enumerate(row) if x._an or x._bn] for row in m.entries):
-        d = math.lcm(*[x._d for _, x in nz])
-        rows.append(({j: x._an * (d // x._d) for j, x in nz},
-                     {j: x._bn * (d // x._d) for j, x in nz}, d))
-    return rows
+    return a[:len(pivots)] + [({}, {}, 1)] * (nrows - len(pivots)), pivots, divisors, sign
 
 
 def rref(m: ExactMatrix):
     """Reduced row echelon form over Q(√3); returns (rref, pivot columns)."""
-    rows, pivots, _, _ = _gauss_jordan(_int_rows(m), m.cols)
-    return ExactMatrix(rows), pivots
+    rows, pivots, _, _ = _gauss_jordan(m.ints, m.cols)
+    return ExactMatrix._from_ints(rows, m.cols), pivots
 
 
 def rank(m: ExactMatrix) -> int:
@@ -410,13 +425,14 @@ def rank(m: ExactMatrix) -> int:
 
 
 def _kernel(rows, pivots, ncols):
-    """Kernel basis of reduced F3 rows with these pivots: one vector per free column."""
+    """Kernel basis of reduced integer rows with these pivots, one vector per free column."""
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [F3()] * ncols
-        v[fc] = F3(1)
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -rows[prow][fc]
+        v = [_ZERO] * ncols
+        v[fc] = _ONE
+        for (na, nb, d), pcol in zip(rows, pivots):
+            if fc in na:
+                v[pcol] = _raw_f3(-na[fc], -nb[fc], d)
         basis.append(v)
     return basis
 
@@ -424,27 +440,27 @@ def _kernel(rows, pivots, ncols):
 def nullspace(m: ExactMatrix):
     """Exact basis of {v : m·v = 0}; one vector per free column."""
     red, pivots = rref(m)
-    return _kernel(red.entries, pivots, m.cols)
+    return _kernel(red.ints, pivots, m.cols)
 
 
 def determinant(m: ExactMatrix) -> F3:
     """Exact determinant over F3 from one Gauss–Jordan pass."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    _, pivots, divisors, sign = _gauss_jordan(_int_rows(m), m.cols)
-    return math.prod(divisors, start=F3(sign)) if len(pivots) == m.rows else F3()
+    _, pivots, divisors, sign = _gauss_jordan(m.ints, m.cols)
+    return math.prod((_raw_f3(*p) for p in divisors), start=F3(sign)) if len(pivots) == m.rows else F3()
 
 
 def symmetric_signature(m: ExactMatrix):
     """Signature (pos, neg, zero) of a symmetric F3 matrix.
 
-    Diagonalizes by exact congruence on m's integer rows, one ``_pivot`` per
-    step; valid because the real embedding of Q(√3) orders the field.
+    Diagonalizes by exact congruence on a copy of m's integer rows, one
+    ``_pivot`` per step; valid because the real embedding of Q(√3) orders the field.
     """
     if m.rows != m.cols:
         raise ValueError("signature of non-square matrix")
     n = m.rows
-    a = _int_rows(m)
+    a = [(dict(na), dict(nb), d) for na, nb, d in m.ints]
     pos = neg = 0
     for step in range(n):
         sel = next((k for k in range(step, n) if k in a[k][0]), None)
@@ -471,7 +487,7 @@ def symmetric_signature(m: ExactMatrix):
                   {swap.get(j, j): x for j, x in rb.items()}, d) for ra, rb, d in a]
         # the matching column operations would write only row `step`, which
         # no later step reads, so the trailing block is already congruent
-        if _pivot(a, step, step, range(step + 1, n)).is_positive():
+        if _raw_f3(*_pivot(a, step, step, range(step + 1, n))).is_positive():
             pos += 1
         else:
             neg += 1

@@ -7,16 +7,20 @@ points.  Left multiplication by any such idempotent has a 10-dimensional
 kernel.
 """
 
+import math
 import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import okubic
 from okubic import albert as albert_module
+from okubic import field, linalg
 from okubic.albert import (
     ALBERT_HALF,
     AlbertAlgebra,
@@ -45,8 +49,17 @@ from okubic.geometry import (
     plane_embed,
     sample_affine_point,
 )
-from okubic.linalg import ExactMatrix, Mat3, nullspace, rank
+from okubic.linalg import ExactMatrix, Mat3, determinant, nullspace, rank
 from okubic.okubo import OkuboElement, conjugation_automorphism, okubo_mul, polar
+
+# the left-multiplication, elimination and kernel oracles and the q values
+from test_linalg import (
+    ALBERT_QS,
+    _bits,
+    _gauss_jordan_by_scalars,
+    _kernel_by_scalars,
+    _left_mult_by_scalars,
+)
 
 B = OkuboElement.basis
 W = AlbertElement.okubo_slot
@@ -378,3 +391,81 @@ def test_veronese_conversion_roundtrip():
     rng = random.Random(612)
     proj = plane_embed(sample_affine_point(rng))
     assert point_from_idempotent(idempotent_from_point(proj)) == proj
+
+
+def _left_mult_inputs(q):
+    """A seeded affine ε, the three scalar idempotents, the unit and a sampled element."""
+    rng = random.Random(f"one-matrix:{q}")
+    eps = idempotent_from_point(plane_embed(sample_affine_point(rng)))
+    return [eps, *(AlbertElement.scalar_idempotent(i) for i in range(3)), AlbertElement.unit(),
+            sample_albert(rng)]
+
+
+@pytest.mark.parametrize("q", ALBERT_QS, ids=str)
+def test_left_mult_operator_matches_the_f3_round_trip(q):
+    # the operator as integer rows against the F3 operator read back as integer
+    # rows, and everything read from it against the per-scalar elimination
+    algebra = AlbertAlgebra(q)
+    rng = random.Random(f"one-matrix-vectors:{q}")
+    vectors = [sample_albert(rng).coeffs for _ in range(3)]
+    for a in _left_mult_inputs(q):
+        entries, ints = _left_mult_by_scalars(albert_module._table(algebra.q), a.coeffs)
+        op = left_mult_operator(algebra, a)
+        assert (op.rows, op.cols) == (27, 27)
+        assert list(op.ints) == ints
+        assert [_bits(r) for r in op.entries] == [_bits(r) for r in entries]
+        for v in vectors:
+            want = [sum((x * y for x, y in zip(r, v) if x), F3()) for r in entries]
+            assert _bits(op.mul_vec(v)) == _bits(want)
+        red, pivots, divisors, sign = _gauss_jordan_by_scalars(
+            types.SimpleNamespace(entries=entries, rows=27, cols=27))
+        assert rank(op) == len(pivots)
+        kernel = nullspace(op)
+        assert [_bits(v) for v in kernel] == [_bits(v) for v in _kernel_by_scalars(red, pivots, 27)]
+        want_det = math.prod(divisors, start=F3(sign)) if len(pivots) == 27 else F3()
+        assert _bits([determinant(op)]) == _bits([want_det])
+
+
+def _f3_builds_and_ops(monkeypatch):
+    """Record every F3 built (``_raw_f3`` in field and linalg, ``F3.__init__``)
+    and every F3 sum, product and inverse."""
+    built, ops = [], []
+    for module in (field, linalg):
+        raw = module._raw_f3
+        monkeypatch.setattr(module, "_raw_f3", lambda *a, raw=raw: built.append(1) or raw(*a))
+    init = F3.__init__
+    monkeypatch.setattr(F3, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__", "__truediv__", "inverse"):
+        op = getattr(F3, name)
+        monkeypatch.setattr(F3, name, lambda *a, op=op: ops.append(1) or op(*a))
+    return built, ops
+
+
+def test_left_mult_rank_and_kernel_build_almost_no_scalars(monkeypatch):
+    # L_ε goes from the table to its rank as integer rows; its kernel builds
+    # only the nonzero entries of its 10 vectors in the 17 pivot columns
+    rng = random.Random(617)
+    eps = idempotent_from_point(plane_embed(sample_affine_point(rng)))
+    left_mult_operator(ALBERT_HALF, eps)  # the table is built on first use
+    built, ops = _f3_builds_and_ops(monkeypatch)
+    assert rank(left_mult_operator(ALBERT_HALF, eps)) == 17
+    assert (built, ops) == ([], [])
+    kernel = nullspace(left_mult_operator(ALBERT_HALF, eps))
+    assert len(kernel) == 10 and 0 < len(built) <= 17 * 10 and ops == []
+
+
+def test_left_mult_rows_reach_the_elimination_unconverted(monkeypatch):
+    assert not hasattr(linalg, "_int_rows")
+    assert "_int_rows" not in Path(linalg.__file__).read_text(encoding="utf-8")
+    made, seen = [], []
+    left, eliminate = albert_module.bilinear_left, linalg._gauss_jordan
+    monkeypatch.setattr(albert_module, "bilinear_left",
+                        lambda *a: made.append(left(*a)) or made[-1])
+    monkeypatch.setattr(linalg, "_gauss_jordan",
+                        lambda rows, ncols: seen.append(rows) or eliminate(rows, ncols))
+    rng = random.Random(619)
+    eps = idempotent_from_point(plane_embed(sample_affine_point(rng)))
+    assert len(nullspace(left_mult_operator(ALBERT_HALF, eps))) == 10
+    (rows,), (ints,) = made, seen
+    assert len(rows) == len(ints) == 27 and all(r is s for r, s in zip(rows, ints))

@@ -8,6 +8,7 @@ import pytest
 from okubic.derivations import (
     AlgebraPresentation,
     _commutator,
+    _flatten,
     check_lie_closure,
     check_tau_grading,
     derivation_report,
@@ -19,7 +20,7 @@ from okubic.derivations import (
 )
 from okubic.field import F3, sample_f3
 from okubic.hurwitz import petersson_mul, sample_split_octonion
-from okubic.linalg import COMPACT, SPLIT, ExactMatrix
+from okubic.linalg import COMPACT, SPLIT, ExactMatrix, rank
 from okubic.okubo import OkuboElement, polar, sample_okubo
 
 # the tensors, the seam on derivation_space and the row reading of the
@@ -244,3 +245,60 @@ def test_sparse_commutators_and_trace_form_match_the_dense_formulas(make):
             assert got == ExactMatrix(_dense_commutator(a, b))
             assert all(type(x) is F3 for row in got.entries for x in row)
     assert killing_matrix(basis) == ExactMatrix(_dense_trace_form(basis))
+
+
+def _nonzero_by_scalars(m):
+    """(i, j, m[i, j]) for the nonzero F3 entries of m."""
+    return [(i, j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x]
+
+
+def _commutator_by_scalars(a, b):
+    """ab - ba summed over the nonzero F3 products: the oracle for
+    ``_commutator``, which sums integer rows over one denominator."""
+    out = [[F3()] * a.cols for _ in range(a.rows)]
+    for x, y, negate in ((a, b, False), (b, a, True)):
+        y_rows = [[(j, v) for j, v in enumerate(row) if v] for row in y.entries]
+        for i, k, u in _nonzero_by_scalars(x):
+            u = -u if negate else u
+            for j, v in y_rows[k]:
+                out[i][j] = out[i][j] + u * v
+    return out
+
+
+def _trace_form_by_scalars(basis):
+    """Tr(D_i D_j) summed over the nonzero F3 products: the oracle for
+    ``killing_matrix``."""
+    def tr(a, b):
+        return sum((u * b[k, i] for i, k, u in _nonzero_by_scalars(a) if b[k, i]), F3())
+
+    return [[tr(a, b) for b in basis] for a in basis]
+
+
+def _lie_closure_by_scalars(basis):
+    """The rank test of ``check_lie_closure`` on F3 rows."""
+    span_rows = [[x for row in d.entries for x in row] for d in basis]
+    rows = span_rows + [[x for row in _commutator_by_scalars(a, b) for x in row]
+                        for i, a in enumerate(basis) for b in basis[i + 1:]]
+    return rank(ExactMatrix(rows)) == rank(ExactMatrix(span_rows))
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["plain", "signed-permuted"])
+@pytest.mark.parametrize("name", DERIVATION_TENSORS)
+def test_integer_commutators_and_trace_form_match_the_f3_loops(name, permuted):
+    constants = _signed_permuted(name) if permuted else DERIVATION_TENSORS[name]()
+    dim, basis = derivation_space(AlgebraPresentation(constants))
+    assert dim == 8
+    for a in basis:
+        flat = _flatten(a)
+        _assert_sparse([flat])
+        assert _bits(_f3_rows([flat], 64)[0]) == _bits([x for row in a.entries for x in row])
+        for b in basis:
+            got = _commutator(a, b)
+            want = _commutator_by_scalars(a, b)
+            assert got == ExactMatrix(want)
+            assert [_bits(r) for r in got.entries] == [_bits(r) for r in want]
+    got = killing_matrix(basis)
+    want = _trace_form_by_scalars(basis)
+    assert got == ExactMatrix(want)
+    assert [_bits(r) for r in got.entries] == [_bits(r) for r in want]
+    assert check_lie_closure(basis) is _lie_closure_by_scalars(basis) is True

@@ -12,7 +12,7 @@ import pytest
 
 from okubic import albert, derivations, geometry, hurwitz, linalg, okubo
 from okubic.albert import sample_albert, trace
-from okubic.field import C3, F3, Frozen, sample_f3
+from okubic.field import C3, F3, Frozen, _raw_f3, sample_f3
 from okubic.geometry import VeroneseVector
 from okubic.hurwitz import sample_split_octonion
 from okubic.linalg import (
@@ -23,7 +23,7 @@ from okubic.linalg import (
     SparseTable,
     Vector,
     _gauss_jordan,
-    _int_rows,
+    _numerators,
     bilinear,
     bilinear_left,
     determinant,
@@ -536,7 +536,47 @@ def test_bilinear_matches_the_scalar_oracle(name):
         # column b of the left multiplication by u is u times basis vector b
         for u in others:
             cols = [_bilinear_by_scalars(table, u, e, F3()) for e in basis]
-            assert bilinear_left(table, u) == [list(row) for row in zip(*cols)]
+            rows = bilinear_left(table, u)
+            _assert_sparse(rows)
+            _assert_reduced(rows)
+            assert _f3_rows(rows, n) == [list(row) for row in zip(*cols)]
+
+
+def _left_mult_by_scalars(table, u):
+    """The F3 rows of v ↦ ``bilinear(table, u, v, F3)`` and the same rows as
+    sparse integer rows (nonzero entries only, over the lcm of their
+    denominators) read back from those F3 values: the oracle for
+    ``bilinear_left``, which sums integers and builds no F3."""
+    nu, du = _numerators(u)
+    n = len(table.ints)
+    out_a, out_b = [[0] * n for _ in range(table.size)], [[0] * n for _ in range(table.size)]
+    for row, (ua, ub) in zip(table.nonzero, nu):
+        for b, cell in row:
+            for k, ca, cb in cell:
+                out_a[k][b] += ua * ca + 3 * ub * cb
+                out_b[k][b] += ua * cb + ub * ca
+    d, zero = du * table.den, F3()
+    entries = [[_raw_f3(a, b, d) if a or b else zero for a, b in zip(ra, rb)]
+               for ra, rb in zip(out_a, out_b)]
+    ints = []
+    for nz in ([(j, x) for j, x in enumerate(row) if x._an or x._bn] for row in entries):
+        e = math.lcm(*[x._d for _, x in nz])
+        ints.append(({j: x._an * (e // x._d) for j, x in nz},
+                     {j: x._bn * (e // x._d) for j, x in nz}, e))
+    return entries, ints
+
+
+def _kernel_by_scalars(rows, pivots, ncols):
+    """The free-column kernel loop on reduced F3 rows: the oracle for
+    ``_kernel``, which reads reduced integer rows."""
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [F3()] * ncols
+        v[fc] = F3(1)
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -rows[prow][fc]
+        basis.append(v)
+    return basis
 
 
 def _gauss_jordan_by_scalars(m):
@@ -583,6 +623,17 @@ def _f3_rows(rows, ncols):
             for na, nb, d in rows]
 
 
+def _f3_divisors(divisors):
+    """Pivots (pa, pb, d) from ``_gauss_jordan`` read as F3 through the public
+    constructor."""
+    return [F3(Fraction(a, d), Fraction(b, d)) for a, b, d in divisors]
+
+
+def _assert_reduced(rows):
+    """Each row is in lowest terms, as ``ExactMatrix`` keys it."""
+    assert all(math.gcd(d, *na.values(), *nb.values()) == 1 for na, nb, d in rows)
+
+
 def _assert_sparse(rows):
     """Each row stores the same columns in na and nb, no zero entry, and a
     positive denominator."""
@@ -600,37 +651,43 @@ def _assert_same_elimination(rows, ncols):
     assert rows == before
     want_rows, want_pivots, want_divisors, want_sign = _gauss_jordan_by_scalars(
         ExactMatrix(_f3_rows(rows, ncols)))
-    assert [_bits(r) for r in got] == [_bits(r) for r in want_rows]
+    assert [_bits(r) for r in _f3_rows(got, ncols)] == [_bits(r) for r in want_rows]
     assert (pivots, sign) == (want_pivots, want_sign)
-    assert _bits(divisors) == _bits(want_divisors)
-    assert len(got) == len(rows) and all(len(r) == ncols for r in got)
+    assert _bits(_f3_divisors(divisors)) == _bits(want_divisors)
+    assert len(got) == len(rows) and all(0 <= j < ncols for na, _, _ in got for j in na)
+    _assert_sparse(got)
+    if all(math.gcd(d, *na.values(), *nb.values()) == 1 for na, nb, d in rows):
+        _assert_reduced(got)
 
 
 def _assert_same_elimination_of(m):
     """The same check on the integer rows ``rref`` and ``determinant`` read
     from m, which must be m's entries exactly."""
-    rows = _int_rows(m)
+    rows = m.ints
     assert ExactMatrix(_f3_rows(rows, m.cols)) == m
     _assert_same_elimination(rows, m.cols)
 
 
 def _left_mult_at_half():
+    """The F3 entries of L_ε at q = 1/2 for a seeded affine ε, from the oracle."""
     rng = random.Random("int-rows")
     eps = albert.idempotent_from_point(geometry.plane_embed(geometry.sample_affine_point(rng)))
-    return albert.left_mult_operator(albert.AlbertAlgebra(Fraction(1, 2)), eps)
+    return _left_mult_by_scalars(albert._table(F3(Fraction(1, 2))), eps.coeffs)[0]
 
 
-@pytest.mark.parametrize("make", [lambda: okubo.gram_matrix(COMPACT), _left_mult_at_half],
+@pytest.mark.parametrize("make", [lambda: okubo.gram_matrix(COMPACT).entries, _left_mult_at_half],
                          ids=["gram-compact", "left-mult-27"])
 def test_int_rows_store_exactly_the_nonzero_entries(make):
-    m = make()
-    rows = _int_rows(m)
+    entries = make()
+    m = ExactMatrix(entries)
+    rows = m.ints
     _assert_sparse(rows)
     assert [sorted(na) for na, _, _ in rows] == [
-        [j for j, x in enumerate(row) if x] for row in m.entries]
+        [j for j, x in enumerate(row) if x] for row in entries]
     # one denominator per row: the lcm of its nonzero entries' denominators
-    assert [d for _, _, d in rows] == [math.lcm(*(x._d for x in row if x)) for row in m.entries]
+    assert [d for _, _, d in rows] == [math.lcm(*(x._d for x in row if x)) for row in entries]
     assert ExactMatrix(_f3_rows(rows, m.cols)) == m
+    assert [_bits(r) for r in m.entries] == [_bits(r) for r in entries]
 
 
 def _permute_tensor(c, perm, signs):
@@ -752,13 +809,13 @@ def test_gauss_jordan_edge_case_values():
     # rows [0, 1 + √3] and [√3, 1]: pivots √3 and 1 + √3 have norms -3 and -2
     rows, pivots, divisors, sign = _gauss_jordan(
         [({1: 1}, {1: 1}, 1), ({0: 0, 1: 1}, {0: 1, 1: 0}, 1)], 2)
-    assert (pivots, divisors, sign) == ([0, 1], [r3, 1 + r3], -1)
-    assert rows == [[F3(1), F3()], [F3(), F3(1)]]
+    assert (pivots, _f3_divisors(divisors), sign) == ([0, 1], [r3, 1 + r3], -1)
+    assert _f3_rows(rows, 2) == [[F3(1), F3()], [F3(), F3(1)]]
     assert determinant(ExactMatrix([[0, 1 + r3], [r3, 1]])) == -r3 * (1 + r3)
     # a row that is not in lowest terms: [2, 2√3]/4 = [1/2, √3/2]
     rows, pivots, divisors, sign = _gauss_jordan([({0: 2, 1: 0}, {0: 0, 1: 2}, 4)], 2)
-    assert (pivots, _bits(divisors), sign) == ([0], [(F3, 1, 0, 2)], 1)
-    assert _bits(rows[0]) == [(F3, 1, 0, 1), (F3, 0, 1, 1)]
+    assert (pivots, _bits(_f3_divisors(divisors)), sign) == ([0], [(F3, 1, 0, 2)], 1)
+    assert _bits(_f3_rows(rows, 2)[0]) == [(F3, 1, 0, 1), (F3, 0, 1, 1)]
 
 
 def test_tall_sparse_case_fills_in(monkeypatch):
@@ -774,7 +831,7 @@ def test_tall_sparse_case_fills_in(monkeypatch):
 
     monkeypatch.setattr(linalg, "_pivot", watched)
     m = ExactMatrix(_edge_matrices()["tall-sparse-fill-in"])
-    _gauss_jordan(_int_rows(m), m.cols)
+    _gauss_jordan(m.ints, m.cols)
     assert (m.rows, m.cols) == (40, 12) and any(filled)
 
 
