@@ -13,6 +13,8 @@ distinguished by a negative-definite trace form.
 
 from __future__ import annotations
 
+import math
+
 from .field import F3, Frozen
 from .hurwitz import petersson_structure_constants
 from .linalg import (
@@ -22,7 +24,7 @@ from .linalg import (
     _add_entry,
     _common_denominator,
     _gauss_jordan,
-    _kernel,
+    _kernel_columns,
     _reduced,
     bilinear,
     rank,
@@ -78,7 +80,8 @@ def derivation_space(algebra: AlgebraPresentation):
     """(dimension, basis of n×n derivation matrices), solved exactly.
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
-    integer row read from the table's integer form; the shortest go first.
+    integer row read from the table's integer form; the shortest go first.  Each
+    basis matrix is built from the reduced integer rows, with no F3 value.
     """
     ints, den = algebra._table.ints, algebra._table.den
     n = len(ints)
@@ -94,13 +97,22 @@ def derivation_space(algebra: AlgebraPresentation):
                 _add_entry(eqs[k][0], eqs[k][1], col, a, b)
             rows += eqs
     reduced, pivots, _, _ = _gauss_jordan(sorted(rows, key=lambda row: len(row[0])), n * n)
-    kernel = _kernel(reduced, pivots, n * n)
-    return len(kernel), [ExactMatrix([v[r * n:r * n + n] for r in range(n)]) for v in kernel]
+    basis = []
+    for fc, entries in _kernel_columns(reduced, pivots, n * n):
+        # the kernel vector, entry 1 at fc, over one denominator, cut into the n rows of D
+        entries[fc] = (1, 0, 1)
+        big, mrows = math.lcm(*(d for _, _, d in entries.values())), [({}, {}) for _ in range(n)]
+        for c, (a, b, d) in sorted(entries.items()):
+            na, nb = mrows[c // n]
+            na[c % n], nb[c % n] = a * (big // d), b * (big // d)
+        basis.append(ExactMatrix._from_ints([_reduced(na, nb, big) for na, nb in mrows], n))
+    return len(basis), basis
 
 
-def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """ab - ba summed on integer rows over the one denominator Da·Db."""
-    (ra, da), (rb, db) = _common_denominator(a.ints), _common_denominator(b.ints)
+def _bracket(a, b):
+    """ab - ba as pairs (na, nb) over Da·Db, from a and b read as pairs over
+    their one denominators Da and Db by ``_common_denominator``."""
+    (ra, da), (rb, db) = a, b
     rows = [({}, {}) for _ in ra]
     for x, y, sign in ((ra, rb, 1), (rb, ra, -1)):
         for (na, nb), (xa, xb) in zip(rows, x):
@@ -108,23 +120,36 @@ def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                 (ya, yb), u, v = y[k], sign * u, sign * xb[k]
                 for j, s in ya.items():
                     _add_entry(na, nb, j, u * s + 3 * v * yb[j], u * yb[j] + v * s)
-    return ExactMatrix._from_ints([_reduced(na, nb, da * db) for na, nb in rows], a.cols)
+    return rows, da * db
+
+
+def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """ab - ba summed on integer rows over the one denominator Da·Db."""
+    rows, d = _bracket(_common_denominator(a.ints), _common_denominator(b.ints))
+    return ExactMatrix._from_ints([_reduced(na, nb, d) for na, nb in rows], a.cols)
+
+
+def _flat(rows, d, cols):
+    """Pairs (na, nb) over d, row by row, as one gcd-reduced sparse integer row."""
+    flat = [(i * cols + j, x, nb[j]) for i, (na, nb) in enumerate(rows) for j, x in na.items()]
+    return _reduced({c: x for c, x, _ in flat}, {c: y for c, _, y in flat}, d)
 
 
 def _flatten(m: ExactMatrix):
     """m row by row as one gcd-reduced sparse integer row (na, nb, d)."""
-    rows, d = _common_denominator(m.ints)
-    flat = [(i * m.cols + j, x, nb[j]) for i, (na, nb) in enumerate(rows) for j, x in na.items()]
-    return {c: x for c, x, _ in flat}, {c: y for c, _, y in flat}, d
+    return _flat(*_common_denominator(m.ints), m.cols)
 
 
 def check_lie_closure(basis) -> bool:
-    """[D_i, D_j] lies in the span of the basis, by an exact rank test."""
+    """[D_i, D_j] lies in the span of the basis, by an exact rank test; each D_i
+    is read over its one denominator once."""
     if not basis:
         return True
-    rows, ncols = [_flatten(d) for d in basis], basis[0].rows * basis[0].cols
+    cols = basis[0].cols
+    common = [_common_denominator(m.ints) for m in basis]
+    rows, ncols = [_flat(*x, cols) for x in common], basis[0].rows * cols
     base_rank = rank(ExactMatrix._from_ints(rows, ncols))
-    rows += [_flatten(_commutator(a, b)) for i, a in enumerate(basis) for b in basis[i + 1:]]
+    rows += [_flat(*_bracket(x, y), cols) for i, x in enumerate(common) for y in common[i + 1:]]
     return rank(ExactMatrix._from_ints(rows, ncols)) == base_rank
 
 

@@ -35,7 +35,8 @@ def _check_flavor(flavor: Flavor) -> None:
 
 class SparseTable(Frozen):
     """Structure constants: ``cells[a][b]`` holds the (k, c) with b_a·b_b =
-    Σ c·b_k, c an int, Fraction or F3, ``ints`` the same cells as (k, A, B) with
+    Σ c·b_k, c a nonzero int, Fraction or F3 (zero constants are dropped, so no
+    cell is made only of zeros), ``ints`` the same cells as (k, A, B) with
     c = (A + B√3)/``den`` (one denominator), and ``nonzero[a]`` the (b, ints[a][b])
     of the nonempty cells.  There are ``size`` output coordinates k: as many as
     rows for a product, one for a form, whose value is ``bilinear(...)[0]``."""
@@ -43,7 +44,7 @@ class SparseTable(Frozen):
     __slots__ = ("cells", "ints", "nonzero", "den", "size")
 
     def __init__(self, cells, size=None):
-        cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
+        cells = tuple(tuple(_without_zeros(tuple(cell)) for cell in row) for row in cells)
         nums, den = _numerators([c for row in cells for cell in row for _, c in cell])
         it = iter(nums)  # in the order the cells list their constants
         ints = tuple(tuple(tuple((k, *next(it)) for k, _ in cell) for cell in row) for row in cells)
@@ -51,6 +52,12 @@ class SparseTable(Frozen):
         size = len(cells) if size is None else size
         for name, value in zip(self.__slots__, (cells, ints, nonzero, den, size)):
             object.__setattr__(self, name, value)
+
+
+def _without_zeros(cell):
+    """The (k, c) of a cell with c nonzero; a cell with none zero is kept as it is,
+    so a cell that a table lists twice is stored once."""
+    return cell if all(c for _, c in cell) else tuple(kc for kc in cell if kc[1])
 
 
 def _numerators(xs):
@@ -90,21 +97,23 @@ def bilinear(table: SparseTable, u, v, scalar):
 def bilinear_left(table: SparseTable, u):
     """Rows of the matrix of v ↦ ``bilinear(table, u, v, F3)`` as gcd-reduced
     sparse integer rows (na, nb, d): entry [k][b] is Σ_a u[a]·c over the pairs
-    (k, c) of cell [a][b]."""
+    (k, c) of cell [a][b].  Zero coordinates of u are skipped; each row is summed
+    densely and made sparse by one scan of its entries that also divides out its gcd."""
     nu, du = _numerators(u)
     n = len(table.ints)
     out_a, out_b = [[0] * n for _ in range(table.size)], [[0] * n for _ in range(table.size)]
     for row, (ua, ub) in zip(table.nonzero, nu):
-        ub3 = 3 * ub
-        for b, cell in row:
-            for k, ca, cb in cell:
-                out_a[k][b] += ua * ca + ub3 * cb
-                out_b[k][b] += ua * cb + ub * ca
+        if ua or ub:
+            ub3 = 3 * ub
+            for b, cell in row:
+                for k, ca, cb in cell:
+                    out_a[k][b] += ua * ca + ub3 * cb
+                    out_b[k][b] += ua * cb + ub * ca
     d, rows = du * table.den, []
     for ra, rb in zip(out_a, out_b):
         g = math.gcd(d, *ra, *rb)  # zeros leave the gcd as it is
-        rows.append(({b: x // g for b, x in enumerate(ra) if x or rb[b]},
-                     {b: y // g for b, y in enumerate(rb) if y or ra[b]}, d // g))
+        na = {b: x // g for b, x in enumerate(ra) if x or rb[b]}
+        rows.append((na, {b: rb[b] // g for b in na}, d // g))
     return rows
 
 
@@ -394,24 +403,42 @@ def _gauss_jordan(rows, ncols):
     """Gauss–Jordan elimination over Q(√3) on sparse integer rows (na, nb, d) through
     ``_pivot``: the reduced rows (gcd-reduced if the input rows are), the pivot columns,
     the pivots divided by as (pa, pb, d), and (-1)^(number of row swaps).  Pivots clear
-    the rows below them, then (last first) the rows above; the input rows are unchanged."""
+    the rows below them, then (last first) the rows above; the input rows are unchanged.
+
+    The rows below the pivot rows sit in buckets of positions keyed by their first
+    column.  When column c is reached every earlier column is clear below the pivot
+    rows, so the rows that hold c are exactly bucket c: no column scan.  A cleared row
+    moves to the bucket of its new first column, a zero row leaves the buckets, and a
+    swap moves the displaced row's position."""
     a = [(dict(na), dict(nb), d) for na, nb, d in rows]
-    nrows = len(a)
+    lead = [[] for _ in range(ncols)]
+    for r, (na, _, _) in enumerate(a):
+        if na:
+            lead[min(na)].append(r)
     pivots, divisors, sign, prow = [], [], 1, 0
     for col in range(ncols):
-        hits = [r for r in range(prow, nrows) if col in a[r][0]]
-        if not hits:
+        if not lead[col]:
             continue
-        if hits[0] != prow:
-            a[prow], a[hits[0]] = a[hits[0]], a[prow]
+        top, *hits = sorted(lead[col])
+        if top != prow:
+            a[prow], a[top] = a[top], a[prow]
             sign = -sign
-        divisors.append(_pivot(a, prow, col, hits[1:]))
+            moved = a[top][0]  # the displaced row does not hold col
+            if moved:
+                bucket = lead[min(moved)]
+                bucket[bucket.index(prow)] = top
+        divisors.append(_pivot(a, prow, col, hits))
+        for r in hits:
+            na = a[r][0]
+            if na:
+                # every column left in row r is past col, so col + 1 is first if held
+                lead[col + 1 if col + 1 in na else min(na)].append(r)
         pivots.append(col)
         prow += 1
     for prow, col in reversed(list(enumerate(pivots))):
         _pivot(a, prow, col, [r for r in range(prow) if col in a[r][0]])
     # every row below the pivot rows is zero: they share one zero row
-    return a[:len(pivots)] + [({}, {}, 1)] * (nrows - len(pivots)), pivots, divisors, sign
+    return a[:len(pivots)] + [({}, {}, 1)] * (len(a) - len(pivots)), pivots, divisors, sign
 
 
 def rref(m: ExactMatrix):
@@ -424,15 +451,22 @@ def rank(m: ExactMatrix) -> int:
     return len(rref(m)[1])
 
 
+def _kernel_columns(rows, pivots, ncols):
+    """For each free column fc of reduced integer rows with these pivots, fc and the
+    other nonzero entries of its kernel vector as {pivot column: (a, b, d)}, each
+    (a + b√3)/d; entry fc is 1."""
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        yield fc, {pcol: (-na[fc], -nb[fc], d) for (na, nb, d), pcol in zip(rows, pivots) if fc in na}
+
+
 def _kernel(rows, pivots, ncols):
     """Kernel basis of reduced integer rows with these pivots, one vector per free column."""
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
+    for fc, entries in _kernel_columns(rows, pivots, ncols):
         v = [_ZERO] * ncols
         v[fc] = _ONE
-        for (na, nb, d), pcol in zip(rows, pivots):
-            if fc in na:
-                v[pcol] = _raw_f3(-na[fc], -nb[fc], d)
+        for pcol, x in entries.items():
+            v[pcol] = _raw_f3(*x)
         basis.append(v)
     return basis
 

@@ -2,9 +2,11 @@
 
 import random
 import types
+from fractions import Fraction
 
 import pytest
 
+from okubic import albert
 from okubic.derivations import (
     AlgebraPresentation,
     _commutator,
@@ -52,19 +54,37 @@ def test_compact_okubo_derivations_have_dimension_eight():
 
 
 def test_derivation_space_builds_one_matrix_per_basis_element(monkeypatch):
-    # the Leibniz system is never an ExactMatrix: only the 8 n×n results are
+    # the Leibniz system is never an ExactMatrix: only the 8 n×n results are,
+    # each built straight from integer rows
     built = []
-    init = ExactMatrix.__init__
+    init, from_ints = ExactMatrix.__init__, ExactMatrix._from_ints.__func__
+
+    def record(cls, rows, cols):
+        built.append(from_ints(cls, rows, cols))
+        return built[-1]
+
     monkeypatch.setattr(ExactMatrix, "__init__",
                         lambda self, entries: init(self, entries) or built.append(self))
+    monkeypatch.setattr(ExactMatrix, "_from_ints", classmethod(record))
     dim, basis = derivation_space(okubo_presentation(COMPACT))
-    assert dim == 8 and built == basis
+    assert dim == 8 and len(built) == 8 and all(m is b for m, b in zip(built, basis))
     assert all((m.rows, m.cols) == (8, 8) for m in built)
+    assert not any((m.rows, m.cols) == (512, 64) for m in built)
 
 
 def test_derivation_space_reads_only_the_table():
     table_only = types.SimpleNamespace(_table=COMPACT_PRES._table)
     assert derivation_space(table_only) == (COMPACT_DIM, COMPACT_BASIS)
+
+
+@pytest.mark.parametrize("q, dim", [(Fraction(1, 2), 52), (Fraction(0), 84)], ids=str)
+def test_albert_derivation_dimensions(q, dim):
+    # dim f4 = 52 at q = 1/2; at q = 0 the slots do not multiply each other
+    # and 84 = 3·28 = dim so(O, n)³.  All 19 683 Leibniz rows are eliminated.
+    table_only = types.SimpleNamespace(_table=albert._table(F3(q)))
+    got, basis = derivation_space(table_only)
+    assert got == len(basis) == dim
+    assert all((m.rows, m.cols) == (27, 27) for m in basis)
 
 
 def _leibniz_rows_by_scalars(c):

@@ -518,6 +518,20 @@ def _kernel_inputs(n, rng):
 
 
 @pytest.mark.parametrize("name", LIBRARY_TABLES)
+def test_tables_store_no_zero_constant(name):
+    table = LIBRARY_TABLES[name][0]()
+    assert all(c for row in table.cells for cell in row for _, c in cell)
+    assert all(a or b for row in table.ints for cell in row for _, a, b in cell)
+    assert all(cell for row in table.nonzero for _, cell in row)
+
+
+def test_sparse_table_drops_zero_constants():
+    table = SparseTable([[[(0, F3()), (1, F3(2))], [(0, 0)]], [[], [(1, Fraction(0))]]])
+    assert table.cells == (((((1, F3(2)),), ()), ((), ())))
+    assert table.nonzero == (((0, ((1, 2, 0),)),), ())
+
+
+@pytest.mark.parametrize("name", LIBRARY_TABLES)
 def test_bilinear_matches_the_scalar_oracle(name):
     make, scalar = LIBRARY_TABLES[name]
     table = make()
@@ -782,6 +796,15 @@ def _edge_matrices():
         "zero-row-between": [[1, 2, 0, 0], [0, 0, 0, 0], [0, 3, 1, 0], [0, 0, 0, 0], [2, 0, 0, 1]],
         "last-column-only": [[0, 0, 0, 5], [1, 2, 3, 4], [0, 0, 0, 1 + r3], [0, 1, 0, 0]],
         "tall-sparse-fill-in": _tall_sparse(rng, 40, 12),
+        # the bookkeeping of the leading-column buckets in _gauss_jordan:
+        # column 0 swaps row 0 (first column 2) down to position 2
+        "swap-moves-a-nonzero-row": [[0, 0, 1, 2], [0, 3, 0, 1], [1, 2, 0, 0], [0, 1, 1 + r3, 0]],
+        # clearing column 0 from row 1 leaves its first nonzero entry in column 5
+        "first-column-jumps": [[1, 2, 3, 0, 0, 1], [2, 4, 6, 0, 0, 7 + r3],
+                               [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 2, 1]],
+        # column 0 swaps row 0 down to position 2, where column 1 clears it to zero
+        "swapped-row-becomes-zero": [[0, 2, 2 * r3], [0, 1, r3], [1, 0, 0]],
+        "tall-sparse-300x24": _tall_sparse(rng, 300, 24),
     }
 
 
