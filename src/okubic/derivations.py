@@ -21,8 +21,6 @@ from .linalg import (
     COMPACT,
     ExactMatrix,
     SparseTable,
-    _add_entry,
-    _common_denominator,
     _gauss_jordan,
     _kernel_columns,
     _reduced,
@@ -74,6 +72,20 @@ def okubo_presentation(flavor: str = COMPACT) -> AlgebraPresentation:
 
 def petersson_presentation() -> AlgebraPresentation:
     return AlgebraPresentation(petersson_structure_constants())
+
+
+def _add_entry(na, nb, j, xa, xb):
+    """Add (xa + xb√3)/d to entry j of a sparse row (na, nb, d), dropping it at zero."""
+    na[j], nb[j] = na.get(j, 0) + xa, nb.get(j, 0) + xb
+    if not (na[j] or nb[j]):
+        del na[j], nb[j]
+
+
+def _common_denominator(rows):
+    """Sparse integer rows (na, nb, d) as pairs (na, nb) over the lcm of their d, and that lcm."""
+    big = math.lcm(*(d for _, _, d in rows))
+    return [({j: x * (big // d) for j, x in na.items()}, {j: y * (big // d) for j, y in nb.items()})
+            for na, nb, d in rows], big
 
 
 def derivation_space(algebra: AlgebraPresentation):

@@ -7,7 +7,7 @@ denominator per matrix and build each entry once; a traceful product
 determinant come from one Gauss–Jordan pass on sparse integer rows (the
 nonzero entries only, as integer numerators over one denominator per row),
 the one stored form of an ``ExactMatrix``; the signature of a symmetric
-matrix comes by congruence on the same rows and pivot step.
+matrix comes from Schur complements on the same rows through the same pivot step.
 
 Pivoting picks the first nonzero entry in column order; arithmetic is
 exact, so no magnitude considerations apply and results are
@@ -45,9 +45,11 @@ class SparseTable(Frozen):
 
     def __init__(self, cells, size=None):
         cells = tuple(tuple(_without_zeros(tuple(cell)) for cell in row) for row in cells)
-        nums, den = _numerators([c for row in cells for cell in row for _, c in cell])
-        it = iter(nums)  # in the order the cells list their constants
-        ints = tuple(tuple(tuple((k, *next(it)) for k, _ in cell) for cell in row) for row in cells)
+        distinct = {id(cell): cell for row in cells for cell in row}  # each cell object once
+        nums, den = _numerators([c for cell in distinct.values() for _, c in cell])
+        it = iter(nums)  # in the order the distinct cells list their constants
+        by_id = {i: tuple((k, *next(it)) for k, _ in cell) for i, cell in distinct.items()}
+        ints = tuple(tuple(by_id[id(cell)] for cell in row) for row in cells)
         nonzero = tuple(tuple((b, cell) for b, cell in enumerate(row) if cell) for row in ints)
         size = len(cells) if size is None else size
         for name, value in zip(self.__slots__, (cells, ints, nonzero, den, size)):
@@ -345,20 +347,6 @@ def _reduced(na, nb, d):
     return {j: x // g for j, x in na.items()}, {j: x // g for j, x in nb.items()}, d // g
 
 
-def _common_denominator(rows):
-    """Sparse integer rows (na, nb, d) as pairs (na, nb) over the lcm of their d, and that lcm."""
-    big = math.lcm(*(d for _, _, d in rows))
-    return [({j: x * (big // d) for j, x in na.items()}, {j: y * (big // d) for j, y in nb.items()})
-            for na, nb, d in rows], big
-
-
-def _add_entry(na, nb, j, xa, xb):
-    """Add (xa + xb√3)/d to entry j of a sparse row (na, nb, d), dropping it at zero."""
-    na[j], nb[j] = na.get(j, 0) + xa, nb.get(j, 0) + xb
-    if not (na[j] or nb[j]):
-        del na[j], nb[j]
-
-
 def _pivot(a, prow, col, rows):
     """The one row operation on sparse integer rows (na, nb, d), dicts from the
     column j of each nonzero entry (na[j] + nb[j]√3)/d, d > 0: divide row ``prow``
@@ -486,43 +474,30 @@ def determinant(m: ExactMatrix) -> F3:
 
 
 def symmetric_signature(m: ExactMatrix):
-    """Signature (pos, neg, zero) of a symmetric F3 matrix.
-
-    Diagonalizes by exact congruence on a copy of m's integer rows, one
-    ``_pivot`` per step; valid because the real embedding of Q(√3) orders the field.
-    """
+    """Signature (pos, neg, zero) of a symmetric F3 matrix, by Schur complements on a
+    copy of m's integer rows through ``_pivot`` alone: each step clears its columns
+    from the rows in ``left``, which then hold only the columns in ``left`` (the
+    complement, whose signature adds to the step's, Haynsworth).  A step is a nonzero
+    diagonal entry, one square of its sign, or, with every diagonal entry left zero,
+    a block [[0, b], [b, 0]], one positive and one negative square.  Valid because
+    the real embedding of Q(√3) orders the field."""
     if m.rows != m.cols:
         raise ValueError("signature of non-square matrix")
-    n = m.rows
     a = [(dict(na), dict(nb), d) for na, nb, d in m.ints]
-    pos = neg = 0
-    for step in range(n):
-        sel = next((k for k in range(step, n) if k in a[k][0]), None)
-        if sel is None:
-            offd = next(((i, j) for i in range(step, n) for j in sorted(a[i][0]) if j > i), None)
-            if offd is None:
-                break
-            sel, j = offd
-            # a[sel][sel] = a[j][j] = 0 ≠ a[sel][j]: row sel += row j and column
-            # sel += column j make a new nonzero diagonal entry 2·a[sel][j]
-            (ia, ib, di), (ja, jb, dj) = a[sel], a[j]
-            si, sj = dj // math.gcd(di, dj), di // math.gcd(di, dj)
-            ra, rb = {c: si * x for c, x in ia.items()}, {c: si * x for c, x in ib.items()}
-            for c, x in ja.items():
-                _add_entry(ra, rb, c, sj * x, sj * jb[c])
-            a[sel] = _reduced(ra, rb, si * di)
-            for ra, rb, _ in a:
-                if j in ra:
-                    _add_entry(ra, rb, sel, ra[j], rb[j])
-        if sel != step:
-            a[step], a[sel] = a[sel], a[step]
-            swap = {step: sel, sel: step}
-            a = [({swap.get(j, j): x for j, x in ra.items()},
-                  {swap.get(j, j): x for j, x in rb.items()}, d) for ra, rb, d in a]
-        # the matching column operations would write only row `step`, which
-        # no later step reads, so the trailing block is already congruent
-        if _raw_f3(*_pivot(a, step, step, range(step + 1, n))).is_positive():
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg, n - pos - neg
+    left, pos, neg = list(range(m.rows)), 0, 0
+    while any(a[i][0] for i in left):
+        k = next((k for k in left if k in a[k][0]), None)
+        if k is not None:
+            left.remove(k)
+            if _raw_f3(*_pivot(a, k, k, left)).is_positive():
+                pos += 1
+            else:
+                neg += 1
+        else:  # every diagonal entry left is zero: a block [[0, b], [b, 0]], b = a[i][j]
+            i = next(i for i in left if a[i][0])
+            j = min(a[i][0])
+            left = [r for r in left if r not in (i, j)]
+            _pivot(a, i, j, left)
+            _pivot(a, j, i, left)
+            pos, neg = pos + 1, neg + 1
+    return pos, neg, len(left)

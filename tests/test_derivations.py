@@ -85,6 +85,9 @@ def test_albert_derivation_dimensions(q, dim):
     got, basis = derivation_space(table_only)
     assert got == len(basis) == dim
     assert all((m.rows, m.cols) == (27, 27) for m in basis)
+    # a Lie algebra with a negative-definite trace form: compact f4 and so(8)³
+    assert check_lie_closure(basis)
+    assert killing_signature(basis) == (0, dim, 0)
 
 
 def _leibniz_rows_by_scalars(c):

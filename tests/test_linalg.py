@@ -425,6 +425,15 @@ def _classes_defining(method):
     return sorted(names)
 
 
+def test_linalg_calls_every_private_function_it_defines():
+    # a private helper that only other modules call belongs with its callers
+    tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            rest = (n for other in tree.body if other is not node for n in ast.walk(other))
+            assert any(isinstance(n, ast.Name) and n.id == node.name for n in rest), node.name
+
+
 def test_one_immutable_base_and_one_equality():
     # F3 and C3 keep numeric equality: they compare and hash like ints and
     # Fractions of the same value.
@@ -523,6 +532,9 @@ def test_tables_store_no_zero_constant(name):
     assert all(c for row in table.cells for cell in row for _, c in cell)
     assert all(a or b for row in table.ints for cell in row for _, a, b in cell)
     assert all(cell for row in table.nonzero for _, cell in row)
+    # a cell that the table lists twice shares one integer cell
+    assert (len({id(cell) for row in table.ints for cell in row if cell})
+            == len({id(cell) for row in table.cells for cell in row if cell}))
 
 
 def test_sparse_table_drops_zero_constants():
@@ -956,13 +968,18 @@ def _negative_definite(rng):
 R3 = F3(0, 1)
 
 # Named builders of lists of symmetric matrices for the signature oracle;
-# the "hyperbolic", "zero-diagonal" and "zero-diagonal-congruences" cases go
-# through the off-diagonal rescue
+# the "hyperbolic", "blocks", "zero-diagonal" and "zero-diagonal-congruences"
+# cases take [[0, b], [b, 0]] blocks
 SIGNATURE_INPUTS = {
     "diagonal": lambda: [[[2, 0, 0], [0, -1, 0], [0, 0, 0]], [[-2 + R3]], [[R3, 0], [0, 1 - R3]]],
     "hyperbolic": lambda: [[[0, 1], [1, 0]], [[0, R3 / 7], [R3 / 7, 0]],
                            [[0, 0, F3(1) / 3], [0, 0, 0], [F3(1) / 3, 0, F3(1) / 2]]],
     "zero": lambda: [[[0] * n for _ in range(n)] for n in (1, 2, 5)],
+    # a block reached only after a 1×1 step, two blocks in a row, and a block
+    # followed by a zero remainder
+    "blocks": lambda: [[[1, 1, 0], [1, 1, 1], [0, 1, 0]],
+                       [[0, R3, 1, 0], [R3, 0, 0, 1], [1, 0, 0, 2 * R3], [0, 1, 2 * R3, 0]],
+                       [[0, 0, 3, 0], [0, 0, 0, 0], [3, 0, 0, 0], [0, 0, 0, 0]]],
     # the fixed cases of the congruence tests above
     "congruence-samples": _congruence_samples,
     "zero-diagonal-congruences": lambda: [m for pair in _zero_diagonal_pairs() for m in pair],
