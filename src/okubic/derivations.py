@@ -167,18 +167,20 @@ def check_lie_closure(basis) -> bool:
 
 def killing_matrix(basis) -> ExactMatrix:
     """Trace form K[i][j] = Tr(D_i D_j) = Σ D_i[r, k]·D_j[k, r] on the derivation
-    basis, summed on the flattened integer rows over one denominator D, as K·D²."""
+    basis, summed on the flattened integer rows over one denominator D, as K·D²;
+    K is symmetric, so each K[i][j] with j ≥ i is summed once and mirrored."""
     n, (flat, big) = basis[0].cols, _common_denominator([_flatten(m) for m in basis])
-    rows = []
-    for xa, xb in flat:
-        na, nb = {}, {}
-        for j, (ya, yb) in enumerate(flat):
+    rows = [({}, {}) for _ in flat]
+    for i, (xa, xb) in enumerate(flat):
+        for j in range(i, len(flat)):
+            (ya, yb), ka, kb = flat[j], 0, 0
             for c, u in xa.items():
                 t = c % n * n + c // n  # entry r·n + k of D_i meets entry k·n + r of D_j
                 if t in ya:
-                    _add_entry(na, nb, j, u * ya[t] + 3 * xb[c] * yb[t], u * yb[t] + xb[c] * ya[t])
-        rows.append(_reduced(na, nb, big * big))
-    return ExactMatrix._from_ints(rows, len(basis))
+                    ka, kb = ka + u * ya[t] + 3 * xb[c] * yb[t], kb + u * yb[t] + xb[c] * ya[t]
+            if ka or kb:
+                rows[i][0][j], rows[i][1][j] = rows[j][0][i], rows[j][1][i] = ka, kb
+    return ExactMatrix._from_ints([_reduced(na, nb, big * big) for na, nb in rows], len(basis))
 
 
 def killing_signature(basis):

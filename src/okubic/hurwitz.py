@@ -111,9 +111,9 @@ def oct_polar(x: SplitOctonion, y: SplitOctonion) -> Rational:
 
 
 def oct_conj(x: SplitOctonion) -> SplitOctonion:
-    """x̄ = ⟨x, 1⟩1 - x."""
-    t = oct_polar(x, SplitOctonion.unit())
-    return SplitOctonion.unit().scale(t) - x
+    """x̄ = ⟨x, 1⟩1 - x = (β, α, -u₁, -u₂, -u₃, -v₁, -v₂, -v₃), since ⟨x, 1⟩ = α + β."""
+    c = x.coeffs
+    return x._like((c[1], c[0], *(-a for a in c[2:])))
 
 
 def para_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:

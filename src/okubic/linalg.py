@@ -122,14 +122,14 @@ def bilinear_left(table: SparseTable, u):
 def _c3_numerators(zs):
     """Integers (ra, rb, ia, ib) with z = (ra + rb√3 + (ia + ib√3)i)/d for
     each C3 z of ``zs``, and the one denominator d."""
-    nums, d = _numerators([p for z in zs for p in (z.re, z.im)])
-    return [nums[k] + nums[k + 1] for k in range(0, len(nums), 2)], d
+    d = math.lcm(*(p._d for z in zs for p in (z.re, z.im)))
+    return [(r._an * (d // r._d), r._bn * (d // r._d), i._an * (d // i._d), i._bn * (d // i._d))
+            for r, i in ((z.re, z.im) for z in zs)], d
 
 
-def _c3_dot(xs, ys, d) -> C3:
-    """Σ x·y/d for pairs of integer tuples (ra, rb, ia, ib) from
-    ``_c3_numerators``: the four-term product over Q(√3, i), summed as
-    integers and built once."""
+def _c3_dot(xs, ys):
+    """Σ x·y for pairs of integer tuples (ra, rb, ia, ib) from ``_c3_numerators``:
+    the four-term product over Q(√3, i), summed as integers into one such tuple."""
     ra = rb = ia = ib = 0
     for (xra, xrb, xia, xib), (yra, yrb, yia, yib) in zip(xs, ys):
         # (xr + xi·i)(yr + yi·i) = xr·yr - xi·yi + (xr·yi + xi·yr)i, each part in Q(√3)
@@ -137,6 +137,11 @@ def _c3_dot(xs, ys, d) -> C3:
         rb += xra * yrb + xrb * yra - xia * yib - xib * yia
         ia += xra * yia + 3 * xrb * yib + xia * yra + 3 * xib * yrb
         ib += xra * yib + xrb * yia + xia * yrb + xib * yra
+    return ra, rb, ia, ib
+
+
+def _c3(ra, rb, ia, ib, d) -> C3:
+    """The C3 value (ra + rb√3 + (ia + ib√3)i)/d, built once."""
     return C3(_raw_f3(ra, rb, d), _raw_f3(ia, ib, d))
 
 
@@ -235,7 +240,7 @@ class Mat3(Vector):
         (a, da), (b, db) = _c3_numerators(self.coeffs), _c3_numerators(other.coeffs)
         cols = [b[j::3] for j in range(3)]
         d = da * db
-        return self._like(_c3_dot(a[i:i + 3], col, d) for i in (0, 3, 6) for col in cols)
+        return self._like(_c3(*_c3_dot(a[i:i + 3], col), d) for i in (0, 3, 6) for col in cols)
 
     def trace(self) -> C3:
         c = self.coeffs
@@ -272,22 +277,29 @@ class Mat3(Vector):
         return [[x.to_json() for x in r] for r in self.rows]
 
 
-def eta_dagger(x: Mat3, flavor: Flavor) -> Mat3:
-    """η x† η for η = Id (compact) or diag(-1,1,1) (split); an involution.
+_ETA_SIGNS = {COMPACT: (1,) * 9, SPLIT: (1, -1, -1, -1, 1, 1, -1, 1, 1)}
 
-    Entry (i, j) is η_iη_j·conj(x_ji): the split flavor negates the four
-    entries that pair index 0 with index 1 or 2.
-    """
+
+def _eta_dagger_numerators(nums, flavor: Flavor):
+    """η x† η for η = Id (compact) or diag(-1,1,1) (split), an involution, on the
+    numerators of x from ``_c3_numerators``: entry (i, j) is η_iη_j·conj(x_ji), so the
+    split flavor negates the four entries that pair index 0 with index 1 or 2."""
     _check_flavor(flavor)
-    d = x.dagger()
-    if flavor == COMPACT:
-        return d
-    c = d.coeffs
-    return d._like((c[0], -c[1], -c[2], -c[3], c[4], c[5], -c[6], c[7], c[8]))
+    transposed = (nums[3 * j + i] for i in range(3) for j in range(3))
+    return [(s * ra, s * rb, -s * ia, -s * ib)
+            for s, (ra, rb, ia, ib) in zip(_ETA_SIGNS[flavor], transposed)]
+
+
+def eta_dagger(x: Mat3, flavor: Flavor) -> Mat3:
+    """η x† η, each entry built once from ``_eta_dagger_numerators``."""
+    nums, d = _c3_numerators(x.coeffs)
+    return x._like(_c3(*z, d) for z in _eta_dagger_numerators(nums, flavor))
 
 
 def is_eta_hermitian(x: Mat3, flavor: Flavor) -> bool:
-    return eta_dagger(x, flavor) == x
+    """η x† η = x, compared on the integer numerators of x."""
+    nums, _ = _c3_numerators(x.coeffs)
+    return _eta_dagger_numerators(nums, flavor) == nums
 
 
 class ExactMatrix(Frozen):

@@ -8,8 +8,10 @@ vector over Q(√3) in the canonical basis (e, i1..i7), and a traceless
 
 computed in bulk through a cached structure-constant tensor in integer
 form (``linalg.SparseTable``).  The matrix path is the Michel–Radicati
-product ``michel_radicati_mul`` at θ = √3/6: it is the source of that
-table and the cross-validation oracle for it.  The polar form ⟨x, y⟩ is a
+product ``michel_radicati_mul`` at θ = √3/6, summed on integer numerators
+around its one 3×3 product: one product per pair of basis matrices, each
+read back by ``from_matrix``, is the source of that table, and the path is
+the cross-validation oracle for it.  The polar form ⟨x, y⟩ is a
 one-coordinate table in closed form (``gram_table``), n(x) = ⟨x, x⟩/2, and
 ``mat_norm`` = (1/6)Tr(x²) on the matrix view is their oracle.
 """
@@ -20,7 +22,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .field import C3, F3, sample_f3
+from .field import C3, F3, _raw_f3, sample_f3
 from .linalg import (
     COMPACT,
     SPLIT,
@@ -28,12 +30,12 @@ from .linalg import (
     Mat3,
     SparseTable,
     Vector,
+    _c3,
     _c3_dot,
     _c3_numerators,
     _check_flavor,
+    _eta_dagger_numerators,
     bilinear,
-    eta_dagger,
-    is_eta_hermitian,
     symmetric_signature,
 )
 
@@ -54,6 +56,14 @@ class FlavorMismatchError(ValueError):
 def _gamma(flavor: str) -> int:
     _check_flavor(flavor)
     return 1 if flavor == COMPACT else -1
+
+
+def _entries(c, g):
+    """Σ c_k·b_k at γ = g as 9 entries (re, im), row by row, for c over any ring."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    return ((2 * c0 + c3, 0), (c1, -g * c2), (c4, -g * c5),
+            (g * c1, c2), (-c0 - c3, 0), (c6, -c7),
+            (g * c4, c5), (c6, c7), (-c0, 0))
 
 
 def basis_matrices(flavor: str):
@@ -105,30 +115,26 @@ class OkuboElement(Vector):
         return f"OkuboElement[{self.flavor}]({body})"
 
     def to_matrix(self) -> Mat3:
-        """Σ c_k·b_k in closed form; ``from_matrix`` reads the same entries back."""
-        g = _gamma(self.flavor)
-        c0, c1, c2, c3, c4, c5, c6, c7 = self.coeffs
-        return Mat3([
-            [2 * c0 + c3, C3(c1, -g * c2), C3(c4, -g * c5)],
-            [C3(g * c1, c2), -c0 - c3, C3(c6, -c7)],
-            [C3(g * c4, c5), C3(c6, c7), -c0],
-        ])
+        """Σ c_k·b_k in the closed form ``_entries``; ``from_matrix`` reads it back."""
+        e = _entries(self.coeffs, _gamma(self.flavor))
+        return Mat3([[C3(*z) for z in e[i:i + 3]] for i in (0, 3, 6)])
 
     @classmethod
     def from_matrix(cls, m: Mat3, flavor: str = COMPACT) -> OkuboElement:
-        """Invert the coefficient map; rejects matrices outside the algebra."""
+        """Invert the coefficient map on the integer numerators of m, one part of
+        Q(√3) at a time; rejects m unless ``_entries`` gives it back exactly."""
         g = _gamma(flavor)
-        xi1, xi2 = m[0, 0].re, m[1, 1].re
-        # diag(ξ1, ξ2, -ξ1-ξ2) = c0·diag(2,-1,-1) + c3·diag(1,-1,0)
-        c0 = xi1 + xi2
-        c3 = -xi1 - 2 * xi2
-        c1, c2 = m[0, 1].re, -g * m[0, 1].im
-        c4, c5 = m[0, 2].re, -g * m[0, 2].im
-        c6, c7 = m[1, 2].re, -m[1, 2].im
-        x = cls([c0, c1, c2, c3, c4, c5, c6, c7], flavor)
-        if x.to_matrix() != m:
-            raise ValueError("matrix is not traceless η-Hermitian for this flavor")
-        return x
+        nums, d = _c3_numerators(m.coeffs)
+        parts = []
+        for p in (0, 1):  # the rational parts, then the √3 parts
+            re, im = [z[p] for z in nums], [z[p + 2] for z in nums]
+            # diag(ξ1, ξ2, -ξ1-ξ2) = c0·diag(2,-1,-1) + c3·diag(1,-1,0)
+            c = [re[0] + re[4], re[1], -g * im[1], -re[0] - 2 * re[4], re[2], -g * im[2],
+                 re[5], -im[5]]
+            if _entries(c, g) != tuple(zip(re, im)):
+                raise ValueError("matrix is not traceless η-Hermitian for this flavor")
+            parts.append(c)
+        return cls([_raw_f3(a, b, d) for a, b in zip(*parts)], flavor)
 
     def to_json(self):
         return {"flavor": self.flavor, "coeffs": [c.to_json() for c in self.coeffs]}
@@ -160,16 +166,14 @@ def okubo_mul_matrix(x: OkuboElement, y: OkuboElement) -> OkuboElement:
 
 @functools.cache
 def structure_constants(flavor: str) -> SparseTable:
-    """Sparse tensor and its integer form: cells[a][b] holds (k, c) with b_a*b_b = Σ c·b_k."""
-    sc = []
-    for a in range(8):
-        row = []
-        ba = OkuboElement.basis(a, flavor)
-        for b in range(8):
-            prod = okubo_mul_matrix(ba, OkuboElement.basis(b, flavor))
-            row.append([(k, c) for k, c in enumerate(prod.coeffs) if c])
-        sc.append(row)
-    return SparseTable(sc)
+    """Sparse tensor and its integer form: cells[a][b] holds (k, c) with b_a*b_b = Σ c·b_k,
+    read back from ``michel_radicati_mul`` on the basis matrices, each built once."""
+    mats = basis_matrices(flavor)
+    prods = ((michel_radicati_mul(x, y, THETA_OKUBO, flavor) for y in mats) for x in mats)
+    return SparseTable(
+        [[(k, c) for k, c in enumerate(OkuboElement.from_matrix(m, flavor).coeffs) if c]
+         for m in row] for row in prods
+    )
 
 
 def structure_constants_dense(flavor: str):
@@ -300,37 +304,51 @@ class HermiticityError(ValueError):
     pass
 
 
+def _trace(nums):
+    """Numerators of the trace from those of a matrix: entries 0, 4, 8 are the diagonal."""
+    return [a + b + c for a, b, c in zip(nums[0], nums[4], nums[8])]
+
+
 def michel_radicati_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> Mat3:
     """x⋆_θ y = (1/2+iθ)xy + (1/2-iθ)yx - (1/3)Tr(xy)Id on traceless
     η-Hermitian matrices; composition only at θ = ±√3/6."""
-    if x.trace() or y.trace():
+    (nx, _), (ny, _) = _c3_numerators(x.coeffs), _c3_numerators(y.coeffs)
+    if any(_trace(nx)) or any(_trace(ny)):
         raise HermiticityError("input must be traceless")
-    p = traceful_mul(x, y, theta, flavor)
-    # Tr(p) = (1/2+iθ)Tr(xy) + (1/2-iθ)Tr(yx) = Tr(xy); entries 0, 4, 8 are the diagonal
-    t = p.trace() * C3(F3(THIRD))
-    return p._like(x - t if i % 4 == 0 else x for i, x in enumerate(p.coeffs))
+    nums, d = _traceful(x, y, F3.coerce(theta), nx, ny, flavor)
+    # Tr(p) = (1/2+iθ)Tr(xy) + (1/2-iθ)Tr(yx) = Tr(xy), taken off the diagonal over 3d
+    t = _trace(nums)
+    return x._like(_c3(*(3 * z - (k % 4 == 0) * s for z, s in zip(n, t)), 3 * d)
+                   for k, n in enumerate(nums))
 
 
 def traceful_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> Mat3:
     """x∘_θ y = (1/2+iθ)xy + (1/2-iθ)yx on η-Hermitian matrices; a
     non-commutative Jordan product for every θ."""
     theta = F3.coerce(theta)
-    if not (is_eta_hermitian(x, flavor) and is_eta_hermitian(y, flavor)):
+    (nx, _), (ny, _) = _c3_numerators(x.coeffs), _c3_numerators(y.coeffs)
+    nums, d = _traceful(x, y, theta, nx, ny, flavor)
+    return x._like(_c3(*n, d) for n in nums)
+
+
+def _traceful(x: Mat3, y: Mat3, theta: F3, nx, ny, flavor: str):
+    """x∘_θ y as integer tuples (ra, rb, ia, ib) over one denominator, from the
+    numerators nx and ny of x and y: the η-Hermitian checks are integer comparisons."""
+    if _eta_dagger_numerators(nx, flavor) != nx or _eta_dagger_numerators(ny, flavor) != ny:
         raise HermiticityError("input is not η-Hermitian for this flavor")
     # yx = η(xy)†η for η-Hermitian x and y, so one 3×3 product gives both
-    p = x @ y
-    nums, d = _c3_numerators(p.coeffs + eta_dagger(p, flavor).coeffs)
+    nums, d = _c3_numerators((x @ y).coeffs)
     # 1/2 ± iθ = (t ± 2i(a + b√3))/(2t) for θ = (a + b√3)/t
     a, b, t = theta._an, theta._bn, theta._d
     mus = (t, 0, 2 * a, 2 * b), (t, 0, -2 * a, -2 * b)
-    return p._like(_c3_dot(mus, (nums[k], nums[k + 9]), 2 * t * d) for k in range(9))
+    return [_c3_dot(mus, zs) for zs in zip(nums, _eta_dagger_numerators(nums, flavor))], 2 * t * d
 
 
 def mat_norm(m: Mat3) -> F3:
     """n(x) = (1/6)Tr(x²) directly on the matrix view: Tr(x²) = Σ m_ij·m_ji,
     summed as integer numerators."""
     nums, d = _c3_numerators(m.coeffs)
-    t = _c3_dot(nums, (nums[3 * j + i] for i in range(3) for j in range(3)), 6 * d * d)
+    t = _c3(*_c3_dot(nums, (nums[3 * j + i] for i in range(3) for j in range(3))), 6 * d * d)
     if t.im:
         raise ValueError("trace of x² must be real")
     return t.re

@@ -174,6 +174,25 @@ def test_import_builds_no_table():
     assert _fresh_python(code) == ["0", "0", "0", "0", "[True]"]
 
 
+@pytest.mark.parametrize("flavor", [linalg.COMPACT, linalg.SPLIT])
+def test_cold_okubo_table_reads_each_basis_matrix_once(flavor):
+    # the first structure_constants(flavor) reads the 8 basis matrices once and
+    # makes one 3×3 product per pair of basis elements, read back with no
+    # further to_matrix
+    code = (
+        "from okubic import linalg, okubo\n"
+        "calls = []\n"
+        "for cls, name in ((okubo.OkuboElement, 'to_matrix'), (linalg.Mat3, '__matmul__')):\n"
+        "    f = getattr(cls, name)\n"
+        "    setattr(cls, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))\n"
+        f"okubo.structure_constants({flavor!r})\n"
+        "print(calls.count('to_matrix'), calls.count('__matmul__'))"
+    )
+    to_matrix, matmul = map(int, _fresh_python(code))
+    assert to_matrix <= 8
+    assert matmul == 64
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # dataclasses, with the inspect module it imports, adds about a MiB to
     # the peak resident size of a run

@@ -77,6 +77,22 @@ def test_conjugation():
     assert oct_conj(B(U1)) == -B(U1)
 
 
+def _conj_by_polar(x):
+    """x̄ = ⟨x, 1⟩1 - x through the polar form: the oracle of ``oct_conj``."""
+    t = oct_polar(x, SplitOctonion.unit())
+    return SplitOctonion.unit().scale(t) - x
+
+
+def test_conjugation_matches_the_polar_oracle():
+    rng = random.Random(310)
+    for x in [B(i) for i in range(8)] + [sample_split_octonion(rng) for _ in range(200)]:
+        got, want = oct_conj(x).coeffs, _conj_by_polar(x).coeffs
+        # bit for bit: the same Fraction values, numerator and denominator
+        assert [(type(c), c.numerator, c.denominator) for c in got] == [
+            (type(c), c.numerator, c.denominator) for c in want
+        ]
+
+
 def test_para_hurwitz_is_symmetric_composition():
     rng = random.Random(304)
     for _ in range(100):

@@ -14,6 +14,7 @@ from okubic.linalg import (
     ExactMatrix,
     Mat3,
     determinant,
+    eta_dagger,
     is_eta_hermitian,
     symmetric_signature,
 )
@@ -84,6 +85,25 @@ def test_matrix_coefficient_bijection():
         for _ in range(50):
             x = sample_okubo(rng, flavor)
             assert OkuboElement.from_matrix(x.to_matrix(), flavor) == x
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_from_matrix_rejects_every_one_entry_perturbation(flavor):
+    # off the diagonal a perturbed entry breaks η-Hermiticity; on it, a real one
+    # breaks the trace and an imaginary one Hermiticity
+    rng = random.Random(426)
+    mats = basis_matrices(flavor) + tuple(sample_okubo(rng, flavor).to_matrix() for _ in range(5))
+    deltas = (C3(1), C3(0, 1), C3(SQRT3 / 2), C3(0, -SQRT3 / 3))
+    for m in mats:
+        assert is_eta_hermitian(m, flavor) and eta_dagger(m, flavor) == m
+        for k in range(9):
+            for delta in deltas:
+                bad = m + Mat3([[delta if 3 * i + j == k else 0 for j in range(3)] for i in range(3)])
+                with pytest.raises(ValueError) as err:
+                    OkuboElement.from_matrix(bad, flavor)
+                assert type(err.value) is ValueError
+                assert str(err.value) == "matrix is not traceless η-Hermitian for this flavor"
+                assert is_eta_hermitian(bad, flavor) == (eta_dagger(bad, flavor) == bad)
 
 
 def test_pinned_products():
