@@ -19,7 +19,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .field import F3, Frozen, sample_f3
+from .field import F3, Frozen, _raw_f3, sample_f3
 from .linalg import COMPACT, ExactMatrix, SparseTable, bilinear, bilinear_left
 from .okubo import (
     gram_table,
@@ -78,12 +78,13 @@ class AlbertAlgebra(Frozen):
         return f"AlbertAlgebra(q={self.q})"
 
     def mul(self, a: AlbertElement, b: AlbertElement) -> AlbertElement:
-        return a._like(bilinear(_table(self.q), a.coeffs, b.coeffs, F3))
+        return a._like(bilinear(_table(self.q), a.ints, b.ints))
 
 
 def trace(a: AlbertElement) -> F3:
-    l0, l1, l2 = a.lam
-    return l0 + l1 + l2
+    """λ0 + λ1 + λ2, summed on the stored integers."""
+    na, nb, d = a.ints
+    return _raw_f3(sum(na[24:]), sum(nb[24:]), d)
 
 
 # ‖a‖ on 𝔸_q is the norm β(a, a) of V; its polarization is 2·geometry.beta
@@ -156,21 +157,19 @@ def jordan_defect(algebra: AlbertAlgebra, a: AlbertElement, b: AlbertElement) ->
 def left_mult_operator(algebra: AlbertAlgebra, a: AlbertElement) -> ExactMatrix:
     """27×27 matrix of b ↦ a∘b in flat coordinates, read off the integer
     form of ``_table`` as ``mul`` reads it, as sparse integer rows."""
-    return ExactMatrix._from_ints(bilinear_left(_table(algebra.q), a.coeffs), 27)
+    return ExactMatrix._from_ints(bilinear_left(_table(algebra.q), a.ints), 27)
 
 
 def cyclic_shift(a: AlbertElement) -> AlbertElement:
     """τ(x0,x1,x2;λ0,λ1,λ2) = (x2,x0,x1;λ2,λ0,λ1); an automorphism of 𝔸_q."""
-    x, lam = a.x, a.lam
-    return AlbertElement(x[2], x[0], x[1], lam[2], lam[0], lam[1])
+    return a._permuted((*range(16, 24), *range(16), 26, 24, 25))
 
 
 def transposition_defect(algebra: AlbertAlgebra, a: AlbertElement, b: AlbertElement) -> AlbertElement:
     """σ(a∘b) - σ(a)∘σ(b) for the 0↔1 coordinate swap σ."""
 
     def swap(c: AlbertElement) -> AlbertElement:
-        x, lam = c.x, c.lam
-        return AlbertElement(x[1], x[0], x[2], lam[1], lam[0], lam[2])
+        return c._permuted((*range(8, 16), *range(8), *range(16, 24), 25, 24, 26))
 
     return swap(algebra.mul(a, b)) - algebra.mul(swap(a), swap(b))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .field import F3, Frozen
+from .field import F3, Frozen, _raw_f3
 from .hurwitz import petersson_structure_constants
 from .linalg import (
     COMPACT,
@@ -24,6 +24,7 @@ from .linalg import (
     _gauss_jordan,
     _kernel_columns,
     _reduced,
+    _vector_ints,
     bilinear,
     rank,
     symmetric_signature,
@@ -62,8 +63,9 @@ class AlgebraPresentation(Frozen):
         return f"AlgebraPresentation(dim={self.dimension})"
 
     def mul_coords(self, u, v):
-        """Bilinear product of coordinate vectors."""
-        return bilinear(self._table, u, v, F3)
+        """Bilinear product of coordinate vectors (F3s, Fractions or ints), as F3s."""
+        na, nb, d = bilinear(self._table, _vector_ints(u), _vector_ints(v))
+        return [_raw_f3(a, b, d) for a, b in zip(na, nb)]
 
 
 def okubo_presentation(flavor: str = COMPACT) -> AlgebraPresentation:

@@ -10,9 +10,10 @@ Everything here is for the compact (division) flavor only.
 from __future__ import annotations
 
 import functools
+import math
 import random
-from .field import F3, Frozen
-from .linalg import COMPACT, SparseTable, Vector, bilinear
+from .field import F3, Frozen, _raw_f3
+from .linalg import COMPACT, SparseTable, Vector, _canonical, bilinear
 from .okubo import (
     OkuboElement,
     gram_table,
@@ -196,6 +197,16 @@ class SlopePoint(Frozen):
         return f"SlopePoint({self.s!r})"
 
 
+def _concat(pieces):
+    """The stored form of the vector whose coordinates are those of the stored forms
+    (na, nb, d) of ``pieces`` in turn, over the lcm of their denominators, which keeps
+    it gcd-reduced."""
+    d = math.lcm(*(e for _, _, e in pieces))
+    scaled = [(d // e, na, nb) for na, nb, e in pieces]
+    return (tuple(m * x for m, na, _ in scaled for x in na),
+            tuple(m * x for m, _, nb in scaled for x in nb), d)
+
+
 class VeroneseVector(Vector):
     """Element (x0, x1, x2; λ0, λ1, λ2) of V ≅ 𝒪³×Q(√3)³.
 
@@ -211,7 +222,8 @@ class VeroneseVector(Vector):
 
     def __init__(self, x0, x1, x2, l0, l1, l2):
         _require_compact(x0, x1, x2)
-        super().__init__((*x0.coeffs, *x1.coeffs, *x2.coeffs, l0, l1, l2))
+        lam = self._ints_of([self.scalar(l) for l in (l0, l1, l2)])
+        object.__setattr__(self, "ints", _concat((x0.ints, x1.ints, x2.ints, lam)))
 
     @classmethod
     def from_coords(cls, coords) -> VeroneseVector:
@@ -234,20 +246,22 @@ class VeroneseVector(Vector):
     def okubo_slot(cls, i: int, x: OkuboElement) -> VeroneseVector:
         """w_i(x): x placed in Okubo slot i."""
         _require_compact(x)
-        c = [0] * 27
-        c[8 * i : 8 * i + 8] = x.coeffs
-        return cls.from_coords(c)
+        na, nb, d = x.ints
+        before, after = (0,) * (8 * i), (0,) * (19 - 8 * i)
+        return cls._from_ints((before + na + after, before + nb + after, d))
 
     @property
     def x(self):
         """The Okubo slots (x0, x1, x2)."""
-        c = self.coeffs
-        return tuple(OkuboElement(c[k : k + 8]) for k in (0, 8, 16))
+        na, nb, d = self.ints
+        return tuple(OkuboElement._from_ints(_canonical((na[k:k + 8], nb[k:k + 8]), d))
+                     for k in (0, 8, 16))
 
     @property
     def lam(self):
         """The scalars (λ0, λ1, λ2)."""
-        return self.coeffs[24:]
+        na, nb, d = self.ints
+        return tuple(_raw_f3(na[k], nb[k], d) for k in (24, 25, 26))
 
     def __repr__(self):
         return f"VeroneseVector({self.x!r}; {self.lam!r})"
@@ -379,7 +393,8 @@ def beta_table() -> SparseTable:
 def beta(v: VeroneseVector, w: VeroneseVector) -> F3:
     """β(v,w) = Σ(⟨x_ν, y_ν⟩ + λ_ν η_ν), the extension of the Okubo polar form:
     one ``bilinear`` pass over ``beta_table``."""
-    return bilinear(beta_table(), v.coeffs, w.coeffs, F3)[0]
+    (a,), (b,), d = bilinear(beta_table(), v.ints, w.ints)
+    return _raw_f3(a, b, d)
 
 
 def vnorm(v: VeroneseVector) -> F3:

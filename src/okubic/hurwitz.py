@@ -58,6 +58,11 @@ MUL_TABLE = SparseTable(
 )
 
 
+def _rational(a: int, b: int, d: int) -> Fraction:
+    """The coordinate a/d of a split octonion, whose √3 part b is always 0."""
+    return Fraction(a, d)
+
+
 class SplitOctonion(Vector):
     """Free 8-dimensional rational vector with Table-style multiplication."""
 
@@ -65,6 +70,7 @@ class SplitOctonion(Vector):
 
     SIZE = 8
     scalar = Fraction
+    _coord = staticmethod(_rational)
 
     @classmethod
     def basis(cls, i: int) -> SplitOctonion:
@@ -97,13 +103,13 @@ class SplitOctonion(Vector):
 
 
 def oct_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
-    return x._like(bilinear(MUL_TABLE, x.coeffs, y.coeffs, Fraction))
+    return x._like(bilinear(MUL_TABLE, x.ints, y.ints))
 
 
 def oct_norm(x: SplitOctonion) -> Rational:
     """n(α e1 + β e2 + Σ aᵢuᵢ + Σ bᵢvᵢ) = αβ + Σ aᵢbᵢ; multiplicative."""
-    c = x.coeffs
-    return c[0] * c[1] + c[2] * c[5] + c[3] * c[6] + c[4] * c[7]
+    c, _, d = x.ints
+    return Fraction(c[0] * c[1] + c[2] * c[5] + c[3] * c[6] + c[4] * c[7], d * d)
 
 
 def oct_polar(x: SplitOctonion, y: SplitOctonion) -> Rational:
@@ -112,8 +118,7 @@ def oct_polar(x: SplitOctonion, y: SplitOctonion) -> Rational:
 
 def oct_conj(x: SplitOctonion) -> SplitOctonion:
     """x̄ = ⟨x, 1⟩1 - x = (β, α, -u₁, -u₂, -u₃, -v₁, -v₂, -v₃), since ⟨x, 1⟩ = α + β."""
-    c = x.coeffs
-    return x._like((c[1], c[0], *(-a for a in c[2:])))
+    return x._permuted((1, 0, 2, 3, 4, 5, 6, 7), (1, 1, -1, -1, -1, -1, -1, -1))
 
 
 def para_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
@@ -123,8 +128,7 @@ def para_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
 
 def tau_triality(x: SplitOctonion) -> SplitOctonion:
     """Order-3 algebra automorphism: fixes e's, shifts u and v triples."""
-    c = x.coeffs
-    return SplitOctonion([c[0], c[1], c[4], c[2], c[3], c[7], c[5], c[6]])
+    return x._permuted((0, 1, 4, 2, 3, 7, 5, 6))
 
 
 def petersson_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:

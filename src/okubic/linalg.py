@@ -1,8 +1,10 @@
 """Exact linear algebra: 3×3 matrices over Q(√3, i) and arbitrary-shape
 matrices over Q(√3), and the one kernel ``bilinear`` that evaluates every
 product and bilinear form given by a ``SparseTable`` on integer numerators.
-A 3×3 product, and Tr(x²), are summed as integer numerators over one
-denominator per matrix and build each entry once; a traceful product
+Every ``Vector`` (the coordinate types and ``Mat3``) is stored as gcd-reduced
+integer numerators over one denominator, the form ``bilinear`` takes and
+returns, so products chain with no scalar built in between.  A 3×3 product,
+and Tr(x²), are summed on those integers; a traceful product
 (1/2+iθ)xy + (1/2-iθ)yx is one such product.  RREF, rank, nullspace and the
 determinant come from one Gauss–Jordan pass on sparse integer rows (the
 nonzero entries only, as integer numerators over one denominator per row),
@@ -16,8 +18,8 @@ deterministic across platforms.
 
 from __future__ import annotations
 
+import itertools
 import math
-from fractions import Fraction
 
 from .field import C3, F3, Frozen, _raw_f3
 
@@ -73,16 +75,34 @@ def _numerators(xs):
     return [(a * (d // e), b * (d // e)) for a, b, e in parts], d
 
 
-def bilinear(table: SparseTable, u, v, scalar):
-    """Σ u[a]·v[b]·c·b_k over each row's nonempty cells, summed as integer
-    numerators; each coordinate is built once, an F3 or a Fraction."""
-    nu, du = _numerators(u)
-    nv, dv = _numerators(v)
-    nu = [(table.nonzero[a], ua, ub) for a, (ua, ub) in enumerate(nu) if ua or ub]
+def _vector_ints(xs):
+    """The stored form (na, nb, d) of F3s, Fractions or ints ``xs``: coordinate k is
+    (na[k] + nb[k]√3)/d, over the lcm of their denominators, which leaves it gcd-reduced."""
+    nums, d = _numerators(xs)
+    return tuple(a for a, _ in nums), tuple(b for _, b in nums), d
+
+
+def _canonical(parts, d):
+    """(*parts, d) for integer sequences ``parts`` over d > 0, with the gcd of d and
+    every integer divided out: the stored form of a ``Vector``."""
+    g = math.gcd(d, *itertools.chain.from_iterable(parts))
+    if g == 1:
+        return (*map(tuple, parts), d)
+    return (*(tuple(x // g for x in p) for p in parts), d // g)
+
+
+def bilinear(table: SparseTable, u, v):
+    """Σ u[a]·v[b]·c·b_k over each row's nonempty cells, for u and v in the stored
+    form (na, nb, d) of a ``Vector``, summed as integer numerators; the result is in
+    that form too, gcd-reduced by one gcd."""
+    una, unb, du = u
+    vna, vnb, dv = v
     out_a, out_b = [0] * table.size, [0] * table.size
-    for row, ua, ub in nu:
+    for row, ua, ub in zip(table.nonzero, una, unb):
+        if not (ua or ub):
+            continue
         for b, cell in row:
-            va, vb = nv[b]
+            va, vb = vna[b], vnb[b]
             if va or vb:
                 # (ua + ub√3)(va + vb√3) = fa + fb√3
                 fa, fb = ua * va + 3 * ub * vb, ua * vb + ub * va
@@ -90,21 +110,19 @@ def bilinear(table: SparseTable, u, v, scalar):
                 for k, ca, cb in cell:
                     out_a[k] += fa * ca + fb3 * cb
                     out_b[k] += fa * cb + fb * ca
-    d = du * dv * table.den
-    if scalar is F3:
-        return [_raw_f3(a, b, d) for a, b in zip(out_a, out_b)]
-    return [Fraction(a, d) for a in out_a]
+    return _canonical((out_a, out_b), du * dv * table.den)
 
 
 def bilinear_left(table: SparseTable, u):
-    """Rows of the matrix of v ↦ ``bilinear(table, u, v, F3)`` as gcd-reduced
-    sparse integer rows (na, nb, d): entry [k][b] is Σ_a u[a]·c over the pairs
-    (k, c) of cell [a][b].  Zero coordinates of u are skipped; each row is summed
-    densely and made sparse by one scan of its entries that also divides out its gcd."""
-    nu, du = _numerators(u)
+    """Rows of the matrix of v ↦ ``bilinear(table, u, v)``, for u in the stored form
+    (na, nb, d) of a ``Vector``, as gcd-reduced sparse integer rows (na, nb, d): entry
+    [k][b] is Σ_a u[a]·c over the pairs (k, c) of cell [a][b].  Zero coordinates of u
+    are skipped; each row is summed densely and made sparse by one scan of its entries
+    that also divides out its gcd."""
+    una, unb, du = u
     n = len(table.ints)
     out_a, out_b = [[0] * n for _ in range(table.size)], [[0] * n for _ in range(table.size)]
-    for row, (ua, ub) in zip(table.nonzero, nu):
+    for row, ua, ub in zip(table.nonzero, una, unb):
         if ua or ub:
             ub3 = 3 * ub
             for b, cell in row:
@@ -119,16 +137,8 @@ def bilinear_left(table: SparseTable, u):
     return rows
 
 
-def _c3_numerators(zs):
-    """Integers (ra, rb, ia, ib) with z = (ra + rb√3 + (ia + ib√3)i)/d for
-    each C3 z of ``zs``, and the one denominator d."""
-    d = math.lcm(*(p._d for z in zs for p in (z.re, z.im)))
-    return [(r._an * (d // r._d), r._bn * (d // r._d), i._an * (d // i._d), i._bn * (d // i._d))
-            for r, i in ((z.re, z.im) for z in zs)], d
-
-
 def _c3_dot(xs, ys):
-    """Σ x·y for pairs of integer tuples (ra, rb, ia, ib) from ``_c3_numerators``:
+    """Σ x·y for pairs of integer tuples (ra, rb, ia, ib), each (ra + rb√3 + (ia + ib√3)i):
     the four-term product over Q(√3, i), summed as integers into one such tuple."""
     ra = rb = ia = ib = 0
     for (xra, xrb, xia, xib), (yra, yrb, yia, yib) in zip(xs, ys):
@@ -140,71 +150,106 @@ def _c3_dot(xs, ys):
     return ra, rb, ia, ib
 
 
-def _c3(ra, rb, ia, ib, d) -> C3:
-    """The C3 value (ra + rb√3 + (ia + ib√3)i)/d, built once."""
-    return C3(_raw_f3(ra, rb, d), _raw_f3(ia, ib, d))
-
-
 class Vector(Frozen):
-    """Immutable vector of ``SIZE`` coordinates, each coerced by ``scalar``.
+    """Immutable vector of ``SIZE`` coordinates, stored only as ``ints``: integer parts
+    over one denominator d > 0, gcd-reduced (the gcd of d and every part is 1), so one
+    vector has one stored form.  For F3 coordinates ``ints`` is (na, nb, d), coordinate
+    k being (na[k] + nb[k]√3)/d; ``Mat3`` has four parts.  ``coeffs`` builds the
+    coordinates as scalars (``scalar`` coerces input) on each call.
 
-    The one implementation of truth value, ``+``, ``-``, negation and
-    ``scale`` for the coordinate types; equality and hashing are
-    ``Frozen``'s, on the key ``coeffs``.  Results are built by ``_like``
-    from coordinates that are already scalars; a subclass with more state
-    than ``coeffs`` overrides ``_like`` (copy that state), ``_key`` (what
-    ``==`` and hashing compare) and ``_check`` (reject an operand that
-    cannot be combined with this one).
+    The one implementation of truth value, ``+``, ``-``, negation and ``scale`` for the
+    coordinate types, all on the stored integers; equality and hashing are ``Frozen``'s,
+    on the key ``ints``.  Results are built by ``_like`` from stored forms; a subclass
+    with more state than ``ints`` overrides ``_from_ints`` and ``_like`` (copy that
+    state), ``_key`` (what ``==`` and hashing compare) and ``_check`` (reject an
+    operand that cannot be combined with this one).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints",)
 
     SIZE = 0
     scalar = F3.coerce
+    _coord = staticmethod(_raw_f3)  # one coordinate from its parts and d
+    _ints_of = staticmethod(_vector_ints)  # the stored form of coerced coordinates
 
     def __init__(self, coeffs):
-        coeffs = tuple(map(self.scalar, coeffs))
+        coeffs = [self.scalar(c) for c in coeffs]
         if len(coeffs) != self.SIZE:
             raise ValueError(f"{type(self).__name__} needs {self.SIZE} coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "ints", self._ints_of(coeffs))
 
-    def _like(self, coeffs):
-        out = object.__new__(type(self))
-        object.__setattr__(out, "coeffs", tuple(coeffs))
+    @classmethod
+    def _from_ints(cls, ints):
+        """The vector of a stored form, kept as given."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ints", ints)
         return out
 
+    def _like(self, ints):
+        return self._from_ints(ints)
+
+    @property
+    def coeffs(self):
+        *parts, d = self.ints
+        return tuple(self._coord(*p, d) for p in zip(*parts))
+
     def _key(self):
-        return self.coeffs
+        return self.ints
 
     def _check(self, other) -> None:
         pass
 
+    def _permuted(self, order, signs=None):
+        """The vector whose coordinate k is signs[k] times coordinate order[k] of this
+        one, for a permutation ``order``: the stored form stays gcd-reduced."""
+        *parts, d = self.ints
+        signs = signs or (1,) * len(order)
+        return self._like((*(tuple(s * p[j] for j, s in zip(order, signs)) for p in parts), d))
+
     def __bool__(self):
-        return any(self.coeffs)
+        return any(map(any, self.ints[:-1]))
 
     def __add__(self, other):
         self._check(other)
-        return self._like([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        (*p, du), (*q, dv) = self.ints, other.ints
+        d = math.lcm(du, dv)
+        mu, mv = d // du, d // dv
+        return self._like(_canonical([[mu * x + mv * y for x, y in zip(a, b)]
+                                      for a, b in zip(p, q)], d))
 
     def __sub__(self, other):
-        self._check(other)
-        return self._like([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
-        return self._like([-a for a in self.coeffs])
+        *parts, d = self.ints
+        return self._like((*(tuple(-x for x in p) for p in parts), d))
 
     def scale(self, c):
-        c = self.scalar(c)
-        return self._like([c * a for a in self.coeffs])
+        [(ca, cb)], cd = _numerators([self.scalar(c)])
+        na, nb, d = self.ints
+        cb3 = 3 * cb
+        return self._like(_canonical(([ca * a + cb3 * b for a, b in zip(na, nb)],
+                                      [ca * b + cb * a for a, b in zip(na, nb)]), d * cd))
 
 
 class Mat3(Vector):
-    """Dense 3×3 matrix over C3, its entries stored row by row in ``coeffs``."""
+    """Dense 3×3 matrix over C3, stored as four parts (ra, rb, ia, ib, d): entry k, row
+    by row, is (ra[k] + rb[k]√3 + (ia[k] + ib[k]√3)i)/d."""
 
     __slots__ = ()
 
     SIZE = 9
     scalar = C3.coerce
+
+    @staticmethod
+    def _coord(ra, rb, ia, ib, d) -> C3:
+        return C3(_raw_f3(ra, rb, d), _raw_f3(ia, ib, d))
+
+    @staticmethod
+    def _ints_of(coeffs):
+        # the real and imaginary parts, as F3s over one denominator
+        nums, d = _numerators([p for z in coeffs for p in (z.re, z.im)])
+        return (*zip(*nums[0::2]), *zip(*nums[1::2]), d)
 
     def __init__(self, rows):
         rows = [tuple(r) for r in rows]
@@ -231,25 +276,32 @@ class Mat3(Vector):
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.coeffs[3 * i + j]
+        *parts, d = self.ints
+        return self._coord(*(p[3 * i + j] for p in parts), d)
 
     def __repr__(self):
         return f"Mat3({[[str(x) for x in r] for r in self.rows]})"
 
     def __matmul__(self, other) -> Mat3:
-        (a, da), (b, db) = _c3_numerators(self.coeffs), _c3_numerators(other.coeffs)
+        (a, da), (b, db) = _mat3_nums(self), _mat3_nums(other)
         cols = [b[j::3] for j in range(3)]
-        d = da * db
-        return self._like(_c3(*_c3_dot(a[i:i + 3], col), d) for i in (0, 3, 6) for col in cols)
+        return _mat3([_c3_dot(a[i:i + 3], col) for i in (0, 3, 6) for col in cols], da * db)
+
+    def scale(self, c) -> Mat3:
+        (ca,), (cb,), (ci,), (cj,), cd = self._ints_of([self.scalar(c)])
+        nums, d = _mat3_nums(self)
+        return _mat3([_c3_dot(((ca, cb, ci, cj),), (z,)) for z in nums], d * cd)
 
     def trace(self) -> C3:
-        c = self.coeffs
-        return c[0] + c[4] + c[8]
+        *parts, d = self.ints
+        return self._coord(*(p[0] + p[4] + p[8] for p in parts), d)
 
     def dagger(self) -> Mat3:
-        """Conjugate transpose."""
-        r = self.rows
-        return self._like(r[j][i].conj() for i in range(3) for j in range(3))
+        """Conjugate transpose: the transposed parts, the imaginary ones negated."""
+        ra, rb, ia, ib, d = self.ints
+        t = (0, 3, 6, 1, 4, 7, 2, 5, 8)
+        return self._like((*(tuple(p[k] for k in t) for p in (ra, rb)),
+                           *(tuple(-p[k] for k in t) for p in (ia, ib)), d))
 
     def det(self) -> C3:
         r = self.rows
@@ -266,15 +318,28 @@ class Mat3(Vector):
         r = self.rows
         dinv = d.inverse()
         # the adjugate: entry (j, i) is the (i, j) cofactor
-        return self._like(
-            dinv * (r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-                    - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3])
+        return Mat3([
+            [dinv * (r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
+                     - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3])
+             for i in range(3)]
             for j in range(3)
-            for i in range(3)
-        )
+        ])
 
     def to_json(self):
         return [[x.to_json() for x in r] for r in self.rows]
+
+
+def _mat3_nums(m: Mat3):
+    """The entries of m, row by row, as integer tuples (ra, rb, ia, ib) over its one
+    denominator d, and d."""
+    *parts, d = m.ints
+    return list(zip(*parts)), d
+
+
+def _mat3(nums, d) -> Mat3:
+    """The Mat3 whose entries, row by row, are the integer tuples (ra, rb, ia, ib) of
+    ``nums`` over d > 0."""
+    return Mat3._from_ints(_canonical(list(zip(*nums)), d))
 
 
 _ETA_SIGNS = {COMPACT: (1,) * 9, SPLIT: (1, -1, -1, -1, 1, 1, -1, 1, 1)}
@@ -282,8 +347,8 @@ _ETA_SIGNS = {COMPACT: (1,) * 9, SPLIT: (1, -1, -1, -1, 1, 1, -1, 1, 1)}
 
 def _eta_dagger_numerators(nums, flavor: Flavor):
     """η x† η for η = Id (compact) or diag(-1,1,1) (split), an involution, on the
-    numerators of x from ``_c3_numerators``: entry (i, j) is η_iη_j·conj(x_ji), so the
-    split flavor negates the four entries that pair index 0 with index 1 or 2."""
+    entries of x from ``_mat3_nums``: entry (i, j) is η_iη_j·conj(x_ji), so the split
+    flavor negates the four entries that pair index 0 with index 1 or 2."""
     _check_flavor(flavor)
     transposed = (nums[3 * j + i] for i in range(3) for j in range(3))
     return [(s * ra, s * rb, -s * ia, -s * ib)
@@ -291,14 +356,15 @@ def _eta_dagger_numerators(nums, flavor: Flavor):
 
 
 def eta_dagger(x: Mat3, flavor: Flavor) -> Mat3:
-    """η x† η, each entry built once from ``_eta_dagger_numerators``."""
-    nums, d = _c3_numerators(x.coeffs)
-    return x._like(_c3(*z, d) for z in _eta_dagger_numerators(nums, flavor))
+    """η x† η from ``_eta_dagger_numerators``: a signed permutation of the stored
+    integers, which keeps them gcd-reduced."""
+    nums, d = _mat3_nums(x)
+    return x._like((*zip(*_eta_dagger_numerators(nums, flavor)), d))
 
 
 def is_eta_hermitian(x: Mat3, flavor: Flavor) -> bool:
-    """η x† η = x, compared on the integer numerators of x."""
-    nums, _ = _c3_numerators(x.coeffs)
+    """η x† η = x, compared on the stored integers of x."""
+    nums, _ = _mat3_nums(x)
     return _eta_dagger_numerators(nums, flavor) == nums
 
 

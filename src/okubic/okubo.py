@@ -22,7 +22,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .field import C3, F3, _raw_f3, sample_f3
+from .field import F3, _raw_f3, sample_f3
 from .linalg import (
     COMPACT,
     SPLIT,
@@ -30,11 +30,12 @@ from .linalg import (
     Mat3,
     SparseTable,
     Vector,
-    _c3,
     _c3_dot,
-    _c3_numerators,
+    _canonical,
     _check_flavor,
     _eta_dagger_numerators,
+    _mat3,
+    _mat3_nums,
     bilinear,
     symmetric_signature,
 )
@@ -83,13 +84,17 @@ class OkuboElement(Vector):
         super().__init__(coeffs)
         object.__setattr__(self, "flavor", flavor)
 
-    def _like(self, coeffs) -> OkuboElement:
-        out = super()._like(coeffs)
-        object.__setattr__(out, "flavor", self.flavor)
+    @classmethod
+    def _from_ints(cls, ints, flavor: str = COMPACT) -> OkuboElement:
+        out = super()._from_ints(ints)
+        object.__setattr__(out, "flavor", flavor)
         return out
 
+    def _like(self, ints) -> OkuboElement:
+        return self._from_ints(ints, self.flavor)
+
     def _key(self):
-        return self.flavor, self.coeffs
+        return self.flavor, self.ints
 
     def _check(self, other: OkuboElement) -> None:
         if self.flavor != other.flavor:
@@ -99,13 +104,15 @@ class OkuboElement(Vector):
 
     @classmethod
     def zero(cls, flavor: str = COMPACT) -> OkuboElement:
-        return cls([0] * 8, flavor)
+        _gamma(flavor)
+        return cls._from_ints(((0,) * 8, (0,) * 8, 1), flavor)
 
     @classmethod
     def basis(cls, k: int, flavor: str = COMPACT) -> OkuboElement:
-        c = [F3()] * 8
-        c[k] = F3(1)
-        return cls(c, flavor)
+        _gamma(flavor)
+        c = [0] * 8
+        c[k] = 1
+        return cls._from_ints((tuple(c), (0,) * 8, 1), flavor)
 
     def __repr__(self):
         terms = [
@@ -115,26 +122,30 @@ class OkuboElement(Vector):
         return f"OkuboElement[{self.flavor}]({body})"
 
     def to_matrix(self) -> Mat3:
-        """Σ c_k·b_k in the closed form ``_entries``; ``from_matrix`` reads it back."""
-        e = _entries(self.coeffs, _gamma(self.flavor))
-        return Mat3([[C3(*z) for z in e[i:i + 3]] for i in (0, 3, 6)])
+        """Σ c_k·b_k in the closed form ``_entries``, one part of Q(√3) at a time, on
+        the stored integers; ``from_matrix`` reads it back.  The entries stay
+        gcd-reduced because ``from_matrix`` recovers the parts from them by integer
+        sums."""
+        g = _gamma(self.flavor)
+        na, nb, d = self.ints
+        (ra, ia), (rb, ib) = (zip(*_entries(p, g)) for p in (na, nb))
+        return Mat3._from_ints((ra, rb, ia, ib, d))
 
     @classmethod
     def from_matrix(cls, m: Mat3, flavor: str = COMPACT) -> OkuboElement:
-        """Invert the coefficient map on the integer numerators of m, one part of
-        Q(√3) at a time; rejects m unless ``_entries`` gives it back exactly."""
+        """Invert the coefficient map on the stored integers of m, one part of Q(√3)
+        at a time; rejects m unless ``_entries`` gives it back exactly."""
         g = _gamma(flavor)
-        nums, d = _c3_numerators(m.coeffs)
+        ra, rb, ia, ib, d = m.ints
         parts = []
-        for p in (0, 1):  # the rational parts, then the √3 parts
-            re, im = [z[p] for z in nums], [z[p + 2] for z in nums]
+        for re, im in ((ra, ia), (rb, ib)):  # the rational parts, then the √3 parts
             # diag(ξ1, ξ2, -ξ1-ξ2) = c0·diag(2,-1,-1) + c3·diag(1,-1,0)
             c = [re[0] + re[4], re[1], -g * im[1], -re[0] - 2 * re[4], re[2], -g * im[2],
                  re[5], -im[5]]
             if _entries(c, g) != tuple(zip(re, im)):
                 raise ValueError("matrix is not traceless η-Hermitian for this flavor")
             parts.append(c)
-        return cls([_raw_f3(a, b, d) for a, b in zip(*parts)], flavor)
+        return cls._from_ints(_canonical(parts, d), flavor)
 
     def to_json(self):
         return {"flavor": self.flavor, "coeffs": [c.to_json() for c in self.coeffs]}
@@ -186,7 +197,7 @@ def structure_constants_dense(flavor: str):
 
 def okubo_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     x._check(y)
-    return x._like(bilinear(structure_constants(x.flavor), x.coeffs, y.coeffs, F3))
+    return x._like(bilinear(structure_constants(x.flavor), x.ints, y.ints))
 
 
 @functools.cache
@@ -204,7 +215,8 @@ def gram_table(flavor: str) -> SparseTable:
 def polar(x: OkuboElement, y: OkuboElement) -> F3:
     """⟨x, y⟩ = n(x+y) - n(x) - n(y) = (1/3)Tr(xy), one pass over ``gram_table``."""
     x._check(y)
-    return bilinear(gram_table(x.flavor), x.coeffs, y.coeffs, F3)[0]
+    (a,), (b,), d = bilinear(gram_table(x.flavor), x.ints, y.ints)
+    return _raw_f3(a, b, d)
 
 
 def okubo_norm(x: OkuboElement) -> F3:
@@ -312,23 +324,21 @@ def _trace(nums):
 def michel_radicati_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> Mat3:
     """x⋆_θ y = (1/2+iθ)xy + (1/2-iθ)yx - (1/3)Tr(xy)Id on traceless
     η-Hermitian matrices; composition only at θ = ±√3/6."""
-    (nx, _), (ny, _) = _c3_numerators(x.coeffs), _c3_numerators(y.coeffs)
+    (nx, _), (ny, _) = _mat3_nums(x), _mat3_nums(y)
     if any(_trace(nx)) or any(_trace(ny)):
         raise HermiticityError("input must be traceless")
     nums, d = _traceful(x, y, F3.coerce(theta), nx, ny, flavor)
     # Tr(p) = (1/2+iθ)Tr(xy) + (1/2-iθ)Tr(yx) = Tr(xy), taken off the diagonal over 3d
     t = _trace(nums)
-    return x._like(_c3(*(3 * z - (k % 4 == 0) * s for z, s in zip(n, t)), 3 * d)
-                   for k, n in enumerate(nums))
+    return _mat3([tuple(3 * z - (k % 4 == 0) * s for z, s in zip(n, t))
+                  for k, n in enumerate(nums)], 3 * d)
 
 
 def traceful_mul(x: Mat3, y: Mat3, theta: F3, flavor: str = COMPACT) -> Mat3:
     """x∘_θ y = (1/2+iθ)xy + (1/2-iθ)yx on η-Hermitian matrices; a
     non-commutative Jordan product for every θ."""
-    theta = F3.coerce(theta)
-    (nx, _), (ny, _) = _c3_numerators(x.coeffs), _c3_numerators(y.coeffs)
-    nums, d = _traceful(x, y, theta, nx, ny, flavor)
-    return x._like(_c3(*n, d) for n in nums)
+    (nx, _), (ny, _) = _mat3_nums(x), _mat3_nums(y)
+    return _mat3(*_traceful(x, y, F3.coerce(theta), nx, ny, flavor))
 
 
 def _traceful(x: Mat3, y: Mat3, theta: F3, nx, ny, flavor: str):
@@ -337,7 +347,7 @@ def _traceful(x: Mat3, y: Mat3, theta: F3, nx, ny, flavor: str):
     if _eta_dagger_numerators(nx, flavor) != nx or _eta_dagger_numerators(ny, flavor) != ny:
         raise HermiticityError("input is not η-Hermitian for this flavor")
     # yx = η(xy)†η for η-Hermitian x and y, so one 3×3 product gives both
-    nums, d = _c3_numerators((x @ y).coeffs)
+    nums, d = _mat3_nums(x @ y)
     # 1/2 ± iθ = (t ± 2i(a + b√3))/(2t) for θ = (a + b√3)/t
     a, b, t = theta._an, theta._bn, theta._d
     mus = (t, 0, 2 * a, 2 * b), (t, 0, -2 * a, -2 * b)
@@ -347,11 +357,11 @@ def _traceful(x: Mat3, y: Mat3, theta: F3, nx, ny, flavor: str):
 def mat_norm(m: Mat3) -> F3:
     """n(x) = (1/6)Tr(x²) directly on the matrix view: Tr(x²) = Σ m_ij·m_ji,
     summed as integer numerators."""
-    nums, d = _c3_numerators(m.coeffs)
-    t = _c3(*_c3_dot(nums, (nums[3 * j + i] for i in range(3) for j in range(3))), 6 * d * d)
-    if t.im:
+    nums, d = _mat3_nums(m)
+    ra, rb, ia, ib = _c3_dot(nums, (nums[3 * j + i] for i in range(3) for j in range(3)))
+    if ia or ib:
         raise ValueError("trace of x² must be real")
-    return t.re
+    return _raw_f3(ra, rb, 6 * d * d)
 
 
 class SkewHermiticityError(ValueError):
@@ -376,12 +386,12 @@ def conjugation_automorphism(s: Mat3):
     udag = u.dagger()
     images = (OkuboElement.from_matrix(u @ b @ udag, COMPACT) for b in basis_matrices(COMPACT))
     table = SparseTable([[(k, c) for k, c in enumerate(y.coeffs) if c]] for y in images)
-    one = (F3(1),)
+    one = ((1,), (0,), 1)  # the stored form of the one coordinate 1
 
     def phi(x: OkuboElement) -> OkuboElement:
         if x.flavor != COMPACT:
             raise FlavorMismatchError("conjugation automorphisms act on the compact flavor")
-        return x._like(bilinear(table, x.coeffs, one, F3))
+        return x._like(bilinear(table, x.ints, one))
 
     return phi
 

@@ -178,19 +178,21 @@ def test_import_builds_no_table():
 def test_cold_okubo_table_reads_each_basis_matrix_once(flavor):
     # the first structure_constants(flavor) reads the 8 basis matrices once and
     # makes one 3×3 product per pair of basis elements, read back with no
-    # further to_matrix
+    # further to_matrix; the matrices stay integers throughout, so no C3 is built
     code = (
-        "from okubic import linalg, okubo\n"
+        "from okubic import field, linalg, okubo\n"
         "calls = []\n"
-        "for cls, name in ((okubo.OkuboElement, 'to_matrix'), (linalg.Mat3, '__matmul__')):\n"
+        "for cls, name in ((okubo.OkuboElement, 'to_matrix'), (linalg.Mat3, '__matmul__'),\n"
+        "                  (field.C3, '__init__')):\n"
         "    f = getattr(cls, name)\n"
         "    setattr(cls, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))\n"
         f"okubo.structure_constants({flavor!r})\n"
-        "print(calls.count('to_matrix'), calls.count('__matmul__'))"
+        "print(calls.count('to_matrix'), calls.count('__matmul__'), calls.count('__init__'))"
     )
-    to_matrix, matmul = map(int, _fresh_python(code))
+    to_matrix, matmul, c3 = map(int, _fresh_python(code))
     assert to_matrix <= 8
     assert matmul == 64
+    assert c3 == 0
 
 
 def test_import_loads_no_dataclasses_or_inspect():

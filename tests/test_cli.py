@@ -431,3 +431,37 @@ def test_jordan_witness_is_frozen():
 
     assert jordan_defect(AlbertAlgebra(1), a, b)
     assert not jordan_defect(ALBERT_HALF, a, b)
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr without the wall-time line) of one ``main`` call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    err = [line for line in captured.err.splitlines() if not line.startswith("wall time:")]
+    return code, captured.out, err
+
+
+def test_one_parser_serves_every_call_of_main(capsys, monkeypatch):
+    # a good command, a bad one (exit 2) and a good one that leaves --flavor at its
+    # default: the parser built once reports exactly as a fresh parser per call
+    argvs = [
+        ("check", "composition", "--flavor", "split", "--seed", "3", "--samples", "2"),
+        ("check", "composition", "--seed", "3", "--samples", "0"),
+        ("check", "composition", "--seed", "3", "--samples", "2"),
+        ("kernel", "e0"),
+    ]
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in argvs]
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_outcome(capsys, argv) for argv in argvs]
+    assert len(built) == 1 + len(argvs)
+    assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert reused == fresh
+    assert json.loads(reused[0][1])["flavor"] == "split"
+    assert "flavor" not in json.loads(reused[2][1])

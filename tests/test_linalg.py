@@ -12,7 +12,7 @@ import pytest
 
 from okubic import albert, derivations, geometry, hurwitz, linalg, okubo
 from okubic.albert import sample_albert, trace
-from okubic.field import C3, F3, Frozen, _raw_f3, sample_f3
+from okubic.field import C3, F3, Frozen, _raw_f3, sample_f3, sample_rational
 from okubic.geometry import VeroneseVector
 from okubic.hurwitz import sample_split_octonion
 from okubic.linalg import (
@@ -24,6 +24,7 @@ from okubic.linalg import (
     Vector,
     _gauss_jordan,
     _numerators,
+    _vector_ints,
     bilinear,
     bilinear_left,
     determinant,
@@ -467,6 +468,110 @@ def test_equal_vectors_hash_equal(sample):
     assert len({x, same, y}) == 2
 
 
+def _key_by_scalars(x):
+    """The key of a vector that stores one scalar per coordinate, its type, flavor and
+    coordinates: the oracle for ``==`` and ``hash``, which compare the stored integers."""
+    return type(x), getattr(x, "flavor", None), x.coeffs
+
+
+def _scalar_bits(x):
+    """A scalar as its type and its stored integers, so equal bits mean one representation."""
+    if isinstance(x, C3):
+        return C3, _scalar_bits(x.re), _scalar_bits(x.im)
+    if isinstance(x, F3):
+        return F3, x._an, x._bn, x._d
+    return type(x), x.numerator, x.denominator
+
+
+def _assert_canonical(x):
+    """The stored form of x: integer parts of its coordinates over one d > 0, the gcd
+    of d and every part 1; a split octonion has √3 parts 0."""
+    *parts, d = x.ints
+    assert len(parts) == (4 if isinstance(x, Mat3) else 2)
+    assert all(type(p) is tuple and len(p) == x.SIZE for p in parts)
+    assert all(type(a) is int for p in parts for a in p)
+    assert type(d) is int and d > 0 and math.gcd(d, *itertools.chain(*parts)) == 1
+    if isinstance(x, hurwitz.SplitOctonion):
+        assert not any(parts[1])
+
+
+def _mat3_of(cs):
+    return Mat3([cs[0:3], cs[3:6], cs[6:9]])
+
+
+def _mat3_product_by_scalars(x, y):
+    return tuple(sum((x[i, k] * y[k, j] for k in range(3)), C3()) for i in range(3) for j in range(3))
+
+
+def _table_product_by_scalars(table, zero):
+    return lambda x, y: tuple(_bilinear_by_scalars(table(), x.coeffs, y.coeffs, zero))
+
+
+def _okubo_kind(flavor):
+    return (8, sample_f3, lambda cs: okubo.OkuboElement(cs, flavor), okubo.okubo_mul,
+            _table_product_by_scalars(lambda: structure_constants(flavor), F3()), (F3,))
+
+
+def _c3_sample(rng):
+    return C3(sample_f3(rng), sample_f3(rng))
+
+
+# Each vector type: its size, a scalar sampler, a constructor from scalars, a product,
+# the product summed on scalars, and the scalar types a rational coordinate may be given as.
+VECTOR_KINDS = {
+    "okubo": _okubo_kind(COMPACT),
+    "split-okubo": _okubo_kind(SPLIT),
+    "split-octonion": (8, sample_rational, hurwitz.SplitOctonion, hurwitz.oct_mul,
+                       _table_product_by_scalars(lambda: hurwitz.MUL_TABLE, Fraction(0)), ()),
+    "albert": (27, sample_f3, VeroneseVector.from_coords, albert.ALBERT_HALF.mul,
+               _table_product_by_scalars(lambda: albert._table(F3(Fraction(1, 2))), F3()), (F3,)),
+    "mat3": (9, _c3_sample, _mat3_of, Mat3.__matmul__, _mat3_product_by_scalars, (F3, C3)),
+}
+
+
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
+def test_stored_integers_compare_hash_and_read_as_the_scalars(kind):
+    # one vector reached by several routes has one stored form: == and hash agree
+    # with the coordinate-wise key, and coeffs with the same route taken on scalars
+    n, sample, build, product, product_by_scalars, lifts = VECTOR_KINDS[kind]
+    rng = random.Random(f"stored-integers:{kind}")
+    scalar = type(build([0] * n)).scalar
+    made = []  # (vector, its coordinates as the same route gives them on scalars)
+    for _ in range(3):
+        cs, ds = [sample(rng) for _ in range(n)], [sample(rng) for _ in range(n)]
+        rs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+        c = sample(rng)
+        while not c:
+            c = sample(rng)
+        x, y = build(cs), build(ds)
+        xs, ys = tuple(map(scalar, cs)), tuple(map(scalar, ds))
+        made += [(x, xs), (y, ys), (build(rs), tuple(map(scalar, rs)))]
+        made += [(build([lift(r) for r in rs]), tuple(map(scalar, rs))) for lift in lifts]
+        made += [
+            (x + y, tuple(a + b for a, b in zip(xs, ys))),
+            (x - y, tuple(a - b for a, b in zip(xs, ys))),
+            ((x + y) - y, xs),
+            (x - x, tuple(a - a for a in xs)),
+            (-x, tuple(-a for a in xs)),
+            (x.scale(c), tuple(scalar(c) * a for a in xs)),
+            (x.scale(c).scale(1 / c), xs),
+            (product(x, y), product_by_scalars(x, y)),
+        ]
+        if kind == "albert":
+            made += [(VeroneseVector(*x.x, *x.lam), xs)]
+            made += [(slot, xs[k:k + 8]) for slot, k in zip(x.x, (0, 8, 16))]
+            assert x.lam == xs[24:]
+    for x, want in made:
+        _assert_canonical(x)
+        assert [_scalar_bits(a) for a in x.coeffs] == [_scalar_bits(a) for a in want]
+    for (x, _), (y, _) in itertools.product(made, repeat=2):
+        same = _key_by_scalars(x) == _key_by_scalars(y)
+        assert (x == y) is same and (x != y) is not same
+        if same:
+            assert hash(x) == hash(y)
+    assert sum(x == y for (x, _), (y, _) in itertools.combinations(made, 2)) >= 3 * 3
+
+
 def _bilinear_by_scalars(table, u, v, zero):
     """The per-scalar product loop on the table's own cells: the oracle for
     ``bilinear``, which sums integer numerators over one denominator."""
@@ -553,8 +658,16 @@ def test_bilinear_matches_the_scalar_oracle(name):
         basis, others = ([[c.a for c in u] for u in vs] for vs in (basis, others))
     pairs = list(itertools.product(basis, repeat=2)) + list(itertools.product(others, repeat=2))
     for u, v in pairs:
-        got = bilinear(table, u, v, scalar)
+        ints = bilinear(table, _vector_ints(u), _vector_ints(v))
         want = _bilinear_by_scalars(table, u, v, scalar(0))
+        # the stored form: the oracle's coordinates over their least common denominator
+        assert ints == _vector_ints(want)
+        na, nb, d = ints
+        if scalar is F3:
+            got = [_raw_f3(a, b, d) for a, b in zip(na, nb)]
+        else:
+            assert not any(nb)
+            got = [Fraction(a, d) for a in na]
         assert got == want
         assert [type(x) for x in got] == [scalar] * table.size
         assert hash(tuple(got)) == hash(tuple(want))
@@ -562,15 +675,38 @@ def test_bilinear_matches_the_scalar_oracle(name):
         # column b of the left multiplication by u is u times basis vector b
         for u in others:
             cols = [_bilinear_by_scalars(table, u, e, F3()) for e in basis]
-            rows = bilinear_left(table, u)
+            rows = bilinear_left(table, _vector_ints(u))
             _assert_sparse(rows)
             _assert_reduced(rows)
             assert _f3_rows(rows, n) == [list(row) for row in zip(*cols)]
 
 
+def _kernel_calls(tree):
+    """The calls to ``bilinear`` or ``bilinear_left`` in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("bilinear", "bilinear_left"):
+                yield node
+
+
+def test_no_module_passes_coeffs_to_the_kernel():
+    # the kernel takes and returns the stored integers: a caller that hands it
+    # scalars converts every coordinate on the way in
+    calls = 0
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        for call in _kernel_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            calls += 1
+            args = [*call.args, *(k.value for k in call.keywords)]
+            assert not any(isinstance(n, ast.Attribute) and n.attr == "coeffs"
+                           for a in args for n in ast.walk(a)), (path.name, call.lineno)
+    assert calls >= 8
+
+
 def _left_mult_by_scalars(table, u):
-    """The F3 rows of v ↦ ``bilinear(table, u, v, F3)`` and the same rows as
-    sparse integer rows (nonzero entries only, over the lcm of their
+    """The F3 rows of v ↦ ``bilinear(table, u, v)`` for F3 coordinates u, and the
+    same rows as sparse integer rows (nonzero entries only, over the lcm of their
     denominators) read back from those F3 values: the oracle for
     ``bilinear_left``, which sums integers and builds no F3."""
     nu, du = _numerators(u)
