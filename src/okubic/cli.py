@@ -367,7 +367,7 @@ def _fixed_skew_matrices():
     return (
         Mat3([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
         Mat3([[0, 0, Fraction(1, 2)], [0, 0, 1], [Fraction(-1, 2), -1, 0]]),
-        Mat3([[i, i3, 0], [i3, -i, 1], [0, -1, 0]]),
+        Mat3([[i, i3, 0], [i3, C3(F3(), F3(-1)), 1], [0, -1, 0]]),
     )
 
 

@@ -137,12 +137,6 @@ def _bracket(a, b):
     return rows, da * db
 
 
-def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """ab - ba summed on integer rows over the one denominator Da·Db."""
-    rows, d = _bracket(_common_denominator(a.ints), _common_denominator(b.ints))
-    return ExactMatrix._from_ints([_reduced(na, nb, d) for na, nb in rows], a.cols)
-
-
 def _flat(rows, d, cols):
     """Pairs (na, nb) over d, row by row, as one gcd-reduced sparse integer row."""
     flat = [(i * cols + j, x, nb[j]) for i, (na, nb) in enumerate(rows) for j, x in na.items()]

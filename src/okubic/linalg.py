@@ -304,26 +304,18 @@ class Mat3(Vector):
                            *(tuple(-p[k] for k in t) for p in (ia, ib)), d))
 
     def det(self) -> C3:
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+        return self._coord(*_adjugate(self)[1])
 
     def inverse(self) -> Mat3:
-        d = self.det()
-        if not d:
+        """The adjugate over the determinant D, on integer parts: 1/D = conj(D)(p - q√3)/N for
+        |D|² = p + q√3, where N = p² - 3q² > 0 as both real embeddings of Q(√3) make |D|² > 0."""
+        adj, (*det, _), d = _adjugate(self)
+        if not any(det):
             raise ZeroDivisionError("singular Mat3")
-        r = self.rows
-        dinv = d.inverse()
-        # the adjugate: entry (j, i) is the (i, j) cofactor
-        return Mat3([
-            [dinv * (r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-                     - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3])
-             for i in range(3)]
-            for j in range(3)
-        ])
+        conj = (det[0], det[1], -det[2], -det[3])
+        p, q, _, _ = _c3_dot((det,), (conj,))
+        w = _c3_dot((conj,), ((d * p, -d * q, 0, 0),))  # adj/d² over D/d³ is adj·d/D
+        return _mat3([_c3_dot((x,), (w,)) for x in adj], p * p - 3 * q * q)
 
     def to_json(self):
         return [[x.to_json() for x in r] for r in self.rows]
@@ -334,6 +326,16 @@ def _mat3_nums(m: Mat3):
     denominator d, and d."""
     *parts, d = m.ints
     return list(zip(*parts)), d
+
+
+def _adjugate(m: Mat3):
+    """The adjugate of m over d² (row j: column j's cofactors), (*det m, d³), and d."""
+    nums, d = _mat3_nums(m)
+    r = [nums[0:3], nums[3:6], nums[6:9]]
+    nxt = ((1, 2), (2, 0), (0, 1))  # the other two indices, in cyclic order
+    adj = [_c3_dot((r[i1][j1], r[i1][j2]), (r[i2][j2], tuple(-x for x in r[i2][j1])))
+           for j1, j2 in nxt for i1, i2 in nxt]
+    return adj, (*_c3_dot(nums[0:3], adj[0::3]), d ** 3), d
 
 
 def _mat3(nums, d) -> Mat3:
@@ -411,10 +413,23 @@ class ExactMatrix(Frozen):
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        nv, dv = _numerators(v)
-        return [_raw_f3(sum(x * nv[j][0] + 3 * nb[j] * nv[j][1] for j, x in na.items()),
-                        sum(x * nv[j][1] + nb[j] * nv[j][0] for j, x in na.items()), d * dv)
-                for na, nb, d in self.ints]
+        na, nb, d = _mat_vec(self.ints, _vector_ints(v))
+        return [_raw_f3(a, b, d) for a, b in zip(na, nb)]
+
+
+def _mat_vec(rows, v):
+    """Sparse integer rows (na, nb, d) times a stored form (na, nb, d): that form, gcd-reduced."""
+    vna, vnb, dv = v
+    den = math.lcm(*(d for _, _, d in rows))
+    out_a, out_b = [], []
+    for na, nb, d in rows:
+        sa = sb = 0
+        for j, x in na.items():
+            sa += x * vna[j] + 3 * nb[j] * vnb[j]
+            sb += x * vnb[j] + nb[j] * vna[j]
+        out_a.append(den // d * sa)
+        out_b.append(den // d * sb)
+    return _canonical((out_a, out_b), den * dv)
 
 
 def _reduced(na, nb, d):

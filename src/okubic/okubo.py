@@ -36,6 +36,7 @@ from .linalg import (
     _eta_dagger_numerators,
     _mat3,
     _mat3_nums,
+    _mat_vec,
     bilinear,
     symmetric_signature,
 )
@@ -379,19 +380,17 @@ def cayley_unitary(s: Mat3) -> Mat3:
 def conjugation_automorphism(s: Mat3):
     """Okubo automorphism x ↦ u x u† from the Cayley transform of s.
 
-    φ is Q(√3)-linear, so it is built once as an 8×8 map: row a of a
-    one-column table holds the image of b_a, each read back (and checked)
-    by ``from_matrix``, and φ(x) is one ``bilinear`` pass over it."""
+    φ is Q(√3)-linear: an 8×8 ``ExactMatrix`` built once, whose column a is φ(b_a) read
+    back (and checked) by ``from_matrix``; φ(x) is one ``_mat_vec`` pass over x.ints."""
     u = cayley_unitary(s)
     udag = u.dagger()
     images = (OkuboElement.from_matrix(u @ b @ udag, COMPACT) for b in basis_matrices(COMPACT))
-    table = SparseTable([[(k, c) for k, c in enumerate(y.coeffs) if c]] for y in images)
-    one = ((1,), (0,), 1)  # the stored form of the one coordinate 1
+    rows = ExactMatrix(zip(*(y.coeffs for y in images))).ints
 
     def phi(x: OkuboElement) -> OkuboElement:
         if x.flavor != COMPACT:
             raise FlavorMismatchError("conjugation automorphisms act on the compact flavor")
-        return x._like(bilinear(table, x.ints, one))
+        return x._like(_mat_vec(rows, x.ints))
 
     return phi
 

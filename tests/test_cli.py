@@ -16,7 +16,7 @@ from okubic.cli import (
     jordan_witness,
     main,
 )
-from okubic.field import F3
+from okubic.field import C3, F3
 from okubic.geometry import AffinePoint, SlopePoint
 from okubic.okubo import OkuboElement, sample_okubo
 
@@ -50,6 +50,19 @@ def test_stdout_is_pinned_byte_for_byte(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_check_all_makes_no_c3_arithmetic(capsys, monkeypatch):
+    # C3 is the public scalar type and the tests' oracle; the library itself runs
+    # on integer parts, the Cayley inverse included
+    ops = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__", "conj", "inverse", "__truediv__", "__rtruediv__"):
+        op = getattr(C3, name)
+        monkeypatch.setattr(C3, name, lambda *a, op=op, name=name: ops.append(name) or op(*a))
+    code, _ = run(capsys, "check", "all", "--seed", "42", "--samples", "10")
+    assert code == EXIT_OK
+    assert ops == []
 
 
 def test_unknown_suite_is_a_usage_error(capsys):

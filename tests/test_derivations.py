@@ -9,7 +9,8 @@ import pytest
 from okubic import albert
 from okubic.derivations import (
     AlgebraPresentation,
-    _commutator,
+    _bracket,
+    _common_denominator,
     _flatten,
     check_lie_closure,
     check_tau_grading,
@@ -22,7 +23,7 @@ from okubic.derivations import (
 )
 from okubic.field import F3, sample_f3
 from okubic.hurwitz import petersson_mul, sample_split_octonion
-from okubic.linalg import COMPACT, SPLIT, ExactMatrix, rank
+from okubic.linalg import COMPACT, SPLIT, ExactMatrix, _reduced, rank
 from okubic.okubo import OkuboElement, polar, sample_okubo
 
 # the tensors, the seam on derivation_space and the row reading of the
@@ -35,6 +36,12 @@ from test_linalg import (
     _leibniz_rows,
     _signed_permuted,
 )
+
+
+def _commutator(a, b):
+    """ab - ba through ``_bracket``, the integer sum that the Lie closure check makes."""
+    rows, d = _bracket(_common_denominator(a.ints), _common_denominator(b.ints))
+    return ExactMatrix._from_ints([_reduced(na, nb, d) for na, nb in rows], a.cols)
 
 
 def _is_derivation(algebra, d, u, v):

@@ -12,6 +12,7 @@ import pytest
 
 from okubic import albert, derivations, geometry, hurwitz, linalg, okubo
 from okubic.albert import sample_albert, trace
+from okubic.cli import _fixed_skew_matrices
 from okubic.field import C3, F3, Frozen, _raw_f3, sample_f3, sample_rational
 from okubic.geometry import VeroneseVector
 from okubic.hurwitz import sample_split_octonion
@@ -50,8 +51,49 @@ def test_mat3_inverse_and_det():
             continue
         assert m @ m.inverse() == Mat3.identity()
         assert m.inverse() @ m == Mat3.identity()
-    with pytest.raises(ZeroDivisionError):
-        Mat3.zero().inverse()
+    for singular in (Mat3.zero(), Mat3.diag(1, 1, 0)):
+        with pytest.raises(ZeroDivisionError):
+            singular.inverse()
+
+
+def _inverse_by_scalars(m):
+    """The determinant and the inverse by C3 cofactors: the oracle for ``Mat3.det``
+    and ``Mat3.inverse``, which run on integer parts."""
+    r = m.rows
+    det = (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )
+    if not det:
+        return det, None
+    dinv = det.inverse()
+    # the adjugate: entry (j, i) is the (i, j) cofactor
+    return det, Mat3([
+        [dinv * (r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
+                 - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3])
+         for i in range(3)]
+        for j in range(3)
+    ])
+
+
+def test_integer_inverse_matches_the_scalar_oracle_bit_for_bit():
+    rng = random.Random(216)
+    groups = _oracle_mat3s()
+    inputs = [_random_mat3(rng) for _ in range(300)]
+    inputs += groups["denominators-1-2-3-7"] + groups["33-bit"]
+    inputs += [Mat3.identity() + s for s in _fixed_skew_matrices()]
+    inverted = 0
+    for m in inputs:
+        det, inv = _inverse_by_scalars(m)
+        assert _bits((m.det().re, m.det().im)) == _bits((det.re, det.im))
+        if inv is None:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+            continue
+        inverted += 1
+        assert m.inverse().ints == inv.ints
+    assert inverted > 300
 
 
 def test_det_is_multiplicative():
@@ -168,6 +210,8 @@ def test_nullspace_exactness():
         zero = [F3()] * rows
         for v in basis:
             assert m.mul_vec(v) == zero
+        with pytest.raises(ValueError, match="shape mismatch"):
+            m.mul_vec([F3()] * (cols + 1))
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -426,9 +470,11 @@ def _classes_defining(method):
     return sorted(names)
 
 
-def test_linalg_calls_every_private_function_it_defines():
-    # a private helper that only other modules call belongs with its callers
-    tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize("path", sorted(Path(linalg.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_module_calls_every_private_function_it_defines(path):
+    # a private helper that only other modules, or only tests, call belongs with its callers
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
             rest = (n for other in tree.body if other is not node for n in ast.walk(other))
@@ -682,12 +728,12 @@ def test_bilinear_matches_the_scalar_oracle(name):
 
 
 def _kernel_calls(tree):
-    """The calls to ``bilinear`` or ``bilinear_left`` in a parsed module."""
+    """The calls to ``bilinear``, ``bilinear_left`` or ``_mat_vec`` in a parsed module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("bilinear", "bilinear_left"):
+            if name in ("bilinear", "bilinear_left", "_mat_vec"):
                 yield node
 
 
