@@ -41,9 +41,15 @@ class SparseTable(Frozen):
     cell is made only of zeros), ``ints`` the same cells as (k, A, B) with
     c = (A + B√3)/``den`` (one denominator), and ``nonzero[a]`` the (b, ints[a][b])
     of the nonempty cells.  There are ``size`` output coordinates k: as many as
-    rows for a product, one for a form, whose value is ``bilinear(...)[0]``."""
+    rows for a product, one for a form, whose value is ``bilinear(...)[0]``.
 
-    __slots__ = ("cells", "ints", "nonzero", "den", "size")
+    ``terms`` is the form ``bilinear`` reads, (symmetric, rows): ``symmetric`` when
+    ints[a][b] == ints[b][a] for every a and b, and rows[a] the (b, rat, sq) of the
+    nonempty cells, only b ≥ a when symmetric; ``rat`` holds the (k, A, B) of the cell
+    with A ≠ 0 and ``sq`` those with B ≠ 0, the same triples (a constant with both
+    parts nonzero is in both)."""
+
+    __slots__ = ("cells", "ints", "nonzero", "terms", "den", "size")
 
     def __init__(self, cells, size=None):
         cells = tuple(tuple(_without_zeros(tuple(cell)) for cell in row) for row in cells)
@@ -53,8 +59,15 @@ class SparseTable(Frozen):
         by_id = {i: tuple((k, *next(it)) for k, _ in cell) for i, cell in distinct.items()}
         ints = tuple(tuple(by_id[id(cell)] for cell in row) for row in cells)
         nonzero = tuple(tuple((b, cell) for b, cell in enumerate(row) if cell) for row in ints)
+        # each distinct cell's triples with A ≠ 0 and with B ≠ 0
+        split = {id(cell): (tuple(t for t in cell if t[1]), tuple(t for t in cell if t[2]))
+                 for cell in by_id.values()}
+        symmetric = ints == tuple(zip(*ints))
+        terms = symmetric, tuple(
+            tuple((b, *split[id(cell)]) for b, cell in row if b >= a or not symmetric)
+            for a, row in enumerate(nonzero))
         size = len(cells) if size is None else size
-        for name, value in zip(self.__slots__, (cells, ints, nonzero, den, size)):
+        for name, value in zip(self.__slots__, (cells, ints, nonzero, terms, den, size)):
             object.__setattr__(self, name, value)
 
 
@@ -93,23 +106,42 @@ def _canonical(parts, d):
 
 def bilinear(table: SparseTable, u, v):
     """Σ u[a]·v[b]·c·b_k over each row's nonempty cells, for u and v in the stored
-    form (na, nb, d) of a ``Vector``, summed as integer numerators; the result is in
-    that form too, gcd-reduced by one gcd."""
+    form (na, nb, d) of a ``Vector``, summed as integer numerators over ``terms``; the
+    result is in that form too, gcd-reduced by one gcd.  In a symmetric table the
+    cell (a, b), b > a, stands for (b, a) too and takes u[a]·v[b] + u[b]·v[a]; a
+    rational constant takes two integer products, and so does a √3 one.  A row is
+    skipped when u[a] is zero (and v[a], in a symmetric table), a term when v[b] is
+    zero or, for a mirrored pair, when its pair product is."""
     una, unb, du = u
     vna, vnb, dv = v
+    symmetric, rows = table.terms
     out_a, out_b = [0] * table.size, [0] * table.size
-    for row, ua, ub in zip(table.nonzero, una, unb):
-        if not (ua or ub):
+    for a, (row, ua, ub, va, vb) in enumerate(zip(rows, una, unb, vna, vnb)):
+        if not (ua or ub or symmetric and (va or vb)):
             continue
-        for b, cell in row:
-            va, vb = vna[b], vnb[b]
-            if va or vb:
-                # (ua + ub√3)(va + vb√3) = fa + fb√3
-                fa, fb = ua * va + 3 * ub * vb, ua * vb + ub * va
+        ub3, vb3 = 3 * ub, 3 * vb
+        for b, rat, sq in row:
+            xa, xb = vna[b], vnb[b]
+            # the pair product fa + fb√3: (ua + ub√3)(xa + xb√3), plus
+            # (ya + yb√3)(va + vb√3) for the mirrored cell (b, a) of a symmetric table
+            if symmetric and b != a:
+                ya, yb = una[b], unb[b]
+                fa = ua * xa + ub3 * xb + ya * va + yb * vb3
+                fb = ua * xb + ub * xa + ya * vb + yb * va
+                if not (fa or fb):
+                    continue
+            elif xa or xb:
+                fa, fb = ua * xa + ub3 * xb, ua * xb + ub * xa
+            else:
+                continue
+            for k, c, _ in rat:  # (fa + fb√3)·A
+                out_a[k] += fa * c
+                out_b[k] += fb * c
+            if sq:  # (fa + fb√3)·B√3
                 fb3 = 3 * fb
-                for k, ca, cb in cell:
-                    out_a[k] += fa * ca + fb3 * cb
-                    out_b[k] += fa * cb + fb * ca
+                for k, _, c in sq:
+                    out_a[k] += fb3 * c
+                    out_b[k] += fa * c
     return _canonical((out_a, out_b), du * dv * table.den)
 
 

@@ -19,6 +19,7 @@ one-coordinate table in closed form (``gram_table``), n(x) = ⟨x, x⟩/2, and
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from .linalg import (
     _mat3,
     _mat3_nums,
     _mat_vec,
+    _reduced,
     bilinear,
     symmetric_signature,
 )
@@ -380,12 +382,18 @@ def cayley_unitary(s: Mat3) -> Mat3:
 def conjugation_automorphism(s: Mat3):
     """Okubo automorphism x ↦ u x u† from the Cayley transform of s.
 
-    φ is Q(√3)-linear: an 8×8 ``ExactMatrix`` built once, whose column a is φ(b_a) read
-    back (and checked) by ``from_matrix``; φ(x) is one ``_mat_vec`` pass over x.ints."""
+    φ is Q(√3)-linear: 8×8 gcd-reduced sparse integer rows built once, whose column a is
+    φ(b_a) read back (and checked) by ``from_matrix``, its stored integers written over
+    their lcm; φ(x) is one ``_mat_vec`` pass over x.ints."""
     u = cayley_unitary(s)
     udag = u.dagger()
-    images = (OkuboElement.from_matrix(u @ b @ udag, COMPACT) for b in basis_matrices(COMPACT))
-    rows = ExactMatrix(zip(*(y.coeffs for y in images))).ints
+    images = [OkuboElement.from_matrix(u @ b @ udag, COMPACT).ints
+              for b in basis_matrices(COMPACT)]
+    den = math.lcm(*(d for _, _, d in images))
+    cols = [(a, na, nb, den // d) for a, (na, nb, d) in enumerate(images)]
+    rows = [_reduced({a: m * na[k] for a, na, nb, m in cols if na[k] or nb[k]},
+                     {a: m * nb[k] for a, na, nb, m in cols if na[k] or nb[k]}, den)
+            for k in range(8)]
 
     def phi(x: OkuboElement) -> OkuboElement:
         if x.flavor != COMPACT:

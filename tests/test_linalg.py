@@ -677,6 +677,30 @@ def _kernel_inputs(n, rng):
     return basis, [[F3()] * n] + samples + mixed + tall
 
 
+# The library tables that SparseTable finds symmetric in (a, b): 𝔸_q is
+# commutative, and a Gram table is a symmetric form.
+SYMMETRIC_TABLES = {name for name in LIBRARY_TABLES if name.startswith("albert-")} | {
+    "okubo-gram", "split-okubo-gram", "beta"}
+
+
+def _assert_terms(table):
+    """``terms`` lists each nonempty cell of row a, only b ≥ a when the table is
+    symmetric, as (b, rat, sq): the cell's own (k, A, B) triples with A ≠ 0 and
+    with B ≠ 0, so each listed term has at least one."""
+    symmetric, rows = table.terms
+    n = len(table.cells)
+    assert symmetric is all(table.cells[a][b] == table.cells[b][a]
+                            for a in range(n) for b in range(n))
+    assert len(rows) == n
+    for a, (row, nonzero) in enumerate(zip(rows, table.nonzero)):
+        assert [b for b, _, _ in row] == [b for b, _ in nonzero if b >= a or not symmetric]
+        for b, rat, sq in row:
+            cell = table.ints[a][b]
+            assert rat or sq
+            assert [id(t) for t in rat] == [id(t) for t in cell if t[1]]
+            assert [id(t) for t in sq] == [id(t) for t in cell if t[2]]
+
+
 @pytest.mark.parametrize("name", LIBRARY_TABLES)
 def test_tables_store_no_zero_constant(name):
     table = LIBRARY_TABLES[name][0]()
@@ -686,20 +710,52 @@ def test_tables_store_no_zero_constant(name):
     # a cell that the table lists twice shares one integer cell
     assert (len({id(cell) for row in table.ints for cell in row if cell})
             == len({id(cell) for row in table.cells for cell in row if cell}))
+    # the form bilinear reads holds each entry of a listed cell exactly once
+    _assert_terms(table)
+    for a, row in enumerate(table.terms[1]):
+        for b, rat, sq in row:
+            assert sorted(map(id, rat + sq)) == sorted(map(id, table.ints[a][b]))
+
+
+@pytest.mark.parametrize("name", LIBRARY_TABLES)
+def test_sparse_table_detects_the_symmetric_library_tables(name):
+    assert LIBRARY_TABLES[name][0]().terms[0] is (name in SYMMETRIC_TABLES)
+
+
+def _parity(i):
+    """The Z/2 grading of the flat coordinates: 1 on indices 2, 5 and 7 of each
+    Okubo slot, 0 on the others, on the λ and on a form's one output."""
+    return int(i < 24 and i % 8 in (2, 5, 7))
+
+
+@pytest.mark.parametrize("name", LIBRARY_TABLES)
+def test_library_constants_are_rational_or_rational_times_sqrt3_by_parity(name):
+    # each constant c of (a, b → k) is A/den or B√3/den, never both: rational exactly
+    # when p_a + p_b + p_k is even, so rescaling the odd basis vectors by √3 makes
+    # every table rational; the octonion and Petersson tables are rational already
+    table = LIBRARY_TABLES[name][0]()
+    entries = [(a, b, k, ca, cb) for a, row in enumerate(table.ints)
+               for b, cell in enumerate(row) for k, ca, cb in cell]
+    assert entries and not any(ca and cb for *_, ca, cb in entries)
+    if name in ("octonion", "petersson-presentation"):
+        assert not any(cb for *_, cb in entries)
+    else:
+        for a, b, k, _, cb in entries:
+            assert bool(cb) is bool((_parity(a) + _parity(b) + _parity(k)) % 2), (a, b, k)
+    if name in ("okubo", "split-okubo", "okubo-presentation", "albert-q=1/2"):
+        assert any(cb for *_, cb in entries)
 
 
 def test_sparse_table_drops_zero_constants():
     table = SparseTable([[[(0, F3()), (1, F3(2))], [(0, 0)]], [[], [(1, Fraction(0))]]])
     assert table.cells == (((((1, F3(2)),), ()), ((), ())))
     assert table.nonzero == (((0, ((1, 2, 0),)),), ())
+    assert table.terms == (True, (((0, ((1, 2, 0),), ()),), ()))
 
 
-@pytest.mark.parametrize("name", LIBRARY_TABLES)
-def test_bilinear_matches_the_scalar_oracle(name):
-    make, scalar = LIBRARY_TABLES[name]
-    table = make()
+def _assert_bilinear_matches_the_oracle(table, scalar, seed):
     n = len(table.cells)
-    basis, others = _kernel_inputs(n, random.Random(f"kernel:{name}"))
+    basis, others = _kernel_inputs(n, random.Random(seed))
     if scalar is Fraction:
         basis, others = ([[c.a for c in u] for u in vs] for vs in (basis, others))
     pairs = list(itertools.product(basis, repeat=2)) + list(itertools.product(others, repeat=2))
@@ -725,6 +781,57 @@ def test_bilinear_matches_the_scalar_oracle(name):
             _assert_sparse(rows)
             _assert_reduced(rows)
             assert _f3_rows(rows, n) == [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("name", LIBRARY_TABLES)
+def test_bilinear_matches_the_scalar_oracle(name):
+    make, scalar = LIBRARY_TABLES[name]
+    _assert_bilinear_matches_the_oracle(make(), scalar, f"kernel:{name}")
+
+
+def _edge_tables():
+    """Hand-made 6×6 tables over F3, each with its symmetry: one symmetric but for
+    one pair of cells, one symmetric with the mixed constant (1 + √3)/2 on and off
+    the diagonal, and a symmetric one-output form whose two orders of a cell are
+    equal but distinct objects."""
+    rng = random.Random(2028)
+    n = 6
+
+    def const():
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 7)))
+        return F3(c) if rng.random() < 0.5 else F3(0, c)
+
+    def symmetric(size, distinct):
+        cells = [[()] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                ks = sorted(rng.sample(range(size), min(size, rng.randint(0, 2))))
+                cells[a][b] = tuple((k, const()) for k in ks)
+                cells[b][a] = list(cells[a][b]) if distinct else cells[a][b]
+        return cells
+
+    broken = symmetric(n, False)
+    broken[1][4], broken[4][1] = ((2, F3(5)), (3, F3(0, Fraction(1, 3)))), ((2, F3(5)),)
+    mixed = symmetric(n, False)
+    half = F3(Fraction(1, 2), Fraction(1, 2))
+    mixed[2][2] = ((1, half), (3, F3(2)))
+    mixed[0][4] = mixed[4][0] = ((2, half),)
+    return {
+        "symmetric-but-one-pair": (SparseTable(broken), False),
+        "mixed-constant": (SparseTable(mixed), True),
+        "one-output-form": (SparseTable(symmetric(1, True), 1), True),
+    }
+
+
+@pytest.mark.parametrize("name", ["symmetric-but-one-pair", "mixed-constant", "one-output-form"])
+def test_bilinear_matches_the_scalar_oracle_on_edge_tables(name):
+    table, symmetric = _edge_tables()[name]
+    assert table.terms[0] is symmetric
+    _assert_terms(table)
+    if name == "mixed-constant":  # the mixed constant is read from both lists
+        (_, rat, sq), = [t for t in table.terms[1][0] if t[0] == 4]
+        assert rat == sq and rat[0][1] and rat[0][2]
+    _assert_bilinear_matches_the_oracle(table, F3, f"kernel:{name}")
 
 
 def _kernel_calls(tree):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from okubic import field
 from okubic.cli import _fixed_skew_matrices
 from okubic.field import C3, F3, SQRT3, sample_f3, sample_rational
 from okubic.linalg import (
@@ -496,6 +497,18 @@ def test_cayley_phi_makes_no_matrix_products(monkeypatch):
     for phi in phis:
         phi(x)
     assert calls == []
+
+
+def test_cayley_phi_build_keeps_the_images_as_integers(monkeypatch):
+    # φ's rows are written from the stored integers of the 8 basis images: the only
+    # F3 values a build makes are the 18 parts of Mat3.identity() in cayley_unitary
+    for s in _fixed_skew_matrices():
+        built = []
+        init = field._init_f3
+        monkeypatch.setattr(field, "_init_f3", lambda *a: built.append(1) or init(*a))
+        conjugation_automorphism(s)
+        monkeypatch.undo()
+        assert len(built) == 18
 
 
 def test_traceful_product_satisfies_jordan_identity_for_every_theta():
