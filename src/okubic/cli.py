@@ -36,11 +36,7 @@ from .albert import (
     sample_albert,
     trace,
 )
-from .derivations import (
-    derivation_report,
-    okubo_presentation,
-    petersson_presentation,
-)
+from .derivations import derivation_report, petersson_presentation
 from .field import C3, F3, parse_rational, render_rational, sample_rational
 from .geometry import (
     INFINITY,
@@ -72,6 +68,7 @@ from .okubo import (
     basis_matrices,
     conjugation_automorphism,
     idempotent,
+    is_positive_definite,
     left_divide,
     mat_norm,
     michel_radicati_mul,
@@ -81,6 +78,7 @@ from .okubo import (
     recovered_oct_mul,
     sample_okubo,
     split_zero_divisor,
+    structure_constants,
     structure_constants_dense,
     traceful_mul,
     trivolution,
@@ -158,8 +156,6 @@ def suite_division(samples, seed, flavor, q):
     extras = {}
     flavors = _flavors(flavor)
     if COMPACT in flavors:
-        from .okubo import is_positive_definite
-
         if not is_positive_definite(COMPACT):
             _fail(failures, "gram-positive-definite", flavor=COMPACT)
         for i in range(samples):
@@ -550,11 +546,10 @@ def cmd_kernel(args) -> int:
 
 def cmd_derivations(args) -> int:
     if args.algebra == "petersson":
-        pres = petersson_presentation()
+        table = petersson_presentation()
     else:
-        flavor = COMPACT if args.algebra == "okubo" else SPLIT
-        pres = okubo_presentation(flavor)
-    _emit(derivation_report(pres), args.out)
+        table = structure_constants(COMPACT if args.algebra == "okubo" else SPLIT)
+    _emit(derivation_report(table), args.out)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .field import F3, Frozen, _raw_f3
+from .field import F3, _raw_f3
 from .hurwitz import petersson_structure_constants
 from .linalg import (
     COMPACT,
@@ -31,40 +31,44 @@ from .linalg import (
 )
 from .okubo import (
     OkuboElement,
+    _dense,
     fix_tau,
-    okubo_mul,
+    structure_constants,
     structure_constants_dense,
 )
 
 
-class AlgebraPresentation(Frozen):
-    """A finite-dimensional algebra as a structure-constant tensor over F3."""
+class AlgebraPresentation(SparseTable):
+    """A finite-dimensional algebra given by an n×n×n structure-constant tensor over
+    F3, stored as the ``SparseTable`` of its nonzero constants and nothing else."""
 
-    __slots__ = ("dimension", "constants", "_table")
+    __slots__ = ()
 
     def __init__(self, constants):
-        constants = tuple(
-            tuple(tuple(F3.coerce(x) for x in row) for row in plane)
-            for plane in constants
-        )
+        constants = [[[F3.coerce(x) for x in row] for row in plane] for plane in constants]
         n = len(constants)
         if any(
             len(plane) != n or any(len(row) != n for row in plane)
             for plane in constants
         ):
             raise ValueError("structure tensor must be n×n×n")
-        object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "constants", constants)
-        # sparse integer view of the constants for linalg.bilinear and the Leibniz rows
-        table = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in constants]
-        object.__setattr__(self, "_table", SparseTable(table))
+        super().__init__([[list(enumerate(row)) for row in plane] for plane in constants])
+
+    @property
+    def dimension(self) -> int:
+        return len(self.ints)
+
+    @property
+    def constants(self):
+        """The dense tensor of F3 values, built from the table on each call."""
+        return _dense(self)
 
     def __repr__(self):
         return f"AlgebraPresentation(dim={self.dimension})"
 
     def mul_coords(self, u, v):
         """Bilinear product of coordinate vectors (F3s, Fractions or ints), as F3s."""
-        na, nb, d = bilinear(self._table, _vector_ints(u), _vector_ints(v))
+        na, nb, d = bilinear(self, _vector_ints(u), _vector_ints(v))
         return [_raw_f3(a, b, d) for a, b in zip(na, nb)]
 
 
@@ -90,14 +94,15 @@ def _common_denominator(rows):
             for na, nb, d in rows], big
 
 
-def derivation_space(algebra: AlgebraPresentation):
-    """(dimension, basis of n×n derivation matrices), solved exactly.
+def derivation_space(table: SparseTable):
+    """(dimension, basis of n×n derivation matrices) of the algebra of any n×n
+    structure-constant table (an ``AlgebraPresentation`` is one), solved exactly.
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
-    integer row read from the table's integer form; the shortest go first.  Each
-    basis matrix is built from the reduced integer rows, with no F3 value.
+    integer row read from the table's ``ints`` over its ``den``; the shortest go
+    first.  Each basis matrix is built from the reduced integer rows, with no F3 value.
     """
-    ints, den = algebra._table.ints, algebra._table.den
+    ints, den = table.ints, table.den
     n = len(ints)
     rows = []
     for i in range(n):
@@ -191,16 +196,12 @@ G0_INDICES = (0, 3, 6, 7)
 G1_INDICES = (1, 2, 4, 5)
 
 
-def _supported_in(x: OkuboElement, indices) -> bool:
-    allowed = set(indices)
-    return all(not c or i in allowed for i, c in enumerate(x.coeffs))
-
-
 def check_tau_grading(flavor: str = COMPACT) -> bool:
     """The trivolution splits the algebra into a Z₂-grading.
 
     g₀ (fixed part) and g₁ each have dimension 4, and products respect
-    g₀*g₀ ⊆ g₀, g₀*g₁ ⊆ g₁, g₁*g₀ ⊆ g₁, g₁*g₁ ⊆ g₀ on all basis pairs.
+    g₀*g₀ ⊆ g₀, g₀*g₁ ⊆ g₁, g₁*g₀ ⊆ g₁, g₁*g₁ ⊆ g₀ on all basis pairs: each output
+    index of the structure-constant cell (i, j) lies in the grade of i + j.
     """
     basis = [OkuboElement.basis(i, flavor) for i in range(8)]
     for i in range(8):
@@ -211,19 +212,15 @@ def check_tau_grading(flavor: str = COMPACT) -> bool:
         else:
             if fixed or moving != basis[i]:
                 return False
-    for i in range(8):
-        for j in range(8):
-            prod = okubo_mul(basis[i], basis[j])
-            even = (i in G0_INDICES) == (j in G0_INDICES)
-            target = G0_INDICES if even else G1_INDICES
-            if not _supported_in(prod, target):
-                return False
-    return True
+    grade = [int(i in G1_INDICES) for i in range(8)]
+    return all(grade[k] == grade[i] ^ grade[j]
+               for i, row in enumerate(structure_constants(flavor).ints)
+               for j, cell in enumerate(row) for k, _, _ in cell)
 
 
-def derivation_report(algebra: AlgebraPresentation) -> dict:
+def derivation_report(table: SparseTable) -> dict:
     """JSON-ready report: dimension, Lie closure, trace-form signature."""
-    dim, basis = derivation_space(algebra)
+    dim, basis = derivation_space(table)
     pos, neg, zero = killing_signature(basis)
     return {
         "dimension": dim,

@@ -36,12 +36,13 @@ def _check_flavor(flavor: Flavor) -> None:
 
 
 class SparseTable(Frozen):
-    """Structure constants: ``cells[a][b]`` holds the (k, c) with b_a·b_b =
-    Σ c·b_k, c a nonzero int, Fraction or F3 (zero constants are dropped, so no
-    cell is made only of zeros), ``ints`` the same cells as (k, A, B) with
-    c = (A + B√3)/``den`` (one denominator), and ``nonzero[a]`` the (b, ints[a][b])
-    of the nonempty cells.  There are ``size`` output coordinates k: as many as
-    rows for a product, one for a form, whose value is ``bilinear(...)[0]``.
+    """Structure constants, stored only as integers: ``ints[a][b]`` holds the
+    (k, A, B) with b_a·b_b = Σ c·b_k, c = (A + B√3)/``den`` (one denominator) a
+    nonzero constant (zero constants are dropped, so no cell is made only of
+    zeros), and ``nonzero[a]`` the (b, ints[a][b]) of the nonempty cells.  A cell
+    object that the input lists twice is stored once.  There are ``size`` output
+    coordinates k: as many as rows for a product, one for a form, whose value is
+    ``bilinear(...)[0]``.  ``cells`` builds the (k, c) as F3s on each call.
 
     ``terms`` is the form ``bilinear`` reads, (symmetric, rows): ``symmetric`` when
     ints[a][b] == ints[b][a] for every a and b, and rows[a] the (b, rat, sq) of the
@@ -49,32 +50,31 @@ class SparseTable(Frozen):
     with A ≠ 0 and ``sq`` those with B ≠ 0, the same triples (a constant with both
     parts nonzero is in both)."""
 
-    __slots__ = ("cells", "ints", "nonzero", "terms", "den", "size")
+    __slots__ = ("ints", "nonzero", "terms", "den", "size")
 
     def __init__(self, cells, size=None):
-        cells = tuple(tuple(_without_zeros(tuple(cell)) for cell in row) for row in cells)
-        distinct = {id(cell): cell for row in cells for cell in row}  # each cell object once
+        """``cells[a][b]`` lists the (k, c) of b_a·b_b, c an int, Fraction or F3."""
+        cells = [list(row) for row in cells]
+        # each cell object once, without its zero constants
+        distinct = {id(cell): [(k, c) for k, c in cell if c] for row in cells for cell in row}
         nums, den = _numerators([c for cell in distinct.values() for _, c in cell])
         it = iter(nums)  # in the order the distinct cells list their constants
         by_id = {i: tuple((k, *next(it)) for k, _ in cell) for i, cell in distinct.items()}
         ints = tuple(tuple(by_id[id(cell)] for cell in row) for row in cells)
         nonzero = tuple(tuple((b, cell) for b, cell in enumerate(row) if cell) for row in ints)
-        # each distinct cell's triples with A ≠ 0 and with B ≠ 0
-        split = {id(cell): (tuple(t for t in cell if t[1]), tuple(t for t in cell if t[2]))
-                 for cell in by_id.values()}
         symmetric = ints == tuple(zip(*ints))
         terms = symmetric, tuple(
-            tuple((b, *split[id(cell)]) for b, cell in row if b >= a or not symmetric)
+            tuple((b, tuple(t for t in cell if t[1]), tuple(t for t in cell if t[2]))
+                  for b, cell in row if b >= a or not symmetric)
             for a, row in enumerate(nonzero))
         size = len(cells) if size is None else size
-        for name, value in zip(self.__slots__, (cells, ints, nonzero, terms, den, size)):
+        for name, value in zip(SparseTable.__slots__, (ints, nonzero, terms, den, size)):
             object.__setattr__(self, name, value)
 
-
-def _without_zeros(cell):
-    """The (k, c) of a cell with c nonzero; a cell with none zero is kept as it is,
-    so a cell that a table lists twice is stored once."""
-    return cell if all(c for _, c in cell) else tuple(kc for kc in cell if kc[1])
+    @property
+    def cells(self):
+        return tuple(tuple(tuple((k, _raw_f3(a, b, self.den)) for k, a, b in cell) for cell in row)
+                     for row in self.ints)
 
 
 def _numerators(xs):

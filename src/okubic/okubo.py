@@ -190,12 +190,16 @@ def structure_constants(flavor: str) -> SparseTable:
     )
 
 
+def _dense(table: SparseTable):
+    """The dense tensor [a][b][k] of a table's constants as F3s, 0 where a cell has none."""
+    zero = F3()
+    return tuple(tuple(tuple(dict(cell).get(k, zero) for k in range(table.size)) for cell in row)
+                 for row in table.cells)
+
+
 def structure_constants_dense(flavor: str):
     """Dense 8×8×8 tensor of F3 values."""
-    return tuple(
-        tuple(tuple(dict(cell).get(k, F3()) for k in range(8)) for cell in row)
-        for row in structure_constants(flavor).cells
-    )
+    return _dense(structure_constants(flavor))
 
 
 def okubo_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:

@@ -1,12 +1,11 @@
 """Derivation Lie algebras computed from the Leibniz nullspace."""
 
 import random
-import types
 from fractions import Fraction
 
 import pytest
 
-from okubic import albert
+from okubic import albert, derivations
 from okubic.derivations import (
     AlgebraPresentation,
     _bracket,
@@ -23,8 +22,8 @@ from okubic.derivations import (
 )
 from okubic.field import F3, sample_f3
 from okubic.hurwitz import petersson_mul, sample_split_octonion
-from okubic.linalg import COMPACT, SPLIT, ExactMatrix, _reduced, rank
-from okubic.okubo import OkuboElement, polar, sample_okubo
+from okubic.linalg import COMPACT, SPLIT, ExactMatrix, SparseTable, _reduced, rank
+from okubic.okubo import OkuboElement, polar, sample_okubo, structure_constants
 
 # the tensors, the seam on derivation_space and the row reading of the
 # elimination oracle in test_linalg
@@ -80,16 +79,24 @@ def test_derivation_space_builds_one_matrix_per_basis_element(monkeypatch):
 
 
 def test_derivation_space_reads_only_the_table():
-    table_only = types.SimpleNamespace(_table=COMPACT_PRES._table)
-    assert derivation_space(table_only) == (COMPACT_DIM, COMPACT_BASIS)
+    # any table will do: the cached one of okubo_mul gives the presentation's basis
+    assert derivation_space(structure_constants(COMPACT)) == (COMPACT_DIM, COMPACT_BASIS)
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_okubo_table_and_presentation_give_one_report(flavor):
+    # the report of okubic derivations reads the cached table; the presentation
+    # is the same constants brought in as a dense tensor
+    table, pres = structure_constants(flavor), okubo_presentation(flavor)
+    assert (table.ints, table.den) == (pres.ints, pres.den)
+    assert derivation_report(table) == derivation_report(pres)
 
 
 @pytest.mark.parametrize("q, dim", [(Fraction(1, 2), 52), (Fraction(0), 84)], ids=str)
 def test_albert_derivation_dimensions(q, dim):
     # dim f4 = 52 at q = 1/2; at q = 0 the slots do not multiply each other
     # and 84 = 3·28 = dim so(O, n)³.  All 19 683 Leibniz rows are eliminated.
-    table_only = types.SimpleNamespace(_table=albert._table(F3(q)))
-    got, basis = derivation_space(table_only)
+    got, basis = derivation_space(albert._table(F3(q)))
     assert got == len(basis) == dim
     assert all((m.rows, m.cols) == (27, 27) for m in basis)
     # a Lie algebra with a negative-definite trace form: compact f4 and so(8)³
@@ -135,7 +142,7 @@ def test_leibniz_rows_match_the_scalar_oracle(name, monkeypatch):
     rows, ncols = _leibniz_rows(algebra, monkeypatch)
     assert (len(rows), ncols) == (n ** 3, n * n)
     # derivation_space hands the rows over shortest first, in a stable sort
-    want = sorted(_leibniz_rows_by_scalars(algebra.constants),
+    want = sorted(_leibniz_rows_by_scalars(LEIBNIZ_TENSORS[name]()),
                   key=lambda row: sum(1 for x in row if x))
     assert [_bits(r) for r in _f3_rows(rows, ncols)] == [_bits(r) for r in want]
 
@@ -207,6 +214,19 @@ def test_idempotent_line_has_no_derivations():
 def test_tau_grading_holds_for_both_flavors():
     assert check_tau_grading(COMPACT)
     assert check_tau_grading(SPLIT)
+
+
+def test_tau_grading_fails_on_a_constant_in_the_wrong_grade(monkeypatch):
+    # b1*b2 lies in g₀, on b3: the same table with that constant moved to b1 ∈ g₁
+    cells = [list(row) for row in structure_constants(COMPACT).cells]
+    (k, c), = cells[1][2]
+    assert k == 3
+    kept = SparseTable(cells)
+    cells[1][2] = ((1, c),)
+    moved = SparseTable(cells)
+    for table, graded in ((kept, True), (moved, False)):
+        monkeypatch.setattr(derivations, "structure_constants", lambda flavor: table)
+        assert check_tau_grading(COMPACT) is graded
 
 
 def test_presentation_validates_shape():

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import importlib.util
 import itertools
 import math
 import random
@@ -549,13 +550,16 @@ def _mat3_product_by_scalars(x, y):
     return tuple(sum((x[i, k] * y[k, j] for k in range(3)), C3()) for i in range(3) for j in range(3))
 
 
-def _table_product_by_scalars(table, zero):
-    return lambda x, y: tuple(_bilinear_by_scalars(table(), x.coeffs, y.coeffs, zero))
+def _table_product_by_scalars(table, scalar):
+    """The product summed on scalars over the table's cells, read once here."""
+    cells = _scalar_cells(table, scalar)
+    return lambda x, y: tuple(_bilinear_by_scalars(cells, table.size, x.coeffs, y.coeffs,
+                                                   scalar(0)))
 
 
 def _okubo_kind(flavor):
     return (8, sample_f3, lambda cs: okubo.OkuboElement(cs, flavor), okubo.okubo_mul,
-            _table_product_by_scalars(lambda: structure_constants(flavor), F3()), (F3,))
+            lambda: _table_product_by_scalars(structure_constants(flavor), F3), (F3,))
 
 
 def _c3_sample(rng):
@@ -563,15 +567,16 @@ def _c3_sample(rng):
 
 
 # Each vector type: its size, a scalar sampler, a constructor from scalars, a product,
-# the product summed on scalars, and the scalar types a rational coordinate may be given as.
+# a maker of the product summed on scalars, and the scalar types a rational coordinate
+# may be given as.
 VECTOR_KINDS = {
     "okubo": _okubo_kind(COMPACT),
     "split-okubo": _okubo_kind(SPLIT),
     "split-octonion": (8, sample_rational, hurwitz.SplitOctonion, hurwitz.oct_mul,
-                       _table_product_by_scalars(lambda: hurwitz.MUL_TABLE, Fraction(0)), ()),
+                       lambda: _table_product_by_scalars(hurwitz.MUL_TABLE, Fraction), ()),
     "albert": (27, sample_f3, VeroneseVector.from_coords, albert.ALBERT_HALF.mul,
-               _table_product_by_scalars(lambda: albert._table(F3(Fraction(1, 2))), F3()), (F3,)),
-    "mat3": (9, _c3_sample, _mat3_of, Mat3.__matmul__, _mat3_product_by_scalars, (F3, C3)),
+               lambda: _table_product_by_scalars(albert._table(F3(Fraction(1, 2))), F3), (F3,)),
+    "mat3": (9, _c3_sample, _mat3_of, Mat3.__matmul__, lambda: _mat3_product_by_scalars, (F3, C3)),
 }
 
 
@@ -579,7 +584,8 @@ VECTOR_KINDS = {
 def test_stored_integers_compare_hash_and_read_as_the_scalars(kind):
     # one vector reached by several routes has one stored form: == and hash agree
     # with the coordinate-wise key, and coeffs with the same route taken on scalars
-    n, sample, build, product, product_by_scalars, lifts = VECTOR_KINDS[kind]
+    n, sample, build, product, make_product_by_scalars, lifts = VECTOR_KINDS[kind]
+    product_by_scalars = make_product_by_scalars()
     rng = random.Random(f"stored-integers:{kind}")
     scalar = type(build([0] * n)).scalar
     made = []  # (vector, its coordinates as the same route gives them on scalars)
@@ -618,14 +624,24 @@ def test_stored_integers_compare_hash_and_read_as_the_scalars(kind):
     assert sum(x == y for (x, _), (y, _) in itertools.combinations(made, 2)) >= 3 * 3
 
 
-def _bilinear_by_scalars(table, u, v, zero):
-    """The per-scalar product loop on the table's own cells: the oracle for
-    ``bilinear``, which sums integer numerators over one denominator."""
-    out = [zero] * table.size
+def _scalar_cells(table, scalar):
+    """The table's cells, read once, with each constant as a ``scalar``: an F3, or a
+    Fraction for a rational table, whose constants then have no √3 part."""
+    cells = table.cells
+    if scalar is F3:
+        return cells
+    assert all(c.b == 0 for row in cells for cell in row for _, c in cell)
+    return tuple(tuple(tuple((k, c.a) for k, c in cell) for cell in row) for row in cells)
+
+
+def _bilinear_by_scalars(cells, size, u, v, zero):
+    """The per-scalar product loop on a table's ``cells`` with ``size`` outputs: the
+    oracle for ``bilinear``, which sums integer numerators over one denominator."""
+    out = [zero] * size
     for a, ca in enumerate(u):
         if not ca:
             continue
-        row = table.cells[a]
+        row = cells[a]
         for b, cb in enumerate(v):
             cell = row[b]
             if not cb or not cell:
@@ -641,8 +657,8 @@ LIBRARY_TABLES = {
     "okubo": (lambda: structure_constants(COMPACT), F3),
     "split-okubo": (lambda: structure_constants(SPLIT), F3),
     "octonion": (lambda: hurwitz.MUL_TABLE, Fraction),
-    "okubo-presentation": (lambda: derivations.okubo_presentation()._table, F3),
-    "petersson-presentation": (lambda: derivations.petersson_presentation()._table, F3),
+    "okubo-presentation": (derivations.okubo_presentation, F3),
+    "petersson-presentation": (derivations.petersson_presentation, F3),
     **{
         f"albert-q={q}": (lambda q=q: albert._table(F3(q)), F3)
         for q in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
@@ -688,9 +704,9 @@ def _assert_terms(table):
     symmetric, as (b, rat, sq): the cell's own (k, A, B) triples with A ≠ 0 and
     with B ≠ 0, so each listed term has at least one."""
     symmetric, rows = table.terms
-    n = len(table.cells)
-    assert symmetric is all(table.cells[a][b] == table.cells[b][a]
-                            for a in range(n) for b in range(n))
+    cells = table.cells
+    n = len(cells)
+    assert symmetric is all(cells[a][b] == cells[b][a] for a in range(n) for b in range(n))
     assert len(rows) == n
     for a, (row, nonzero) in enumerate(zip(rows, table.nonzero)):
         assert [b for b, _, _ in row] == [b for b, _ in nonzero if b >= a or not symmetric]
@@ -701,15 +717,46 @@ def _assert_terms(table):
             assert [id(t) for t in sq] == [id(t) for t in cell if t[2]]
 
 
+def _built_afresh(name, monkeypatch):
+    """LIBRARY_TABLES[name] built anew, and the cells its builder passed to
+    ``SparseTable.__init__``, recorded by wrapping it: the library's table caches are
+    emptied first, and the module of the octonion table is run again."""
+    seen, init = [], SparseTable.__init__
+
+    def record(self, cells, size=None):
+        cells = [list(row) for row in cells]
+        seen.append((self, cells))
+        init(self, cells, size)
+
+    monkeypatch.setattr(SparseTable, "__init__", record)
+    for cached in (structure_constants, okubo.gram_table, albert._table, geometry.beta_table):
+        cached.cache_clear()
+    if name == "octonion":
+        spec = importlib.util.find_spec(hurwitz.__name__)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        table = module.MUL_TABLE
+    else:
+        table = LIBRARY_TABLES[name][0]()
+    return table, next(cells for t, cells in seen if t is table)
+
+
 @pytest.mark.parametrize("name", LIBRARY_TABLES)
-def test_tables_store_no_zero_constant(name):
-    table = LIBRARY_TABLES[name][0]()
-    assert all(c for row in table.cells for cell in row for _, c in cell)
+def test_tables_store_no_zero_constant(name, monkeypatch):
+    table, given = _built_afresh(name, monkeypatch)
+    # cells reads back the builder's input without its zero constants, as F3s
+    assert table.cells == tuple(tuple(tuple((k, F3.coerce(c)) for k, c in cell if c)
+                                      for cell in row) for row in given)
     assert all(a or b for row in table.ints for cell in row for _, a, b in cell)
     assert all(cell for row in table.nonzero for _, cell in row)
-    # a cell that the table lists twice shares one integer cell
-    assert (len({id(cell) for row in table.ints for cell in row if cell})
-            == len({id(cell) for row in table.cells for cell in row if cell}))
+    # a cell object that the input lists twice maps to one integer cell; the
+    # symmetric tables list one cell object for both orders, the others none twice
+    stored, listed = {}, 0
+    for row, ints_row in zip(given, table.ints):
+        for cell, ints in zip(row, ints_row):
+            listed += bool(cell) and id(cell) in stored
+            assert stored.setdefault(id(cell), ints) is ints
+    assert bool(listed) is (name in SYMMETRIC_TABLES)
     # the form bilinear reads holds each entry of a listed cell exactly once
     _assert_terms(table)
     for a, row in enumerate(table.terms[1]):
@@ -746,6 +793,25 @@ def test_library_constants_are_rational_or_rational_times_sqrt3_by_parity(name):
         assert any(cb for *_, cb in entries)
 
 
+def test_tables_store_only_integers_and_tuples():
+    # no scalar copy of the constants: every slot of every table, a presentation's
+    # too, holds integers in tuples, and a presentation adds no slot of its own
+    assert SparseTable.__slots__ == ("ints", "nonzero", "terms", "den", "size")
+    assert derivations.AlgebraPresentation.__slots__ == ()
+    tables = [make() for make, _ in LIBRARY_TABLES.values()]
+    tables.append(derivations.AlgebraPresentation(
+        [[[F3(1, 2), Fraction(1, 3)], [0, 1]], [[0, F3(0, 1)], [2, Fraction(-5, 7)]]]))
+    for table in tables:
+        assert not hasattr(table, "__dict__")
+        slots = [a for cls in type(table).__mro__ for a in getattr(cls, "__slots__", ())]
+        stack = [getattr(table, a) for a in slots]
+        while stack:
+            x = stack.pop()
+            assert isinstance(x, (int, tuple)), (type(table).__name__, type(x).__name__)
+            if isinstance(x, tuple):
+                stack.extend(x)
+
+
 def test_sparse_table_drops_zero_constants():
     table = SparseTable([[[(0, F3()), (1, F3(2))], [(0, 0)]], [[], [(1, Fraction(0))]]])
     assert table.cells == (((((1, F3(2)),), ()), ((), ())))
@@ -754,14 +820,15 @@ def test_sparse_table_drops_zero_constants():
 
 
 def _assert_bilinear_matches_the_oracle(table, scalar, seed):
-    n = len(table.cells)
+    cells = _scalar_cells(table, scalar)
+    n = len(cells)
     basis, others = _kernel_inputs(n, random.Random(seed))
     if scalar is Fraction:
         basis, others = ([[c.a for c in u] for u in vs] for vs in (basis, others))
     pairs = list(itertools.product(basis, repeat=2)) + list(itertools.product(others, repeat=2))
     for u, v in pairs:
         ints = bilinear(table, _vector_ints(u), _vector_ints(v))
-        want = _bilinear_by_scalars(table, u, v, scalar(0))
+        want = _bilinear_by_scalars(cells, table.size, u, v, scalar(0))
         # the stored form: the oracle's coordinates over their least common denominator
         assert ints == _vector_ints(want)
         na, nb, d = ints
@@ -776,7 +843,7 @@ def _assert_bilinear_matches_the_oracle(table, scalar, seed):
     if scalar is F3:
         # column b of the left multiplication by u is u times basis vector b
         for u in others:
-            cols = [_bilinear_by_scalars(table, u, e, F3()) for e in basis]
+            cols = [_bilinear_by_scalars(cells, table.size, u, e, F3()) for e in basis]
             rows = bilinear_left(table, _vector_ints(u))
             _assert_sparse(rows)
             _assert_reduced(rows)
