@@ -189,9 +189,10 @@ def is_graded_triple(phi0, phi1, phi2, rng: random.Random, samples: int = 50) ->
     for _ in range(samples):
         x = sample_okubo(rng)
         y = sample_okubo(rng)
+        xy = okubo_mul(x, y)
         for i in range(3):
             lhs = okubo_mul(phis[i](x), phis[(i + 1) % 3](y))
-            if lhs != phis[(i + 2) % 3](okubo_mul(x, y)):
+            if lhs != phis[(i + 2) % 3](xy):
                 return False
     return True
 

@@ -94,16 +94,49 @@ def _common_denominator(rows):
             for na, nb, d in rows], big
 
 
+def _grading(table: SparseTable):
+    """A parity p (a list of 0 and 1) with p_i + p_j + p_k odd exactly when the constant
+    of cell (i, j) at output k is a rational multiple of √3, or None when there is none:
+    a constant with both parts nonzero, or parities that contradict each other.  Solved
+    over GF(2) on bit masks, with every free p_i set to 0."""
+    eqs = {}  # leading bit -> (mask, parity) of one reduced equation
+    for i, row in enumerate(table.ints):
+        for j, cell in enumerate(row):
+            for k, a, b in cell:
+                if a and b:
+                    return None
+                mask, odd = 1 << i ^ 1 << j ^ 1 << k, int(bool(b))
+                while mask and mask.bit_length() - 1 in eqs:
+                    m, o = eqs[mask.bit_length() - 1]
+                    mask, odd = mask ^ m, odd ^ o
+                if mask:
+                    eqs[mask.bit_length() - 1] = mask, odd
+                elif odd:
+                    return None
+    p = 0
+    for top in sorted(eqs):  # the lower bits of each equation are already set
+        mask, odd = eqs[top]
+        p |= (odd ^ (mask & p).bit_count() & 1) << top
+    return [p >> i & 1 for i in range(len(table.ints))]
+
+
 def derivation_space(table: SparseTable):
     """(dimension, basis of n×n derivation matrices) of the algebra of any n×n
     structure-constant table (an ``AlgebraPresentation`` is one), solved exactly.
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
     integer row read from the table's ``ints`` over its ``den``; the shortest go
-    first.  Each basis matrix is built from the reduced integer rows, with no F3 value.
+    first.  When the table has a ``_grading`` p, the rows are written in the basis
+    b'_i = √3^p_i·b_i, where each constant c·√3^(p_i + p_j - p_k) is rational (A or
+    3A, B or 3B over ``den``), as rational rows (na, d), and D[r][s] is read back as
+    √3^(p_r - p_s)·D'[r][s]; otherwise they are rows (na, nb, d) over Q(√3).  Each
+    basis matrix is built from the reduced integer rows, with no F3 value.
     """
-    ints, den = table.ints, table.den
+    ints, den, p = table.ints, table.den, _grading(table)
     n = len(ints)
+    if p is not None:  # c' = c·√3^e, e = p_i + p_j - p_k: even for A, odd for B, 3c when e > 0
+        ints = [[[(k, (a or b) * (3 if p[i] + p[j] > p[k] else 1), 0) for k, a, b in cell]
+                 for j, cell in enumerate(row)] for i, row in enumerate(ints)]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -111,15 +144,32 @@ def derivation_space(table: SparseTable):
             terms = [(k, k * n + m, a, b) for k in range(n) for m, a, b in ints[i][j]]
             terms += [(k, r * n + i, -a, -b) for r in range(n) for k, a, b in ints[r][j]]
             terms += [(k, r * n + j, -a, -b) for r in range(n) for k, a, b in ints[i][r]]
-            eqs = [({}, {}, den) for _ in range(n)]
-            for k, col, a, b in terms:
-                _add_entry(eqs[k][0], eqs[k][1], col, a, b)
+            if p is None:
+                eqs = [({}, {}, den) for _ in range(n)]
+                for k, col, a, b in terms:
+                    _add_entry(eqs[k][0], eqs[k][1], col, a, b)
+            else:
+                eqs = [({}, den) for _ in range(n)]
+                for k, col, a, _ in terms:
+                    na = eqs[k][0]
+                    na[col] = na.get(col, 0) + a
+                    if not na[col]:
+                        del na[col]
             rows += eqs
     reduced, pivots, _, _ = _gauss_jordan(sorted(rows, key=lambda row: len(row[0])), n * n)
-    basis = []
+    basis, lift = [], p and [p[c // n] - p[c % n] for c in range(n * n)]
     for fc, entries in _kernel_columns(reduced, pivots, n * n):
         # the kernel vector, entry 1 at fc, over one denominator, cut into the n rows of D
-        entries[fc] = (1, 0, 1)
+        if p is None:
+            entries[fc] = (1, 0, 1)
+        else:
+            # D[c] = √3^(lift c - lift fc)·D'[c], entry 1 at fc, is √3^t·D'[c] over 3 for
+            # t = lift c - lift fc + 2 in 0..4: 3^(t//2)·D'[c], times √3 when t is odd
+            entries[fc] = (1, 1)
+            for c, (a, d) in entries.items():
+                t = lift[c] - lift[fc] + 2
+                x = a * 3 ** (t // 2)
+                entries[c] = (0, x, 3 * d) if t % 2 else (x, 0, 3 * d)
         big, mrows = math.lcm(*(d for _, _, d in entries.values())), [({}, {}) for _ in range(n)]
         for c, (a, b, d) in sorted(entries.items()):
             na, nb = mrows[c // n]

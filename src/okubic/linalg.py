@@ -512,20 +512,56 @@ def _pivot(a, prow, col, rows):
     return pivot
 
 
+def _rational_pivot(a, prow, col, rows):
+    """``_pivot`` on rational sparse rows (na, d), entry j being na[j]/d, d > 0: the same
+    row operation with no √3 part, returning the pivot as (pa, d)."""
+    na, d = a[prow]
+    pa = na[col]
+    pivot = pa, d
+    if pa != d:  # x/p = x/pa: the row's d cancels; a gcd with pa's sign leaves d > 0
+        g = math.gcd(*na.values()) if pa > 0 else -math.gcd(*na.values())
+        na, d = a[prow] = {j: x // g for j, x in na.items()}, pa // g
+    support = [(j, xa) for j, xa in na.items() if j != col]
+    for r in rows:
+        ra, rd = a[r]
+        if col not in ra:
+            continue
+        fa = ra.pop(col)
+        g = math.gcd(fa, d)
+        s, fa = d // g, fa // g
+        if s > 1:
+            ra = {j: s * x for j, x in ra.items()}
+        for j, xa in support:
+            ya = ra.get(j, 0) - fa * xa
+            if ya:
+                ra[j] = ya
+            else:
+                del ra[j]
+        rd *= s
+        g = math.gcd(rd, *ra.values())
+        a[r] = ({j: x // g for j, x in ra.items()}, rd // g) if g > 1 else (ra, rd)
+    return pivot
+
+
 def _gauss_jordan(rows, ncols):
-    """Gauss–Jordan elimination over Q(√3) on sparse integer rows (na, nb, d) through
-    ``_pivot``: the reduced rows (gcd-reduced if the input rows are), the pivot columns,
-    the pivots divided by as (pa, pb, d), and (-1)^(number of row swaps).  Pivots clear
-    the rows below them, then (last first) the rows above; the input rows are unchanged.
+    """Gauss–Jordan elimination on sparse integer rows through one pivot step chosen by
+    the row form: ``_pivot`` on rows (na, nb, d) over Q(√3), ``_rational_pivot`` on rows
+    (na, d) over Q.  Returns the reduced rows in the input's form (gcd-reduced if the
+    input rows are), the pivot columns, the pivots divided by in that form ((pa, pb, d)
+    or (pa, d)), and (-1)^(number of row swaps).  Pivots clear the rows below them,
+    then (last first) the rows above; the input rows are unchanged.
 
     The rows below the pivot rows sit in buckets of positions keyed by their first
     column.  When column c is reached every earlier column is clear below the pivot
     rows, so the rows that hold c are exactly bucket c: no column scan.  A cleared row
     moves to the bucket of its new first column, a zero row leaves the buckets, and a
     swap moves the displaced row's position."""
-    a = [(dict(na), dict(nb), d) for na, nb, d in rows]
+    if rows and len(rows[0]) == 2:
+        step, zero, a = _rational_pivot, ({}, 1), [(dict(na), d) for na, d in rows]
+    else:
+        step, zero, a = _pivot, ({}, {}, 1), [(dict(na), dict(nb), d) for na, nb, d in rows]
     lead = [[] for _ in range(ncols)]
-    for r, (na, _, _) in enumerate(a):
+    for r, (na, *_) in enumerate(a):
         if na:
             lead[min(na)].append(r)
     pivots, divisors, sign, prow = [], [], 1, 0
@@ -540,7 +576,7 @@ def _gauss_jordan(rows, ncols):
             if moved:
                 bucket = lead[min(moved)]
                 bucket[bucket.index(prow)] = top
-        divisors.append(_pivot(a, prow, col, hits))
+        divisors.append(step(a, prow, col, hits))
         for r in hits:
             na = a[r][0]
             if na:
@@ -549,9 +585,9 @@ def _gauss_jordan(rows, ncols):
         pivots.append(col)
         prow += 1
     for prow, col in reversed(list(enumerate(pivots))):
-        _pivot(a, prow, col, [r for r in range(prow) if col in a[r][0]])
+        step(a, prow, col, [r for r in range(prow) if col in a[r][0]])
     # every row below the pivot rows is zero: they share one zero row
-    return a[:len(pivots)] + [({}, {}, 1)] * (len(a) - len(pivots)), pivots, divisors, sign
+    return a[:len(pivots)] + [zero] * (len(a) - len(pivots)), pivots, divisors, sign
 
 
 def rref(m: ExactMatrix):
@@ -566,10 +602,11 @@ def rank(m: ExactMatrix) -> int:
 
 def _kernel_columns(rows, pivots, ncols):
     """For each free column fc of reduced integer rows with these pivots, fc and the
-    other nonzero entries of its kernel vector as {pivot column: (a, b, d)}, each
-    (a + b√3)/d; entry fc is 1."""
+    other nonzero entries of its kernel vector as {pivot column: entry} in the rows'
+    form, (a, b, d) for (a + b√3)/d or (a, d) for a/d; entry fc is 1."""
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        yield fc, {pcol: (-na[fc], -nb[fc], d) for (na, nb, d), pcol in zip(rows, pivots) if fc in na}
+        yield fc, {pcol: (*(-x[fc] for x in row[:-1]), row[-1])
+                   for row, pcol in zip(rows, pivots) if fc in row[0]}
 
 
 def _kernel(rows, pivots, ncols):

@@ -997,48 +997,60 @@ def _bits(values):
     return [(type(x), x._an, x._bn, x._d) for x in values]
 
 
+def _q3_row(row):
+    """A sparse integer row over Q(√3), (na, nb, d), or over Q, (na, d), as (na, nb, d);
+    a rational row's √3 parts are zero."""
+    return row if len(row) == 3 else (row[0], dict.fromkeys(row[0], 0), row[1])
+
+
 def _f3_rows(rows, ncols):
-    """Sparse integer rows (na, nb, d) read as dense F3 rows of ``ncols``
-    entries through the public constructor; a column a row does not store
-    is zero."""
+    """Sparse integer rows (na, nb, d) or rational rows (na, d) read as dense F3
+    rows of ``ncols`` entries through the public constructor; a column a row does
+    not store is zero."""
     return [[F3(Fraction(na.get(j, 0), d), Fraction(nb.get(j, 0), d)) for j in range(ncols)]
-            for na, nb, d in rows]
+            for na, nb, d in map(_q3_row, rows)]
 
 
 def _f3_divisors(divisors):
-    """Pivots (pa, pb, d) from ``_gauss_jordan`` read as F3 through the public
-    constructor."""
-    return [F3(Fraction(a, d), Fraction(b, d)) for a, b, d in divisors]
+    """Pivots (pa, pb, d) or (pa, d) from ``_gauss_jordan`` read as F3 through the
+    public constructor."""
+    return [F3(Fraction(p[0], p[-1]), Fraction(p[1] if len(p) == 3 else 0, p[-1]))
+            for p in divisors]
 
 
 def _assert_reduced(rows):
     """Each row is in lowest terms, as ``ExactMatrix`` keys it."""
-    assert all(math.gcd(d, *na.values(), *nb.values()) == 1 for na, nb, d in rows)
+    assert all(math.gcd(d, *na.values(), *nb.values()) == 1 for na, nb, d in map(_q3_row, rows))
 
 
 def _assert_sparse(rows):
-    """Each row stores the same columns in na and nb, no zero entry, and a
-    positive denominator."""
-    for na, nb, d in rows:
-        assert type(na) is dict and type(nb) is dict and type(d) is int and d > 0
+    """Each row stores no zero entry and a positive denominator, and a row over
+    Q(√3) stores the same columns in na and nb."""
+    for row in rows:
+        assert len(row) in (2, 3) and all(type(part) is dict for part in row[:-1])
+        assert type(row[-1]) is int and row[-1] > 0
+        na, nb, _ = _q3_row(row)
         assert na.keys() == nb.keys()
         assert all(na[j] or nb[j] for j in na)
 
 
 def _assert_same_elimination(rows, ncols):
-    """``_gauss_jordan`` on integer rows against the scalar oracle on the same
-    rows read as F3, value by value; the input rows are left unchanged."""
+    """``_gauss_jordan`` on integer rows, (na, nb, d) or rational (na, d), against
+    the scalar oracle on the same rows read as F3, value by value; the reduced rows
+    and the pivots keep the input's form, and the input rows are left unchanged."""
     before = copy.deepcopy(rows)
     got, pivots, divisors, sign = _gauss_jordan(rows, ncols)
     assert rows == before
+    width = len(rows[0]) if rows else 3
+    assert all(len(row) == width for row in got) and all(len(p) == width for p in divisors)
     want_rows, want_pivots, want_divisors, want_sign = _gauss_jordan_by_scalars(
         ExactMatrix(_f3_rows(rows, ncols)))
     assert [_bits(r) for r in _f3_rows(got, ncols)] == [_bits(r) for r in want_rows]
     assert (pivots, sign) == (want_pivots, want_sign)
     assert _bits(_f3_divisors(divisors)) == _bits(want_divisors)
-    assert len(got) == len(rows) and all(0 <= j < ncols for na, _, _ in got for j in na)
+    assert len(got) == len(rows) and all(0 <= j < ncols for row in got for j in row[0])
     _assert_sparse(got)
-    if all(math.gcd(d, *na.values(), *nb.values()) == 1 for na, nb, d in rows):
+    if all(math.gcd(d, *na.values(), *nb.values()) == 1 for na, nb, d in map(_q3_row, rows)):
         _assert_reduced(got)
 
 
@@ -1193,6 +1205,15 @@ def test_gauss_jordan_matches_the_scalar_oracle_on_edge_cases(name):
     _assert_same_elimination_of(ExactMatrix(_edge_matrices()[name]))
 
 
+@pytest.mark.parametrize("name", [name for name in _edge_matrices() if name != "empty"])
+def test_gauss_jordan_matches_the_scalar_oracle_on_rational_rows(name):
+    # the rational parts of each edge case as rows (na, d), which take the rational
+    # pivot step: some rows are not in lowest terms, and some are zero
+    m = ExactMatrix(_edge_matrices()[name])
+    rows = [({j: x for j, x in na.items() if x}, d) for na, _, d in m.ints]
+    _assert_same_elimination(rows, m.cols)
+
+
 def test_gauss_jordan_edge_case_values():
     r3 = F3(0, 1)
     assert _gauss_jordan([], 0) == ([], [], [], 1)
@@ -1207,6 +1228,10 @@ def test_gauss_jordan_edge_case_values():
     rows, pivots, divisors, sign = _gauss_jordan([({0: 2, 1: 0}, {0: 0, 1: 2}, 4)], 2)
     assert (pivots, _bits(_f3_divisors(divisors)), sign) == ([0], [(F3, 1, 0, 2)], 1)
     assert _bits(_f3_rows(rows, 2)[0]) == [(F3, 1, 0, 1), (F3, 0, 1, 1)]
+    # rational rows: a negative pivot -2/6 in a row not in lowest terms, then zero rows
+    assert _gauss_jordan([({0: -2, 1: 4}, 6), ({0: 1, 1: -2}, 3), ({}, 1)], 2) == (
+        [({0: 1, 1: -2}, 1), ({}, 1), ({}, 1)], [0], [(-2, 6)], 1)
+    assert _gauss_jordan([({}, 1)] * 2, 2) == ([({}, 1)] * 2, [], [], 1)
 
 
 def test_tall_sparse_case_fills_in(monkeypatch):
