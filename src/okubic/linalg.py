@@ -6,14 +6,16 @@ integer numerators over one denominator, the form ``bilinear`` takes and
 returns, so products chain with no scalar built in between.  A 3×3 product,
 and Tr(x²), are summed on those integers; a traceful product
 (1/2+iθ)xy + (1/2-iθ)yx is one such product.  RREF, rank, nullspace and the
-determinant come from one Gauss–Jordan pass on sparse integer rows (the
-nonzero entries only, as integer numerators over one denominator per row),
+determinant come from one elimination by row insertion on sparse integer rows
+(the nonzero entries only, as integer numerators over one denominator per row),
 the one stored form of an ``ExactMatrix``; the signature of a symmetric
-matrix comes from Schur complements on the same rows through the same pivot step.
+matrix comes from Schur complements on the same rows through the same row operations.
 
-Pivoting picks the first nonzero entry in column order; arithmetic is
-exact, so no magnitude considerations apply and results are
-deterministic across platforms.
+Each row, in input order, is cleared in one pass by the fully reduced pivot rows
+found so far and, if nonzero, pivots on its first entry; the reduced row echelon
+form is unique, so the result is that of clearing column by column.  Arithmetic
+is exact, so no magnitude considerations apply and results are deterministic
+across platforms.
 """
 
 from __future__ import annotations
@@ -472,126 +474,129 @@ def _reduced(na, nb, d):
     return {j: x // g for j, x in na.items()}, {j: x // g for j, x in nb.items()}, d // g
 
 
-def _pivot(a, prow, col, rows):
-    """The one row operation on sparse integer rows (na, nb, d), dicts from the
-    column j of each nonzero entry (na[j] + nb[j]√3)/d, d > 0: divide row ``prow``
-    of a by its entry in column ``col``, clear that column from each row of ``rows``
-    (one pass over the pivot row's entries, one gcd), and return the pivot (pa, pb, d)."""
-    na, nb, d = a[prow]
-    pa, pb = na[col], nb[col]
-    pivot = pa, pb, d
-    if pb or pa != d:  # the pivot entry is not yet 1
-        # x/p = (xa + xb√3)(pa - pb√3)/(pa² - 3pb²): the row's d cancels
-        n = pa * pa - 3 * pb * pb
-        if n < 0:
-            pa, pb, n = -pa, -pb, -n
-        # the pivot entry becomes n/n, and d/d = 1 after the gcd
-        na, nb, d = a[prow] = _reduced({j: x * pa - 3 * nb[j] * pb for j, x in na.items()},
-                                       {j: y * pa - na[j] * pb for j, y in nb.items()}, n)
-    support = [(j, xa, nb[j]) for j, xa in na.items() if j != col]
-    for r in rows:
-        ra, rb, rd = a[r]
-        if col not in ra:
+def _cleared(row, pivots):
+    """The one row reduction on sparse integer rows (na, nb, d), dicts from the column j
+    of each nonzero entry (na[j] + nb[j]√3)/d, d > 0: ``row`` minus its entry in each key
+    c of ``pivots`` times the row pivots[c], which is 1 in column c and 0 in every other
+    key, so one pass over those rows clears them all.  The terms are summed over d·L, L
+    the lcm of the denominators they need (the row is rescaled when L grows), with one
+    gcd at the end; ``row`` itself is returned when it holds no key."""
+    na, nb, d = row
+    ra, big = None, 1
+    for c, fa in na.items():
+        p = pivots.get(c)
+        if p is None:
             continue
-        fa, fb = ra.pop(col), rb.pop(col)  # column col cancels exactly
-        # r - f·prow = (s·r - (fa + fb√3)·prow)/(s·rd) with f = g(fa + fb√3)/rd
-        # and d = g·s, so row r is rescaled only when s > 1
-        g = math.gcd(fa, fb, d)
-        s, fa, fb = d // g, fa // g, fb // g
-        if s > 1:
-            ra, rb = {j: s * x for j, x in ra.items()}, {j: s * x for j, x in rb.items()}
+        pa, pb, pd = p
+        fb = nb[c]
+        if ra is None:
+            ra, rb = dict(na), dict(nb)
+        q = pd // math.gcd(fa, fb, pd)  # (fa + fb√3)/d times pivots[c] is over d·q
+        if big % q:
+            s = q // math.gcd(big, q)
+            ra, rb = {j: s * x for j, x in ra.items()}, {j: s * y for j, y in rb.items()}
+            big *= s
+        fa, fb = big * fa // pd, big * fb // pd  # column c cancels to zero
         fb3 = 3 * fb
-        for j, xa, xb in support:
+        for j, xa in pa.items():
+            xb = pb[j]
             ya = ra.get(j, 0) - fa * xa - fb3 * xb
             yb = rb.get(j, 0) - fa * xb - fb * xa
             if ya or yb:
                 ra[j], rb[j] = ya, yb
             else:
                 del ra[j], rb[j]
-        a[r] = _reduced(ra, rb, s * rd)
-    return pivot
+    return row if ra is None else _reduced(ra, rb, d * big)
 
 
-def _rational_pivot(a, prow, col, rows):
-    """``_pivot`` on rational sparse rows (na, d), entry j being na[j]/d, d > 0: the same
-    row operation with no √3 part, returning the pivot as (pa, d)."""
-    na, d = a[prow]
-    pa = na[col]
-    pivot = pa, d
-    if pa != d:  # x/p = x/pa: the row's d cancels; a gcd with pa's sign leaves d > 0
-        g = math.gcd(*na.values()) if pa > 0 else -math.gcd(*na.values())
-        na, d = a[prow] = {j: x // g for j, x in na.items()}, pa // g
-    support = [(j, xa) for j, xa in na.items() if j != col]
-    for r in rows:
-        ra, rd = a[r]
-        if col not in ra:
+def _normalized(row, col):
+    """Row (na, nb, d) divided by its nonzero entry in column ``col``, gcd-reduced, and
+    that entry (pa, pb, d): x/p = x(pa - pb√3)/(pa² - 3pb²), where the row's d cancels."""
+    na, nb, d = row
+    pa, pb = na[col], nb[col]
+    n = pa * pa - 3 * pb * pb
+    sa, sb = (pa, pb) if n > 0 else (-pa, -pb)
+    return _reduced({j: x * sa - 3 * nb[j] * sb for j, x in na.items()},
+                    {j: y * sa - na[j] * sb for j, y in nb.items()}, abs(n)), (pa, pb, d)
+
+
+def _rational_cleared(row, pivots):
+    """``_cleared`` on rational sparse rows (na, d), entry j being na[j]/d, d > 0."""
+    na, d = row
+    ra, big = None, 1
+    for c, f in na.items():
+        p = pivots.get(c)
+        if p is None:
             continue
-        fa = ra.pop(col)
-        g = math.gcd(fa, d)
-        s, fa = d // g, fa // g
-        if s > 1:
+        pa, pd = p
+        if ra is None:
+            ra = dict(na)
+        q = pd // math.gcd(f, pd)
+        if big % q:
+            s = q // math.gcd(big, q)
             ra = {j: s * x for j, x in ra.items()}
-        for j, xa in support:
-            ya = ra.get(j, 0) - fa * xa
-            if ya:
-                ra[j] = ya
+            big *= s
+        f = big * f // pd
+        for j, x in pa.items():
+            y = ra.get(j, 0) - f * x
+            if y:
+                ra[j] = y
             else:
                 del ra[j]
-        rd *= s
-        g = math.gcd(rd, *ra.values())
-        a[r] = ({j: x // g for j, x in ra.items()}, rd // g) if g > 1 else (ra, rd)
-    return pivot
+    if ra is None:
+        return row
+    d *= big
+    g = math.gcd(d, *ra.values())
+    return ({j: x // g for j, x in ra.items()}, d // g) if g > 1 else (ra, d)
+
+
+def _rational_normalized(row, col):
+    """``_normalized`` on a rational sparse row (na, d): x/p = x/pa, and a gcd with
+    pa's sign leaves the denominator positive."""
+    na, d = row
+    pa = na[col]
+    g = math.gcd(*na.values()) if pa > 0 else -math.gcd(*na.values())
+    return ({j: x // g for j, x in na.items()}, pa // g), (pa, d)
 
 
 def _gauss_jordan(rows, ncols):
-    """Gauss–Jordan elimination on sparse integer rows through one pivot step chosen by
-    the row form: ``_pivot`` on rows (na, nb, d) over Q(√3), ``_rational_pivot`` on rows
-    (na, d) over Q.  Returns the reduced rows in the input's form (gcd-reduced if the
-    input rows are), the pivot columns, the pivots divided by in that form ((pa, pb, d)
-    or (pa, d)), and (-1)^(number of row swaps).  Pivots clear the rows below them,
-    then (last first) the rows above; the input rows are unchanged.
+    """Gauss–Jordan elimination by row insertion on sparse integer rows, through the
+    row operations of their form: ``_cleared`` and ``_normalized`` on rows (na, nb, d)
+    over Q(√3), their rational twins on rows (na, d) over Q.  Each row, in input order,
+    is cleared in one pass by the pivot rows found so far, which are kept fully reduced
+    (pivot entry 1, and 0 in every other pivot column).  A row left nonzero is divided
+    by its first entry, its divisor, and becomes a pivot row; its column is then cleared
+    from the earlier pivot rows that hold it.  The input rows are unchanged.
 
-    The rows below the pivot rows sit in buckets of positions keyed by their first
-    column.  When column c is reached every earlier column is clear below the pivot
-    rows, so the rows that hold c are exactly bucket c: no column scan.  A cleared row
-    moves to the bucket of its new first column, a zero row leaves the buckets, and a
-    swap moves the displaced row's position."""
+    Returns the reduced rows in the input's form (gcd-reduced), ordered by pivot column
+    and followed by zero rows, the pivot columns, the divisors in insertion order and
+    the sign of the insertion order of the pivot columns.  RREF is unique, so the rows
+    and pivots are those of clearing column by column; for a square matrix of full rank
+    the divisors' product times the sign is the determinant."""
     if rows and len(rows[0]) == 2:
-        step, zero, a = _rational_pivot, ({}, 1), [(dict(na), d) for na, d in rows]
+        clear, normal, zero = _rational_cleared, _rational_normalized, ({}, 1)
     else:
-        step, zero, a = _pivot, ({}, {}, 1), [(dict(na), dict(nb), d) for na, nb, d in rows]
-    lead = [[] for _ in range(ncols)]
-    for r, (na, *_) in enumerate(a):
-        if na:
-            lead[min(na)].append(r)
-    pivots, divisors, sign, prow = [], [], 1, 0
-    for col in range(ncols):
-        if not lead[col]:
+        clear, normal, zero = _cleared, _normalized, ({}, {}, 1)
+    pivots, divisors, sign = {}, [], 1
+    for row in rows:
+        row = clear(row, pivots)
+        if not row[0]:
             continue
-        top, *hits = sorted(lead[col])
-        if top != prow:
-            a[prow], a[top] = a[top], a[prow]
-            sign = -sign
-            moved = a[top][0]  # the displaced row does not hold col
-            if moved:
-                bucket = lead[min(moved)]
-                bucket[bucket.index(prow)] = top
-        divisors.append(step(a, prow, col, hits))
-        for r in hits:
-            na = a[r][0]
-            if na:
-                # every column left in row r is past col, so col + 1 is first if held
-                lead[col + 1 if col + 1 in na else min(na)].append(r)
-        pivots.append(col)
-        prow += 1
-    for prow, col in reversed(list(enumerate(pivots))):
-        step(a, prow, col, [r for r in range(prow) if col in a[r][0]])
-    # every row below the pivot rows is zero: they share one zero row
-    return a[:len(pivots)] + [zero] * (len(a) - len(pivots)), pivots, divisors, sign
+        col = min(row[0])
+        row, divisor = normal(row, col)
+        for c, prow in pivots.items():
+            if c > col:  # one inversion of the pivot columns
+                sign = -sign
+            if col in prow[0]:
+                pivots[c] = clear(prow, {col: row})
+        pivots[col] = row
+        divisors.append(divisor)
+    order = sorted(pivots)
+    return [pivots[c] for c in order] + [zero] * (len(rows) - len(order)), order, divisors, sign
 
 
 def rref(m: ExactMatrix):
-    """Reduced row echelon form over Q(√3); returns (rref, pivot columns)."""
+    """Reduced row echelon form over Q(√3) by row insertion; returns (rref, pivot columns)."""
     rows, pivots, _, _ = _gauss_jordan(m.ints, m.cols)
     return ExactMatrix._from_ints(rows, m.cols), pivots
 
@@ -628,7 +633,8 @@ def nullspace(m: ExactMatrix):
 
 
 def determinant(m: ExactMatrix) -> F3:
-    """Exact determinant over F3 from one Gauss–Jordan pass."""
+    """Exact determinant over F3 from one elimination by row insertion: the product of
+    the divisors times the sign of the rows' pivot columns, or 0 below full rank."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
     _, pivots, divisors, sign = _gauss_jordan(m.ints, m.cols)
@@ -636,8 +642,8 @@ def determinant(m: ExactMatrix) -> F3:
 
 
 def symmetric_signature(m: ExactMatrix):
-    """Signature (pos, neg, zero) of a symmetric F3 matrix, by Schur complements on a
-    copy of m's integer rows through ``_pivot`` alone: each step clears its columns
+    """Signature (pos, neg, zero) of a symmetric F3 matrix, by Schur complements on m's
+    integer rows through ``_normalized`` and ``_cleared``: each step clears its columns
     from the rows in ``left``, which then hold only the columns in ``left`` (the
     complement, whose signature adds to the step's, Haynsworth).  A step is a nonzero
     diagonal entry, one square of its sign, or, with every diagonal entry left zero,
@@ -645,13 +651,15 @@ def symmetric_signature(m: ExactMatrix):
     the real embedding of Q(√3) orders the field."""
     if m.rows != m.cols:
         raise ValueError("signature of non-square matrix")
-    a = [(dict(na), dict(nb), d) for na, nb, d in m.ints]
+    a = list(m.ints)
     left, pos, neg = list(range(m.rows)), 0, 0
     while any(a[i][0] for i in left):
         k = next((k for k in left if k in a[k][0]), None)
         if k is not None:
             left.remove(k)
-            if _raw_f3(*_pivot(a, k, k, left)).is_positive():
+            row, p = _normalized(a[k], k)
+            pivots = {k: row}
+            if _raw_f3(*p).is_positive():
                 pos += 1
             else:
                 neg += 1
@@ -659,7 +667,9 @@ def symmetric_signature(m: ExactMatrix):
             i = next(i for i in left if a[i][0])
             j = min(a[i][0])
             left = [r for r in left if r not in (i, j)]
-            _pivot(a, i, j, left)
-            _pivot(a, j, i, left)
+            # row i over b holds no i, and row j over b no j: one pass clears both
+            pivots = {j: _normalized(a[i], j)[0], i: _normalized(a[j], i)[0]}
             pos, neg = pos + 1, neg + 1
+        for r in left:
+            a[r] = _cleared(a[r], pivots)
     return pos, neg, len(left)

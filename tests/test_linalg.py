@@ -1,6 +1,7 @@
 """Exact linear algebra over Q(√3) and Q(√3, i)."""
 
 import ast
+import collections
 import copy
 import importlib.util
 import itertools
@@ -992,6 +993,33 @@ def _gauss_jordan_by_scalars(m):
     return a, pivots, divisors, sign
 
 
+def _gauss_jordan_by_insertion(m):
+    """The per-scalar insertion loop over F3 entries: the oracle for the divisors and
+    the sign of ``_gauss_jordan``.  Each row, in input order, loses its entry in each
+    pivot column times that pivot row; a row left nonzero is divided by its first
+    entry (its divisor), its column is cleared from the earlier pivot rows, and the
+    sign is that of the pivot columns in insertion order."""
+    pivots, divisors = {}, []
+    for row in m.entries:
+        row = list(row)
+        for c, p in pivots.items():
+            f = row[c]
+            if f:
+                row = [x - f * y for x, y in zip(row, p)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        divisors.append(row[col])
+        inv = row[col].inverse()
+        row = [inv * x for x in row]
+        for c, p in pivots.items():
+            f = p[col]
+            if f:
+                pivots[c] = [x - f * y for x, y in zip(p, row)]
+        pivots[col] = row
+    return divisors, _permutation_sign(list(pivots))  # the columns in insertion order
+
+
 def _bits(values):
     """The stored integer triple and the type of every scalar."""
     return [(type(x), x._an, x._bn, x._d) for x in values]
@@ -1036,18 +1064,26 @@ def _assert_sparse(rows):
 
 def _assert_same_elimination(rows, ncols):
     """``_gauss_jordan`` on integer rows, (na, nb, d) or rational (na, d), against
-    the scalar oracle on the same rows read as F3, value by value; the reduced rows
-    and the pivots keep the input's form, and the input rows are left unchanged."""
+    the scalar oracles on the same rows read as F3, value by value: the reduced rows
+    and the pivots against the column-order loop, the divisors and the sign against
+    the insertion loop.  At full row rank both products Π divisors · sign are the
+    determinant of the pivot columns.  The reduced rows and the pivots keep the
+    input's form, and the input rows are left unchanged."""
     before = copy.deepcopy(rows)
     got, pivots, divisors, sign = _gauss_jordan(rows, ncols)
     assert rows == before
     width = len(rows[0]) if rows else 3
     assert all(len(row) == width for row in got) and all(len(p) == width for p in divisors)
-    want_rows, want_pivots, want_divisors, want_sign = _gauss_jordan_by_scalars(
-        ExactMatrix(_f3_rows(rows, ncols)))
+    m = ExactMatrix(_f3_rows(rows, ncols))
+    want_rows, want_pivots, column_divisors, column_sign = _gauss_jordan_by_scalars(m)
     assert [_bits(r) for r in _f3_rows(got, ncols)] == [_bits(r) for r in want_rows]
-    assert (pivots, sign) == (want_pivots, want_sign)
+    assert pivots == want_pivots
+    want_divisors, want_sign = _gauss_jordan_by_insertion(m)
+    assert sign == want_sign
     assert _bits(_f3_divisors(divisors)) == _bits(want_divisors)
+    if len(pivots) == len(rows):
+        assert _bits([math.prod(_f3_divisors(divisors), start=F3(sign))]) == _bits(
+            [math.prod(column_divisors, start=F3(column_sign))])
     assert len(got) == len(rows) and all(0 <= j < ncols for row in got for j in row[0])
     _assert_sparse(got)
     if all(math.gcd(d, *na.values(), *nb.values()) == 1 for na, nb, d in map(_q3_row, rows)):
@@ -1176,7 +1212,7 @@ def _edge_matrices():
         "zero-row-between": [[1, 2, 0, 0], [0, 0, 0, 0], [0, 3, 1, 0], [0, 0, 0, 0], [2, 0, 0, 1]],
         "last-column-only": [[0, 0, 0, 5], [1, 2, 3, 4], [0, 0, 0, 1 + r3], [0, 1, 0, 0]],
         "tall-sparse-fill-in": _tall_sparse(rng, 40, 12),
-        # the bookkeeping of the leading-column buckets in _gauss_jordan:
+        # orders that clearing column by column reaches through row swaps:
         # column 0 swaps row 0 (first column 2) down to position 2
         "swap-moves-a-nonzero-row": [[0, 0, 1, 2], [0, 3, 0, 1], [1, 2, 0, 0], [0, 1, 1 + r3, 0]],
         # clearing column 0 from row 1 leaves its first nonzero entry in column 5
@@ -1218,10 +1254,11 @@ def test_gauss_jordan_edge_case_values():
     r3 = F3(0, 1)
     assert _gauss_jordan([], 0) == ([], [], [], 1)
     assert _gauss_jordan([({}, {}, 1)] * 2, 2)[1:] == ([], [], 1)
-    # rows [0, 1 + √3] and [√3, 1]: pivots √3 and 1 + √3 have norms -3 and -2
+    # rows [0, 1 + √3] and [√3, 1]: divisors 1 + √3 and √3 in insertion order, norms
+    # -2 and -3, for pivot columns 1 then 0
     rows, pivots, divisors, sign = _gauss_jordan(
         [({1: 1}, {1: 1}, 1), ({0: 0, 1: 1}, {0: 1, 1: 0}, 1)], 2)
-    assert (pivots, _f3_divisors(divisors), sign) == ([0, 1], [r3, 1 + r3], -1)
+    assert (pivots, _f3_divisors(divisors), sign) == ([0, 1], [1 + r3, r3], -1)
     assert _f3_rows(rows, 2) == [[F3(1), F3()], [F3(), F3(1)]]
     assert determinant(ExactMatrix([[0, 1 + r3], [r3, 1]])) == -r3 * (1 + r3)
     # a row that is not in lowest terms: [2, 2√3]/4 = [1/2, √3/2]
@@ -1235,25 +1272,87 @@ def test_gauss_jordan_edge_case_values():
 
 
 def test_tall_sparse_case_fills_in(monkeypatch):
-    # some row operation writes an entry into a column its row did not store
-    filled, pivot = [], linalg._pivot
+    # the one-pass reduction writes an entry into a column its row did not store
+    filled, clear = [], linalg._cleared
 
-    def watched(a, prow, col, rows):
-        rows = list(rows)
-        before = [set(a[r][0]) for r in rows]
-        out = pivot(a, prow, col, rows)
-        filled.extend(set(a[r][0]) - b for r, b in zip(rows, before))
+    def watched(row, pivots):
+        out = clear(row, pivots)
+        filled.append(set(out[0]) - set(row[0]))
         return out
 
-    monkeypatch.setattr(linalg, "_pivot", watched)
+    monkeypatch.setattr(linalg, "_cleared", watched)
     m = ExactMatrix(_edge_matrices()["tall-sparse-fill-in"])
     _gauss_jordan(m.ints, m.cols)
     assert (m.rows, m.cols) == (40, 12) and any(filled)
 
 
+def test_each_leibniz_row_takes_one_reduction_pass(monkeypatch):
+    # every nonempty row of the 512×64 Okubo system is cleared by one call of the
+    # one-pass reduction, also the rows that hold several pivot columns; the other
+    # calls clear a new pivot column from earlier pivot rows
+    algebra = derivations.AlgebraPresentation(DERIVATION_TENSORS["okubo"]())
+    rows, ncols = _leibniz_rows(algebra, monkeypatch)
+    assert all(len(row) == 2 for row in rows)  # the graded table's rational rows
+    passes, clear = [], linalg._rational_cleared
+
+    def watched(row, pivots):
+        passes.append((row, sum(c in pivots for c in row[0])))
+        return clear(row, pivots)
+
+    monkeypatch.setattr(linalg, "_rational_cleared", watched)
+    _gauss_jordan(rows, ncols)
+    per_row = collections.Counter(id(row) for row, _ in passes)
+    assert all(per_row[id(row)] == 1 for row in rows if row[0])
+    assert max(hits for row, hits in passes if any(row is r for r in rows)) > 1
+
+
+def _random_sparse_rows(rng, rational):
+    """Up to 8 seeded sparse integer rows of up to 8 columns, (na, d) if ``rational``
+    and (na, nb, d) if not: fresh rows, zero rows, duplicates of earlier rows (the
+    same object or a copy), and multiples and sums of earlier rows, some of them not
+    in lowest terms, so that the rows are often rank-deficient."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(6) if rows else 0
+        if kind == 1:
+            rows.append(({}, rng.randint(1, 4)) if rational else ({}, {}, rng.randint(1, 4)))
+        elif kind == 2:
+            rows.append(rng.choice(rows) if rng.randrange(2) else copy.deepcopy(rng.choice(rows)))
+        elif kind == 3:  # k·row over k·d: the same values, not in lowest terms
+            k, (*parts, d) = rng.randint(2, 6), rng.choice(rows)
+            rows.append((*({j: k * x for j, x in p.items()} for p in parts), k * d))
+        elif kind == 4:  # the sum of two earlier rows, over the product of their denominators
+            (*p, dp), (*q, dq) = rng.choice(rows), rng.choice(rows)
+            sums = [{j: dq * x.get(j, 0) + dp * y.get(j, 0) for j in x.keys() | y.keys()}
+                    for x, y in zip(p, q)]
+            keep = [j for j in sums[0] if any(s[j] for s in sums)]
+            rows.append((*({j: s[j] for j in keep} for s in sums), dp * dq))
+        else:
+            cols = [j for j in range(ncols) if rng.randrange(3)]
+            na = {j: rng.randint(-9, 9) or 1 for j in cols}
+            nb = {j: rng.randint(-4, 4) for j in cols}
+            rows.append((na, rng.randint(1, 9)) if rational else (na, nb, rng.randint(1, 9)))
+    return rows, ncols
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["sqrt3-rows", "rational-rows"])
+def test_insertion_matches_both_oracles_on_random_sparse_rows(rational):
+    rng = random.Random(f"insertion:{rational}")
+    for _ in range(150):
+        rows, ncols = _random_sparse_rows(rng, rational)
+        _assert_same_elimination(rows, ncols)
+        m = ExactMatrix(_f3_rows(rows, ncols))
+        _, pivots, divisors, sign = _gauss_jordan_by_scalars(m)
+        if m.rows == m.cols:
+            want = math.prod(divisors, start=F3(sign)) if len(pivots) == m.rows else F3()
+            assert _bits([determinant(m)]) == _bits([want])
+
+
 def _signature_by_scalars(m):
     """Diagonalization by congruence on F3 entries: the oracle for
-    ``symmetric_signature``, which runs on integer rows through ``_pivot``."""
+    ``symmetric_signature``, which runs on integer rows through ``_normalized`` and
+    ``_cleared``."""
     n = m.rows
     a = [list(r) for r in m.entries]
     pos = neg = zero = 0

@@ -401,7 +401,7 @@ def test_forms_make_no_scalar_products_or_sums(flavor, monkeypatch):
     x, y = sample_okubo(rng, flavor), sample_okubo(rng, flavor)
     v = plane_embed(sample_affine_point(rng)).rep
     w = sample_albert(rng)
-    # the signature is Schur complements on integer rows through linalg._pivot;
+    # the signature is Schur complements on integer rows through linalg._cleared;
     # the hyperbolic plane is one [[0, 1], [1, 0]] block
     forms = [(okubo_norm, x), (polar, x, y), (symmetric_signature, gram_matrix(flavor)),
              (symmetric_signature, ExactMatrix([[0, 1], [1, 0]]))]
