@@ -6,9 +6,9 @@ derivation iff for every basis pair
 
     Σ_m c[i][j][m] D[k][m] = Σ_r c[r][j][k] D[r][i] + Σ_r c[i][r][k] D[r][j]
 
-for all k.  Both Okubo flavors and the Petersson twist of the split
-octonions have an 8-dimensional derivation algebra; the compact flavor is
-distinguished by a negative-definite trace form.
+for all k, solved over Q in a table's ``_q_form`` when it has one.  Both Okubo
+flavors and the Petersson twist of the split octonions have an 8-dimensional
+derivation algebra; the compact flavor has a negative-definite trace form.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from .linalg import (
     COMPACT,
     ExactMatrix,
     SparseTable,
+    _cleared,
     _gauss_jordan,
     _kernel_columns,
     _reduced,
     _vector_ints,
     bilinear,
-    rank,
+    rref,
     symmetric_signature,
 )
 from .okubo import (
@@ -94,18 +95,22 @@ def _common_denominator(rows):
             for na, nb, d in rows], big
 
 
-def _grading(table: SparseTable):
-    """A parity p (a list of 0 and 1) with p_i + p_j + p_k odd exactly when the constant
-    of cell (i, j) at output k is a rational multiple of √3, or None when there is none:
-    a constant with both parts nonzero, or parities that contradict each other.  Solved
-    over GF(2) on bit masks, with every free p_i set to 0."""
-    eqs = {}  # leading bit -> (mask, parity) of one reduced equation
-    for i, row in enumerate(table.ints):
+def _q_form(table: SparseTable):
+    """The table over Q in the basis b'_i = √3^p_i·b_i, or None when it has none: (p, ints')
+    for parities p_i in {0, 1} with p_i + p_j + p_k odd exactly when the constant of cell
+    (i, j) at output k is a rational multiple of √3, and ints' shaped like ``table.ints``,
+    each c·√3^(p_i + p_j - p_k) as (k, A', 0) over ``table.den``: A or B, times 3 when that
+    power is positive.  A form's output (``size`` is not the row count) has p_k = 0.  p is
+    solved over GF(2) on bit masks, free p_i set to 0; there is none when a constant has
+    both parts nonzero or the parities contradict each other."""
+    ints, eqs = table.ints, {}  # leading bit -> (mask, parity) of one reduced equation
+    product = int(table.size == len(ints))  # the outputs are basis vectors
+    for i, row in enumerate(ints):
         for j, cell in enumerate(row):
             for k, a, b in cell:
                 if a and b:
                     return None
-                mask, odd = 1 << i ^ 1 << j ^ 1 << k, int(bool(b))
+                mask, odd = 1 << i ^ 1 << j ^ product << k, int(bool(b))
                 while mask and mask.bit_length() - 1 in eqs:
                     m, o = eqs[mask.bit_length() - 1]
                     mask, odd = mask ^ m, odd ^ o
@@ -117,7 +122,9 @@ def _grading(table: SparseTable):
     for top in sorted(eqs):  # the lower bits of each equation are already set
         mask, odd = eqs[top]
         p |= (odd ^ (mask & p).bit_count() & 1) << top
-    return [p >> i & 1 for i in range(len(table.ints))]
+    p = [p >> i & 1 for i in range(len(ints))]
+    return p, [[[(k, (a or b) * (3 if p[i] + p[j] > product * p[k] else 1), 0) for k, a, b in cell]
+                for j, cell in enumerate(row)] for i, row in enumerate(ints)]
 
 
 def derivation_space(table: SparseTable):
@@ -126,17 +133,13 @@ def derivation_space(table: SparseTable):
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
     integer row read from the table's ``ints`` over its ``den``; the shortest go
-    first.  When the table has a ``_grading`` p, the rows are written in the basis
-    b'_i = √3^p_i·b_i, where each constant c·√3^(p_i + p_j - p_k) is rational (A or
-    3A, B or 3B over ``den``), as rational rows (na, d), and D[r][s] is read back as
-    √3^(p_r - p_s)·D'[r][s]; otherwise they are rows (na, nb, d) over Q(√3).  Each
-    basis matrix is built from the reduced integer rows, with no F3 value.
+    first.  When the table has a ``_q_form``, its rows are rational rows (na, d) read
+    from ints', and D[r][s] is read back as √3^(p_r - p_s)·D'[r][s]; otherwise they are
+    rows (na, nb, d) over Q(√3).  Each basis matrix is built from the reduced integer
+    rows, with no F3 value.
     """
-    ints, den, p = table.ints, table.den, _grading(table)
-    n = len(ints)
-    if p is not None:  # c' = c·√3^e, e = p_i + p_j - p_k: even for A, odd for B, 3c when e > 0
-        ints = [[[(k, (a or b) * (3 if p[i] + p[j] > p[k] else 1), 0) for k, a, b in cell]
-                 for j, cell in enumerate(row)] for i, row in enumerate(ints)]
+    p, ints = _q_form(table) or (None, table.ints)
+    n, den = len(ints), table.den
     rows = []
     for i in range(n):
         for j in range(n):
@@ -204,16 +207,18 @@ def _flatten(m: ExactMatrix):
 
 
 def check_lie_closure(basis) -> bool:
-    """[D_i, D_j] lies in the span of the basis, by an exact rank test; each D_i
-    is read over its one denominator once."""
+    """[D_i, D_j] lies in the span of the basis: the flattened basis is reduced by one
+    ``rref``, and each commutator is cleared against its pivot rows by ``_cleared``,
+    up to the first one left nonzero; each D_i is read over its one denominator once."""
     if not basis:
         return True
     cols = basis[0].cols
     common = [_common_denominator(m.ints) for m in basis]
     rows, ncols = [_flat(*x, cols) for x in common], basis[0].rows * cols
-    base_rank = rank(ExactMatrix._from_ints(rows, ncols))
-    rows += [_flat(*_bracket(x, y), cols) for i, x in enumerate(common) for y in common[i + 1:]]
-    return rank(ExactMatrix._from_ints(rows, ncols)) == base_rank
+    reduced, pivots = rref(ExactMatrix._from_ints(rows, ncols))
+    span = dict(zip(pivots, reduced.ints))
+    return not any(_cleared(_flat(*_bracket(x, y), cols), span)[0]
+                   for i, x in enumerate(common) for y in common[i + 1:])
 
 
 def killing_matrix(basis) -> ExactMatrix:

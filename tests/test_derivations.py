@@ -33,7 +33,7 @@ from okubic.linalg import (
     bilinear,
     rank,
 )
-from okubic.okubo import OkuboElement, polar, sample_okubo, structure_constants
+from okubic.okubo import OkuboElement, _dense, polar, sample_okubo, structure_constants
 
 # the tensors, the seam on derivation_space and the row reading of the
 # elimination oracle in test_linalg
@@ -183,7 +183,7 @@ def test_leibniz_rows_match_the_scalar_oracle(name, monkeypatch):
     assert (len(rows), ncols) == (n ** 3, n * n)
     # a graded table's rows are rational rows (na, d) of its tensor in the basis
     # √3^p_i·b_i, for the grading p the code found; an ungraded table's are over Q(√3)
-    p = derivations._grading(algebra)
+    p = (derivations._q_form(algebra) or (None,))[0]
     assert (p is None) is (name == "ungraded")
     assert {len(row) for row in rows} == {3 if p is None else 2}
     c = LEIBNIZ_TENSORS[name]()
@@ -202,12 +202,15 @@ def test_ungraded_leibniz_rows_eliminate_over_q_sqrt3(monkeypatch):
 
 def _assert_graded(table, p):
     """p grades the table: each constant (k, A, B) of cell (i, j) has B = 0 when
-    p_i + p_j + p_k is even and A = 0 when it is odd."""
+    p_i + p_j + p_k is even and A = 0 when it is odd; a form's one output is a
+    scalar, so its p_k is 0."""
     assert len(p) == len(table.ints) and set(p) <= {0, 1}
+    form = table.size != len(table.ints)
     for i, row in enumerate(table.ints):
         for j, cell in enumerate(row):
             for k, a, b in cell:
-                assert not (b if (p[i] + p[j] + p[k]) % 2 == 0 else a), (i, j, k)
+                pk = 0 if form else p[k]
+                assert not (b if (p[i] + p[j] + pk) % 2 == 0 else a), (i, j, k)
 
 
 @pytest.mark.parametrize("name", [*LIBRARY_TABLES, *(f"{name}-signed-permuted"
@@ -218,18 +221,81 @@ def test_grading_solves_every_library_table(name):
         table = LIBRARY_TABLES[name][0]()
     else:
         table = AlgebraPresentation(LEIBNIZ_TENSORS[name]())
-    _assert_graded(table, derivations._grading(table))
+    _assert_graded(table, derivations._q_form(table)[0])
+
+
+def _q_form_dense(table, ints):
+    """The dense tensor of the Q-form constants ``ints`` over the table's den, as F3s."""
+    n, d = len(ints), table.den
+    out = [[[F3()] * table.size for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(ints):
+        for j, cell in enumerate(row):
+            for k, a, b in cell:
+                assert b == 0
+                out[i][j][k] = F3(Fraction(a, d))
+    return out
+
+
+# the library tables with one output coordinate
+FORMS = ("okubo-gram", "split-okubo-gram", "beta")
+
+
+@pytest.mark.parametrize("name", [*LEIBNIZ_TENSORS,
+                                  *(f"table-{name}" for name in LIBRARY_TABLES if name not in FORMS)])
+def test_q_form_constants_match_the_rescaled_tensor(name):
+    # each Q-form constant is c·√3^(p_i + p_j - p_k), rational, for the p it returns
+    if name in LEIBNIZ_TENSORS:
+        c = LEIBNIZ_TENSORS[name]()
+        table = AlgebraPresentation(c)
+    else:
+        table = LIBRARY_TABLES[name.removeprefix("table-")][0]()
+        c = _dense(table)
+    assert table.size == len(table.ints)
+    view = derivations._q_form(table)
+    assert (view is None) is (name == "ungraded")
+    if view is not None:
+        p, ints = view
+        assert _q_form_dense(table, ints) == _rescaled_by_scalars(c, p)
 
 
 def test_grading_is_none_for_a_mixed_or_inconsistent_table():
-    assert derivations._grading(AlgebraPresentation(UNGRADED)) is None
+    assert derivations._q_form(AlgebraPresentation(UNGRADED)) is None
     # b0·b0 = b0 + √3·b1 forces p1 = 1, and b1·b1 = b1 forces p1 = 0
     r3 = F3(0, 1)
     inconsistent = AlgebraPresentation([[[1, r3], [0, 0]], [[0, 0], [0, 1]]])
-    assert derivations._grading(inconsistent) is None
+    assert derivations._q_form(inconsistent) is None
     # either constraint alone is met
-    assert derivations._grading(AlgebraPresentation([[[1, r3], [0, 0]], [[0, 0], [0, 0]]])) == [0, 1]
-    assert derivations._grading(AlgebraPresentation([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])) == [0, 0]
+    assert derivations._q_form(AlgebraPresentation([[[1, r3], [0, 0]], [[0, 0], [0, 0]]]))[0] == [0, 1]
+    assert derivations._q_form(AlgebraPresentation([[[1, 0], [0, 0]], [[0, 0], [0, 1]]]))[0] == [0, 0]
+
+
+def test_q_form_reads_a_form_output_as_a_scalar():
+    # a form's value has parity 0, so cell (i, j) needs p_i + p_j odd exactly for a √3
+    # constant: √3·(x0y0 + x1y1) has none, since 3^p·√3 is never rational
+    r3 = F3(0, 1)
+    assert derivations._q_form(SparseTable([[((0, r3),), ()], [(), ((0, r3),)]], 1)) is None
+    # ⟨b0, b1⟩ = √3 and ⟨b1, b1⟩ = 1: ⟨b0, √3·b1⟩ = ⟨√3·b1, √3·b1⟩ = 3
+    graded = SparseTable([[(), ((0, r3),)], [(), ((0, 1),)]], 1)
+    p, ints = derivations._q_form(graded)
+    assert p == [0, 1] and graded.den == 1
+    assert [t for row in ints for cell in row for t in cell] == [(0, 3, 0), (0, 3, 0)]
+    _assert_graded(graded, p)
+
+
+@pytest.mark.parametrize("name", [*DERIVATION_TENSORS, *(f"{name}-signed-permuted"
+                                                         for name in DERIVATION_TENSORS),
+                                  "albert-q=0"])
+def test_q_form_is_only_a_change_of_basis(name, monkeypatch):
+    # with no Q-form the rows stay over Q(√3); RREF is unique, so the bases read back
+    # from the Q-basis are that path's
+    if name in LEIBNIZ_TENSORS:
+        table = AlgebraPresentation(LEIBNIZ_TENSORS[name]())
+    else:
+        table = LIBRARY_TABLES[name][0]()
+    assert derivations._q_form(table) is not None
+    over_q = derivation_space(table)
+    monkeypatch.setattr(derivations, "_q_form", lambda table: None)
+    assert derivation_space(table) == over_q
 
 
 @pytest.mark.parametrize("make", [
@@ -457,3 +523,24 @@ def test_integer_commutators_and_trace_form_match_the_f3_loops(name, permuted):
     assert got == ExactMatrix(want)
     assert [_bits(r) for r in got.entries] == [_bits(r) for r in want]
     assert check_lie_closure(basis) is _lie_closure_by_scalars(basis) is True
+
+
+def _unit(i, j):
+    """The 2×2 matrix unit E_ij."""
+    return ExactMatrix([[F3(int((r, s) == (i, j))) for s in range(2)] for r in range(2)])
+
+
+def test_lie_closure_fails_off_the_span():
+    # [E01, E10] = E00 - E11 = H, outside span{E01, E10}; with H it is sl2
+    e, f = _unit(0, 1), _unit(1, 0)
+    h = ExactMatrix([[1, 0], [0, -1]])
+    assert _commutator(e, f) == h
+    assert check_lie_closure([e, f]) is _lie_closure_by_scalars([e, f]) is False
+    assert check_lie_closure([e, f, h]) is _lie_closure_by_scalars([e, f, h]) is True
+
+
+def test_lie_closure_matches_the_rank_test_on_random_sparse_matrices():
+    basis = _random_sparse_matrices()
+    for k in range(1, len(basis) + 1):
+        assert check_lie_closure(basis[:k]) is _lie_closure_by_scalars(basis[:k])
+    assert not _lie_closure_by_scalars(basis)
