@@ -3,10 +3,10 @@
 The commutative product carries a deformation parameter q and is unital
 and flexible for every q.  The Jordan identity holds exactly at q = ±1/2
 and fails at q ∈ {0, ±1, 2}.  At q = 1/2 the rank-1 idempotents are
-exactly the trace-1 Veronese vectors, i.e. the points of the Okubic
-projective plane.  Acceptance criterion 10 expects the opposite Jordan
-locus (q = ±1 Jordan, q = 1/2 not); ROADMAP.md item 3 records that gap
-with the paper.
+exactly the trace-1 zeros of the adjoint ``geometry.sharp``, i.e. the points
+of the Okubic projective plane; the cubic norm N reads no idempotent of 𝒪.
+Acceptance criterion 10 expects the opposite Jordan locus (q = ±1 Jordan,
+q = 1/2 not); ROADMAP.md item 3 records that gap with the paper.
 
 ``AlbertAlgebra.mul`` and ``left_mult_operator`` read the integer form of
 the sparse 27×27 structure-constant table of 𝔸_q (``_table``), built per q
@@ -23,7 +23,6 @@ from .field import F3, Frozen, _raw_f3, sample_f3
 from .linalg import COMPACT, ExactMatrix, SparseTable, bilinear, bilinear_left
 from .okubo import (
     gram_table,
-    idempotent,
     okubo_mul,
     okubo_norm,
     polar,
@@ -92,15 +91,11 @@ quad_norm = vnorm
 
 
 def cubic_norm(a: AlbertElement) -> F3:
-    """N = λ0λ1λ2 - Σ λ_ν n(x_ν) + polar((x0*e)*(x1*x2), e) with the pinned e."""
-    x0, x1, x2 = a.x
-    l0, l1, l2 = a.lam
-    e = idempotent(COMPACT)
-    return (
-        l0 * l1 * l2
-        - (l0 * okubo_norm(x0) + l1 * okubo_norm(x1) + l2 * okubo_norm(x2))
-        + polar(okubo_mul(okubo_mul(x0, e), okubo_mul(x1, x2)), e)
-    )
+    """N = λ0λ1λ2 - Σ λ_ν n(x_ν) + ⟨x0, x1*x2⟩, which reads no idempotent; it equals
+    β(a^♯, a)/3 for the adjoint ``geometry.sharp``."""
+    (x0, x1, x2), (l0, l1, l2) = a.x, a.lam
+    return (l0 * l1 * l2 - (l0 * okubo_norm(x0) + l1 * okubo_norm(x1) + l2 * okubo_norm(x2))
+            + polar(x0, okubo_mul(x1, x2)))
 
 
 def is_idempotent(algebra: AlbertAlgebra, a: AlbertElement) -> bool:

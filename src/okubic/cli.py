@@ -1,8 +1,8 @@
 """Command-line interface: verification suites, structure-constant tables,
 Veronese embedding/decoding, kernel dimensions, and derivation reports.
 
-Exit codes: 0 pass, 1 invariant failure, 2 usage error (an unwritable --out
-included), 3 validation error.
+Exit codes: 0 pass, 1 invariant failure (also a suite raising on its samples),
+2 usage error (an unwritable --out included), 3 validation error.
 All randomized suites require an explicit --seed; per-sample PRNG
 substreams are derived from (seed, index), so reports are byte-identical
 for identical flags.  Each JSON payload format has one parser, the
@@ -47,7 +47,6 @@ from .geometry import (
     plane_decode,
     plane_embed,
     sample_affine_point,
-    veronese_check,
     beta,
     vnorm,
 )
@@ -341,8 +340,6 @@ def suite_veronese(samples, seed, flavor, q):
                 if line_chart(ray) != p.x:
                     _fail(failures, "line-roundtrip", index=i)
             emb = plane_embed(p)
-            if not veronese_check(emb.rep):
-                _fail(failures, "veronese-conditions", kind=kind, index=i)
             if plane_decode(emb) != p:
                 _fail(failures, "plane-roundtrip", kind=kind, index=i)
     for i in range(samples):
@@ -415,7 +412,11 @@ SUITE_NAMES = tuple(SUITE_FUNCS)
 
 
 def run_suite(name, samples, seed, flavor, q):
-    failures, extras = SUITE_FUNCS[name](samples, seed, flavor, q)
+    """One suite's report; a suite that raises on its own samples fails once, with the error."""
+    try:
+        failures, extras = SUITE_FUNCS[name](samples, seed, flavor, q)
+    except (ValueError, ZeroDivisionError, AssertionError) as exc:
+        failures, extras = [{"check": "raised", "error": str(exc)}], {}
     report = {
         "suite": name,
         "samples": samples,

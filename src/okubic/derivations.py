@@ -129,7 +129,7 @@ def _q_form(table: SparseTable):
 
 def derivation_space(table: SparseTable):
     """(dimension, basis of n×n derivation matrices) of the algebra of any n×n
-    structure-constant table (an ``AlgebraPresentation`` is one), solved exactly.
+    structure-constant table (an ``AlgebraPresentation`` is one; a form raises ValueError).
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
     integer row read from the table's ``ints`` over its ``den``; the shortest go
@@ -138,6 +138,8 @@ def derivation_space(table: SparseTable):
     rows (na, nb, d) over Q(√3).  Each basis matrix is built from the reduced integer
     rows, with no F3 value.
     """
+    if table.size != len(table.ints):
+        raise ValueError("not a product table: its outputs are not its basis vectors")
     p, ints = _q_form(table) or (None, table.ints)
     n, den = len(ints), table.den
     rows = []
@@ -159,7 +161,7 @@ def derivation_space(table: SparseTable):
                     if not na[col]:
                         del na[col]
             rows += eqs
-    reduced, pivots, _, _ = _gauss_jordan(sorted(rows, key=lambda row: len(row[0])), n * n)
+    reduced, pivots, _, _ = _gauss_jordan(sorted(rows, key=lambda row: len(row[0])))
     basis, lift = [], p and [p[c // n] - p[c % n] for c in range(n * n)]
     for fc, entries in _kernel_columns(reduced, pivots, n * n):
         # the kernel vector, entry 1 at fc, over one denominator, cut into the n rows of D

@@ -1,8 +1,8 @@
 """Okubic projective line, affine plane, and projective plane.
 
 The projective line is the quadric {ℝ(x, ξ1, ξ2) : n(x) = ξ1ξ2}; the
-projective plane consists of rays of Veronese vectors in 𝒪³×Q(√3)³
-with incidence given by the bilinear form β, a one-coordinate
+projective plane consists of rays on the Veronese cone v^♯ = 0 (``sharp``) in
+𝒪³×Q(√3)³, with incidence given by the bilinear form β, a one-coordinate
 ``bilinear`` table (``beta_table``) built from the Okubo Gram table.
 Everything here is for the compact (division) flavor only.
 """
@@ -287,18 +287,17 @@ class VeroneseVector(Vector):
         return cls(x0, x1, x2, l0, l1, l2)
 
 
+def sharp(v: VeroneseVector) -> VeroneseVector:
+    """The adjoint v^♯ = (x_j*x_k - λ_i x_i ; λ_jλ_k - n(x_i)) over the cyclic (i, j, k):
+    the Veronese cone is its zero set, and N(v) = β(v^♯, v)/3."""
+    x, lam, cyc = v.x, v.lam, ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    return VeroneseVector(*(okubo_mul(x[j], x[k]) - x[i].scale(lam[i]) for i, j, k in cyc),
+                          *(lam[j] * lam[k] - okubo_norm(x[i]) for i, j, k in cyc))
+
+
 def veronese_check(v: VeroneseVector) -> bool:
-    """The six Okubo-Veronese conditions, exactly."""
-    x0, x1, x2 = v.x
-    l0, l1, l2 = v.lam
-    return (
-        x0.scale(l0) == okubo_mul(x1, x2)
-        and x1.scale(l1) == okubo_mul(x2, x0)
-        and x2.scale(l2) == okubo_mul(x0, x1)
-        and okubo_norm(x0) == l1 * l2
-        and okubo_norm(x1) == l2 * l0
-        and okubo_norm(x2) == l0 * l1
-    )
+    """The six Okubo-Veronese conditions, exactly: v^♯ = 0."""
+    return not sharp(v)
 
 
 class ProjPoint(Frozen):

@@ -559,7 +559,7 @@ def _rational_normalized(row, col):
     return ({j: x // g for j, x in na.items()}, pa // g), (pa, d)
 
 
-def _gauss_jordan(rows, ncols):
+def _gauss_jordan(rows):
     """Gauss–Jordan elimination by row insertion on sparse integer rows, through the
     row operations of their form: ``_cleared`` and ``_normalized`` on rows (na, nb, d)
     over Q(√3), their rational twins on rows (na, d) over Q.  Each row, in input order,
@@ -597,7 +597,7 @@ def _gauss_jordan(rows, ncols):
 
 def rref(m: ExactMatrix):
     """Reduced row echelon form over Q(√3) by row insertion; returns (rref, pivot columns)."""
-    rows, pivots, _, _ = _gauss_jordan(m.ints, m.cols)
+    rows, pivots, _, _ = _gauss_jordan(m.ints)
     return ExactMatrix._from_ints(rows, m.cols), pivots
 
 
@@ -637,7 +637,7 @@ def determinant(m: ExactMatrix) -> F3:
     the divisors times the sign of the rows' pivot columns, or 0 below full rank."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    _, pivots, divisors, sign = _gauss_jordan(m.ints, m.cols)
+    _, pivots, divisors, sign = _gauss_jordan(m.ints)
     return math.prod((_raw_f3(*p) for p in divisors), start=F3(sign)) if len(pivots) == m.rows else F3()
 
 

@@ -48,9 +48,21 @@ from okubic.geometry import (
     beta,
     plane_embed,
     sample_affine_point,
+    sharp,
 )
 from okubic.linalg import ExactMatrix, Mat3, determinant, nullspace, rank
-from okubic.okubo import OkuboElement, conjugation_automorphism, okubo_mul, polar
+from okubic.linalg import COMPACT
+from okubic.okubo import (
+    OkuboElement,
+    conjugation_automorphism,
+    idempotent,
+    okubo_mul,
+    okubo_norm,
+    polar,
+)
+
+# the seeded points, perturbed points and Albert elements of the cone tests
+from test_geometry import _cone_samples
 
 # the left-multiplication, elimination and kernel oracles and the q values
 from test_linalg import (
@@ -274,6 +286,81 @@ def test_trace_norm_pinned_values():
     assert cubic_norm(e2) == F3()
 
 
+def _cubic_norm_by_e(a):
+    """N = λ0λ1λ2 - Σ λ_ν n(x_ν) + ⟨(x0*e)*(x1*x2), e⟩ through the pinned idempotent
+    e of the compact Okubo algebra: the oracle for ``cubic_norm``, which reads no e
+    (⟨(x0*e)*y, e⟩ = ⟨x0*e, y*e⟩ = n(e)⟨x0, y⟩ and n(e) = 1)."""
+    x0, x1, x2 = a.x
+    l0, l1, l2 = a.lam
+    e = idempotent(COMPACT)
+    return (
+        l0 * l1 * l2
+        - (l0 * okubo_norm(x0) + l1 * okubo_norm(x1) + l2 * okubo_norm(x2))
+        + polar(okubo_mul(okubo_mul(x0, e), okubo_mul(x1, x2)), e)
+    )
+
+
+def test_cubic_norm_matches_the_pinned_idempotent_oracle_bit_for_bit():
+    points, perturbed, elements = _cone_samples(607)
+    for a in points + perturbed + elements:
+        got, want = cubic_norm(a), _cubic_norm_by_e(a)
+        assert got == want and hash(got) == hash(want) and _bits([got]) == _bits([want])
+        # N(a) = β(a^♯, a)/3
+        assert beta(sharp(a), a) == F3(3) * got
+    assert not any(map(cubic_norm, points)) and all(map(cubic_norm, elements))
+
+
+def test_cubic_norm_makes_one_okubo_product_and_reads_no_idempotent(monkeypatch):
+    calls = []
+    monkeypatch.setattr(albert_module, "okubo_mul",
+                        lambda x, y: calls.append(1) or okubo_mul(x, y))
+    assert not hasattr(albert_module, "idempotent")
+    cubic_norm(sample_albert(random.Random(608)))
+    assert len(calls) == 1
+
+
+def _basis_pairs(f):
+    """f polarized on the 378 unordered pairs a ≤ b of the flat basis of 𝔸_q:
+    {(a, b): f(b_a + b_b) - f(b_a) - f(b_b)}; on a quadratic f, 2f(b_a) when a = b."""
+    basis = [AlbertElement.from_coords([int(i == k) for i in range(27)]) for k in range(27)]
+    values = [f(x) for x in basis]
+    return {(a, b): f(basis[a] + basis[b]) - values[a] - values[b]
+            for a in range(27) for b in range(a, 27)}
+
+
+def _adjoint_defect(algebra):
+    """x ↦ x∘x - T(x)x + T(x^♯)·1 - x^♯, which vanishes on a cubic Jordan algebra with
+    adjoint ♯ (McCrimmon, Part II ch. 4)."""
+    unit = AlbertElement.unit()
+
+    def defect(x):
+        s = sharp(x)
+        return algebra.mul(x, x) - x.scale(trace(x)) + unit.scale(trace(s)) - s
+
+    return defect
+
+
+@pytest.mark.parametrize("q, failing", [(HALF, 0), (-HALF, 192), (Fraction(0), 192),
+                                        (Fraction(1), 192)], ids=str)
+def test_quadratic_adjoint_certificate(q, failing):
+    # x∘x = T(x)x - T(x^♯)·1 + x^♯ holds on all of 𝔸_{1/2} exactly; elsewhere it fails
+    # on the 3·64 pairs of basis vectors in two different Okubo slots
+    defects = _basis_pairs(_adjoint_defect(AlbertAlgebra(q)))
+    assert len(defects) == 378
+    assert sum(1 for d in defects.values() if d) == failing
+
+
+@pytest.mark.parametrize("q", [Fraction(-1), Fraction(3, 7)], ids=str)
+def test_quadratic_adjoint_defect_closed_form(q):
+    # the defect is (2q - 1)·(x1*x2, x2*x0, x0*x1; 0, 0, 0), affine in q
+    def closed(x):
+        x0, x1, x2 = x.x
+        return AlbertElement(okubo_mul(x1, x2), okubo_mul(x2, x0), okubo_mul(x0, x1),
+                             0, 0, 0).scale(F3(2 * q - 1))
+
+    assert _basis_pairs(_adjoint_defect(AlbertAlgebra(q))) == _basis_pairs(closed)
+
+
 def test_inner_is_the_polarized_quadratic_norm():
     """The inner product beta polarizes the quadratic norm."""
     rng = random.Random(605)
@@ -484,7 +571,7 @@ def test_left_mult_rows_reach_the_elimination_unconverted(monkeypatch):
     monkeypatch.setattr(albert_module, "bilinear_left",
                         lambda *a: made.append(left(*a)) or made[-1])
     monkeypatch.setattr(linalg, "_gauss_jordan",
-                        lambda rows, ncols: seen.append(rows) or eliminate(rows, ncols))
+                        lambda rows: seen.append(rows) or eliminate(rows))
     rng = random.Random(619)
     eps = idempotent_from_point(plane_embed(sample_affine_point(rng)))
     assert len(nullspace(left_mult_operator(ALBERT_HALF, eps))) == 10

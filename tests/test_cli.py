@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from okubic import cli
+from okubic import albert, cli, okubo
 from okubic.albert import AlbertAlgebra, AlbertElement
 from okubic.cli import (
     EXIT_FAILURE,
@@ -18,6 +18,7 @@ from okubic.cli import (
 )
 from okubic.field import C3, F3
 from okubic.geometry import AffinePoint, SlopePoint
+from okubic.linalg import COMPACT, SPLIT, SparseTable
 from okubic.okubo import OkuboElement, sample_okubo
 
 
@@ -165,6 +166,42 @@ def test_invariant_failure_exits_one_and_reports_the_inputs(capsys, monkeypatch)
     report = json.loads(out)
     assert report["failures_total"] == sum(len(s["failures"]) for s in report["suites"])
     assert report["failures_total"] >= 8
+
+
+@pytest.fixture
+def broken_okubo_constant(monkeypatch):
+    """Both Okubo tables with the constants of cell (1, 2) doubled, where ``okubo_mul``
+    and the builder of the 𝔸_q tables read them; the cached 𝔸_q tables are emptied
+    before and after, so that none built on a broken table outlives the test."""
+    broken = {}
+    for flavor in (COMPACT, SPLIT):
+        cells = [list(row) for row in okubo.structure_constants(flavor).cells]
+        cells[1][2] = tuple((k, c + c) for k, c in cells[1][2])
+        broken[flavor] = SparseTable(cells)
+    for module in (okubo, albert):
+        monkeypatch.setattr(module, "structure_constants", broken.get)
+    albert._table.cache_clear()
+    yield
+    albert._table.cache_clear()
+
+
+@pytest.mark.parametrize("suite", ["veronese", "albert", "all"])
+def test_a_suite_that_raises_on_a_broken_product_exits_one(capsys, broken_okubo_constant, suite):
+    # a plane point built with the broken product fails its own Veronese check, and
+    # the split zero divisor's annihilation check raises; each is that suite's failure
+    code, out = run(capsys, "check", suite, "--seed", "3", "--samples", "4")
+    assert code == EXIT_FAILURE
+    report = json.loads(out)
+    reports = report["suites"] if suite == "all" else [report]
+    raised = {r["suite"]: [f for f in r["failures"] if f["check"] == "raised"] for r in reports}
+    for name in ("veronese", "albert"):
+        if name in raised:
+            assert raised[name] == [{"check": "raised",
+                                     "error": "representative fails the Veronese conditions"}]
+    if suite == "all":
+        assert [r["suite"] for r in reports] == list(SUITE_NAMES)
+        assert len(raised["division"]) == 1
+        assert report["failures_total"] == sum(len(r["failures"]) for r in reports) >= 1
 
 
 def test_reports_are_deterministic(capsys):

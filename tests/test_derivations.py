@@ -282,6 +282,15 @@ def test_q_form_reads_a_form_output_as_a_scalar():
     _assert_graded(graded, p)
 
 
+@pytest.mark.parametrize("name", FORMS)
+def test_derivation_space_rejects_a_form(name):
+    # a form's one output is a scalar, not basis vector b0, so it has no Leibniz system
+    table = LIBRARY_TABLES[name][0]()
+    assert table.size == 1 != len(table.ints)
+    with pytest.raises(ValueError, match="not a product table"):
+        derivation_space(table)
+
+
 @pytest.mark.parametrize("name", [*DERIVATION_TENSORS, *(f"{name}-signed-permuted"
                                                          for name in DERIVATION_TENSORS),
                                   "albert-q=0"])

@@ -27,6 +27,7 @@ from okubic.geometry import (
     plane_decode,
     plane_embed,
     sample_affine_point,
+    sharp,
     veronese_check,
     vnorm,
 )
@@ -73,6 +74,37 @@ def _vnorm_by_norms(v):
     for l in v.lam:
         total = total + l * l
     return total
+
+
+def _veronese_by_conditions(v):
+    """The six Okubo-Veronese conditions compared one by one, stopping at the first
+    that fails: the oracle for ``veronese_check``, which reads them as v^♯ = 0."""
+    x0, x1, x2 = v.x
+    l0, l1, l2 = v.lam
+    return (
+        x0.scale(l0) == okubo_mul(x1, x2)
+        and x1.scale(l1) == okubo_mul(x2, x0)
+        and x2.scale(l2) == okubo_mul(x0, x1)
+        and okubo_norm(x0) == l1 * l2
+        and okubo_norm(x1) == l2 * l0
+        and okubo_norm(x2) == l0 * l1
+    )
+
+
+def _cone_samples(seed):
+    """Seeded Veronese vectors of plane points of all three kinds, the same vectors
+    each with one flat coordinate moved by a nonzero seeded scalar, and seeded Albert
+    elements, as three lists."""
+    rng = random.Random(seed)
+    points = [plane_embed(INFINITY).rep]
+    points += [plane_embed(SlopePoint(sample_okubo(rng))).rep for _ in range(15)]
+    points += [plane_embed(sample_affine_point(rng)).rep for _ in range(15)]
+    perturbed = []
+    for v in points:
+        coords, k = list(v.coeffs), rng.randrange(27)
+        coords[k] = coords[k] + F3(rng.randint(1, 9), rng.randint(-3, 3))
+        perturbed.append(VeroneseVector.from_coords(coords))
+    return points, perturbed, [sample_albert(rng) for _ in range(30)]
 
 
 def _beta_complement(points):
@@ -271,6 +303,32 @@ def test_veronese_check_pinned_values():
     assert veronese_check(VeroneseVector(Z, Z, Z, one, F3(), F3()))
     assert veronese_check(VeroneseVector(E, E, E, one, one, one))
     assert not veronese_check(VeroneseVector(E, Z, Z, one, one, one))
+
+
+def test_veronese_check_matches_the_six_conditions():
+    points, perturbed, elements = _cone_samples(509)
+    for v in points + perturbed + elements:
+        assert veronese_check(v) is _veronese_by_conditions(v)
+    assert all(map(veronese_check, points)) and not any(map(veronese_check, elements))
+    # the seed moves λ0 of ∞'s vector (0; 1, 0, 0), which stays on the cone; every
+    # other move leaves it
+    assert [i for i, v in enumerate(perturbed) if veronese_check(v)] == [0]
+
+
+def test_sharp_pinned_values():
+    one, zero = F3(1), F3()
+    # the unit is its own adjoint, a point's vector has adjoint 0
+    unit = VeroneseVector(Z, Z, Z, one, one, one)
+    assert sharp(unit) == unit
+    assert not sharp(VeroneseVector(E, E, E, one, one, one))
+    # (e, 0, 0; 1, 1, 1): slot 0 is -e and λ0 has 1 - n(e) = 0
+    assert sharp(VeroneseVector(E, Z, Z, one, one, one)) == VeroneseVector(
+        E.scale(-one), Z, Z, zero, one, one)
+    # (x0, x1, x2; 0, 0, 0) ↦ (x1*x2, x2*x0, x0*x1; -n(x0), -n(x1), -n(x2))
+    x = (B(1), B(2), B(4))
+    assert sharp(VeroneseVector(*x, zero, zero, zero)) == VeroneseVector(
+        okubo_mul(x[1], x[2]), okubo_mul(x[2], x[0]), okubo_mul(x[0], x[1]),
+        *(-okubo_norm(xi) for xi in x))
 
 
 def test_plane_embed_pinned_values():

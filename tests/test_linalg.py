@@ -1070,7 +1070,7 @@ def _assert_same_elimination(rows, ncols):
     determinant of the pivot columns.  The reduced rows and the pivots keep the
     input's form, and the input rows are left unchanged."""
     before = copy.deepcopy(rows)
-    got, pivots, divisors, sign = _gauss_jordan(rows, ncols)
+    got, pivots, divisors, sign = _gauss_jordan(rows)
     assert rows == before
     width = len(rows[0]) if rows else 3
     assert all(len(row) == width for row in got) and all(len(p) == width for p in divisors)
@@ -1134,14 +1134,14 @@ def _permute_tensor(c, perm, signs):
 
 
 def _leibniz_rows(algebra, monkeypatch):
-    """The integer rows and column count that ``derivation_space`` hands to
-    ``_gauss_jordan``."""
+    """The integer rows that ``derivation_space`` hands to ``_gauss_jordan``, and their
+    column count n²."""
     seen = []
     with monkeypatch.context() as patch:
         patch.setattr(derivations, "_gauss_jordan",
-                      lambda rows, ncols: seen.append((rows, ncols)) or _gauss_jordan(rows, ncols))
+                      lambda rows: seen.append(rows) or _gauss_jordan(rows))
         derivations.derivation_space(algebra)
-    return seen[0]
+    return seen[0], len(algebra.ints) ** 2
 
 
 DERIVATION_TENSORS = {
@@ -1252,23 +1252,23 @@ def test_gauss_jordan_matches_the_scalar_oracle_on_rational_rows(name):
 
 def test_gauss_jordan_edge_case_values():
     r3 = F3(0, 1)
-    assert _gauss_jordan([], 0) == ([], [], [], 1)
-    assert _gauss_jordan([({}, {}, 1)] * 2, 2)[1:] == ([], [], 1)
+    assert _gauss_jordan([]) == ([], [], [], 1)
+    assert _gauss_jordan([({}, {}, 1)] * 2)[1:] == ([], [], 1)
     # rows [0, 1 + √3] and [√3, 1]: divisors 1 + √3 and √3 in insertion order, norms
     # -2 and -3, for pivot columns 1 then 0
     rows, pivots, divisors, sign = _gauss_jordan(
-        [({1: 1}, {1: 1}, 1), ({0: 0, 1: 1}, {0: 1, 1: 0}, 1)], 2)
+        [({1: 1}, {1: 1}, 1), ({0: 0, 1: 1}, {0: 1, 1: 0}, 1)])
     assert (pivots, _f3_divisors(divisors), sign) == ([0, 1], [1 + r3, r3], -1)
     assert _f3_rows(rows, 2) == [[F3(1), F3()], [F3(), F3(1)]]
     assert determinant(ExactMatrix([[0, 1 + r3], [r3, 1]])) == -r3 * (1 + r3)
     # a row that is not in lowest terms: [2, 2√3]/4 = [1/2, √3/2]
-    rows, pivots, divisors, sign = _gauss_jordan([({0: 2, 1: 0}, {0: 0, 1: 2}, 4)], 2)
+    rows, pivots, divisors, sign = _gauss_jordan([({0: 2, 1: 0}, {0: 0, 1: 2}, 4)])
     assert (pivots, _bits(_f3_divisors(divisors)), sign) == ([0], [(F3, 1, 0, 2)], 1)
     assert _bits(_f3_rows(rows, 2)[0]) == [(F3, 1, 0, 1), (F3, 0, 1, 1)]
     # rational rows: a negative pivot -2/6 in a row not in lowest terms, then zero rows
-    assert _gauss_jordan([({0: -2, 1: 4}, 6), ({0: 1, 1: -2}, 3), ({}, 1)], 2) == (
+    assert _gauss_jordan([({0: -2, 1: 4}, 6), ({0: 1, 1: -2}, 3), ({}, 1)]) == (
         [({0: 1, 1: -2}, 1), ({}, 1), ({}, 1)], [0], [(-2, 6)], 1)
-    assert _gauss_jordan([({}, 1)] * 2, 2) == ([({}, 1)] * 2, [], [], 1)
+    assert _gauss_jordan([({}, 1)] * 2) == ([({}, 1)] * 2, [], [], 1)
 
 
 def test_tall_sparse_case_fills_in(monkeypatch):
@@ -1282,7 +1282,7 @@ def test_tall_sparse_case_fills_in(monkeypatch):
 
     monkeypatch.setattr(linalg, "_cleared", watched)
     m = ExactMatrix(_edge_matrices()["tall-sparse-fill-in"])
-    _gauss_jordan(m.ints, m.cols)
+    _gauss_jordan(m.ints)
     assert (m.rows, m.cols) == (40, 12) and any(filled)
 
 
@@ -1300,7 +1300,7 @@ def test_each_leibniz_row_takes_one_reduction_pass(monkeypatch):
         return clear(row, pivots)
 
     monkeypatch.setattr(linalg, "_rational_cleared", watched)
-    _gauss_jordan(rows, ncols)
+    _gauss_jordan(rows)
     per_row = collections.Counter(id(row) for row, _ in passes)
     assert all(per_row[id(row)] == 1 for row in rows if row[0])
     assert max(hits for row, hits in passes if any(row is r for r in rows)) > 1
