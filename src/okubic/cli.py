@@ -115,27 +115,18 @@ def _flavors(flavor):
     return (COMPACT, SPLIT) if flavor is None else (flavor,)
 
 
-def _fail(failures, check, **payload):
-    entry = {"check": check}
-    entry.update(payload)
-    failures.append(entry)
-
-
 def suite_composition(samples, seed, flavor, q):
-    failures = []
     for fl in _flavors(flavor):
         for i in range(samples):
             rng = _rng_for(seed, f"composition:{fl}:{i}")
             x = sample_okubo(rng, fl)
             y = sample_okubo(rng, fl)
             if okubo_norm(okubo_mul(x, y)) != okubo_norm(x) * okubo_norm(y):
-                _fail(failures, "composition", flavor=fl, index=i,
-                      x=x.to_json(), y=y.to_json())
-    return failures, {}
+                yield dict(check="composition", flavor=fl, index=i,
+                           x=x.to_json(), y=y.to_json())
 
 
 def suite_flexibility(samples, seed, flavor, q):
-    failures = []
     for fl in _flavors(flavor):
         for i in range(samples):
             rng = _rng_for(seed, f"flexibility:{fl}:{i}")
@@ -145,18 +136,15 @@ def suite_flexibility(samples, seed, flavor, q):
             rhs = okubo_mul(okubo_mul(x, y), x)
             ny = y.scale(okubo_norm(x))
             if lhs != rhs or lhs != ny:
-                _fail(failures, "symmetric-composition", flavor=fl, index=i,
-                      x=x.to_json(), y=y.to_json())
-    return failures, {}
+                yield dict(check="symmetric-composition", flavor=fl, index=i,
+                           x=x.to_json(), y=y.to_json())
 
 
 def suite_division(samples, seed, flavor, q):
-    failures = []
-    extras = {}
     flavors = _flavors(flavor)
     if COMPACT in flavors:
         if not is_positive_definite(COMPACT):
-            _fail(failures, "gram-positive-definite", flavor=COMPACT)
+            yield dict(check="gram-positive-definite", flavor=COMPACT)
         for i in range(samples):
             rng = _rng_for(seed, f"division:solve:{i}")
             a = sample_okubo(rng, COMPACT)
@@ -165,73 +153,60 @@ def suite_division(samples, seed, flavor, q):
                 continue
             s = left_divide(b, a)
             if okubo_mul(s, a) != b:
-                _fail(failures, "left-division", index=i,
-                      a=a.to_json(), b=b.to_json())
+                yield dict(check="left-division", index=i, a=a.to_json(), b=b.to_json())
     if SPLIT in flavors:
         d = split_zero_divisor()
-        extras["witness"] = d.to_json()
         if okubo_norm(d):
-            _fail(failures, "zero-divisor-norm", witness=d.to_json())
+            yield dict(check="zero-divisor-norm", witness=d.to_json())
         rng = _rng_for(seed, "division:zero-divisor")
         if not zero_divisor_check(d, rng, max(samples, 20)):
-            _fail(failures, "zero-divisor-annihilation", witness=d.to_json())
-    return failures, extras
+            yield dict(check="zero-divisor-annihilation", witness=d.to_json())
+        return {"witness": d.to_json()}
 
 
 def suite_octonion(samples, seed, flavor, q):
-    failures = []
     e = idempotent(COMPACT)
     for i in range(samples):
         rng = _rng_for(seed, f"octonion:{i}")
         x = sample_okubo(rng, COMPACT)
         y = sample_okubo(rng, COMPACT)
         if recovered_oct_mul(e, x) != x or recovered_oct_mul(x, e) != x:
-            _fail(failures, "unit", index=i, x=x.to_json())
+            yield dict(check="unit", index=i, x=x.to_json())
         prod = recovered_oct_mul(x, y)
         if okubo_norm(prod) != okubo_norm(x) * okubo_norm(y):
-            _fail(failures, "composition", index=i, x=x.to_json(), y=y.to_json())
+            yield dict(check="composition", index=i, x=x.to_json(), y=y.to_json())
         if recovered_oct_mul(x, recovered_oct_mul(x, y)) != recovered_oct_mul(
             recovered_oct_mul(x, x), y
         ):
-            _fail(failures, "alternativity", index=i, x=x.to_json(), y=y.to_json())
+            yield dict(check="alternativity", index=i, x=x.to_json(), y=y.to_json())
         if recovered_oct_mul(x, recovered_conj(x)) != e.scale(okubo_norm(x)):
-            _fail(failures, "conjugate-norm", index=i, x=x.to_json())
-    return failures, {}
+            yield dict(check="conjugate-norm", index=i, x=x.to_json())
 
 
 def suite_trivolution(samples, seed, flavor, q):
-    failures = []
     for fl in _flavors(flavor):
         for k in range(8):
             b = OkuboElement.basis(k, fl)
             if trivolution(b) != trivolution_polar_form(b):
-                _fail(failures, "defining-formulas-agree", flavor=fl, basis=k)
+                yield dict(check="defining-formulas-agree", flavor=fl, basis=k)
         for i in range(samples):
             rng = _rng_for(seed, f"trivolution:{fl}:{i}")
             x = sample_okubo(rng, fl)
             y = sample_okubo(rng, fl)
             if trivolution(trivolution(trivolution(x))) != x:
-                _fail(failures, "order-three", flavor=fl, index=i, x=x.to_json())
+                yield dict(check="order-three", flavor=fl, index=i, x=x.to_json())
             if trivolution(okubo_mul(x, y)) != okubo_mul(
                 trivolution(x), trivolution(y)
             ):
-                _fail(failures, "automorphism", flavor=fl, index=i,
-                      x=x.to_json(), y=y.to_json())
-    return failures, {}
+                yield dict(check="automorphism", flavor=fl, index=i,
+                           x=x.to_json(), y=y.to_json())
 
 
 def suite_michel_radicati(samples, seed, flavor, q):
-    failures = []
     bm = basis_matrices(COMPACT)
     wx, wy = (bm[k] for k in MR_WITNESS_INDICES)
-    extras = {
-        "theta_zero_witness": {
-            "x": wx.to_json(),
-            "y": wy.to_json(),
-        }
-    }
     if mat_norm(michel_radicati_mul(wx, wy, F3())) == mat_norm(wx) * mat_norm(wy):
-        _fail(failures, "theta-zero-defect-expected")
+        yield dict(check="theta-zero-defect-expected")
     thetas = (THETA_OKUBO, -THETA_OKUBO)
     for i in range(samples):
         rng = _rng_for(seed, f"michel-radicati:{i}")
@@ -240,7 +215,7 @@ def suite_michel_radicati(samples, seed, flavor, q):
         for theta in thetas:
             prod = michel_radicati_mul(x, y, theta)
             if mat_norm(prod) != mat_norm(x) * mat_norm(y):
-                _fail(failures, "composition-at-okubo-theta", index=i)
+                yield dict(check="composition-at-okubo-theta", index=i)
     for i in range(max(samples // 2, 1)):
         rng = _rng_for(seed, f"michel-radicati:traceful:{i}")
         x = sample_okubo(rng, COMPACT).to_matrix() + Mat3.identity().scale(
@@ -254,41 +229,38 @@ def suite_michel_radicati(samples, seed, flavor, q):
             lhs = traceful_mul(traceful_mul(x, y, theta), xx, theta)
             rhs = traceful_mul(x, traceful_mul(y, xx, theta), theta)
             if lhs != rhs:
-                _fail(failures, "traceful-jordan", index=i)
-    return failures, extras
+                yield dict(check="traceful-jordan", index=i)
+    return {"theta_zero_witness": {"x": wx.to_json(), "y": wy.to_json()}}
 
 
 def suite_hurwitz(samples, seed, flavor, q):
-    failures = []
     one = SplitOctonion.unit()
     for i in range(8):
         for j in range(8):
             x, y = SplitOctonion.basis(i), SplitOctonion.basis(j)
             if oct_norm(oct_mul(x, y)) != oct_norm(x) * oct_norm(y):
-                _fail(failures, "basis-composition", i=i, j=j)
+                yield dict(check="basis-composition", i=i, j=j)
     for i in range(samples):
         rng = _rng_for(seed, f"hurwitz:{i}")
         x = sample_split_octonion(rng)
         y = sample_split_octonion(rng)
         if oct_norm(oct_mul(x, y)) != oct_norm(x) * oct_norm(y):
-            _fail(failures, "composition", index=i)
+            yield dict(check="composition", index=i)
         if oct_conj(oct_conj(x)) != x:
-            _fail(failures, "conjugation-involution", index=i)
+            yield dict(check="conjugation-involution", index=i)
         if oct_mul(x, oct_conj(x)) != one.scale(oct_norm(x)):
-            _fail(failures, "conjugate-norm", index=i)
+            yield dict(check="conjugate-norm", index=i)
         if para_mul(x, para_mul(y, x)) != y.scale(oct_norm(x)):
-            _fail(failures, "para-symmetric-composition", index=i)
+            yield dict(check="para-symmetric-composition", index=i)
         if tau_triality(tau_triality(tau_triality(x))) != x:
-            _fail(failures, "triality-order-three", index=i)
+            yield dict(check="triality-order-three", index=i)
         if tau_triality(oct_mul(x, y)) != oct_mul(tau_triality(x), tau_triality(y)):
-            _fail(failures, "triality-automorphism", index=i)
+            yield dict(check="triality-automorphism", index=i)
         if petersson_mul(x, petersson_mul(y, x)) != y.scale(oct_norm(x)):
-            _fail(failures, "petersson-symmetric-composition", index=i)
-    return failures, {}
+            yield dict(check="petersson-symmetric-composition", index=i)
 
 
 def suite_albert(samples, seed, flavor, q):
-    failures = []
     algebra = AlbertAlgebra(q)
     unit = AlbertElement.unit()
     jordan_clean = True
@@ -297,36 +269,33 @@ def suite_albert(samples, seed, flavor, q):
         a = sample_albert(rng)
         b = sample_albert(rng)
         if algebra.mul(a, b) != algebra.mul(b, a):
-            _fail(failures, "commutativity", index=i)
+            yield dict(check="commutativity", index=i)
         if algebra.mul(algebra.mul(a, b), a) != algebra.mul(a, algebra.mul(b, a)):
-            _fail(failures, "flexibility", index=i)
+            yield dict(check="flexibility", index=i)
         if algebra.mul(unit, a) != a:
-            _fail(failures, "unit-law", index=i)
+            yield dict(check="unit-law", index=i)
         if jordan_defect(algebra, a, b):
             jordan_clean = False
-    wa, wb = jordan_witness()
-    witness_defect = bool(jordan_defect(algebra, wa, wb))
-    extras = {
-        "jordan": {
-            "q": render_rational(q),
-            "defect_vanished_on_samples": jordan_clean,
-            "witness_defect_nonzero": witness_defect,
-        }
-    }
     if q == Fraction(1, 2):
         for i in range(max(samples // 5, 1)):
             rng = _rng_for(seed, f"albert:rank1:{i}")
             p = sample_affine_point(rng)
             eps = idempotent_from_point(plane_embed(p))
             if not is_rank1(algebra, eps):
-                _fail(failures, "rank1-correspondence", index=i)
-    return failures, extras
+                yield dict(check="rank1-correspondence", index=i)
+    wa, wb = jordan_witness()
+    return {
+        "jordan": {
+            "q": render_rational(q),
+            "defect_vanished_on_samples": jordan_clean,
+            "witness_defect_nonzero": bool(jordan_defect(algebra, wa, wb)),
+        }
+    }
 
 
 def suite_veronese(samples, seed, flavor, q):
-    failures = []
     if line_chart(line_embed(INFINITY)) is not INFINITY:
-        _fail(failures, "line-infinity-roundtrip")
+        yield dict(check="line-infinity-roundtrip")
     for kind, builder in (
         ("infinity", lambda rng: INFINITY),
         ("slope", lambda rng: SlopePoint(sample_okubo(rng, COMPACT))),
@@ -338,19 +307,18 @@ def suite_veronese(samples, seed, flavor, q):
             if kind == "affine":
                 ray = line_embed(p.x)
                 if line_chart(ray) != p.x:
-                    _fail(failures, "line-roundtrip", index=i)
+                    yield dict(check="line-roundtrip", index=i)
             emb = plane_embed(p)
             if plane_decode(emb) != p:
-                _fail(failures, "plane-roundtrip", kind=kind, index=i)
+                yield dict(check="plane-roundtrip", kind=kind, index=i)
     for i in range(samples):
         rng = _rng_for(seed, f"veronese:beta:{i}")
         v = plane_embed(sample_affine_point(rng)).rep
         w = plane_embed(sample_affine_point(rng)).rep
         if beta(v, w) != beta(w, v):
-            _fail(failures, "beta-symmetry", index=i)
+            yield dict(check="beta-symmetry", index=i)
         if vnorm(v) != trace(v) * trace(v):  # Veronese: Σ2n(x_ν) + Σλ_ν² = (Σλ_ν)²
-            _fail(failures, "beta-norm", index=i)
-    return failures, {}
+            yield dict(check="beta-norm", index=i)
 
 
 def _fixed_skew_matrices():
@@ -365,7 +333,6 @@ def _fixed_skew_matrices():
 
 
 def suite_automorphism(samples, seed, flavor, q):
-    failures = []
     phis = [conjugation_automorphism(s) for s in _fixed_skew_matrices()]
     lifted = lift_okubo_automorphism(phis[0])
     for i in range(samples):
@@ -376,24 +343,23 @@ def suite_automorphism(samples, seed, flavor, q):
         for k, phi in enumerate(phis):
             px = phi(x)
             if phi(xy) != okubo_mul(px, phi(y)):
-                _fail(failures, "cayley-multiplicative", index=i, which=k)
+                yield dict(check="cayley-multiplicative", index=i, which=k)
             if okubo_norm(px) != nx:
-                _fail(failures, "cayley-isometry", index=i, which=k)
+                yield dict(check="cayley-isometry", index=i, which=k)
         a = sample_albert(rng)
         b = sample_albert(rng)
         if cyclic_shift(ALBERT_HALF.mul(a, b)) != ALBERT_HALF.mul(
             cyclic_shift(a), cyclic_shift(b)
         ):
-            _fail(failures, "cyclic-shift", index=i)
+            yield dict(check="cyclic-shift", index=i)
         if lifted(ALBERT_HALF.mul(a, b)) != ALBERT_HALF.mul(lifted(a), lifted(b)):
-            _fail(failures, "lifted-automorphism", index=i)
+            yield dict(check="lifted-automorphism", index=i)
     rng = _rng_for(seed, "automorphism:triples")
     if not is_graded_triple(phis[0], phis[0], phis[0], rng, 20):
-        _fail(failures, "diagonal-graded-triple")
+        yield dict(check="diagonal-graded-triple")
     identity = lambda x: x
     if is_graded_triple(phis[0], identity, identity, rng, 20):
-        _fail(failures, "non-multiplicative-triple-accepted")
-    return failures, {}
+        yield dict(check="non-multiplicative-triple-accepted")
 
 
 SUITE_FUNCS = {
@@ -412,11 +378,18 @@ SUITE_NAMES = tuple(SUITE_FUNCS)
 
 
 def run_suite(name, samples, seed, flavor, q):
-    """One suite's report; a suite that raises on its own samples fails once, with the error."""
+    """One suite's report: the failures its generator yields, in order, and the extras
+    it returns.  A suite that raises on its own samples keeps the failures it yielded
+    and fails once more, with the error."""
+    suite = SUITE_FUNCS[name](samples, seed, flavor, q)
+    failures, extras = [], {}
     try:
-        failures, extras = SUITE_FUNCS[name](samples, seed, flavor, q)
-    except (ValueError, ZeroDivisionError, AssertionError) as exc:
-        failures, extras = [{"check": "raised", "error": str(exc)}], {}
+        while True:
+            failures.append(next(suite))
+    except StopIteration as done:
+        extras = done.value or {}
+    except (ValueError, ZeroDivisionError) as exc:
+        failures.append({"check": "raised", "error": str(exc)})
     report = {
         "suite": name,
         "samples": samples,

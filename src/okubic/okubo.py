@@ -250,9 +250,9 @@ def split_zero_divisor() -> OkuboElement:
 
 def zero_divisor_check(d: OkuboElement, rng: random.Random | None = None,
                        samples: int = 20) -> bool:
-    """True iff d divides zero, i.e. n(d) = 0.
+    """True iff d divides zero, i.e. n(d) = 0, certified by (d*x)*d = 0 on sampled x.
 
-    When true, also certifies (d*x)*d = 0 on sampled x.
+    False also when n(d) = 0 but a sample has (d*x)*d ≠ 0: the product is broken.
     """
     if not d:
         raise ValueError("zero element is excluded")
@@ -262,7 +262,7 @@ def zero_divisor_check(d: OkuboElement, rng: random.Random | None = None,
     for _ in range(samples):
         x = sample_okubo(rng, d.flavor)
         if okubo_mul(okubo_mul(d, x), d):
-            raise AssertionError("n(d) = 0 but (d*x)*d != 0: algebra broken")
+            return False
     return True
 
 

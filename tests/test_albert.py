@@ -7,6 +7,8 @@ points.  Left multiplication by any such idempotent has a 10-dimensional
 kernel.
 """
 
+import functools
+import itertools
 import math
 import os
 import random
@@ -319,13 +321,24 @@ def test_cubic_norm_makes_one_okubo_product_and_reads_no_idempotent(monkeypatch)
     assert len(calls) == 1
 
 
-def _basis_pairs(f):
-    """f polarized on the 378 unordered pairs a ≤ b of the flat basis of 𝔸_q:
-    {(a, b): f(b_a + b_b) - f(b_a) - f(b_b)}; on a quadratic f, 2f(b_a) when a = b."""
-    basis = [AlbertElement.from_coords([int(i == k) for i in range(27)]) for k in range(27)]
-    values = [f(x) for x in basis]
-    return {(a, b): f(basis[a] + basis[b]) - values[a] - values[b]
-            for a in range(27) for b in range(a, 27)}
+def _basis_multisets(f, degree):
+    """f polarized on the multisets m = (a ≤ b ≤ …) of `degree` flat basis vectors of 𝔸_q
+    (378 pairs, 3654 triples): {m: Σ_T ±f(Σ_{i∈T} b_{m_i})} over the nonempty sets T of
+    positions, with sign (-1)^(degree - |T|). On a form f of that degree this is the
+    coefficient of t_a t_b … in f(Σ t_i b_i) times the product of the factorials of the
+    multiplicities in m: f(b_a + b_b) - f(b_a) - f(b_b), or 2f(b_a) when a = b."""
+    @functools.cache
+    def value(key):
+        return f(AlbertElement._from_ints((tuple(map(key.count, range(27))), (0,) * 27, 1)))
+
+    def polarized(m):
+        plus, minus = [], []
+        for size in range(1, degree + 1):
+            for t in itertools.combinations(m, size):
+                (plus if (degree - size) % 2 == 0 else minus).append(value(t))
+        return sum(plus[1:], plus[0]) - sum(minus[1:], minus[0])
+
+    return {m: polarized(m) for m in itertools.combinations_with_replacement(range(27), degree)}
 
 
 def _adjoint_defect(algebra):
@@ -345,9 +358,26 @@ def _adjoint_defect(algebra):
 def test_quadratic_adjoint_certificate(q, failing):
     # x∘x = T(x)x - T(x^♯)·1 + x^♯ holds on all of 𝔸_{1/2} exactly; elsewhere it fails
     # on the 3·64 pairs of basis vectors in two different Okubo slots
-    defects = _basis_pairs(_adjoint_defect(AlbertAlgebra(q)))
+    defects = _basis_multisets(_adjoint_defect(AlbertAlgebra(q)), 2)
     assert len(defects) == 378
     assert sum(1 for d in defects.values() if d) == failing
+
+
+def test_cubic_adjoint_certificate():
+    # x^♯∘x = N(x)·1 holds on all of 𝔸_{1/2} exactly, polarized on every basis triple;
+    # x^♯ and N(x) read no q, so both q share them
+    adjoint_and_norm = functools.cache(lambda x: (sharp(x), cubic_norm(x)))
+    unit = AlbertElement.unit()
+    for q, failing in ((HALF, 0), (Fraction(1), 816)):
+        algebra = AlbertAlgebra(q)
+
+        def defect(x):
+            s, n = adjoint_and_norm(x)
+            return algebra.mul(s, x) - unit.scale(n)
+
+        defects = _basis_multisets(defect, 3)
+        assert len(defects) == 3654
+        assert sum(1 for d in defects.values() if d) == failing, q
 
 
 @pytest.mark.parametrize("q", [Fraction(-1), Fraction(3, 7)], ids=str)
@@ -358,7 +388,7 @@ def test_quadratic_adjoint_defect_closed_form(q):
         return AlbertElement(okubo_mul(x1, x2), okubo_mul(x2, x0), okubo_mul(x0, x1),
                              0, 0, 0).scale(F3(2 * q - 1))
 
-    assert _basis_pairs(_adjoint_defect(AlbertAlgebra(q))) == _basis_pairs(closed)
+    assert _basis_multisets(_adjoint_defect(AlbertAlgebra(q)), 2) == _basis_multisets(closed, 2)
 
 
 def test_inner_is_the_polarized_quadratic_norm():

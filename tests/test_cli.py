@@ -28,11 +28,14 @@ def run(capsys, *argv):
     return code, captured.out
 
 
-# sha256 of the whole stdout of three commands; a change that is meant to
+# sha256 of the whole stdout of these commands; a change that is meant to
 # keep every report byte-identical must keep these digests
 STDOUT_SHA256 = {
     ("check", "all", "--seed", "42", "--samples", "10"):
         "b029212842e566c367a00b9a30383c2fbde8fb76ac27c4aa06f1298f44365131",
+    # the one pin that prints the flavor key, and the albert suite away from q = 1/2
+    ("check", "all", "--seed", "42", "--samples", "10", "--flavor", "split", "--q", "1"):
+        "472977acb5d282e5e699ab33827e29157d76c7590ba0b665f1d0157473e9bded",
     ("table", "okubo"): "ce0b663c22bc4a95ab9dda1d05d88a8c6329e1ae384b726497bf93544cf6adf0",
     ("kernel", "e0"): "64292318a583dd0d8bc7c639c5bed9407ce02472a7864d2a792bfb236eb5e136",
     # the derivation reports print the trace-form signature; split Okubo and
@@ -187,8 +190,9 @@ def broken_okubo_constant(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["veronese", "albert", "all"])
 def test_a_suite_that_raises_on_a_broken_product_exits_one(capsys, broken_okubo_constant, suite):
-    # a plane point built with the broken product fails its own Veronese check, and
-    # the split zero divisor's annihilation check raises; each is that suite's failure
+    # a plane point built with the broken product fails its own Veronese check, which
+    # raises and is that suite's failure; the split zero divisor no longer annihilates,
+    # which the division suite reports as a check of its own
     code, out = run(capsys, "check", suite, "--seed", "3", "--samples", "4")
     assert code == EXIT_FAILURE
     report = json.loads(out)
@@ -200,8 +204,43 @@ def test_a_suite_that_raises_on_a_broken_product_exits_one(capsys, broken_okubo_
                                      "error": "representative fails the Veronese conditions"}]
     if suite == "all":
         assert [r["suite"] for r in reports] == list(SUITE_NAMES)
-        assert len(raised["division"]) == 1
+        division = reports[SUITE_NAMES.index("division")]["failures"]
+        assert raised["division"] == []
+        assert "zero-divisor-annihilation" in [f["check"] for f in division]
         assert report["failures_total"] == sum(len(r["failures"]) for r in reports) >= 1
+
+
+def test_a_broken_product_keeps_every_division_failure_and_the_witness(capsys,
+                                                                      broken_okubo_constant):
+    code, out = run(capsys, "check", "division", "--seed", "3", "--samples", "4")
+    assert code == EXIT_FAILURE
+    report = json.loads(out)
+    checks = [f["check"] for f in report["failures"]]
+    assert checks == ["left-division"] * 4 + ["zero-divisor-annihilation"]
+    assert "witness" in report
+
+
+def test_a_suite_keeps_the_failures_it_yielded_before_it_raised(capsys, monkeypatch):
+    def suite(samples, seed, flavor, q):
+        yield {"check": "found-first", "index": 0}
+        raise ValueError("then raised")
+
+    monkeypatch.setitem(cli.SUITE_FUNCS, "composition", suite)
+    code, out = run(capsys, "check", "composition", "--seed", "1", "--samples", "1")
+    assert code == EXIT_FAILURE
+    assert json.loads(out)["failures"] == [{"check": "found-first", "index": 0},
+                                           {"check": "raised", "error": "then raised"}]
+
+
+def test_run_suite_lets_an_internal_assertion_through(monkeypatch):
+    # only the arithmetic errors of a suite's own samples are its failures
+    def suite(samples, seed, flavor, q):
+        yield from ()
+        raise AssertionError("internal")
+
+    monkeypatch.setitem(cli.SUITE_FUNCS, "composition", suite)
+    with pytest.raises(AssertionError, match="internal"):
+        cli.run_suite("composition", 1, 1, None, 0)
 
 
 def test_reports_are_deterministic(capsys):

@@ -483,6 +483,22 @@ def test_module_calls_every_private_function_it_defines(path):
             assert any(isinstance(n, ast.Name) and n.id == node.name for n in rest), node.name
 
 
+def _raised_assertion_errors(tree):
+    """The lines of the ``raise AssertionError`` statements in a parsed module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}]
+
+
+def test_no_module_raises_assertion_error():
+    # a broken identity is a result (False, a check's failure entry), and `okubic check`
+    # reports only the arithmetic errors of its samples: an AssertionError is a bug
+    assert _raised_assertion_errors(ast.parse("raise AssertionError\nraise AssertionError('x')")) == [1, 2]
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _raised_assertion_errors(tree) == [], path.name
+
+
 def test_one_immutable_base_and_one_equality():
     # F3 and C3 keep numeric equality: they compare and hash like ints and
     # Fractions of the same value.

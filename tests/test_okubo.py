@@ -53,6 +53,9 @@ from okubic.okubo import (
     zero_divisor_check,
 )
 
+# both Okubo tables with cell (1, 2) doubled where the product reads them
+from test_cli import broken_okubo_constant  # noqa: F401
+
 B = OkuboElement.basis
 THIRD = F3(Fraction(1, 3))
 
@@ -248,6 +251,16 @@ def test_division_dichotomy():
     assert d.flavor == SPLIT
     assert okubo_norm(d) == F3()
     assert zero_divisor_check(d, random.Random(406), 50)
+
+
+def test_zero_divisor_check_is_false_on_a_broken_product(broken_okubo_constant):
+    # the norm reads the Gram table, so n(d) = 0 still holds, but (d*x)*d ≠ 0: a broken
+    # product is a False result, not an error
+    d = split_zero_divisor()
+    assert okubo_norm(d) == F3()
+    rng = random.Random(406)
+    assert any(okubo_mul(okubo_mul(d, sample_okubo(rng, SPLIT)), d) for _ in range(50))
+    assert zero_divisor_check(d, random.Random(406), 50) is False
 
 
 def test_left_division_solves_exactly():
