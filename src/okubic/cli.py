@@ -3,9 +3,9 @@ Veronese embedding/decoding, kernel dimensions, and derivation reports.
 
 Exit codes: 0 pass, 1 invariant failure (also a suite raising on its samples),
 2 usage error (an unwritable --out included), 3 validation error.
-All randomized suites require an explicit --seed; per-sample PRNG
-substreams are derived from (seed, index), so reports are byte-identical
-for identical flags.  Each JSON payload format has one parser, the
+All randomized suites require an explicit --seed; per-sample inputs are
+drawn by ``_draws`` from PRNG substreams derived from (seed, tag, index),
+so reports are byte-identical for identical flags.  Each JSON payload format has one parser, the
 ``from_json`` of its type; only the plane-point format is parsed here.
 """
 
@@ -111,16 +111,35 @@ def _rng_for(seed: int, index) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
+def _draws(seed, tag, count, *draws):
+    """The one sampler of the suites: (i, [draw(rng) for draw in draws]) for each
+    i < count, drawn in order from the substream of (seed, f"{tag}:{i}")."""
+    for i in range(count):
+        rng = _rng_for(seed, f"{tag}:{i}")
+        yield i, [draw(rng) for draw in draws]
+
+
 def _flavors(flavor):
     return (COMPACT, SPLIT) if flavor is None else (flavor,)
 
 
+def _okubo(flavor):
+    return functools.partial(sample_okubo, flavor=flavor)
+
+
+def _embedded(*points, **where):
+    """The ProjPoints of plane points, or None after one ``veronese-cone`` failure at
+    ``where`` when an embedded vector is off the cone: ProjPoint's check raises, and a
+    plane point, with one λ equal to 1, is never the zero vector."""
+    try:
+        return [plane_embed(p) for p in points]
+    except ValueError:
+        yield dict(check="veronese-cone", **where)
+
+
 def suite_composition(samples, seed, flavor, q):
     for fl in _flavors(flavor):
-        for i in range(samples):
-            rng = _rng_for(seed, f"composition:{fl}:{i}")
-            x = sample_okubo(rng, fl)
-            y = sample_okubo(rng, fl)
+        for i, (x, y) in _draws(seed, f"composition:{fl}", samples, _okubo(fl), _okubo(fl)):
             if okubo_norm(okubo_mul(x, y)) != okubo_norm(x) * okubo_norm(y):
                 yield dict(check="composition", flavor=fl, index=i,
                            x=x.to_json(), y=y.to_json())
@@ -128,10 +147,7 @@ def suite_composition(samples, seed, flavor, q):
 
 def suite_flexibility(samples, seed, flavor, q):
     for fl in _flavors(flavor):
-        for i in range(samples):
-            rng = _rng_for(seed, f"flexibility:{fl}:{i}")
-            x = sample_okubo(rng, fl)
-            y = sample_okubo(rng, fl)
+        for i, (x, y) in _draws(seed, f"flexibility:{fl}", samples, _okubo(fl), _okubo(fl)):
             lhs = okubo_mul(x, okubo_mul(y, x))
             rhs = okubo_mul(okubo_mul(x, y), x)
             ny = y.scale(okubo_norm(x))
@@ -145,14 +161,8 @@ def suite_division(samples, seed, flavor, q):
     if COMPACT in flavors:
         if not is_positive_definite(COMPACT):
             yield dict(check="gram-positive-definite", flavor=COMPACT)
-        for i in range(samples):
-            rng = _rng_for(seed, f"division:solve:{i}")
-            a = sample_okubo(rng, COMPACT)
-            b = sample_okubo(rng, COMPACT)
-            if not a:
-                continue
-            s = left_divide(b, a)
-            if okubo_mul(s, a) != b:
+        for i, (a, b) in _draws(seed, "division:solve", samples, sample_okubo, sample_okubo):
+            if a and okubo_mul(left_divide(b, a), a) != b:
                 yield dict(check="left-division", index=i, a=a.to_json(), b=b.to_json())
     if SPLIT in flavors:
         d = split_zero_divisor()
@@ -166,10 +176,7 @@ def suite_division(samples, seed, flavor, q):
 
 def suite_octonion(samples, seed, flavor, q):
     e = idempotent(COMPACT)
-    for i in range(samples):
-        rng = _rng_for(seed, f"octonion:{i}")
-        x = sample_okubo(rng, COMPACT)
-        y = sample_okubo(rng, COMPACT)
+    for i, (x, y) in _draws(seed, "octonion", samples, sample_okubo, sample_okubo):
         if recovered_oct_mul(e, x) != x or recovered_oct_mul(x, e) != x:
             yield dict(check="unit", index=i, x=x.to_json())
         prod = recovered_oct_mul(x, y)
@@ -189,10 +196,7 @@ def suite_trivolution(samples, seed, flavor, q):
             b = OkuboElement.basis(k, fl)
             if trivolution(b) != trivolution_polar_form(b):
                 yield dict(check="defining-formulas-agree", flavor=fl, basis=k)
-        for i in range(samples):
-            rng = _rng_for(seed, f"trivolution:{fl}:{i}")
-            x = sample_okubo(rng, fl)
-            y = sample_okubo(rng, fl)
+        for i, (x, y) in _draws(seed, f"trivolution:{fl}", samples, _okubo(fl), _okubo(fl)):
             if trivolution(trivolution(trivolution(x))) != x:
                 yield dict(check="order-three", flavor=fl, index=i, x=x.to_json())
             if trivolution(okubo_mul(x, y)) != okubo_mul(
@@ -208,22 +212,15 @@ def suite_michel_radicati(samples, seed, flavor, q):
     if mat_norm(michel_radicati_mul(wx, wy, F3())) == mat_norm(wx) * mat_norm(wy):
         yield dict(check="theta-zero-defect-expected")
     thetas = (THETA_OKUBO, -THETA_OKUBO)
-    for i in range(samples):
-        rng = _rng_for(seed, f"michel-radicati:{i}")
-        x = sample_okubo(rng, COMPACT).to_matrix()
-        y = sample_okubo(rng, COMPACT).to_matrix()
+    matrix = lambda rng: sample_okubo(rng).to_matrix()
+    traceful = lambda rng: matrix(rng) + Mat3.identity().scale(sample_rational(rng))
+    for i, (x, y) in _draws(seed, "michel-radicati", samples, matrix, matrix):
         for theta in thetas:
             prod = michel_radicati_mul(x, y, theta)
             if mat_norm(prod) != mat_norm(x) * mat_norm(y):
                 yield dict(check="composition-at-okubo-theta", index=i)
-    for i in range(max(samples // 2, 1)):
-        rng = _rng_for(seed, f"michel-radicati:traceful:{i}")
-        x = sample_okubo(rng, COMPACT).to_matrix() + Mat3.identity().scale(
-            sample_rational(rng)
-        )
-        y = sample_okubo(rng, COMPACT).to_matrix() + Mat3.identity().scale(
-            sample_rational(rng)
-        )
+    for i, (x, y) in _draws(seed, "michel-radicati:traceful", max(samples // 2, 1),
+                            traceful, traceful):
         for theta in (F3(), F3(1), THETA_OKUBO):
             xx = traceful_mul(x, x, theta)
             lhs = traceful_mul(traceful_mul(x, y, theta), xx, theta)
@@ -240,10 +237,8 @@ def suite_hurwitz(samples, seed, flavor, q):
             x, y = SplitOctonion.basis(i), SplitOctonion.basis(j)
             if oct_norm(oct_mul(x, y)) != oct_norm(x) * oct_norm(y):
                 yield dict(check="basis-composition", i=i, j=j)
-    for i in range(samples):
-        rng = _rng_for(seed, f"hurwitz:{i}")
-        x = sample_split_octonion(rng)
-        y = sample_split_octonion(rng)
+    for i, (x, y) in _draws(seed, "hurwitz", samples, sample_split_octonion,
+                            sample_split_octonion):
         if oct_norm(oct_mul(x, y)) != oct_norm(x) * oct_norm(y):
             yield dict(check="composition", index=i)
         if oct_conj(oct_conj(x)) != x:
@@ -264,10 +259,7 @@ def suite_albert(samples, seed, flavor, q):
     algebra = AlbertAlgebra(q)
     unit = AlbertElement.unit()
     jordan_clean = True
-    for i in range(samples):
-        rng = _rng_for(seed, f"albert:{i}")
-        a = sample_albert(rng)
-        b = sample_albert(rng)
+    for i, (a, b) in _draws(seed, "albert", samples, sample_albert, sample_albert):
         if algebra.mul(a, b) != algebra.mul(b, a):
             yield dict(check="commutativity", index=i)
         if algebra.mul(algebra.mul(a, b), a) != algebra.mul(a, algebra.mul(b, a)):
@@ -277,11 +269,9 @@ def suite_albert(samples, seed, flavor, q):
         if jordan_defect(algebra, a, b):
             jordan_clean = False
     if q == Fraction(1, 2):
-        for i in range(max(samples // 5, 1)):
-            rng = _rng_for(seed, f"albert:rank1:{i}")
-            p = sample_affine_point(rng)
-            eps = idempotent_from_point(plane_embed(p))
-            if not is_rank1(algebra, eps):
+        for i, (p,) in _draws(seed, "albert:rank1", max(samples // 5, 1), sample_affine_point):
+            emb = yield from _embedded(p, index=i)
+            if emb and not is_rank1(algebra, idempotent_from_point(emb[0])):
                 yield dict(check="rank1-correspondence", index=i)
     wa, wb = jordan_witness()
     return {
@@ -296,25 +286,23 @@ def suite_albert(samples, seed, flavor, q):
 def suite_veronese(samples, seed, flavor, q):
     if line_chart(line_embed(INFINITY)) is not INFINITY:
         yield dict(check="line-infinity-roundtrip")
-    for kind, builder in (
-        ("infinity", lambda rng: INFINITY),
-        ("slope", lambda rng: SlopePoint(sample_okubo(rng, COMPACT))),
-        ("affine", lambda rng: sample_affine_point(rng)),
+    for kind, draw, count in (
+        ("infinity", lambda rng: INFINITY, 1),
+        ("slope", lambda rng: SlopePoint(sample_okubo(rng)), samples),
+        ("affine", sample_affine_point, samples),
     ):
-        for i in range(samples if kind != "infinity" else 1):
-            rng = _rng_for(seed, f"veronese:{kind}:{i}")
-            p = builder(rng)
-            if kind == "affine":
-                ray = line_embed(p.x)
-                if line_chart(ray) != p.x:
-                    yield dict(check="line-roundtrip", index=i)
-            emb = plane_embed(p)
-            if plane_decode(emb) != p:
+        for i, (p,) in _draws(seed, f"veronese:{kind}", count, draw):
+            if kind == "affine" and line_chart(line_embed(p.x)) != p.x:
+                yield dict(check="line-roundtrip", index=i)
+            emb = yield from _embedded(p, kind=kind, index=i)
+            if emb and plane_decode(emb[0]) != p:
                 yield dict(check="plane-roundtrip", kind=kind, index=i)
-    for i in range(samples):
-        rng = _rng_for(seed, f"veronese:beta:{i}")
-        v = plane_embed(sample_affine_point(rng)).rep
-        w = plane_embed(sample_affine_point(rng)).rep
+    for i, points in _draws(seed, "veronese:beta", samples, sample_affine_point,
+                            sample_affine_point):
+        emb = yield from _embedded(*points, index=i)
+        if not emb:
+            continue
+        v, w = (e.rep for e in emb)
         if beta(v, w) != beta(w, v):
             yield dict(check="beta-symmetry", index=i)
         if vnorm(v) != trace(v) * trace(v):  # Veronese: Σ2n(x_ν) + Σλ_ν² = (Σλ_ν)²
@@ -335,10 +323,8 @@ def _fixed_skew_matrices():
 def suite_automorphism(samples, seed, flavor, q):
     phis = [conjugation_automorphism(s) for s in _fixed_skew_matrices()]
     lifted = lift_okubo_automorphism(phis[0])
-    for i in range(samples):
-        rng = _rng_for(seed, f"automorphism:{i}")
-        x = sample_okubo(rng, COMPACT)
-        y = sample_okubo(rng, COMPACT)
+    for i, (x, y, a, b) in _draws(seed, "automorphism", samples, sample_okubo, sample_okubo,
+                                  sample_albert, sample_albert):
         xy, nx = okubo_mul(x, y), okubo_norm(x)
         for k, phi in enumerate(phis):
             px = phi(x)
@@ -346,8 +332,6 @@ def suite_automorphism(samples, seed, flavor, q):
                 yield dict(check="cayley-multiplicative", index=i, which=k)
             if okubo_norm(px) != nx:
                 yield dict(check="cayley-isometry", index=i, which=k)
-        a = sample_albert(rng)
-        b = sample_albert(rng)
         if cyclic_shift(ALBERT_HALF.mul(a, b)) != ALBERT_HALF.mul(
             cyclic_shift(a), cyclic_shift(b)
         ):

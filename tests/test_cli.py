@@ -1,7 +1,9 @@
 """Command-line interface: suites, tables, veronese, kernel, derivations."""
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,12 @@ STDOUT_SHA256 = {
     # the one pin that prints the flavor key, and the albert suite away from q = 1/2
     ("check", "all", "--seed", "42", "--samples", "10", "--flavor", "split", "--q", "1"):
         "472977acb5d282e5e699ab33827e29157d76c7590ba0b665f1d0157473e9bded",
+    # the single-flavor loops, and division without its split witness
+    ("check", "all", "--seed", "7", "--samples", "5", "--flavor", "compact"):
+        "0373820058c09a018c3511ad504fc8a4042073a5c3ea567d4787bc9ef5e39d75",
+    # one sample: the max(samples // 5, 1) and max(samples // 2, 1) sample counts
+    ("check", "all", "--seed", "11", "--samples", "1"):
+        "6e5ff9e8858c26808dccd3d4d702c724e51cfa79c165fc05c31db570bc8e3f5a",
     ("table", "okubo"): "ce0b663c22bc4a95ab9dda1d05d88a8c6329e1ae384b726497bf93544cf6adf0",
     ("kernel", "e0"): "64292318a583dd0d8bc7c639c5bed9407ce02472a7864d2a792bfb236eb5e136",
     # the derivation reports print the trace-form signature; split Okubo and
@@ -190,22 +198,30 @@ def broken_okubo_constant(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["veronese", "albert", "all"])
 def test_a_suite_that_raises_on_a_broken_product_exits_one(capsys, broken_okubo_constant, suite):
-    # a plane point built with the broken product fails its own Veronese check, which
-    # raises and is that suite's failure; the split zero divisor no longer annihilates,
-    # which the division suite reports as a check of its own
+    # a plane point built with the broken product is off the Veronese cone: each such
+    # sample is one veronese-cone failure and its suite goes on (albert keeps its jordan
+    # extras); the split zero divisor no longer annihilates, which the division suite
+    # reports as a check of its own.  No suite raises.
     code, out = run(capsys, "check", suite, "--seed", "3", "--samples", "4")
     assert code == EXIT_FAILURE
     report = json.loads(out)
     reports = report["suites"] if suite == "all" else [report]
-    raised = {r["suite"]: [f for f in r["failures"] if f["check"] == "raised"] for r in reports}
-    for name in ("veronese", "albert"):
-        if name in raised:
-            assert raised[name] == [{"check": "raised",
-                                     "error": "representative fails the Veronese conditions"}]
+    by_name = {r["suite"]: r for r in reports}
+    for r in reports:
+        assert "raised" not in [f["check"] for f in r["failures"]], r["suite"]
+    cone = {name: [{k: v for k, v in f.items() if k != "check"}
+                   for f in r["failures"] if f["check"] == "veronese-cone"]
+            for name, r in by_name.items()}
+    if "veronese" in by_name:
+        assert cone["veronese"] == ([{"kind": "affine", "index": i} for i in range(4)]
+                                    + [{"index": i} for i in range(4)])
+    if "albert" in by_name:
+        assert cone["albert"] == [{"index": 0}]
+        assert set(by_name["albert"]["jordan"]) == {
+            "q", "defect_vanished_on_samples", "witness_defect_nonzero"}
     if suite == "all":
         assert [r["suite"] for r in reports] == list(SUITE_NAMES)
         division = reports[SUITE_NAMES.index("division")]["failures"]
-        assert raised["division"] == []
         assert "zero-divisor-annihilation" in [f["check"] for f in division]
         assert report["failures_total"] == sum(len(r["failures"]) for r in reports) >= 1
 
@@ -241,6 +257,31 @@ def test_run_suite_lets_an_internal_assertion_through(monkeypatch):
     monkeypatch.setitem(cli.SUITE_FUNCS, "composition", suite)
     with pytest.raises(AssertionError, match="internal"):
         cli.run_suite("composition", 1, 1, None, 0)
+
+
+def _rng_for_calls(tree):
+    """(enclosing function, tag) of each ``_rng_for`` call in a parsed module; the tag
+    is the literal second argument, or None when it is computed."""
+    calls = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_rng_for"):
+                    tag = node.args[1]
+                    calls.append((fn.name, tag.value if isinstance(tag, ast.Constant) else None))
+    return calls
+
+
+def test_only_the_sampler_and_two_whole_suite_substreams_call_rng_for():
+    # every per-sample input is drawn through cli._draws, so the substream rule
+    # (seed, f"{tag}:{i}") is stated once
+    sample = "def f(seed):\n    return _rng_for(seed, 'a:b'), _rng_for(seed, f'c:{seed}')"
+    assert _rng_for_calls(ast.parse(sample)) == [("f", "a:b"), ("f", None)]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert sorted(_rng_for_calls(tree)) == [("_draws", None),
+                                           ("suite_automorphism", "automorphism:triples"),
+                                           ("suite_division", "division:zero-divisor")]
 
 
 def test_reports_are_deterministic(capsys):
