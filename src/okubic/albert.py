@@ -19,7 +19,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .field import F3, Frozen, _raw_f3, sample_f3
+from .field import F3, Frozen, sample_f3
 from .linalg import COMPACT, ExactMatrix, SparseTable, bilinear, bilinear_left
 from .okubo import (
     gram_table,
@@ -29,7 +29,7 @@ from .okubo import (
     sample_okubo,
     structure_constants,
 )
-from .geometry import ProjPoint, VeroneseVector, vnorm
+from .geometry import ProjPoint, VeroneseVector, trace, vnorm
 
 HALF = F3(Fraction(1, 2))
 
@@ -80,12 +80,6 @@ class AlbertAlgebra(Frozen):
         return a._like(bilinear(_table(self.q), a.ints, b.ints))
 
 
-def trace(a: AlbertElement) -> F3:
-    """λ0 + λ1 + λ2, summed on the stored integers."""
-    na, nb, d = a.ints
-    return _raw_f3(sum(na[24:]), sum(nb[24:]), d)
-
-
 # ‖a‖ on 𝔸_q is the norm β(a, a) of V; its polarization is 2·geometry.beta
 quad_norm = vnorm
 
@@ -125,13 +119,7 @@ ALBERT_HALF = AlbertAlgebra(Fraction(1, 2))
 
 def idempotent_from_point(q: ProjPoint) -> AlbertElement:
     """Trace-1 representative of the ray; a rank-1 idempotent of 𝔸_{1/2}."""
-    a = q.rep
-    t = trace(a)
-    if not t:
-        # impossible for nonzero compact Veronese vectors: n ≥ 0 termwise
-        # and Ver-2 force a nonzero scalar coordinate
-        raise ValueError("Veronese representative has zero trace")
-    return a.scale(t.inverse())
+    return q.normal()
 
 
 def point_from_idempotent(a: AlbertElement) -> ProjPoint:

@@ -221,11 +221,13 @@ def suite_michel_radicati(samples, seed, flavor, q):
                 yield dict(check="composition-at-okubo-theta", index=i)
     for i, (x, y) in _draws(seed, "michel-radicati:traceful", max(samples // 2, 1),
                             traceful, traceful):
+        sym = x @ y + y @ x
         for theta in (F3(), F3(1), THETA_OKUBO):
+            xy = traceful_mul(x, y, theta)
+            if xy + traceful_mul(y, x, theta) != sym:
+                yield dict(check="traceful-symmetrization", index=i)
             xx = traceful_mul(x, x, theta)
-            lhs = traceful_mul(traceful_mul(x, y, theta), xx, theta)
-            rhs = traceful_mul(x, traceful_mul(y, xx, theta), theta)
-            if lhs != rhs:
+            if traceful_mul(xy, xx, theta) != traceful_mul(x, traceful_mul(y, xx, theta), theta):
                 yield dict(check="traceful-jordan", index=i)
     return {"theta_zero_witness": {"x": wx.to_json(), "y": wy.to_json()}}
 
@@ -253,6 +255,9 @@ def suite_hurwitz(samples, seed, flavor, q):
             yield dict(check="triality-automorphism", index=i)
         if petersson_mul(x, petersson_mul(y, x)) != y.scale(oct_norm(x)):
             yield dict(check="petersson-symmetric-composition", index=i)
+        if petersson_mul(x, y) != oct_mul(tau_triality(oct_conj(x)),
+                                          tau_triality(tau_triality(oct_conj(y)))):
+            yield dict(check="petersson-through-triality", index=i)
 
 
 def suite_albert(samples, seed, flavor, q):
@@ -269,10 +274,15 @@ def suite_albert(samples, seed, flavor, q):
         if jordan_defect(algebra, a, b):
             jordan_clean = False
     if q == Fraction(1, 2):
+        if is_rank1(algebra, unit.scale(Fraction(1, 3))):  # trace 1, but no point
+            yield dict(check="rank1-rejects-non-point")
         for i, (p,) in _draws(seed, "albert:rank1", max(samples // 5, 1), sample_affine_point):
-            emb = yield from _embedded(p, index=i)
-            if emb and not is_rank1(algebra, idempotent_from_point(emb[0])):
-                yield dict(check="rank1-correspondence", index=i)
+            for point in (yield from _embedded(p, index=i)) or ():
+                eps = idempotent_from_point(point)
+                if not is_rank1(algebra, eps):
+                    yield dict(check="rank1-correspondence", index=i)
+                elif point_from_idempotent(eps) != point:
+                    yield dict(check="rank1-decode", index=i)
     wa, wb = jordan_witness()
     return {
         "jordan": {
@@ -303,10 +313,13 @@ def suite_veronese(samples, seed, flavor, q):
         if not emb:
             continue
         v, w = (e.rep for e in emb)
-        if beta(v, w) != beta(w, v):
+        bvw, nv = beta(v, w), vnorm(v)
+        if bvw != beta(w, v):
             yield dict(check="beta-symmetry", index=i)
-        if vnorm(v) != trace(v) * trace(v):  # Veronese: Σ2n(x_ν) + Σλ_ν² = (Σλ_ν)²
+        if nv != trace(v) * trace(v):  # Veronese: Σ2n(x_ν) + Σλ_ν² = (Σλ_ν)²
             yield dict(check="beta-norm", index=i)
+        if 2 * bvw != vnorm(v + w) - nv - vnorm(w):
+            yield dict(check="beta-polarization", index=i)
 
 
 def _fixed_skew_matrices():
@@ -323,6 +336,9 @@ def _fixed_skew_matrices():
 def suite_automorphism(samples, seed, flavor, q):
     phis = [conjugation_automorphism(s) for s in _fixed_skew_matrices()]
     lifted = lift_okubo_automorphism(phis[0])
+    e0 = AlbertElement.scalar_idempotent(0)
+    if cyclic_shift(e0) == e0:
+        yield dict(check="cyclic-shift-moves-e0")
     for i, (x, y, a, b) in _draws(seed, "automorphism", samples, sample_okubo, sample_okubo,
                                   sample_albert, sample_albert):
         xy, nx = okubo_mul(x, y), okubo_norm(x)

@@ -76,14 +76,9 @@ class ProjLinePoint(Frozen):
         return (*self.x.coeffs, self.xi1, self.xi2)
 
     def _key(self):
-        return _ray(self.coords())
-
-
-def _ray(coords) -> tuple:
-    """The nonzero tuple scaled so that its first nonzero entry is 1:
-    F3-proportional tuples, and only they, give the same ray."""
-    inv = next(x for x in coords if x).inverse()
-    return tuple(inv * x for x in coords)
+        # the representative with ξ1 + ξ2 = 1, never 0: n(x) = ξ1ξ2 ≥ 0 gives ξ1, ξ2 one sign
+        inv = (self.xi1 + self.xi2).inverse()
+        return self.x.scale(inv), self.xi1 * inv, self.xi2 * inv
 
 
 def line_embed(p) -> ProjLinePoint:
@@ -300,42 +295,52 @@ def veronese_check(v: VeroneseVector) -> bool:
     return not sharp(v)
 
 
-class ProjPoint(Frozen):
-    """Ray of a nonzero Veronese vector."""
+def trace(v: VeroneseVector) -> F3:
+    """λ0 + λ1 + λ2, summed on the stored integers."""
+    na, nb, d = v.ints
+    return _raw_f3(sum(na[24:]), sum(nb[24:]), d)
+
+
+class _ConeRay(Frozen):
+    """Ray of a nonzero vector ``rep`` on the Veronese cone, compared by ``normal()``."""
 
     __slots__ = ("rep",)
 
     def __init__(self, rep: VeroneseVector):
         if not rep:
-            raise ValueError("zero vector does not represent a point")
+            raise ValueError(self._ZERO)
         if not veronese_check(rep):
             raise ValueError("representative fails the Veronese conditions")
         object.__setattr__(self, "rep", rep)
 
-    def _key(self):
-        return _ray(self.rep.coeffs)
-
-    def __repr__(self):
-        return f"ProjPoint({self.rep!r})"
-
-
-class ProjLine(Frozen):
-    """ℓ_w = w^⊥ for a nonzero Veronese vector w."""
-
-    __slots__ = ("w",)
-
-    def __init__(self, w: VeroneseVector):
-        if not w:
-            raise ValueError("zero vector does not define a line")
-        if not veronese_check(w):
-            raise ValueError("representative fails the Veronese conditions")
-        object.__setattr__(self, "w", w)
+    def normal(self) -> VeroneseVector:
+        """The trace-1 representative, the ray's rank-1 idempotent of 𝔸_{1/2}: on the
+        cone λ_jλ_k = n(x_i) ≥ 0, so the λ share one sign, and trace 0 forces v = 0."""
+        return self.rep.scale(trace(self.rep).inverse())
 
     def _key(self):
-        return _ray(self.w.coeffs)
+        return self.normal().ints
 
     def __repr__(self):
-        return f"ProjLine({self.w!r})"
+        return f"{type(self).__name__}({self.rep!r})"
+
+
+class ProjPoint(_ConeRay):
+    """Ray of a nonzero Veronese vector."""
+
+    __slots__ = ()
+    _ZERO = "zero vector does not represent a point"
+
+
+class ProjLine(_ConeRay):
+    """ℓ_w = w^⊥ for a nonzero Veronese vector w, stored as ``rep``."""
+
+    __slots__ = ()
+    _ZERO = "zero vector does not define a line"
+
+    @property
+    def w(self) -> VeroneseVector:
+        return self.rep
 
 
 def plane_embed(p) -> ProjPoint:

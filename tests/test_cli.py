@@ -179,6 +179,31 @@ def test_invariant_failure_exits_one_and_reports_the_inputs(capsys, monkeypatch)
     assert report["failures_total"] >= 8
 
 
+# One name of cli broken per row, which the suite's other checks all let through, and
+# the check that catches it: (name, broken value, suite, check).
+MUTANTS = {
+    "tau_triality-identity": ("tau_triality", lambda x: x, "hurwitz",
+                              "petersson-through-triality"),
+    "cyclic_shift-identity": ("cyclic_shift", lambda a: a, "automorphism",
+                              "cyclic-shift-moves-e0"),
+    "traceful_mul-projection": ("traceful_mul", lambda x, y, theta: x, "michel-radicati",
+                                "traceful-symmetrization"),
+    "beta-constant": ("beta", lambda v, w: F3(1), "veronese", "beta-polarization"),
+    "is_rank1-true": ("is_rank1", lambda algebra, a: True, "albert", "rank1-rejects-non-point"),
+    "point_from_idempotent-constant": ("point_from_idempotent",
+                                       lambda a: cli.plane_embed(cli.INFINITY), "albert",
+                                       "rank1-decode"),
+}
+
+
+@pytest.mark.parametrize("name, broken, suite, check", MUTANTS.values(), ids=MUTANTS)
+def test_each_suite_fails_on_its_mutant(capsys, monkeypatch, name, broken, suite, check):
+    monkeypatch.setattr(cli, name, broken)
+    code, out = run(capsys, "check", suite, "--seed", "3", "--samples", "5")
+    assert code == EXIT_FAILURE
+    assert check in {f["check"] for f in json.loads(out)["failures"]}
+
+
 @pytest.fixture
 def broken_okubo_constant(monkeypatch):
     """Both Okubo tables with the constants of cell (1, 2) doubled, where ``okubo_mul``

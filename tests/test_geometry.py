@@ -31,7 +31,7 @@ from okubic.geometry import (
     veronese_check,
     vnorm,
 )
-from okubic.albert import sample_albert
+from okubic.albert import idempotent_from_point, sample_albert
 from okubic.linalg import COMPACT, SPLIT, ExactMatrix, nullspace
 from okubic.okubo import (
     OkuboElement,
@@ -213,6 +213,31 @@ def test_rays_compare_and_hash_by_their_normalised_representative(sample, rescal
             for other in scaled:
                 assert other == ray and hash(other) == hash(ray)
             assert len({ray, *scaled}) == 1
+
+
+def test_a_line_point_keys_on_its_representative_with_xi_sum_one():
+    rng = random.Random(509)
+    for ray in [line_embed(INFINITY), *(line_embed(sample_okubo(rng)) for _ in range(5))]:
+        for c in (Fraction(-5, 3), 2):
+            scaled = _scaled_line_point(ray, F3(c))
+            x, xi1, xi2 = scaled._key()
+            s = scaled.xi1 + scaled.xi2  # never 0: n(x) = ξ1ξ2 ≥ 0
+            assert xi1 + xi2 == 1
+            assert (x.scale(s), xi1 * s, xi2 * s) == (scaled.x, scaled.xi1, scaled.xi2)
+
+
+def test_a_plane_ray_keys_on_its_trace_one_representative():
+    # ℓ∞ = e2^⊥ holds the points (0, 0, x; ξ1, ξ2, 0); e2 is its own trace-1 representative
+    e2 = VeroneseVector.scalar_idempotent(2)
+    rng = random.Random(510)
+    for c in (Fraction(-5, 3), 2):
+        line = ProjLine(e2.scale(F3(c)))
+        assert line.normal() == e2 and line._key() == e2.ints
+        assert not isinstance(line, ProjPoint) and line.w == line.rep
+        for p in _plane_points(rng):
+            point = ProjPoint(plane_embed(p).rep.scale(F3(c)))
+            assert point.normal() == idempotent_from_point(plane_embed(p))
+            assert point._key() == point.normal().ints
 
 
 def test_proj_lines_through_different_veronese_vectors_differ():
