@@ -1,10 +1,10 @@
 """The deformed Okubic Albert algebra on 𝒪³⊕Q(√3)³.
 
-The commutative product carries a deformation parameter q and is unital
-and flexible for every q.  The Jordan identity holds exactly at q = ±1/2
-and fails at q ∈ {0, ±1, 2}.  At q = 1/2 the rank-1 idempotents are
-exactly the trace-1 zeros of the adjoint ``geometry.sharp``, i.e. the points
-of the Okubic projective plane; the cubic norm N reads no idempotent of 𝒪.
+The commutative product carries a deformation parameter q and is unital and flexible
+for every q.  The Jordan identity holds exactly at q = ±1/2 and fails at q ∈ {0, ±1, 2}.
+At q = 1/2 the rank-1 idempotents are exactly the trace-1 zeros of the adjoint
+``geometry.sharp`` (one pass over ``geometry.adjoint_table``), i.e. the points of the
+Okubic projective plane; the cubic norm N reads no idempotent of 𝒪.
 Acceptance criterion 10 expects the opposite Jordan locus (q = ±1 Jordan,
 q = 1/2 not); ROADMAP.md item 3 records that gap with the paper.
 
@@ -19,7 +19,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .field import F3, Frozen, sample_f3
+from .field import F3, Frozen, _drawn
 from .linalg import COMPACT, ExactMatrix, SparseTable, bilinear, bilinear_left
 from .okubo import (
     gram_table,
@@ -29,7 +29,7 @@ from .okubo import (
     sample_okubo,
     structure_constants,
 )
-from .geometry import ProjPoint, VeroneseVector, trace, vnorm
+from .geometry import ProjPoint, VeroneseVector, _concat, _put, trace, vnorm
 
 HALF = F3(Fraction(1, 2))
 
@@ -46,22 +46,17 @@ def _table(q: F3):
     sc = structure_constants(COMPACT).cells
     g = gram_table(COMPACT).cells
     table = [[()] * 27 for _ in range(27)]
-
-    def put(a, b, cell):
-        # the product is commutative: one cell for both orders
-        table[a][b] = table[b][a] = tuple(cell)
-
-    for i in range(3):
+    for i in range(3):  # the product is commutative: one cell for both orders
         j, k = (i + 1) % 3, (i + 2) % 3
-        put(24 + i, 24 + i, [(24 + i, F3(1))])
+        _put(table, 24 + i, 24 + i, [(24 + i, F3(1))])
         for s in range(8):
             a = 8 * i + s
-            put(24 + j, a, [(a, HALF)])
-            put(24 + k, a, [(a, HALF)])
+            _put(table, 24 + j, a, [(a, HALF)])
+            _put(table, 24 + k, a, [(a, HALF)])
             for t in range(8):
                 for _, c in g[s][t]:
-                    put(a, 8 * i + t, [(24 + l, c * HALF) for l in (j, k)])
-                put(a, 8 * j + t, [(8 * k + m, q * c) for m, c in sc[s][t]])
+                    _put(table, a, 8 * i + t, [(24 + l, c * HALF) for l in (j, k)])
+                _put(table, a, 8 * j + t, [(8 * k + m, q * c) for m, c in sc[s][t]])
     return SparseTable(table)
 
 
@@ -158,10 +153,12 @@ def transposition_defect(algebra: AlbertAlgebra, a: AlbertElement, b: AlbertElem
 
 
 def lift_okubo_automorphism(phi):
-    """Lift φ ∈ Aut(𝒪) slotwise: Φ(x_ν;λ_ν) = (φ(x_ν); λ_ν)."""
+    """Lift φ ∈ Aut(𝒪) slotwise: Φ(x_ν;λ_ν) = (φ(x_ν); λ_ν), written from φ's stored
+    outputs and the λ of a's stored integers."""
 
     def lifted(a: AlbertElement) -> AlbertElement:
-        return AlbertElement(*(phi(xi) for xi in a.x), *a.lam)
+        na, nb, d = a.ints
+        return a._like(_concat([phi(xi).ints for xi in a.x] + [(na[24:], nb[24:], d)]))
 
     return lifted
 
@@ -181,6 +178,6 @@ def is_graded_triple(phi0, phi1, phi2, rng: random.Random, samples: int = 50) ->
 
 
 def sample_albert(rng: random.Random) -> AlbertElement:
-    return AlbertElement(
-        *(sample_okubo(rng) for _ in range(3)), *(sample_f3(rng) for _ in range(3))
-    )
+    """Three Okubo slots as ``sample_okubo`` draws them, then λ0, λ1, λ2 as ``sample_f3``
+    does: the 27 flat coordinates in order (108 draws), in the stored form."""
+    return AlbertElement._from_ints(_drawn(rng, 27))

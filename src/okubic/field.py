@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -315,9 +315,22 @@ def sample_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
 
 
+def _drawn(rng: random.Random, count: int, sqrt3: bool = True):
+    """The stored form (na, nb, d) of ``count`` coordinates a + b√3 drawn in turn, a then b
+    as ``sample_rational`` draws one (b = 0, undrawn, when not ``sqrt3``): the numerators
+    over the lcm of the denominators, with one gcd divided out."""
+    nums = []
+    for _ in range(count):
+        an, ad = rng.randint(-9, 9), rng.choice((1, 2, 3))
+        bn, bd = (rng.randint(-9, 9), rng.choice((1, 2, 3))) if sqrt3 else (0, 1)
+        nums.append((an * bd, bn * ad, ad * bd))
+    d = lcm(*(e for _, _, e in nums))
+    na, nb = [a * (d // e) for a, _, e in nums], [b * (d // e) for _, b, e in nums]
+    g = gcd(d, *na, *nb)
+    return tuple(a // g for a in na), tuple(b // g for b in nb), d // g
+
+
 def sample_f3(rng: random.Random) -> F3:
-    """a + b√3 for a, b drawn as ``sample_rational`` draws them, in its order,
-    built as one integer triple."""
-    an, ad = rng.randint(-9, 9), rng.choice((1, 2, 3))
-    bn, bd = rng.randint(-9, 9), rng.choice((1, 2, 3))
-    return _raw_f3(an * bd, bn * ad, ad * bd)
+    """a + b√3 for a, then b, drawn as ``sample_rational`` draws them: four draws."""
+    (a,), (b,), d = _drawn(rng, 1)
+    return _raw_f3(a, b, d)

@@ -2,9 +2,9 @@
 
 The projective line is the quadric {ℝ(x, ξ1, ξ2) : n(x) = ξ1ξ2}; the
 projective plane consists of rays on the Veronese cone v^♯ = 0 (``sharp``) in
-𝒪³×Q(√3)³, with incidence given by the bilinear form β, a one-coordinate
-``bilinear`` table (``beta_table``) built from the Okubo Gram table.
-Everything here is for the compact (division) flavor only.
+𝒪³×Q(√3)³, with incidence given by the bilinear form β; each is one pass over a
+closed-form ``bilinear`` table built from the Okubo tables (``adjoint_table``,
+``beta_table``).  Everything here is for the compact (division) flavor only.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .okubo import (
     okubo_norm,
     left_divide,
     sample_okubo,
+    structure_constants,
 )
 
 
@@ -193,13 +194,12 @@ class SlopePoint(Frozen):
 
 
 def _concat(pieces):
-    """The stored form of the vector whose coordinates are those of the stored forms
-    (na, nb, d) of ``pieces`` in turn, over the lcm of their denominators, which keeps
-    it gcd-reduced."""
+    """The stored form of the vector whose coordinates are those of the forms (na, nb, d)
+    of ``pieces`` in turn, over the lcm of their denominators, with one gcd divided out."""
     d = math.lcm(*(e for _, _, e in pieces))
     scaled = [(d // e, na, nb) for na, nb, e in pieces]
-    return (tuple(m * x for m, na, _ in scaled for x in na),
-            tuple(m * x for m, _, nb in scaled for x in nb), d)
+    return _canonical(([m * x for m, na, _ in scaled for x in na],
+                       [m * x for m, _, nb in scaled for x in nb]), d)
 
 
 class VeroneseVector(Vector):
@@ -282,12 +282,36 @@ class VeroneseVector(Vector):
         return cls(x0, x1, x2, l0, l1, l2)
 
 
+def _put(cells, a, b, cell):
+    """Set cell (a, b) of a symmetric table, which is cell (b, a) too."""
+    cells[a][b] = cells[b][a] = tuple(cell)
+
+
+@functools.cache
+def adjoint_table() -> SparseTable:
+    """The symmetric table B with B(v, v) = v^♯ and 2B(v, w) = v×w, the cross product, from
+    the compact Okubo structure constants and Gram table: for each cyclic (i, j, k),
+    B((x; λ), (y; μ)) has slot i (x_j*y_k + y_j*x_k - λ_i y_i - μ_i x_i)/2 and scalar i
+    (λ_jμ_k + μ_jλ_k - ⟨x_i, y_i⟩)/2."""
+    sc, g = structure_constants(COMPACT).cells, gram_table(COMPACT).cells
+    half = F3(1) / 2
+    cells = [[()] * 27 for _ in range(27)]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        _put(cells, 24 + j, 24 + k, [(24 + i, half)])
+        for s in range(8):
+            _put(cells, 24 + i, 8 * i + s, [(8 * i + s, -half)])
+            for t in range(8):
+                _put(cells, 8 * j + s, 8 * k + t, [(8 * i + m, c * half) for m, c in sc[s][t]])
+                _put(cells, 8 * i + s, 8 * i + t, [(24 + i, -c * half) for _, c in g[s][t]])
+    return SparseTable(cells)
+
+
 def sharp(v: VeroneseVector) -> VeroneseVector:
-    """The adjoint v^♯ = (x_j*x_k - λ_i x_i ; λ_jλ_k - n(x_i)) over the cyclic (i, j, k):
-    the Veronese cone is its zero set, and N(v) = β(v^♯, v)/3."""
-    x, lam, cyc = v.x, v.lam, ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    return VeroneseVector(*(okubo_mul(x[j], x[k]) - x[i].scale(lam[i]) for i, j, k in cyc),
-                          *(lam[j] * lam[k] - okubo_norm(x[i]) for i, j, k in cyc))
+    """The adjoint v^♯ = (x_j*x_k - λ_i x_i ; λ_jλ_k - n(x_i)) over the cyclic (i, j, k),
+    one ``bilinear`` pass over ``adjoint_table``: the Veronese cone is its zero set, and
+    N(v) = β(v^♯, v)/3."""
+    return v._like(bilinear(adjoint_table(), v.ints, v.ints))
 
 
 def veronese_check(v: VeroneseVector) -> bool:

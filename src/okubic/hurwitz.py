@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .field import Rational, parse_rational, render_rational, sample_rational
+from .field import Rational, _drawn, parse_rational, render_rational
 from .linalg import SparseTable, Vector, bilinear
 
 BASIS_LABELS = ("e1", "e2", "u1", "u2", "u3", "v1", "v2", "v3")
@@ -150,4 +150,6 @@ def petersson_structure_constants():
 
 
 def sample_split_octonion(rng: random.Random) -> SplitOctonion:
-    return SplitOctonion([sample_rational(rng) for _ in range(8)])
+    """The 8 coefficients in basis order, each as ``sample_rational`` draws one (16
+    draws), in the stored form."""
+    return SplitOctonion._from_ints(_drawn(rng, 8, sqrt3=False))

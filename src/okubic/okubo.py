@@ -23,7 +23,7 @@ import math
 import random
 from fractions import Fraction
 
-from .field import F3, _raw_f3, sample_f3
+from .field import F3, _drawn, _raw_f3
 from .linalg import (
     COMPACT,
     SPLIT,
@@ -408,4 +408,8 @@ def conjugation_automorphism(s: Mat3):
 
 
 def sample_okubo(rng: random.Random, flavor: str = COMPACT) -> OkuboElement:
-    return OkuboElement([sample_f3(rng) for _ in range(8)], flavor)
+    """The 8 coefficients in basis order, each as ``sample_f3`` draws one (32 draws), in
+    the stored form; an unknown flavor raises ValueError after the draws."""
+    ints = _drawn(rng, 8)
+    _gamma(flavor)
+    return OkuboElement._from_ints(ints, flavor)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from okubic import albert, cli, okubo
+from okubic import albert, cli, geometry, okubo
 from okubic.albert import AlbertAlgebra, AlbertElement
 from okubic.cli import (
     EXIT_FAILURE,
@@ -249,6 +249,27 @@ def test_a_suite_that_raises_on_a_broken_product_exits_one(capsys, broken_okubo_
         division = reports[SUITE_NAMES.index("division")]["failures"]
         assert "zero-divisor-annihilation" in [f["check"] for f in division]
         assert report["failures_total"] == sum(len(r["failures"]) for r in reports) >= 1
+
+
+@pytest.mark.parametrize("suite, cone", [
+    ("veronese", [{"kind": "affine", "index": i} for i in range(5)]
+     + [{"index": i} for i in range(5)]),
+    ("albert", [{"index": 0}]),
+], ids=["veronese", "albert"])
+def test_a_broken_adjoint_constant_fails_the_cone_checks(capsys, monkeypatch, suite, cone):
+    # the cone test reads only the adjoint table: with one cross-slot constant doubled (the
+    # slot-0 output of x1*y2, Okubo cell (1, 2)), each affine point built by the correct
+    # product leaves the cone and is its sample's veronese-cone failure
+    cells = [list(row) for row in geometry.adjoint_table().cells]
+    cells[9][18] = cells[18][9] = tuple((k, c + c) for k, c in cells[9][18])
+    broken = SparseTable(cells)
+    monkeypatch.setattr(geometry, "adjoint_table", lambda: broken)
+    code, out = run(capsys, "check", suite, "--seed", "3", "--samples", "5")
+    assert code == EXIT_FAILURE
+    failures = json.loads(out)["failures"]
+    assert [{k: v for k, v in f.items() if k != "check"}
+            for f in failures if f["check"] == "veronese-cone"] == cone
+    assert "raised" not in [f["check"] for f in failures]
 
 
 def test_a_broken_product_keeps_every_division_failure_and_the_witness(capsys,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from okubic import field
+from okubic.albert import AlbertElement, sample_albert
 from okubic.field import (
     C3,
     F3,
@@ -14,6 +16,10 @@ from okubic.field import (
     sample_f3,
     sample_rational,
 )
+from okubic.geometry import AffinePoint, sample_affine_point
+from okubic.hurwitz import SplitOctonion, sample_split_octonion
+from okubic.linalg import COMPACT, SPLIT
+from okubic.okubo import OkuboElement, sample_okubo
 
 
 def test_rational_render_parse_roundtrip():
@@ -152,3 +158,71 @@ def test_sample_f3_is_two_sample_rationals():
             assert (type(got), got._an, got._bn, got._d) == (F3, want._an, want._bn, want._d)
             assert hash(got) == hash(want)
             assert rng.getstate() == ref.getstate()
+
+
+def _sample_okubo_by_scalars(rng, flavor=COMPACT):
+    """Eight coefficients drawn as two sample_rationals each and coerced by the constructor:
+    the oracle for ``sample_okubo``."""
+    return OkuboElement([F3(sample_rational(rng), sample_rational(rng)) for _ in range(8)],
+                        flavor)
+
+
+def _sample_albert_by_scalars(rng):
+    """Three Okubo slots, then three λ, through the coercing constructor: the oracle for
+    ``sample_albert``."""
+    return AlbertElement(*(_sample_okubo_by_scalars(rng) for _ in range(3)),
+                         *(F3(sample_rational(rng), sample_rational(rng)) for _ in range(3)))
+
+
+def _sample_split_octonion_by_scalars(rng):
+    """Eight sample_rationals through the coercing constructor: the oracle for
+    ``sample_split_octonion``."""
+    return SplitOctonion([sample_rational(rng) for _ in range(8)])
+
+
+def _sample_affine_point_by_scalars(rng):
+    """Two Okubo elements as ``_sample_okubo_by_scalars`` draws them: the oracle for
+    ``sample_affine_point``."""
+    return AffinePoint(_sample_okubo_by_scalars(rng), _sample_okubo_by_scalars(rng))
+
+
+def _stored(value):
+    """The stored integers of a sampled value (both coordinates of an affine point)."""
+    if isinstance(value, AffinePoint):
+        return _stored(value.x), _stored(value.y)
+    return type(value), getattr(value, "flavor", None), value.ints
+
+
+SAMPLERS = {
+    "okubo-compact": (sample_okubo, _sample_okubo_by_scalars),
+    "okubo-split": (lambda rng: sample_okubo(rng, SPLIT),
+                    lambda rng: _sample_okubo_by_scalars(rng, SPLIT)),
+    "albert": (sample_albert, _sample_albert_by_scalars),
+    "split-octonion": (sample_split_octonion, _sample_split_octonion_by_scalars),
+    "affine-point": (sample_affine_point, _sample_affine_point_by_scalars),
+}
+
+
+@pytest.mark.parametrize("sampler, oracle", SAMPLERS.values(), ids=SAMPLERS)
+def test_samplers_write_the_stored_form_of_their_draws(monkeypatch, sampler, oracle):
+    # the same stored integers and the same stream left behind as the coercing
+    # constructors on scalar draws, with no F3 built in between
+    built = []
+    init_f3 = field._init_f3
+    monkeypatch.setattr(field, "_init_f3", lambda *args: built.append(1) or init_f3(*args))
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = sampler(rng)
+        assert not built, seed
+        assert _stored(got) == _stored(oracle(ref))
+        assert rng.getstate() == ref.getstate()
+        built.clear()
+
+
+def test_sample_okubo_rejects_an_unknown_flavor_after_its_draws():
+    rng, ref = random.Random(7), random.Random(7)
+    with pytest.raises(ValueError):
+        sample_okubo(rng, "bogus")
+    with pytest.raises(ValueError):
+        _sample_okubo_by_scalars(ref, "bogus")
+    assert rng.getstate() == ref.getstate()

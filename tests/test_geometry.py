@@ -18,6 +18,7 @@ from okubic.geometry import (
     ProjPoint,
     SlopePoint,
     VeroneseVector,
+    adjoint_table,
     affine_incident,
     affine_join,
     beta,
@@ -32,7 +33,8 @@ from okubic.geometry import (
     vnorm,
 )
 from okubic.albert import idempotent_from_point, sample_albert
-from okubic.linalg import COMPACT, SPLIT, ExactMatrix, nullspace
+from okubic.derivations import _q_form
+from okubic.linalg import COMPACT, SPLIT, ExactMatrix, bilinear, nullspace
 from okubic.okubo import (
     OkuboElement,
     gram_matrix,
@@ -89,6 +91,14 @@ def _veronese_by_conditions(v):
         and okubo_norm(x1) == l2 * l0
         and okubo_norm(x2) == l0 * l1
     )
+
+
+def _sharp_by_slots(v):
+    """v^♯ = (x_j*x_k - λ_i x_i ; λ_jλ_k - n(x_i)) over the cyclic (i, j, k), slot by slot
+    through Okubo products, scales and norms: the oracle for ``sharp``."""
+    x, lam, cyc = v.x, v.lam, ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    return VeroneseVector(*(okubo_mul(x[j], x[k]) - x[i].scale(lam[i]) for i, j, k in cyc),
+                          *(lam[j] * lam[k] - okubo_norm(x[i]) for i, j, k in cyc))
 
 
 def _cone_samples(seed):
@@ -338,6 +348,45 @@ def test_veronese_check_matches_the_six_conditions():
     # the seed moves λ0 of ∞'s vector (0; 1, 0, 0), which stays on the cone; every
     # other move leaves it
     assert [i for i, v in enumerate(perturbed) if veronese_check(v)] == [0]
+
+
+def _adjoint_samples(seed):
+    """The 27 basis vectors, the 351 sums of two of them, 40 seeded Albert elements and
+    the plane points of ``_cone_samples``, of all three kinds."""
+    basis = [VeroneseVector.from_coords([int(k == a) for k in range(27)]) for a in range(27)]
+    sums = [u + w for u, w in itertools.combinations(basis, 2)]
+    rng = random.Random(seed)
+    return basis + sums + [sample_albert(rng) for _ in range(40)] + _cone_samples(seed)[0]
+
+
+def test_sharp_is_the_slotwise_adjoint_bit_for_bit():
+    vs = _adjoint_samples(510)
+    assert len(vs) == 27 + 351 + 40 + 31
+    for v in vs:
+        got, want = sharp(v), _sharp_by_slots(v)
+        assert (type(got), got.ints) == (type(want), want.ints), v
+
+
+def test_adjoint_table_is_symmetric_with_a_q_form():
+    table = adjoint_table()
+    assert table is adjoint_table()
+    symmetric, rows = table.terms
+    assert symmetric and table.ints == tuple(zip(*table.ints))
+    # 468 nonempty cells and 774 constants, of which one pass reads 246 and 399
+    assert sum(map(len, table.nonzero)) == 468
+    assert sum(len(cell) for row in table.nonzero for _, cell in row) == 774
+    assert sum(map(len, rows)) == 246
+    assert sum(len({*rat, *sq}) for row in rows for _, rat, sq in row) == 399
+    assert _q_form(table) is not None
+
+
+def test_adjoint_table_polarizes_sharp():
+    # B(v, w) = ((v + w)^♯ - v^♯ - w^♯)/2, half the cross product v×w
+    vs = _adjoint_samples(511)[::7]
+    for v, w in zip(vs, vs[1:] + vs[:1]):
+        b = v._like(bilinear(adjoint_table(), v.ints, w.ints))
+        assert b == (sharp(v + w) - sharp(v) - sharp(w)).scale(Fraction(1, 2))
+        assert b == w._like(bilinear(adjoint_table(), w.ints, v.ints))
 
 
 def test_sharp_pinned_values():
