@@ -127,12 +127,12 @@ def _okubo(flavor):
     return functools.partial(sample_okubo, flavor=flavor)
 
 
-def _embedded(*points, **where):
-    """The ProjPoints of plane points, or None after one ``veronese-cone`` failure at
-    ``where`` when an embedded vector is off the cone: ProjPoint's check raises, and a
-    plane point, with one λ equal to 1, is never the zero vector."""
+def _embedded(embed, *points, **where):
+    """The rays ``embed`` makes of ``points``, or None after one ``veronese-cone`` failure at
+    ``where`` when one is off the cone: the ray's check raises, and a plane or line point,
+    with one λ equal to 1, is never the zero vector."""
     try:
-        return [plane_embed(p) for p in points]
+        return [embed(p) for p in points]
     except ValueError:
         yield dict(check="veronese-cone", **where)
 
@@ -278,7 +278,7 @@ def suite_albert(samples, seed, flavor, q):
         if is_rank1(algebra, unit.scale(Fraction(1, 3))):  # trace 1, but no point
             yield dict(check="rank1-rejects-non-point")
         for i, (p,) in _draws(seed, "albert:rank1", max(samples // 5, 1), sample_affine_point):
-            for point in (yield from _embedded(p, index=i)) or ():
+            for point in (yield from _embedded(plane_embed, p, index=i)) or ():
                 eps = idempotent_from_point(point)
                 if not is_rank1(algebra, eps):
                     yield dict(check="rank1-correspondence", index=i)
@@ -295,22 +295,25 @@ def suite_albert(samples, seed, flavor, q):
 
 
 def suite_veronese(samples, seed, flavor, q):
-    if line_chart(line_embed(INFINITY)) is not INFINITY:
-        yield dict(check="line-infinity-roundtrip")
+    for line in (yield from _embedded(line_embed, INFINITY, kind="line")) or ():
+        if line_chart(line) is not INFINITY:
+            yield dict(check="line-infinity-roundtrip")
     for kind, draw, count in (
         ("infinity", lambda rng: INFINITY, 1),
         ("slope", lambda rng: SlopePoint(sample_okubo(rng)), samples),
         ("affine", sample_affine_point, samples),
     ):
         for i, (p,) in _draws(seed, f"veronese:{kind}", count, draw):
-            if kind == "affine" and line_chart(line_embed(p.x)) != p.x:
-                yield dict(check="line-roundtrip", index=i)
-            emb = yield from _embedded(p, kind=kind, index=i)
+            if kind == "affine":
+                for line in (yield from _embedded(line_embed, p.x, kind="line", index=i)) or ():
+                    if line_chart(line) != p.x:
+                        yield dict(check="line-roundtrip", index=i)
+            emb = yield from _embedded(plane_embed, p, kind=kind, index=i)
             if emb and plane_decode(emb[0]) != p:
                 yield dict(check="plane-roundtrip", kind=kind, index=i)
     for i, points in _draws(seed, "veronese:beta", samples, sample_affine_point,
                             sample_affine_point):
-        emb = yield from _embedded(*points, index=i)
+        emb = yield from _embedded(plane_embed, *points, index=i)
         if not emb:
             continue
         v, w = (e.rep for e in emb)

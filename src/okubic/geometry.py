@@ -1,10 +1,10 @@
 """Okubic projective line, affine plane, and projective plane.
 
-The projective line is the quadric {ℝ(x, ξ1, ξ2) : n(x) = ξ1ξ2}; the
-projective plane consists of rays on the Veronese cone v^♯ = 0 (``sharp``) in
+The projective plane consists of rays on the Veronese cone v^♯ = 0 (``sharp``) in
 𝒪³×Q(√3)³, with incidence given by the bilinear form β; each is one pass over a
 closed-form ``bilinear`` table built from the Okubo tables (``adjoint_table``,
-``beta_table``).  Everything here is for the compact (division) flavor only.
+``beta_table``).  The projective line, the quadric n(x) = ξ1ξ2, is the plane's line at
+infinity ℓ∞ = e2^⊥.  Everything here is for the compact (division) flavor only.
 """
 
 from __future__ import annotations
@@ -52,51 +52,6 @@ def _require_compact(*xs: OkuboElement) -> None:
     for x in xs:
         if x.flavor != COMPACT:
             raise NotCompactError("the Okubic geometry is defined over the compact flavor")
-
-
-class ProjLinePoint(Frozen):
-    """Ray ℝ(x, ξ1, ξ2) on the quadric n(x) - ξ1ξ2 = 0."""
-
-    __slots__ = ("x", "xi1", "xi2")
-
-    def __init__(self, x: OkuboElement, xi1, xi2):
-        _require_compact(x)
-        xi1, xi2 = F3.coerce(xi1), F3.coerce(xi2)
-        if not (x or xi1 or xi2):
-            raise ValueError("zero vector does not represent a point")
-        if okubo_norm(x) != xi1 * xi2:
-            raise ValueError("vector is not on the quadric n(x) = ξ1ξ2")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi1", xi1)
-        object.__setattr__(self, "xi2", xi2)
-
-    def __repr__(self):
-        return f"ProjLinePoint({self.x!r}, {self.xi1}, {self.xi2})"
-
-    def coords(self):
-        return (*self.x.coeffs, self.xi1, self.xi2)
-
-    def _key(self):
-        # the representative with ξ1 + ξ2 = 1, never 0: n(x) = ξ1ξ2 ≥ 0 gives ξ1, ξ2 one sign
-        inv = (self.xi1 + self.xi2).inverse()
-        return self.x.scale(inv), self.xi1 * inv, self.xi2 * inv
-
-
-def line_embed(p) -> ProjLinePoint:
-    """x ↦ ℝ(x, n(x), 1); ∞ ↦ ℝ(0, 1, 0)."""
-    if p is INFINITY:
-        return ProjLinePoint(OkuboElement.zero(), F3(1), F3(0))
-    _require_compact(p)
-    return ProjLinePoint(p, okubo_norm(p), F3(1))
-
-
-def line_chart(q: ProjLinePoint):
-    """Inverse of line_embed: x/ξ2 when ξ2 ≠ 0, else ∞ (forcing x = 0)."""
-    if q.xi2:
-        return q.x.scale(q.xi2.inverse())
-    if q.x:
-        raise ValueError("quadric member with ξ2 = 0 and x != 0 cannot exist")
-    return INFINITY
 
 
 class AffinePoint(Frozen):
@@ -245,12 +200,15 @@ class VeroneseVector(Vector):
         before, after = (0,) * (8 * i), (0,) * (19 - 8 * i)
         return cls._from_ints((before + na + after, before + nb + after, d))
 
+    def slot(self, i: int) -> OkuboElement:
+        """The Okubo slot x_i, read from the stored integers."""
+        (na, nb, d), k = self.ints, 8 * i
+        return OkuboElement._from_ints(_canonical((na[k:k + 8], nb[k:k + 8]), d))
+
     @property
     def x(self):
         """The Okubo slots (x0, x1, x2)."""
-        na, nb, d = self.ints
-        return tuple(OkuboElement._from_ints(_canonical((na[k:k + 8], nb[k:k + 8]), d))
-                     for k in (0, 8, 16))
+        return tuple(map(self.slot, range(3)))
 
     @property
     def lam(self):
@@ -329,6 +287,7 @@ class _ConeRay(Frozen):
     """Ray of a nonzero vector ``rep`` on the Veronese cone, compared by ``normal()``."""
 
     __slots__ = ("rep",)
+    _ZERO = "zero vector does not represent a point"
 
     def __init__(self, rep: VeroneseVector):
         if not rep:
@@ -353,7 +312,6 @@ class ProjPoint(_ConeRay):
     """Ray of a nonzero Veronese vector."""
 
     __slots__ = ()
-    _ZERO = "zero vector does not represent a point"
 
 
 class ProjLine(_ConeRay):
@@ -365,6 +323,29 @@ class ProjLine(_ConeRay):
     @property
     def w(self) -> VeroneseVector:
         return self.rep
+
+
+class ProjLinePoint(_ConeRay):
+    """Ray ℝ(x, ξ1, ξ2) on the quadric n(x) = ξ1ξ2, stored as the point ``rep`` =
+    (0, 0, x; ξ1, ξ2, 0) of ℓ∞, where v^♯ = 0 is n(x) = ξ1ξ2 and the trace is ξ1 + ξ2."""
+
+    __slots__ = ()
+
+    def __init__(self, x: OkuboElement, xi1, xi2):
+        z = OkuboElement.zero()
+        super().__init__(VeroneseVector(z, z, x, xi1, xi2, 0))
+
+    @property
+    def x(self) -> OkuboElement:
+        return self.rep.slot(2)
+
+    @property
+    def xi1(self) -> F3:
+        return self.rep.lam[0]
+
+    @property
+    def xi2(self) -> F3:
+        return self.rep.lam[1]
 
 
 def plane_embed(p) -> ProjPoint:
@@ -396,12 +377,25 @@ def plane_decode(q: ProjPoint):
     l0, l1, l2 = v.lam
     if l2:
         inv = l2.inverse()
-        return AffinePoint(v.x[0].scale(inv), v.x[1].scale(inv))
+        return AffinePoint(v.slot(0).scale(inv), v.slot(1).scale(inv))
     if l1:
-        return SlopePoint(v.x[2].scale(l1.inverse()))
+        return SlopePoint(v.slot(2).scale(l1.inverse()))
     if l0:
         return INFINITY
     raise ValueError("Veronese vector with all λ zero cannot be a point")
+
+
+def line_embed(p) -> ProjLinePoint:
+    """x ↦ ℝ(x, n(x), 1); ∞ ↦ ℝ(0, 1, 0): the vectors ``plane_embed`` gives (x) and (∞)."""
+    if p is INFINITY:
+        return ProjLinePoint(OkuboElement.zero(), 1, 0)
+    return ProjLinePoint(p, okubo_norm(p), 1)
+
+
+def line_chart(q: ProjLinePoint):
+    """Inverse of ``line_embed``, ``plane_decode`` on ℓ∞: (s) gives s, and (∞) gives ∞."""
+    p = plane_decode(q)
+    return p if p is INFINITY else p.s
 
 
 @functools.cache

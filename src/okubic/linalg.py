@@ -293,11 +293,11 @@ class Mat3(Vector):
 
     @classmethod
     def zero(cls) -> Mat3:
-        return cls([[0, 0, 0]] * 3)
+        return cls._from_ints(((0,) * 9,) * 4 + (1,))
 
     @classmethod
     def identity(cls) -> Mat3:
-        return cls([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        return cls._from_ints(((1, 0, 0, 0, 1, 0, 0, 0, 1),) + ((0,) * 9,) * 3 + (1,))
 
     @classmethod
     def diag(cls, a, b, c) -> Mat3:

@@ -272,6 +272,24 @@ def test_a_broken_adjoint_constant_fails_the_cone_checks(capsys, monkeypatch, su
     assert "raised" not in [f["check"] for f in failures]
 
 
+def test_a_broken_adjoint_scalar_fails_the_line_points_in_their_own_samples(capsys, monkeypatch):
+    # λ0·μ1 → scalar 2 doubled: slot 2 of the adjoint reads 2λ0λ1 - n(x2), so every line
+    # point (0, 0, x; n(x), 1, 0) with x ≠ 0, each slope point and each affine point leave
+    # the cone, and (∞) = (0, 0, 0; 1, 0, 0) stays on it
+    cells = [list(row) for row in geometry.adjoint_table().cells]
+    cells[24][25] = cells[25][24] = tuple((k, c + c) for k, c in cells[24][25])
+    broken = SparseTable(cells)
+    monkeypatch.setattr(geometry, "adjoint_table", lambda: broken)
+    code, out = run(capsys, "check", "veronese", "--seed", "3", "--samples", "5")
+    assert code == EXIT_FAILURE
+    failures = json.loads(out)["failures"]
+    assert failures == (
+        [{"check": "veronese-cone", "kind": "slope", "index": i} for i in range(5)]
+        + [{"check": "veronese-cone", "kind": kind, "index": i}
+           for i in range(5) for kind in ("line", "affine")]
+        + [{"check": "veronese-cone", "index": i} for i in range(5)])
+
+
 def test_a_broken_product_keeps_every_division_failure_and_the_witness(capsys,
                                                                       broken_okubo_constant):
     code, out = run(capsys, "check", "division", "--seed", "3", "--samples", "4")

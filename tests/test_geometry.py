@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from okubic.field import F3
+from okubic.field import F3, sample_f3
 from okubic.geometry import (
     INFINITY,
     AffineLine,
@@ -32,7 +32,7 @@ from okubic.geometry import (
     veronese_check,
     vnorm,
 )
-from okubic.albert import idempotent_from_point, sample_albert
+from okubic.albert import idempotent_from_point, point_from_idempotent, sample_albert
 from okubic.derivations import _q_form
 from okubic.linalg import COMPACT, SPLIT, ExactMatrix, bilinear, nullspace
 from okubic.okubo import (
@@ -226,14 +226,74 @@ def test_rays_compare_and_hash_by_their_normalised_representative(sample, rescal
 
 
 def test_a_line_point_keys_on_its_representative_with_xi_sum_one():
+    # the representative (0, 0, x; ξ1, ξ2, 0) over its trace ξ1 + ξ2
     rng = random.Random(509)
     for ray in [line_embed(INFINITY), *(line_embed(sample_okubo(rng)) for _ in range(5))]:
         for c in (Fraction(-5, 3), 2):
             scaled = _scaled_line_point(ray, F3(c))
-            x, xi1, xi2 = scaled._key()
-            s = scaled.xi1 + scaled.xi2  # never 0: n(x) = ξ1ξ2 ≥ 0
-            assert xi1 + xi2 == 1
-            assert (x.scale(s), xi1 * s, xi2 * s) == (scaled.x, scaled.xi1, scaled.xi2)
+            normal = scaled.normal()
+            inv = (scaled.xi1 + scaled.xi2).inverse()  # never 0: n(x) = ξ1ξ2 ≥ 0
+            assert scaled._key() == normal.ints
+            l0, l1, l2 = normal.lam
+            assert l0 + l1 == 1 and (l0, l1) == (scaled.xi1 * inv, scaled.xi2 * inv)
+            assert normal.slot(2) == scaled.x.scale(inv)
+            assert normal.x[:2] == (Z, Z) and not l2
+
+
+def _key_with_xi_sum_one(ray):
+    """The projective line's own normal form: (x, ξ1, ξ2) over ξ1 + ξ2, as F3 values."""
+    inv = (ray.xi1 + ray.xi2).inverse()
+    return ray.x.scale(inv), ray.xi1 * inv, ray.xi2 * inv
+
+
+def test_line_points_group_as_their_xi_sum_one_forms():
+    rng = random.Random(511)
+    rays = [line_embed(INFINITY), line_embed(Z), line_embed(E)]
+    rays += [line_embed(sample_okubo(rng)) for _ in range(200)]
+    rays += [_scaled_line_point(ray, F3(c)) for ray in rays for c in (Fraction(-5, 3), 2)]
+    # one set member per oracle class, and as many members as classes
+    groups = {}
+    for ray in rays:
+        groups.setdefault(_key_with_xi_sum_one(ray), set()).add(ray)
+    assert all(len(g) == 1 for g in groups.values()) and len(set(rays)) == len(groups)
+
+
+def test_the_projective_line_is_the_plane_line_at_infinity():
+    # ℓ∞ = e2^⊥: x and ∞ go to the plane points (x) and (∞), as rays of one vector
+    l_inf = ProjLine(VeroneseVector.scalar_idempotent(2))
+    rng = random.Random(512)
+    for p in [INFINITY, *(sample_okubo(rng) for _ in range(50))]:
+        point = plane_embed(p if p is INFINITY else SlopePoint(p))
+        ray = line_embed(p)
+        assert ray.normal() == point.normal()
+        assert incident(ray, l_inf) and point_from_idempotent(ray.normal()) == point
+
+
+def _on_quadric(x, xi1, xi2):
+    """The projective line's own membership test: n(x) = ξ1ξ2 and (x, ξ1, ξ2) ≠ 0."""
+    return okubo_norm(x) == xi1 * xi2 and bool(x or xi1 or xi2)
+
+
+def _constructs(x, xi1, xi2):
+    try:
+        ProjLinePoint(x, xi1, xi2)
+    except ValueError:
+        return False
+    return True
+
+
+def test_a_line_point_is_constructed_exactly_on_the_quadric():
+    rng = random.Random(513)
+    triples = [(Z, F3(), F3()), (Z, F3(1), F3()), (Z, F3(), F3(1)), (B(1), F3(1), F3())]
+    for _ in range(200):
+        x, xi2 = sample_okubo(rng), sample_f3(rng) or F3(1)
+        triples.append((x, okubo_norm(x) * xi2.inverse(), xi2))
+    triples += [(x.scale(c), xi1 * c, xi2 * c)
+                for x, xi1, xi2 in triples for c in (F3(Fraction(-5, 3)), F3(2))]
+    triples += [(x, xi1 + sample_f3(rng), xi2) for x, xi1, xi2 in triples]
+    assert sum(_on_quadric(*t) for t in triples) > len(triples) // 3
+    for t in triples:
+        assert _constructs(*t) == _on_quadric(*t), t
 
 
 def test_a_plane_ray_keys_on_its_trace_one_representative():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from okubic import albert, derivations, geometry, hurwitz, linalg, okubo
+from okubic import albert, derivations, field, geometry, hurwitz, linalg, okubo
 from okubic.albert import sample_albert, trace
 from okubic.cli import _fixed_skew_matrices
 from okubic.field import C3, F3, Frozen, _raw_f3, sample_f3, sample_rational
@@ -499,12 +499,31 @@ def test_no_module_raises_assertion_error():
         assert _raised_assertion_errors(tree) == [], path.name
 
 
+@pytest.mark.parametrize("build, rows", [
+    (Mat3.identity, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    (Mat3.zero, [[0, 0, 0]] * 3),
+], ids=["identity", "zero"])
+def test_mat3_constants_are_stored_integers(monkeypatch, build, rows):
+    # the stored form the coercing constructor writes, bit for bit, with no F3 built
+    built = []
+    init = field._init_f3
+    monkeypatch.setattr(field, "_init_f3", lambda *a: built.append(1) or init(*a))
+    got = build()
+    monkeypatch.undo()
+    assert built == []
+    assert got.ints == Mat3(rows).ints
+    assert [type(p) for p in got.ints] == [tuple] * 4 + [int]
+
+
 def test_one_immutable_base_and_one_equality():
     # F3 and C3 keep numeric equality: they compare and hash like ints and
     # Fractions of the same value.
     assert _classes_defining("__setattr__") == ["Frozen"]
     assert _classes_defining("__eq__") == ["C3", "F3", "Frozen"]
     assert _classes_defining("__hash__") == ["C3", "F3", "Frozen"]
+    # every ray (ProjPoint, ProjLine, ProjLinePoint) keys on its trace-1 representative
+    assert _classes_defining("_key") == ["AffineLine", "AffinePoint", "ExactMatrix", "Frozen",
+                                         "OkuboElement", "SlopePoint", "Vector", "_ConeRay"]
 
 
 @VECTOR_SAMPLERS

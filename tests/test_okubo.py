@@ -513,15 +513,33 @@ def test_cayley_phi_makes_no_matrix_products(monkeypatch):
 
 
 def test_cayley_phi_build_keeps_the_images_as_integers(monkeypatch):
-    # φ's rows are written from the stored integers of the 8 basis images: the only
-    # F3 values a build makes are the 18 parts of Mat3.identity() in cayley_unitary
+    # φ's rows are written from the stored integers of the 8 basis images, and
+    # cayley_unitary reads the stored Mat3.identity(): a build makes no F3 value
     for s in _fixed_skew_matrices():
         built = []
         init = field._init_f3
         monkeypatch.setattr(field, "_init_f3", lambda *a: built.append(1) or init(*a))
         conjugation_automorphism(s)
         monkeypatch.undo()
-        assert len(built) == 18
+        assert len(built) == 0
+
+
+def test_okubo_norm_halves_the_polar_form_with_one_f3(monkeypatch):
+    # n(x) = ⟨x, x⟩/2 on the elements of the norm tests: the same value, hash and stored
+    # parts as polar(x, x) / 2, with the one F3 of the result built per call
+    rng = random.Random(402)
+    xs = [x for flavor in (COMPACT, SPLIT) for x in _oracle_elements(rng, flavor)]
+    xs += [sample_okubo(rng, flavor) for flavor in (COMPACT, SPLIT) for _ in range(100)]
+    init = field._init_f3
+    for x in xs:
+        want = polar(x, x) / 2
+        built = []
+        monkeypatch.setattr(field, "_init_f3", lambda *a: built.append(1) or init(*a))
+        got = okubo_norm(x)
+        monkeypatch.undo()
+        assert len(built) == 1
+        assert got == want and hash(got) == hash(want)
+        assert (got._an, got._bn, got._d) == (want._an, want._bn, want._d)
 
 
 def test_traceful_product_satisfies_jordan_identity_for_every_theta():
