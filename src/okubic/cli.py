@@ -51,6 +51,7 @@ from .geometry import (
     vnorm,
 )
 from .hurwitz import (
+    MUL_TABLE,
     SplitOctonion,
     oct_conj,
     oct_mul,
@@ -64,6 +65,7 @@ from .linalg import COMPACT, SPLIT, Mat3, rank
 from .okubo import (
     OkuboElement,
     THETA_OKUBO,
+    _dense,
     basis_matrices,
     conjugation_automorphism,
     idempotent,
@@ -78,7 +80,6 @@ from .okubo import (
     sample_okubo,
     split_zero_divisor,
     structure_constants,
-    structure_constants_dense,
     traceful_mul,
     trivolution,
     trivolution_polar_form,
@@ -90,7 +91,13 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
-TABLE_ALGEBRAS = ("okubo", "split-okubo", "split-octonion", "petersson")
+# the structure constants of each algebra ``table`` and ``derivations`` name, built on first use
+TABLES = {
+    "okubo": functools.partial(structure_constants, COMPACT),
+    "split-okubo": functools.partial(structure_constants, SPLIT),
+    "split-octonion": lambda: MUL_TABLE,
+    "petersson": petersson_presentation,
+}
 
 def jordan_witness():
     """The frozen Jordan-defect witness pair (a, b) = (w0(e) + w1(e), w0(i1)).
@@ -438,19 +445,15 @@ def _octonion_table_rows(tensor):
         if not support:
             yield f"{a},{b},,0"
         for k in support:
-            yield f"{a},{b},{k},{render_rational(prod[k])}"
+            yield f"{a},{b},{k},{render_rational(prod[k].a)}"
 
 
 def cmd_table(args) -> int:
+    tensor = _dense(TABLES[args.algebra]())
     if args.algebra in ("okubo", "split-okubo"):
-        flavor = COMPACT if args.algebra == "okubo" else SPLIT
-        tensor = structure_constants_dense(flavor)
         header, rows, render = "a,b,k,value_a,value_b", _okubo_table_rows, F3.to_json
-    else:
-        mul = oct_mul if args.algebra == "split-octonion" else petersson_mul
-        basis = [SplitOctonion.basis(k) for k in range(8)]
-        tensor = [[mul(x, y).coeffs for y in basis] for x in basis]
-        header, rows, render = "a,b,k,value", _octonion_table_rows, render_rational
+    else:  # a rational table: each value is its part a
+        header, rows, render = "a,b,k,value", _octonion_table_rows, lambda v: render_rational(v.a)
     if args.format == "csv":
         args.out.write("\n".join([header, *rows(tensor)]) + "\n")
     else:
@@ -524,11 +527,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_derivations(args) -> int:
-    if args.algebra == "petersson":
-        table = petersson_presentation()
-    else:
-        table = structure_constants(COMPACT if args.algebra == "okubo" else SPLIT)
-    _emit(derivation_report(table), args.out)
+    _emit(derivation_report(TABLES[args.algebra]()), args.out)
     return EXIT_OK
 
 
@@ -565,13 +564,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, required=True)
     check.add_argument("--flavor", choices=(COMPACT, SPLIT), default=None)
     check.add_argument("--q", default="1/2")
-    check.add_argument("--out", default=None)
     check.set_defaults(func=cmd_check)
 
     table = sub.add_parser("table", help="export structure constants")
-    table.add_argument("algebra", choices=TABLE_ALGEBRAS)
+    table.add_argument("algebra", choices=tuple(TABLES))
     table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--out", default=None)
     table.set_defaults(func=cmd_table)
 
     veronese = sub.add_parser(
@@ -579,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     veronese.add_argument("mode", choices=("embed", "decode"))
     veronese.add_argument("payload", help="JSON payload")
-    veronese.add_argument("--out", default=None)
     veronese.set_defaults(func=cmd_veronese)
 
     kernel = sub.add_parser(
@@ -589,14 +585,14 @@ def build_parser() -> argparse.ArgumentParser:
         "element", help='JSON AlbertElement or one of "e0", "e1", "e2", "unit"'
     )
     kernel.add_argument("--q", default="1/2")
-    kernel.add_argument("--out", default=None)
     kernel.set_defaults(func=cmd_kernel)
 
     deriv = sub.add_parser("derivations", help="derivation-algebra report")
     deriv.add_argument("algebra", choices=("okubo", "split-okubo", "petersson"))
-    deriv.add_argument("--out", default=None)
     deriv.set_defaults(func=cmd_derivations)
 
+    for command in sub.choices.values():  # last, so it ends each --help
+        command.add_argument("--out", default=None)
     return parser
 
 

@@ -60,6 +60,33 @@ class Frozen:
         return hash(self._key())
 
 
+class _Scalar(Frozen):
+    """Base of the field types: the operations each derives from its own ``coerce``,
+    ``+``, ``*``, negation and ``inverse``: a − b = a + (−b), a / b = a·b⁻¹, and
+    equality with every value ``coerce`` takes."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        try:
+            other = self.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __sub__(self, other):
+        return self + (-self.coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + self.coerce(other)
+
+    def __truediv__(self, other):
+        return self * self.coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.coerce(other) * self.inverse()
+
+
 def _init_f3(obj, an: int, bn: int, d: int) -> None:
     if d < 0:
         an, bn, d = -an, -bn, -d
@@ -79,7 +106,7 @@ def _raw_f3(an: int, bn: int, d: int):
     return out
 
 
-class F3(Frozen):
+class F3(_Scalar):
     """Element a + b√3 of the real quadratic field Q(√3).
 
     Stored as an integer triple (a·d, b·d, d) over a common denominator
@@ -128,18 +155,10 @@ class F3(Frozen):
 
     def __hash__(self):
         # a rational F3 equals an int or Fraction, so it hashes like one
-        return hash((self._an, self._bn, self._d)) if self._bn else hash(self.a)
+        return hash(self._key()) if self._bn else hash(self.a)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = F3.coerce(other)
-        if not isinstance(other, F3):
-            return NotImplemented
-        return (
-            self._an == other._an
-            and self._bn == other._bn
-            and self._d == other._d
-        )
+    def _key(self):
+        return self._an, self._bn, self._d
 
     def __bool__(self):
         return self._an != 0 or self._bn != 0
@@ -163,12 +182,6 @@ class F3(Frozen):
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (-F3.coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + F3.coerce(other)
-
     def __mul__(self, other):
         other = F3.coerce(other)
         # (a + b√3)(c + d√3) = ac + 3bd + (ad + bc)√3
@@ -190,12 +203,6 @@ class F3(Frozen):
             -self._d * self._bn,
             self._an * self._an - 3 * self._bn * self._bn,
         )
-
-    def __truediv__(self, other):
-        return self * F3.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return F3.coerce(other) * self.inverse()
 
     def is_positive(self) -> bool:
         """Exact sign of a + b√3 under the real embedding √3 ≈ 1.732."""
@@ -225,7 +232,7 @@ class F3(Frozen):
 SQRT3 = F3(0, 1)
 
 
-class C3(Frozen):
+class C3(_Scalar):
     """Element re + im·i of Q(√3, i)."""
 
     __slots__ = ("re", "im")
@@ -248,14 +255,10 @@ class C3(Frozen):
 
     def __hash__(self):
         # a real C3 equals its F3 part, so it hashes like it
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        return hash(self._key()) if self.im else hash(self.re)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, F3)):
-            other = C3(other)
-        if not isinstance(other, C3):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+    def _key(self):
+        return self.re, self.im
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -268,12 +271,6 @@ class C3(Frozen):
         return C3(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-C3.coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + C3.coerce(other)
 
     def __mul__(self, other):
         other = C3.coerce(other)
@@ -293,12 +290,6 @@ class C3(Frozen):
         # re² + im² ≠ 0 for nonzero z: Q(√3) is formally real.
         d = (self.re * self.re + self.im * self.im).inverse()
         return C3(self.re * d, -self.im * d)
-
-    def __truediv__(self, other):
-        return self * C3.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return C3.coerce(other) * self.inverse()
 
     def to_json(self):
         return {"re": self.re.to_json(), "im": self.im.to_json()}

@@ -103,6 +103,7 @@ class SplitOctonion(Vector):
 
 
 def oct_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
+    SplitOctonion._require_kind(x, y)
     return x._like(bilinear(MUL_TABLE, x.ints, y.ints))
 
 
@@ -133,9 +134,7 @@ def tau_triality(x: SplitOctonion) -> SplitOctonion:
 
 def petersson_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
     """x*y = τ(x̄)·τ²(ȳ); a non-unital symmetric composition product."""
-    return oct_mul(
-        tau_triality(oct_conj(x)), tau_triality(tau_triality(oct_conj(y)))
-    )
+    return para_mul(tau_triality(x), tau_triality(tau_triality(y)))
 
 
 def petersson_structure_constants():

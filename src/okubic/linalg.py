@@ -117,8 +117,10 @@ def bilinear(table: SparseTable, u, v):
     una, unb, du = u
     vna, vnb, dv = v
     symmetric, rows = table.terms
+    if len(una) != len(rows) or len(vna) != len(rows):
+        raise ValueError(f"operands of {len(una)} and {len(vna)} for a table of {len(rows)} rows")
     out_a, out_b = [0] * table.size, [0] * table.size
-    for a, (row, ua, ub, va, vb) in enumerate(zip(rows, una, unb, vna, vnb, strict=True)):
+    for a, (row, ua, ub, va, vb) in enumerate(zip(rows, una, unb, vna, vnb)):
         if not (ua or ub or symmetric and (va or vb)):
             continue
         ub3, vb3 = 3 * ub, 3 * vb
@@ -155,8 +157,10 @@ def bilinear_left(table: SparseTable, u):
     that also divides out its gcd."""
     una, unb, du = u
     n = len(table.ints)
+    if len(una) != n:
+        raise ValueError(f"an operand of {len(una)} for a table of {n} rows")
     out_a, out_b = [[0] * n for _ in range(table.size)], [[0] * n for _ in range(table.size)]
-    for row, ua, ub in zip(table.nonzero, una, unb, strict=True):
+    for row, ua, ub in zip(table.nonzero, una, unb):
         if ua or ub:
             ub3 = 3 * ub
             for b, cell in row:
@@ -232,6 +236,12 @@ class Vector(Frozen):
 
     def _check(self, other) -> None:
         pass
+
+    @classmethod
+    def _require_kind(cls, *xs) -> None:
+        for x in xs:
+            if not isinstance(x, cls):
+                raise TypeError(f"expected {cls.__name__}, got {type(x).__name__}")
 
     def _permuted(self, order, signs=None):
         """The vector whose coordinate k is signs[k] times coordinate order[k] of this

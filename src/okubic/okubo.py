@@ -214,6 +214,7 @@ def structure_constants_dense(flavor: str):
 
 
 def okubo_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:
+    OkuboElement._require_kind(x, y)
     x._check(y)
     return x._like(bilinear(structure_constants(x.flavor), x.ints, y.ints))
 
@@ -232,6 +233,7 @@ def gram_table(flavor: str) -> SparseTable:
 
 def polar(x: OkuboElement, y: OkuboElement) -> F3:
     """⟨x, y⟩ = n(x+y) - n(x) - n(y) = (1/3)Tr(xy), one pass over ``gram_table``."""
+    OkuboElement._require_kind(x, y)
     x._check(y)
     (a,), (b,), d = bilinear(gram_table(x.flavor), x.ints, y.ints)
     return _raw_f3(a, b, d)
@@ -239,6 +241,7 @@ def polar(x: OkuboElement, y: OkuboElement) -> F3:
 
 def okubo_norm(x: OkuboElement) -> F3:
     """n(x) = (1/6)Tr(x²) = ⟨x, x⟩/2, one pass over ``gram_table`` halved on its integers."""
+    OkuboElement._require_kind(x)
     (a,), (b,), d = bilinear(gram_table(x.flavor), x.ints, x.ints)
     return _raw_f3(a, b, 2 * d)
 

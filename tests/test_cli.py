@@ -45,6 +45,21 @@ STDOUT_SHA256 = {
     ("check", "all", "--seed", "11", "--samples", "1"):
         "6e5ff9e8858c26808dccd3d4d702c724e51cfa79c165fc05c31db570bc8e3f5a",
     ("table", "okubo"): "ce0b663c22bc4a95ab9dda1d05d88a8c6329e1ae384b726497bf93544cf6adf0",
+    # every other table form: the Okubo tensors as a + b√3, the rational ones as p/q
+    ("table", "okubo", "--format", "json"):
+        "ae5125648c9165fae9fbd5976b15e0b815d939e90178588b151f64dbfeef8fab",
+    ("table", "split-okubo"):
+        "675fc0b97aad766eaeef38a46faffb6299fc74b0f158bebd51aef0b7e9c679b9",
+    ("table", "split-okubo", "--format", "json"):
+        "37a5294022d92ba7b921d6e026d77489ea38a2fb1b393a4fcb7a68c068ccf84b",
+    ("table", "split-octonion"):
+        "bd26fa49aef02d9b07f351ffc701cdaae96f266b1de3c0259e5953fb13847c7b",
+    ("table", "split-octonion", "--format", "json"):
+        "4151ba9348063f32a4788a0329182b5f89748b81b1400a0b00d6f2a7d9d35495",
+    ("table", "petersson"):
+        "92e08022e8a949f8248102ea91afb57b0cbfc2d7229c5524f0aef2e269e33d7b",
+    ("table", "petersson", "--format", "json"):
+        "eefe8e72fed766342dbc7ba6cb76f83431fb3e9b5764406a44aed8987b838da0",
     ("kernel", "e0"): "64292318a583dd0d8bc7c639c5bed9407ce02472a7864d2a792bfb236eb5e136",
     # the derivation reports print the trace-form signature; split Okubo and
     # Petersson print the same report
@@ -558,6 +573,23 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "composition", "--seed", "1", "--samples", "2"),
+     ("table", "split-octonion"),
+     ("veronese", "embed", '{"x": "1/2", "y": "-3"}'),
+     ("kernel", "e0"),
+     ("derivations", "petersson")],
+    ids=lambda argv: argv[0],
+)
+def test_out_writes_the_bytes_stdout_gets(capsys, tmp_path, argv):
+    code, out = run(capsys, *argv)
+    path = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(path)]) == code == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
 
 
 def test_unwritable_out_fails_before_any_suite_runs(capsys, tmp_path, monkeypatch):

@@ -131,6 +131,22 @@ def test_petersson_twist_is_symmetric_composition():
         assert petersson_mul(petersson_mul(x, y), x) == y.scale(oct_norm(x))
 
 
+def _petersson_by_conjugates(x, y):
+    """τ(x̄)·τ²(ȳ) written out with its own conjugations."""
+    return oct_mul(tau_triality(oct_conj(x)), tau_triality(tau_triality(oct_conj(y))))
+
+
+def test_petersson_twist_is_the_para_hurwitz_product_of_the_triality_images():
+    # τ commutes with conjugation, so τ(x)∘τ²(y) = τ(x̄)·τ²(ȳ)
+    for i in range(8):
+        for j in range(8):
+            assert petersson_mul(B(i), B(j)) == _petersson_by_conjugates(B(i), B(j))
+    rng = random.Random(310)
+    for _ in range(300):
+        x, y = sample_split_octonion(rng), sample_split_octonion(rng)
+        assert petersson_mul(x, y) == _petersson_by_conjugates(x, y)
+
+
 def test_petersson_twist_is_not_unital():
     one = SplitOctonion.unit()
     rng = random.Random(307)

@@ -538,11 +538,13 @@ def test_one_immutable_base_and_one_equality():
     # F3 and C3 keep numeric equality: they compare and hash like ints and
     # Fractions of the same value.
     assert _classes_defining("__setattr__") == ["Frozen"]
-    assert _classes_defining("__eq__") == ["C3", "F3", "Frozen"]
+    # The scalars' equality is _Scalar's: coerce, then compare keys.
+    assert _classes_defining("__eq__") == ["Frozen", "_Scalar"]
     assert _classes_defining("__hash__") == ["C3", "F3", "Frozen"]
     # every ray (ProjPoint, ProjLine, ProjLinePoint) keys on its trace-1 representative
-    assert _classes_defining("_key") == ["AffineLine", "AffinePoint", "ExactMatrix", "Frozen",
-                                         "OkuboElement", "SlopePoint", "Vector", "_ConeRay"]
+    assert _classes_defining("_key") == ["AffineLine", "AffinePoint", "C3", "ExactMatrix", "F3",
+                                         "Frozen", "OkuboElement", "SlopePoint", "Vector",
+                                         "_ConeRay"]
 
 
 def _function_defs():
@@ -605,9 +607,21 @@ def test_each_rule_is_written_once():
         ("linalg", "is_eta_hermitian")]
     (one_line,) = _body(defs["okubo", "traceful_mul"])
     assert isinstance(one_line, ast.Return)
-    # F3 division has one path
-    (division,) = _body(defs["field", "F3.__truediv__"])
+    # division has one path, and F3 and C3 derive −, / and == from one base
+    (division,) = _body(defs["field", "_Scalar.__truediv__"])
     assert isinstance(division, ast.Return)
+    for cls in ("F3", "C3"):
+        for name in ("__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__eq__"):
+            assert ("field", f"{cls}.{name}") not in defs
+    # one --out, the Petersson twist through the para-Hurwitz product, and a table
+    # command that renders the tables and builds no product
+    assert sources["cli"].count('"--out"') == 1
+    petersson = _calls(defs["hurwitz", "petersson_mul"])
+    assert "para_mul" in petersson and "oct_conj" not in petersson
+    products = {name.split(".")[-1] for _, name in defs if name.endswith("_mul")}
+    assert products & _calls(defs["cli", "cmd_table"]) == set()
+    assert not [n for n in ast.walk(defs["cli", "cmd_table"]) if isinstance(n, ast.Attribute)
+                and n.attr in ("mul", "basis")]
     # one basis flattening, and one random draw
     assert not [name for _, name in defs if name.split(".")[-1] == "_flatten"]
     assert "_flat" in _calls(defs["derivations", "killing_matrix"])
@@ -642,6 +656,50 @@ def test_vectors_of_another_kind_are_rejected(x, y):
             a + b
         with pytest.raises(TypeError):
             a - b
+
+
+SHORT_OPERANDS = {
+    "sharp": lambda: geometry.sharp(okubo.OkuboElement.basis(1)),
+    "veronese_check": lambda: geometry.veronese_check(okubo.OkuboElement.basis(1)),
+    "albert-mul": lambda: albert.ALBERT_HALF.mul(okubo.OkuboElement.basis(1),
+                                                 okubo.OkuboElement.basis(1)),
+    "beta": lambda: geometry.beta(okubo.OkuboElement.basis(1), VeroneseVector.unit()),
+    "beta-reversed": lambda: geometry.beta(VeroneseVector.unit(), okubo.OkuboElement.basis(1)),
+    "vnorm": lambda: geometry.vnorm(okubo.OkuboElement.basis(1)),
+}
+
+
+@pytest.mark.parametrize("call", SHORT_OPERANDS.values(), ids=SHORT_OPERANDS)
+def test_an_operand_of_another_length_raises_value_error(call):
+    # the length rule of bilinear and bilinear_left, checked before a row is read
+    with pytest.raises(ValueError, match="for a table of 27 rows"):
+        call()
+
+
+def test_bilinear_left_rejects_an_operand_of_another_length():
+    with pytest.raises(ValueError, match="for a table of 8 rows"):
+        bilinear_left(okubo.structure_constants(COMPACT), VeroneseVector.unit().ints)
+
+
+_OKUBO, _OCTONION = okubo.OkuboElement.basis(1), hurwitz.SplitOctonion.basis(2)
+WRONG_KINDS = {
+    "oct_mul": (hurwitz.oct_mul, _OCTONION, _OKUBO),
+    "okubo_mul": (okubo.okubo_mul, _OKUBO, _OCTONION),
+    "polar": (okubo.polar, _OKUBO, _OCTONION),
+}
+
+
+@pytest.mark.parametrize("mul, right, wrong", WRONG_KINDS.values(), ids=WRONG_KINDS)
+def test_an_operand_of_another_kind_raises_type_error(mul, right, wrong):
+    for x, y in ((wrong, wrong), (right, wrong), (wrong, right)):
+        with pytest.raises(TypeError, match="expected"):
+            mul(x, y)
+    assert mul(right, right) is not None
+
+
+def test_okubo_norm_rejects_a_split_octonion():
+    with pytest.raises(TypeError, match="expected OkuboElement, got SplitOctonion"):
+        okubo.okubo_norm(hurwitz.SplitOctonion.basis(2))
 
 
 @VECTOR_SAMPLERS
