@@ -9,11 +9,12 @@ vector over Q(√3) in the canonical basis (e, i1..i7), and a traceless
 computed in bulk through a cached structure-constant tensor in integer
 form (``linalg.SparseTable``).  The matrix path is the Michel–Radicati
 product ``michel_radicati_mul`` at θ = √3/6, summed on integer numerators
-around its one 3×3 product: one product per pair of basis matrices, each
-read back by ``from_matrix``, is the source of that table, and the path is
-the cross-validation oracle for it.  The polar form ⟨x, y⟩ is a
-one-coordinate table in closed form (``gram_table``), n(x) = ⟨x, x⟩/2, and
-``mat_norm`` = (1/6)Tr(x²) on the matrix view is their oracle.
+around its one 3×3 product.  It is the source of the table on its upper
+triangle only, since b_t*b_s is the √3-conjugate of b_s*b_t
+(``structure_constants``), and the cross-validation oracle for all of it.
+The polar form ⟨x, y⟩ is a one-coordinate table in closed form
+(``gram_table``), n(x) = ⟨x, x⟩/2, and ``mat_norm`` = (1/6)Tr(x²) on the
+matrix view is their oracle.
 """
 
 from __future__ import annotations
@@ -191,14 +192,25 @@ def okubo_mul_matrix(x: OkuboElement, y: OkuboElement) -> OkuboElement:
 
 @functools.cache
 def structure_constants(flavor: str) -> SparseTable:
-    """Sparse tensor and its integer form: cells[a][b] holds (k, c) with b_a*b_b = Σ c·b_k,
-    read back from ``michel_radicati_mul`` on the basis matrices, each built once."""
+    """Sparse tensor and its integer form: cells[a][b] holds (k, c) with b_a*b_b = Σ c·b_k.
+
+    Only the 36 cells s ≤ t are products, ``michel_radicati_mul`` on the basis matrices
+    (each built once) read back by ``from_matrix`` as (na, nb, d); cell (t, s) is
+    (na, -nb, d).  The conjugation σ: √3 ↦ -√3 fixes the basis matrices, whose entries
+    lie in Q(i), swaps μ = 1/2 + i√3/6 with μ̄ and commutes with the product, the trace
+    and the Q-linear read-back, so σ(b_s*b_t) = μ̄·b_s·b_t + μ·b_t·b_s - (1/3)Tr(b_s·b_t)·Id,
+    which is b_t*b_s."""
     mats = basis_matrices(flavor)
-    prods = ((michel_radicati_mul(x, y, THETA_OKUBO, flavor) for y in mats) for x in mats)
-    return SparseTable(
-        [[(k, c) for k, c in enumerate(OkuboElement.from_matrix(m, flavor).coeffs) if c]
-         for m in row] for row in prods
-    )
+    cells = [[()] * 8 for _ in range(8)]
+    for s in range(8):
+        for t in range(s, 8):
+            na, nb, d = OkuboElement.from_matrix(
+                michel_radicati_mul(mats[s], mats[t], THETA_OKUBO, flavor), flavor).ints
+            nonzero = [(k, a, b) for k, (a, b) in enumerate(zip(na, nb)) if a or b]
+            cells[t][s] = [(k, _raw_f3(a, -b, d)) for k, a, b in nonzero]
+            # written last, so cell (s, s) holds the product itself
+            cells[s][t] = [(k, _raw_f3(a, b, d)) for k, a, b in nonzero]
+    return SparseTable(cells)
 
 
 def _dense(table: SparseTable):

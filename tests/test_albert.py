@@ -191,8 +191,9 @@ def test_import_builds_no_table():
 @pytest.mark.parametrize("flavor", [linalg.COMPACT, linalg.SPLIT])
 def test_cold_okubo_table_reads_each_basis_matrix_once(flavor):
     # the first structure_constants(flavor) reads the 8 basis matrices once and
-    # makes one 3×3 product per pair of basis elements, read back with no
-    # further to_matrix; the matrices stay integers throughout, so no C3 is built
+    # makes one 3×3 product per unordered pair of basis elements (36), read back
+    # with no further to_matrix; the mirrored cells are √3-conjugates and need no
+    # product; the matrices stay integers throughout, so no C3 is built
     code = (
         "from okubic import field, linalg, okubo\n"
         "calls = []\n"
@@ -205,7 +206,7 @@ def test_cold_okubo_table_reads_each_basis_matrix_once(flavor):
     )
     to_matrix, matmul, c3 = map(int, _fresh_python(code))
     assert to_matrix <= 8
-    assert matmul == 64
+    assert matmul == 36
     assert c3 == 0
 
 

@@ -14,6 +14,7 @@ from okubic.linalg import (
     SPLIT,
     ExactMatrix,
     Mat3,
+    SparseTable,
     determinant,
     eta_dagger,
     is_eta_hermitian,
@@ -46,6 +47,7 @@ from okubic.okubo import (
     recovered_oct_mul,
     sample_okubo,
     split_zero_divisor,
+    structure_constants,
     structure_constants_dense,
     traceful_mul,
     trivolution,
@@ -199,6 +201,47 @@ def test_products_match_the_mu_product_oracle(flavor):
         want = _mu_product(x, y)
         assert okubo_mul(x, y) == want
         assert okubo_mul_matrix(x, y) == want
+
+
+def _structure_constants_by_all_products(flavor):
+    """The table from one Michel–Radicati product per ordered pair of basis matrices."""
+    mats = basis_matrices(flavor)
+    prods = ((michel_radicati_mul(x, y, THETA_OKUBO, flavor) for y in mats) for x in mats)
+    return SparseTable(
+        [[(k, c) for k, c in enumerate(OkuboElement.from_matrix(m, flavor).coeffs) if c]
+         for m in row] for row in prods
+    )
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_upper_triangle_build_equals_the_all_products_oracle(flavor):
+    # the build mirrors cell (s, t) into (t, s) by √3 ↦ -√3, which rests on the basis
+    # matrices having no √3 parts and θ having no rational part
+    for m in basis_matrices(flavor):
+        _, rb, _, ib, _ = m.ints
+        assert not any(rb) and not any(ib)
+    assert THETA_OKUBO.a == 0
+    want = _structure_constants_by_all_products(flavor)
+    got = structure_constants(flavor)
+    assert (got.ints, got.den) == (want.ints, want.den)
+
+
+def _sigma(x):
+    """The √3-conjugate √3 ↦ -√3 of an Okubo element, on its stored integers."""
+    na, nb, d = x.ints
+    return OkuboElement._from_ints((na, tuple(-b for b in nb), d), x.flavor)
+
+
+@pytest.mark.parametrize("mul", [okubo_mul, okubo_mul_matrix])
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_reversed_product_is_the_sqrt3_conjugate(mul, flavor):
+    # y*x = σ(σx * σy); on the 64 basis pairs this proves it by bilinearity, and the
+    # matrix path checks it without reading the structure table
+    rng = random.Random(419)
+    pairs = [(B(i, flavor), B(j, flavor)) for i in range(8) for j in range(8)]
+    pairs += [(sample_okubo(rng, flavor), sample_okubo(rng, flavor)) for _ in range(300)]
+    for x, y in pairs:
+        assert mul(y, x) == _sigma(mul(_sigma(x), _sigma(y)))
 
 
 def test_structure_constant_path_equals_matrix_path():
