@@ -6,9 +6,11 @@ derivation iff for every basis pair
 
     Σ_m c[i][j][m] D[k][m] = Σ_r c[r][j][k] D[r][i] + Σ_r c[i][r][k] D[r][j]
 
-for all k, solved over Q in a table's ``_q_form`` when it has one.  Both Okubo
-flavors and the Petersson twist of the split octonions have an 8-dimensional
-derivation algebra; the compact flavor has a negative-definite trace form.
+for all k, solved over Q in a table's ``_q_form`` when it has one.  The report's
+Lie closure and trace form read that rational kernel D′ directly; only
+``derivation_space`` reads the basis D back over Q(√3).  Both Okubo flavors and
+the Petersson twist of the split octonions have an 8-dimensional derivation
+algebra; the compact flavor has a negative-definite trace form.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .linalg import (
     _cleared,
     _gauss_jordan,
     _kernel_columns,
+    _rational_cleared,
     _reduced,
     _vector_ints,
     bilinear,
-    rref,
     symmetric_signature,
 )
 from .okubo import (
@@ -127,16 +129,17 @@ def _q_form(table: SparseTable):
                 for j, cell in enumerate(row)] for i, row in enumerate(ints)]
 
 
-def derivation_space(table: SparseTable):
-    """(dimension, basis of n×n derivation matrices) of the algebra of any n×n
-    structure-constant table (an ``AlgebraPresentation`` is one; a form raises ValueError).
+def _derivation_kernel(table: SparseTable):
+    """The Leibniz system of any n×n structure-constant table (an ``AlgebraPresentation``
+    is one; a form raises ValueError), written once and eliminated once: (p, n, kernel),
+    p the table's ``_q_form`` parities or None, kernel one pair (fc, row) per free column fc.
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
     integer row read from the table's ``ints`` over its ``den``; the shortest go
     first.  When the table has a ``_q_form``, its rows are rational rows (na, d) read
-    from ints', and D[r][s] is read back as √3^(p_r - p_s)·D'[r][s]; otherwise they are
-    rows (na, nb, d) over Q(√3).  Each basis matrix is built from the reduced integer
-    rows, with no F3 value.
+    from ints', and otherwise rows (na, nb, d) over Q(√3).  Each kernel row is a flat
+    row of that form over one denominator, entry 1 at fc: a derivation D′ of the table
+    in the Q-basis √3^p_i·b_i, or D itself when p is None.
     """
     if table.size != len(table.ints):
         raise ValueError("not a product table: its outputs are not its basis vectors")
@@ -162,85 +165,139 @@ def derivation_space(table: SparseTable):
                         del na[col]
             rows += eqs
     reduced, pivots, _, _ = _gauss_jordan(sorted(rows, key=lambda row: len(row[0])))
-    basis, lift = [], p and [p[c // n] - p[c % n] for c in range(n * n)]
+    kernel, one = [], (1, 0, 1) if p is None else (1, 1)
     for fc, entries in _kernel_columns(reduced, pivots, n * n):
-        # the kernel vector, entry 1 at fc, over one denominator, cut into the n rows of D
-        if p is None:
-            entries[fc] = (1, 0, 1)
-        else:
-            # D[c] = √3^(lift c - lift fc)·D'[c], entry 1 at fc, is √3^t·D'[c] over 3 for
+        entries[fc] = one
+        big, entries = math.lcm(*(x[-1] for x in entries.values())), sorted(entries.items())
+        kernel.append((fc, (*({c: x[part] * (big // x[-1]) for c, x in entries}
+                              for part in range(len(one) - 1)), big)))
+    return p, n, kernel
+
+
+def _rows_of(row, n):
+    """A flat row of an n×n matrix, entry (r, s) at column r*n + s, as its n matrix rows
+    over the row's one denominator d: (rows, d), row r one dict {s: numerator} per part of
+    the flat row, (na,) over Q or (na, nb) over Q(√3)."""
+    *parts, d = row
+    rows = [tuple({} for _ in parts) for _ in range(n)]
+    for part, xs in enumerate(parts):
+        for c, x in xs.items():
+            rows[c // n][part][c % n] = x
+    return rows, d
+
+
+def derivation_space(table: SparseTable):
+    """(dimension, basis of n×n derivation matrices) of the algebra of any n×n
+    structure-constant table, read back from ``_derivation_kernel``: over the Q-form,
+    D[r][s] is √3^(p_r - p_s)·D'[r][s], scaled so that D is 1 at the free column too.
+    Each basis matrix is built from the kernel's integer rows, with no F3 value."""
+    p, n, kernel = _derivation_kernel(table)
+    basis, lift = [], p and [p[c // n] - p[c % n] for c in range(n * n)]
+    for fc, row in kernel:
+        if p is not None:
+            # D[c] = √3^(lift c - lift fc)·D'[c] is √3^t·D'[c] over 3 for
             # t = lift c - lift fc + 2 in 0..4: 3^(t//2)·D'[c], times √3 when t is odd
-            entries[fc] = (1, 1)
-            for c, (a, d) in entries.items():
+            (na, d), row = row, ({}, {}, 3 * row[1])
+            for c, a in na.items():
                 t = lift[c] - lift[fc] + 2
                 x = a * 3 ** (t // 2)
-                entries[c] = (0, x, 3 * d) if t % 2 else (x, 0, 3 * d)
-        big, mrows = math.lcm(*(d for _, _, d in entries.values())), [({}, {}) for _ in range(n)]
-        for c, (a, b, d) in sorted(entries.items()):
-            na, nb = mrows[c // n]
-            na[c % n], nb[c % n] = a * (big // d), b * (big // d)
-        basis.append(ExactMatrix._from_ints([_reduced(na, nb, big) for na, nb in mrows], n))
+                row[0][c], row[1][c] = (0, x) if t % 2 else (x, 0)
+        mrows, d = _rows_of(row, n)
+        basis.append(ExactMatrix._from_ints([_reduced(na, nb, d) for na, nb in mrows], n))
     return len(basis), basis
 
 
 def _bracket(a, b):
-    """ab - ba as pairs (na, nb) over Da·Db, from a and b read as pairs over
-    their one denominators Da and Db by ``_common_denominator``."""
+    """ab - ba of n×n matrices over Q(√3), given as ``_rows_of`` rows (na, nb) over their
+    one denominators Da and Db, as one flat row (na, nb, Da·Db), entry (r, s) at r*n + s."""
     (ra, da), (rb, db) = a, b
-    rows = [({}, {}) for _ in ra]
+    n, na, nb = len(ra), {}, {}
     for x, y, sign in ((ra, rb, 1), (rb, ra, -1)):
-        for (na, nb), (xa, xb) in zip(rows, x):
+        for r, (xa, xb) in enumerate(x):
             for k, u in xa.items():
                 (ya, yb), u, v = y[k], sign * u, sign * xb[k]
                 for j, s in ya.items():
-                    _add_entry(na, nb, j, u * s + 3 * v * yb[j], u * yb[j] + v * s)
-    return rows, da * db
+                    _add_entry(na, nb, r * n + j, u * s + 3 * v * yb[j], u * yb[j] + v * s)
+    return na, nb, da * db
 
 
-def _flat(rows, d, cols):
-    """Pairs (na, nb) over d, row by row, as one gcd-reduced sparse integer row."""
-    flat = [(i * cols + j, x, nb[j]) for i, (na, nb) in enumerate(rows) for j, x in na.items()]
+def _rational_bracket(a, b):
+    """``_bracket`` on matrices over Q, rows (na,) over one denominator: a flat row (na, Da·Db)."""
+    (ra, da), (rb, db) = a, b
+    n, na = len(ra), {}
+    for x, y, sign in ((ra, rb, 1), (rb, ra, -1)):
+        for r, (xa,) in enumerate(x):
+            for k, u in xa.items():
+                u *= sign
+                for j, s in y[k][0].items():
+                    c = r * n + j
+                    na[c] = na.get(c, 0) + u * s
+                    if not na[c]:
+                        del na[c]
+    return na, da * db
+
+
+def _lie_closed(rows, n):
+    """[D_i, D_j] lies in the span of flat rows of n×n matrices, all of one form: the rows
+    are reduced by one ``_gauss_jordan``, and each commutator, by ``_bracket`` on rows over
+    Q(√3) or ``_rational_bracket`` on rows over Q, is cleared against the pivot rows by
+    that form's ``_cleared``, up to the first one left nonzero."""
+    if not rows:
+        return True
+    if len(rows[0]) == 2:
+        bracket, clear = _rational_bracket, _rational_cleared
+    else:
+        bracket, clear = _bracket, _cleared
+    reduced, pivots, _, _ = _gauss_jordan(rows)
+    span, mats = dict(zip(pivots, reduced)), [_rows_of(row, n) for row in rows]
+    return not any(clear(bracket(x, y), span)[0] for i, x in enumerate(mats) for y in mats[i + 1:])
+
+
+def _trace_rows(rows, n):
+    """Tr(D_i D_j) = Σ D_i[r, k]·D_j[k, r] on the numerators of flat rows of n×n matrices,
+    all of one form, as sparse integer rows (na, nb): the trace form times d_i·d_j, with
+    nb 0 on rows over Q.  Each K[i][j] with j ≥ i is summed once and mirrored."""
+    # entry k·n + r of D_j, read at r·n + k: the transposes, once
+    tr = [tuple({c % n * n + c // n: x for c, x in xs.items()} for xs in row[:-1]) for row in rows]
+    out = [({}, {}) for _ in rows]
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            if len(row) == 2:
+                ya, = tr[j]
+                ka, kb = sum(u * ya[c] for c, u in row[0].items() if c in ya), 0
+            else:
+                (xa, xb, _), (ya, yb), ka, kb = row, tr[j], 0, 0
+                for c, u in xa.items():
+                    if c in ya:
+                        v = xb[c]
+                        ka, kb = ka + u * ya[c] + 3 * v * yb[c], kb + u * yb[c] + v * ya[c]
+            if ka or kb:
+                out[i][0][j], out[i][1][j] = out[j][0][i], out[j][1][i] = ka, kb
+    return out
+
+
+def _flat(m: ExactMatrix):
+    """A matrix as one gcd-reduced sparse integer row (na, nb, d), entry (r, s) at r*cols + s."""
+    rows, d = _common_denominator(m.ints)
+    flat = [(i * m.cols + j, x, nb[j]) for i, (na, nb) in enumerate(rows) for j, x in na.items()]
     return _reduced({c: x for c, x, _ in flat}, {c: y for c, _, y in flat}, d)
 
 
 def check_lie_closure(basis) -> bool:
-    """[D_i, D_j] lies in the span of the basis: the flattened basis is reduced by one
-    ``rref``, and each commutator is cleared against its pivot rows by ``_cleared``,
-    up to the first one left nonzero; each D_i is read over its one denominator once."""
-    if not basis:
-        return True
-    cols = basis[0].cols
-    common = [_common_denominator(m.ints) for m in basis]
-    rows, ncols = [_flat(*x, cols) for x in common], basis[0].rows * cols
-    reduced, pivots = rref(ExactMatrix._from_ints(rows, ncols))
-    span = dict(zip(pivots, reduced.ints))
-    return not any(_cleared(_flat(*_bracket(x, y), cols), span)[0]
-                   for i, x in enumerate(common) for y in common[i + 1:])
+    """[D_i, D_j] lies in the span of the basis, by ``_lie_closed`` on the flattened basis."""
+    return _lie_closed([_flat(m) for m in basis], basis[0].cols if basis else 0)
 
 
 def killing_matrix(basis) -> ExactMatrix:
-    """Trace form K[i][j] = Tr(D_i D_j) = Σ D_i[r, k]·D_j[k, r] on the derivation
-    basis, summed on the flattened integer rows over one denominator D, as K·D²;
-    K is symmetric, so each K[i][j] with j ≥ i is summed once and mirrored."""
-    n = basis[0].cols
-    flat, big = _common_denominator([_flat(*_common_denominator(m.ints), n) for m in basis])
-    rows = [({}, {}) for _ in flat]
-    for i, (xa, xb) in enumerate(flat):
-        for j in range(i, len(flat)):
-            (ya, yb), ka, kb = flat[j], 0, 0
-            for c, u in xa.items():
-                t = c % n * n + c // n  # entry r·n + k of D_i meets entry k·n + r of D_j
-                if t in ya:
-                    ka, kb = ka + u * ya[t] + 3 * xb[c] * yb[t], kb + u * yb[t] + xb[c] * ya[t]
-            if ka or kb:
-                rows[i][0][j], rows[i][1][j] = rows[j][0][i], rows[j][1][i] = ka, kb
+    """Trace form K[i][j] = Tr(D_i D_j) on the derivation basis, by ``_trace_rows`` on the
+    flattened basis over one denominator D, as K·D²."""
+    flat, big = _common_denominator([_flat(m) for m in basis])
+    rows = _trace_rows([(na, nb, big) for na, nb in flat], basis[0].cols if basis else 0)
     return ExactMatrix._from_ints([_reduced(na, nb, big * big) for na, nb in rows], len(basis))
 
 
 def killing_signature(basis):
     """(pos, neg, zero) of the trace form; compact type ⟺ (0, dim, 0)."""
-    if not basis:
-        return (0, 0, 0)
     return symmetric_signature(killing_matrix(basis))
 
 
@@ -272,11 +329,18 @@ def check_tau_grading(flavor: str = COMPACT) -> bool:
 
 
 def derivation_report(table: SparseTable) -> dict:
-    """JSON-ready report: dimension, Lie closure, trace-form signature."""
-    dim, basis = derivation_space(table)
-    pos, neg, zero = killing_signature(basis)
+    """JSON-ready report: dimension, Lie closure and trace-form signature, read from the
+    kernel rows of ``_derivation_kernel`` with no basis matrix built.  Over a Q-form each
+    row is a D′_f with D_f = √3^c_f·S·D′_f·S⁻¹, S = diag(√3^p_i): the change of basis by
+    S and the nonzero scalars keep the span and the brackets in it, so closure is the
+    same, and the trace sums of ``_trace_rows`` are the trace form of the D_f congruent
+    by the positive diag(d_f/√3^c_f), d_f the row's denominator, so its signature is."""
+    _, n, kernel = _derivation_kernel(table)
+    rows = [row for _, row in kernel]
+    trace = [(na, nb, 1) for na, nb in _trace_rows(rows, n)]
+    pos, neg, zero = symmetric_signature(ExactMatrix._from_ints(trace, len(rows)))
     return {
-        "dimension": dim,
-        "lie_closed": check_lie_closure(basis),
+        "dimension": len(rows),
+        "lie_closed": _lie_closed(rows, n),
         "killing_signature": {"pos": pos, "neg": neg, "zero": zero},
     }

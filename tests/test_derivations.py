@@ -12,6 +12,8 @@ from okubic.derivations import (
     _bracket,
     _common_denominator,
     _flat,
+    _lie_closed,
+    _rows_of,
     check_lie_closure,
     check_tau_grading,
     derivation_report,
@@ -51,7 +53,7 @@ from test_linalg import (
 
 def _commutator(a, b):
     """ab - ba through ``_bracket``, the integer sum that the Lie closure check makes."""
-    rows, d = _bracket(_common_denominator(a.ints), _common_denominator(b.ints))
+    rows, d = _rows_of(_bracket(_common_denominator(a.ints), _common_denominator(b.ints)), a.cols)
     return ExactMatrix._from_ints([_reduced(na, nb, d) for na, nb in rows], a.cols)
 
 
@@ -80,9 +82,8 @@ def test_compact_okubo_derivations_have_dimension_eight():
     assert COMPACT_DIM == 8
 
 
-def test_derivation_space_builds_one_matrix_per_basis_element(monkeypatch):
-    # the Leibniz system is never an ExactMatrix: only the 8 n×n results are,
-    # each built straight from integer rows
+def _record_matrices(monkeypatch):
+    """The list that every ExactMatrix built from now on is appended to."""
     built = []
     init, from_ints = ExactMatrix.__init__, ExactMatrix._from_ints.__func__
 
@@ -93,6 +94,13 @@ def test_derivation_space_builds_one_matrix_per_basis_element(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "__init__",
                         lambda self, entries: init(self, entries) or built.append(self))
     monkeypatch.setattr(ExactMatrix, "_from_ints", classmethod(record))
+    return built
+
+
+def test_derivation_space_builds_one_matrix_per_basis_element(monkeypatch):
+    # the Leibniz system is never an ExactMatrix: only the 8 n×n results are,
+    # each built straight from integer rows
+    built = _record_matrices(monkeypatch)
     dim, basis = derivation_space(okubo_presentation(COMPACT))
     assert dim == 8 and len(built) == 8 and all(m is b for m, b in zip(built, basis))
     assert all((m.rows, m.cols) == (8, 8) for m in built)
@@ -198,6 +206,68 @@ def test_ungraded_leibniz_rows_eliminate_over_q_sqrt3(monkeypatch):
     _assert_same_elimination(rows, ncols)
     dim, basis = derivation_space(AlgebraPresentation(UNGRADED))
     assert dim == len(basis) == 1
+
+
+# UNGRADED with one more basis vector b2 that multiplies to 0: D kills b0 and maps
+# span{b1, b2} into itself, so Der is gl2 (dim 4) and its brackets are not all zero
+UNGRADED_GL2 = [[[F3(Fraction(1, 2), Fraction(1, 2)), 0, 0], [0] * 3, [0] * 3],
+                [[0] * 3] * 3, [[0] * 3] * 3]
+
+
+# each table with the basis of its Q(√3) chain: Der(𝔸_q) from the cache above
+REPORT_TABLES = {
+    "okubo": (lambda: structure_constants(COMPACT), None),
+    "split-okubo": (lambda: structure_constants(SPLIT), None),
+    "petersson": (petersson_presentation, None),
+    **{f"{name}-signed-permuted": (lambda name=name: AlgebraPresentation(_signed_permuted(name)),
+                                   None) for name in DERIVATION_TENSORS},
+    "ungraded": (lambda: AlgebraPresentation(UNGRADED), None),
+    "ungraded-gl2": (lambda: AlgebraPresentation(UNGRADED_GL2), None),
+    "zero-n2": (lambda: AlgebraPresentation([[[0] * 2] * 2] * 2), None),
+    "idempotent-line": (lambda: AlgebraPresentation([[[1]]]), None),
+    **{f"albert-q={q}": (lambda q=q: albert._table(F3(q)), lambda q=q: _albert_derivations(q))
+       for q in (Fraction(0), Fraction(1, 2), Fraction(1))},
+}
+
+
+@pytest.mark.parametrize("name", REPORT_TABLES)
+def test_report_matches_the_q_sqrt3_chain(name):
+    # the report reads the rational kernel D′; the oracle reads the basis D back over
+    # Q(√3) and runs check_lie_closure and killing_signature on it
+    make, cached = REPORT_TABLES[name]
+    table = make()
+    dim, basis = cached() if cached else derivation_space(table)
+    pos, neg, zero = killing_signature(basis)
+    assert derivation_report(table) == {
+        "dimension": dim,
+        "lie_closed": check_lie_closure(basis),
+        "killing_signature": {"pos": pos, "neg": neg, "zero": zero},
+    }
+
+
+@pytest.mark.parametrize("name", ["okubo", "split-okubo", "petersson", "ungraded-gl2"])
+def test_report_reads_the_kernel_in_its_own_form(name, monkeypatch):
+    # over a Q-form the report brackets, clears and sums on rational rows and builds
+    # no basis matrix: its one ExactMatrix is the trace form handed to the signature.
+    # With no Q-form it takes the Q(√3) bracket and clearing; UNGRADED itself has a
+    # 1-dimensional Der and so no bracket, and its widening to gl2 has some
+    table = REPORT_TABLES[name][0]()
+    graded = derivations._q_form(table) is not None
+    assert graded is (name != "ungraded-gl2")
+    calls, signed = [], []
+    for fn in ("_bracket", "_cleared", "_rational_bracket", "_rational_cleared"):
+        real = getattr(derivations, fn)
+        monkeypatch.setattr(derivations, fn,
+                            lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
+    signature = derivations.symmetric_signature
+    monkeypatch.setattr(derivations, "symmetric_signature",
+                        lambda m: signed.append(m) or signature(m))
+    built = _record_matrices(monkeypatch)
+    report = derivation_report(table)
+    assert report["lie_closed"] and report["dimension"] == (8 if graded else 4)
+    assert len(built) == len(signed) == 1 and built[0] is signed[0]
+    q_sqrt3, rational = {"_bracket", "_cleared"}, {"_rational_bracket", "_rational_cleared"}
+    assert set(calls) == (rational if graded else q_sqrt3)
 
 
 def _assert_graded(table, p):
@@ -388,6 +458,9 @@ def test_idempotent_line_has_no_derivations():
     dim, basis = derivation_space(AlgebraPresentation([[[1]]]))
     assert dim == 0
     assert check_lie_closure(basis)
+    # the trace form of an empty basis is the 0×0 matrix, whose signature is empty
+    assert killing_matrix(basis) == ExactMatrix([])
+    assert (killing_matrix(basis).rows, killing_matrix(basis).cols) == (0, 0)
     assert killing_signature(basis) == (0, 0, 0)
 
 
@@ -519,7 +592,7 @@ def test_integer_commutators_and_trace_form_match_the_f3_loops(name, permuted):
     dim, basis = derivation_space(AlgebraPresentation(constants))
     assert dim == 8
     for a in basis:
-        flat = _flat(*_common_denominator(a.ints), a.cols)
+        flat = _flat(a)
         _assert_sparse([flat])
         assert _bits(_f3_rows([flat], 64)[0]) == _bits([x for row in a.entries for x in row])
         for b in basis:
@@ -546,6 +619,10 @@ def test_lie_closure_fails_off_the_span():
     assert _commutator(e, f) == h
     assert check_lie_closure([e, f]) is _lie_closure_by_scalars([e, f]) is False
     assert check_lie_closure([e, f, h]) is _lie_closure_by_scalars([e, f, h]) is True
+    # the same three as flat rational rows (na, d), the form of a Q-form kernel
+    e, f, h = ({1: 1}, 1), ({2: 2}, 2), ({0: 3, 3: -3}, 3)
+    assert _lie_closed([e, f], 2) is False
+    assert _lie_closed([e, f, h], 2) is True
 
 
 def test_lie_closure_matches_the_rank_test_on_random_sparse_matrices():
