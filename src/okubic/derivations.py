@@ -135,35 +135,63 @@ def _derivation_kernel(table: SparseTable):
     p the table's ``_q_form`` parities or None, kernel one pair (fc, row) per free column fc.
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
-    integer row read from the table's ``ints`` over its ``den``; the shortest go
-    first.  When the table has a ``_q_form``, its rows are rational rows (na, d) read
-    from ints', and otherwise rows (na, nb, d) over Q(√3).  Each kernel row is a flat
-    row of that form over one denominator, entry 1 at fc: a derivation D′ of the table
+    integer row over the table's ``den``, summed in order from three reads of its
+    ``ints`` built once per table: the cell (i, j), each (m, c) added at column
+    k·n + m; the cells (r, j) of column j with output k, as (r·n, −c) added at
+    r·n + i; and the cells (i, r) of row i with output k, as (r·n, −c) added at
+    r·n + j, both in order of r.  An entry summed to 0 is dropped.  The rows are
+    written in order (i, j, k) and handed to the elimination shortest first, in a
+    stable sort.  When the table has a ``_q_form``, c is the integer A of ints' and
+    the rows are rational rows (na, d); otherwise c is A + B√3, summed as an F3 over
+    1 and read back into rows (na, nb, d) over Q(√3).  Each kernel row is a flat row
+    of that form over one denominator, entry 1 at fc: a derivation D′ of the table
     in the Q-basis √3^p_i·b_i, or D itself when p is None.
     """
     if table.size != len(table.ints):
         raise ValueError("not a product table: its outputs are not its basis vectors")
     p, ints = _q_form(table) or (None, table.ints)
     n, den = len(ints), table.den
+    cells = [[[(m, _raw_f3(a, b, 1) if p is None else a) for m, a, b in cell] for cell in row]
+             for row in ints]
+    cols = [[[] for _ in range(n)] for _ in range(n)]  # cols[j][k]: column j at output k
+    lines = [[[] for _ in range(n)] for _ in range(n)]  # lines[i][k]: row i at output k
+    for r, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                cols[j][k].append((r * n, -c))
+                lines[r][k].append((j * n, -c))
     rows = []
-    for i in range(n):
-        for j in range(n):
-            # (equation k, unknown, A, B) for each term c = (A + B√3)/den
-            terms = [(k, k * n + m, a, b) for k in range(n) for m, a, b in ints[i][j]]
-            terms += [(k, r * n + i, -a, -b) for r in range(n) for k, a, b in ints[r][j]]
-            terms += [(k, r * n + j, -a, -b) for r in range(n) for k, a, b in ints[i][r]]
-            if p is None:
-                eqs = [({}, {}, den) for _ in range(n)]
-                for k, col, a, b in terms:
-                    _add_entry(eqs[k][0], eqs[k][1], col, a, b)
-            else:
-                eqs = [({}, den) for _ in range(n)]
-                for k, col, a, _ in terms:
-                    na = eqs[k][0]
-                    na[col] = na.get(col, 0) + a
-                    if not na[col]:
-                        del na[col]
-            rows += eqs
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for k in range(n):
+                # the same sum for each read, written out: a loop over (read, offset)
+                # pairs made the writer about a fifth slower
+                na, kn = {}, k * n
+                for t, x in cell:
+                    t += kn
+                    x += na.get(t, 0)
+                    if x:
+                        na[t] = x
+                    else:
+                        del na[t]
+                for t, x in cols[j][k]:
+                    t += i
+                    x += na.get(t, 0)
+                    if x:
+                        na[t] = x
+                    else:
+                        del na[t]
+                for t, x in lines[i][k]:
+                    t += j
+                    x += na.get(t, 0)
+                    if x:
+                        na[t] = x
+                    else:
+                        del na[t]
+                rows.append((na, den))
+    if p is None:
+        rows = [({t: x._an for t, x in na.items()}, {t: x._bn for t, x in na.items()}, den)
+                for na, _ in rows]
     reduced, pivots, _, _ = _gauss_jordan(sorted(rows, key=lambda row: len(row[0])))
     kernel, one = [], (1, 0, 1) if p is None else (1, 1)
     for fc, entries in _kernel_columns(reduced, pivots, n * n):

@@ -309,8 +309,20 @@ def _drawn(rng: random.Random, count: int, sqrt3: bool = True):
     """The one random stream of the samplers: the stored form (na, nb, d) of ``count``
     coordinates a + b√3 drawn in turn, a then b (b = 0, undrawn, when not ``sqrt3``), each
     rational as a numerator in [-9, 9] then a denominator in {1, 2, 3}: the numerators
-    over the lcm of the denominators, with one gcd divided out."""
-    draws = [(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range((1 + sqrt3) * count)]
+    over the lcm of the denominators, with one gcd divided out.
+
+    Each is read from machine words as ``randint(-9, 9)`` and ``choice((1, 2, 3))`` read
+    them on CPython 3.10+, so the values and the stream state are theirs: 5 bits redrawn
+    while ≥ 19, minus 9, then 2 bits redrawn while 3, plus 1."""
+    bits, draws = rng.getrandbits, []
+    for _ in range((1 + sqrt3) * count):
+        a = bits(5)
+        while a >= 19:
+            a = bits(5)
+        d = bits(2)
+        while d == 3:
+            d = bits(2)
+        draws.append((a - 9, d + 1))
     pairs = zip(draws[0::2], draws[1::2]) if sqrt3 else ((a, (0, 1)) for a in draws)
     nums = [(an * bd, bn * ad, ad * bd) for (an, ad), (bn, bd) in pairs]
     d = lcm(*(e for _, _, e in nums))

@@ -137,15 +137,26 @@ def petersson_mul(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:
     return para_mul(tau_triality(x), tau_triality(tau_triality(y)))
 
 
+def _signed_index(x: SplitOctonion):
+    """(k, s) for a signed basis vector x = s·b_k, whose stored denominator is 1."""
+    na = x.ints[0]
+    k = next(k for k, a in enumerate(na) if a)
+    return k, na[k]
+
+
 def petersson_structure_constants():
-    """8×8×8 rational tensor of the Petersson product in the canonical basis."""
-    return tuple(
-        tuple(
-            petersson_mul(SplitOctonion.basis(i), SplitOctonion.basis(j)).coeffs
-            for j in range(8)
-        )
-        for i in range(8)
-    )
+    """8×8×8 rational tensor of the Petersson product in the canonical basis.  The
+    maps b_i ↦ conj(τ(b_i)) = s_i·b_π(i) and b_j ↦ conj(τ²(b_j)) = t_j·b_ρ(j) are signed
+    basis permutations, so cell (i, j) is s_i·t_j times ``MUL_TABLE`` cell (π(i), ρ(j))."""
+    basis = [SplitOctonion.basis(i) for i in range(8)]
+    left = [_signed_index(oct_conj(tau_triality(b))) for b in basis]
+    right = [_signed_index(oct_conj(tau_triality(tau_triality(b)))) for b in basis]
+    out = [[[Fraction(0)] * 8 for _ in range(8)] for _ in range(8)]
+    for i, (pi, s) in enumerate(left):
+        for j, (rho, t) in enumerate(right):
+            for k, a, _ in MUL_TABLE.ints[pi][rho]:
+                out[i][j][k] += Fraction(s * t * a, MUL_TABLE.den)
+    return tuple(tuple(map(tuple, plane)) for plane in out)
 
 
 def sample_split_octonion(rng: random.Random) -> SplitOctonion:

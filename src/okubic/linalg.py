@@ -652,23 +652,28 @@ def determinant(m: ExactMatrix) -> F3:
 
 def symmetric_signature(m: ExactMatrix):
     """Signature (pos, neg, zero) of a symmetric F3 matrix, by Schur complements on m's
-    integer rows through ``_normalized`` and ``_cleared``: each step clears its columns
-    from the rows in ``left``, which then hold only the columns in ``left`` (the
-    complement, whose signature adds to the step's, Haynsworth).  A step is a nonzero
-    diagonal entry, one square of its sign, or, with every diagonal entry left zero,
-    a block [[0, b], [b, 0]], one positive and one negative square.  Valid because
-    the real embedding of Q(√3) orders the field."""
+    integer rows through the row operations of their form: ``_normalized`` and
+    ``_cleared`` over Q(√3), or their rational twins on rows (na, d) when every √3
+    part is 0.  Each step clears its columns from the rows in ``left``, which then hold
+    only the columns in ``left`` (the complement, whose signature adds to the step's,
+    Haynsworth).  A step is a nonzero diagonal entry, one square of its sign, or, with
+    every diagonal entry left zero, a block [[0, b], [b, 0]], one positive and one
+    negative square.  Valid because the real embedding of Q(√3) orders the field."""
     if m.rows != m.cols:
         raise ValueError("signature of non-square matrix")
-    a = list(m.ints)
+    if any(any(nb.values()) for _, nb, _ in m.ints):
+        a, clear, normal = list(m.ints), _cleared, _normalized
+    else:
+        a, clear, normal = [(na, d) for na, _, d in m.ints], _rational_cleared, _rational_normalized
     left, pos, neg = list(range(m.rows)), 0, 0
     while any(a[i][0] for i in left):
         k = next((k for k in left if k in a[k][0]), None)
         if k is not None:
             left.remove(k)
-            row, p = _normalized(a[k], k)
+            row, p = normal(a[k], k)
             pivots = {k: row}
-            if _raw_f3(*p).is_positive():
+            # the pivot's sign: a rational (pa, d) has d > 0
+            if (p[0] > 0 if len(p) == 2 else _raw_f3(*p).is_positive()):
                 pos += 1
             else:
                 neg += 1
@@ -677,8 +682,8 @@ def symmetric_signature(m: ExactMatrix):
             j = min(a[i][0])
             left = [r for r in left if r not in (i, j)]
             # row i over b holds no i, and row j over b no j: one pass clears both
-            pivots = {j: _normalized(a[i], j)[0], i: _normalized(a[j], i)[0]}
+            pivots = {j: normal(a[i], j)[0], i: normal(a[j], i)[0]}
             pos, neg = pos + 1, neg + 1
         for r in left:
-            a[r] = _cleared(a[r], pivots)
+            a[r] = clear(a[r], pivots)
     return pos, neg, len(left)

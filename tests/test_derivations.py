@@ -214,6 +214,76 @@ UNGRADED_GL2 = [[[F3(Fraction(1, 2), Fraction(1, 2)), 0, 0], [0] * 3, [0] * 3],
                 [[0] * 3] * 3, [[0] * 3] * 3]
 
 
+def _leibniz_rows_by_terms(table):
+    """The Leibniz rows of ``_derivation_kernel`` from three term lists per cell (i, j),
+    (equation k, unknown, A, B) for the cell, column j and row i, summed in that order
+    into one row per k and sorted shortest first: the oracle for its writer."""
+    p, ints = derivations._q_form(table) or (None, table.ints)
+    n, den = len(ints), table.den
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            terms = [(k, k * n + m, a, b) for k in range(n) for m, a, b in ints[i][j]]
+            terms += [(k, r * n + i, -a, -b) for r in range(n) for k, a, b in ints[r][j]]
+            terms += [(k, r * n + j, -a, -b) for r in range(n) for k, a, b in ints[i][r]]
+            if p is None:
+                eqs = [({}, {}, den) for _ in range(n)]
+                for k, col, a, b in terms:
+                    derivations._add_entry(eqs[k][0], eqs[k][1], col, a, b)
+            else:
+                eqs = [({}, den) for _ in range(n)]
+                for k, col, a, _ in terms:
+                    na = eqs[k][0]
+                    na[col] = na.get(col, 0) + a
+                    if not na[col]:
+                        del na[col]
+            rows += eqs
+    return sorted(rows, key=lambda row: len(row[0]))
+
+
+class _Written(Exception):
+    """Carries the rows that ``_derivation_kernel`` hands to the elimination."""
+
+
+def _written_rows(table, monkeypatch):
+    """The rows ``_derivation_kernel`` hands to ``_gauss_jordan``, taken before it runs."""
+    def stop(rows):
+        raise _Written(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "_gauss_jordan", stop)
+        with pytest.raises(_Written) as written:
+            derivations._derivation_kernel(table)
+    return written.value.args[0]
+
+
+WRITER_TABLES = {
+    **{name: lambda name=name: AlgebraPresentation(LEIBNIZ_TENSORS[name]())
+       for name in LEIBNIZ_TENSORS},
+    "ungraded-gl2": lambda: AlgebraPresentation(UNGRADED_GL2),
+    "okubo-table": lambda: structure_constants(COMPACT),
+    "split-okubo-table": lambda: structure_constants(SPLIT),
+    # cells that list an output twice, one pair cancelling: rows built by adding in order
+    "repeated-outputs": lambda: SparseTable([[[(0, 1), (1, 2), (0, -1)], [(1, 1), (1, 1)]],
+                                             [[(0, 1), (0, 3)], [(1, -2), (0, 1)]]]),
+    **{f"albert-q={q}": lambda q=q: albert._table(F3(q))
+       for q in (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1))},
+}
+
+
+@pytest.mark.parametrize("name", WRITER_TABLES)
+def test_leibniz_writer_matches_the_term_lists(name, monkeypatch):
+    # the same rows in the same order, each dict with the same keys in the same order
+    table = WRITER_TABLES[name]()
+    got, want = _written_rows(table, monkeypatch), _leibniz_rows_by_terms(table)
+    assert got == want
+    assert [[list(part) for part in row[:-1]] for row in got] == [
+        [list(part) for part in row[:-1]] for row in want]
+    graded = derivations._q_form(table) is not None
+    assert {len(row) for row in got} == {2 if graded else 3}
+    assert graded is not name.startswith("ungraded")
+
+
 # each table with the basis of its Q(√3) chain: Der(𝔸_q) from the cache above
 REPORT_TABLES = {
     "okubo": (lambda: structure_constants(COMPACT), None),

@@ -1,5 +1,6 @@
 """Exact scalar tower Q ⊂ Q(√3) ⊂ Q(√3, i)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -173,6 +174,28 @@ def test_sample_rational_is_one_draw():
         for _ in range(5):
             got, want = sample_rational(rng), _sample_rational_by_scalars(ref)
             assert type(got) is Fraction and got == want
+            assert rng.getstate() == ref.getstate()
+
+
+def _drawn_by_randint(rng, count, sqrt3=True):
+    """Each rational as ``randint(-9, 9)`` then ``choice((1, 2, 3))``: the oracle for
+    ``field._drawn``, which reads the same words through ``getrandbits``."""
+    draws = [(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range((1 + sqrt3) * count)]
+    pairs = zip(draws[0::2], draws[1::2]) if sqrt3 else ((a, (0, 1)) for a in draws)
+    nums = [(an * bd, bn * ad, ad * bd) for (an, ad), (bn, bd) in pairs]
+    d = math.lcm(*(e for _, _, e in nums))
+    na, nb = [a * (d // e) for a, _, e in nums], [b * (d // e) for _, b, e in nums]
+    g = math.gcd(d, *na, *nb)
+    return tuple(a // g for a in na), tuple(b // g for b in nb), d // g
+
+
+@pytest.mark.parametrize("sqrt3", [True, False], ids=["q-sqrt3", "rational"])
+@pytest.mark.parametrize("count", [1, 8, 27])
+def test_drawn_reads_the_words_of_randint_and_choice(count, sqrt3):
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            assert field._drawn(rng, count, sqrt3) == _drawn_by_randint(ref, count, sqrt3)
             assert rng.getstate() == ref.getstate()
 
 

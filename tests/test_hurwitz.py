@@ -2,6 +2,7 @@
 product, triality, and the Petersson twist."""
 
 import random
+from fractions import Fraction
 
 from okubic.hurwitz import (
     E1,
@@ -18,6 +19,7 @@ from okubic.hurwitz import (
     oct_polar,
     para_mul,
     petersson_mul,
+    petersson_structure_constants,
     sample_split_octonion,
     tau_triality,
 )
@@ -145,6 +147,20 @@ def test_petersson_twist_is_the_para_hurwitz_product_of_the_triality_images():
     for _ in range(300):
         x, y = sample_split_octonion(rng), sample_split_octonion(rng)
         assert petersson_mul(x, y) == _petersson_by_conjugates(x, y)
+
+
+def _petersson_constants_by_products():
+    """The Petersson tensor from its 64 basis products: the oracle for
+    ``petersson_structure_constants``, which reads ``MUL_TABLE`` cells."""
+    return tuple(tuple(petersson_mul(B(i), B(j)).coeffs for j in range(8)) for i in range(8))
+
+
+def test_petersson_constants_match_the_basis_products():
+    got, want = petersson_structure_constants(), _petersson_constants_by_products()
+    assert got == want
+    assert [type(x) for plane in got for row in plane for x in row] == [Fraction] * 512
+    assert [type(row) for plane in got for row in plane] == [tuple] * 64
+    assert type(got) is tuple and {type(plane) for plane in got} == {tuple}
 
 
 def test_petersson_twist_is_not_unital():

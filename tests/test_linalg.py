@@ -625,8 +625,8 @@ def test_each_rule_is_written_once():
     # one basis flattening, and one random draw
     assert not [name for _, name in defs if name.split(".")[-1] == "_flatten"]
     assert "_flat" in _calls(defs["derivations", "killing_matrix"])
-    assert sum(text.count("randint(") for text in sources.values()) == 1
-    assert "randint(" in ast.unparse(defs["field", "_drawn"])
+    assert sum(text.count("getrandbits") for text in sources.values()) == 1
+    assert "getrandbits" in ast.unparse(defs["field", "_drawn"])
 
 
 @VECTOR_SAMPLERS
@@ -1593,12 +1593,17 @@ def _signature_by_scalars(m):
     return pos, neg, zero
 
 
-def _symmetric(rng, n, diagonal=True):
+def _symmetric(rng, n, diagonal=True, entry=_mixed_f3):
     a = [[F3()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i if diagonal else i + 1, n):
-            a[i][j] = a[j][i] = _mixed_f3(rng)
+            a[i][j] = a[j][i] = entry(rng)
     return a
+
+
+def _rational_f3(rng):
+    # _mixed_f3 with no √3 part
+    return F3(_mixed_f3(rng).a)
 
 
 def _trace_form(name):
@@ -1620,6 +1625,12 @@ def _samples(rng):
 
 def _zero_diagonal(rng):
     return [_symmetric(rng, n, diagonal=False) for n in range(2, 8) for _ in range(8)]
+
+
+def _rational_samples(rng):
+    # sizes 1-9 over Q, with and without a diagonal: the rational Schur steps
+    return [_symmetric(rng, n, diagonal, _rational_f3)
+            for n in range(1, 10) for diagonal in (True, False) for _ in range(12)]
 
 
 def _congruences(rng):
@@ -1666,6 +1677,7 @@ SIGNATURE_INPUTS = {
     "congruence-samples": _congruence_samples,
     "zero-diagonal-congruences": lambda: [m for pair in _zero_diagonal_pairs() for m in pair],
     "seeded": _seeded(_samples),
+    "rational": _seeded(_rational_samples),
     "zero-diagonal": _seeded(_zero_diagonal),
     "congruences": _seeded(_congruences),
     "rank-deficient": _seeded(_rank_deficient),
@@ -1685,6 +1697,22 @@ def test_signature_matches_the_scalar_oracle(name):
         assert type(got) is tuple and [type(x) for x in got] == [int] * 3
         assert got == _signature_by_scalars(m)
         assert sum(got) == m.rows and got[0] + got[1] == rank(m)
+
+
+@pytest.mark.parametrize("entries, steps", [
+    ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], {"_rational_normalized", "_rational_cleared"}),
+    ([[0, 1, R3], [1, 0, 1], [R3, 1, 0]], {"_normalized", "_cleared"}),
+], ids=["rational", "q-sqrt3"])
+def test_signature_steps_in_the_form_of_the_rows(entries, steps, monkeypatch):
+    # a matrix with no √3 part takes the rational steps: a block [[0, 1], [1, 0]],
+    # then the nonzero 1×1 complement
+    calls = []
+    for fn in ("_normalized", "_cleared", "_rational_normalized", "_rational_cleared"):
+        real = getattr(linalg, fn)
+        monkeypatch.setattr(linalg, fn, lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
+    m = ExactMatrix(entries)
+    assert symmetric_signature(m) == _signature_by_scalars(m)
+    assert set(calls) == steps
 
 
 def test_signature_needs_a_square_matrix():
