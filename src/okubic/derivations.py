@@ -132,7 +132,7 @@ def _q_form(table: SparseTable):
 def _derivation_kernel(table: SparseTable):
     """The Leibniz system of any n×n structure-constant table (an ``AlgebraPresentation``
     is one; a form raises ValueError), written once and eliminated once: (p, n, kernel),
-    p the table's ``_q_form`` parities or None, kernel one pair (fc, row) per free column fc.
+    p the table's ``_q_form`` parities or None, kernel the pivot span {fc: row}, fc free.
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse
     integer row over the table's ``den``, summed in order from three reads of its
@@ -144,8 +144,8 @@ def _derivation_kernel(table: SparseTable):
     stable sort.  When the table has a ``_q_form``, c is the integer A of ints' and
     the rows are rational rows (na, d); otherwise c is A + B√3, summed as an F3 over
     1 and read back into rows (na, nb, d) over Q(√3).  Each kernel row is a flat row
-    of that form over one denominator, entry 1 at fc: a derivation D′ of the table
-    in the Q-basis √3^p_i·b_i, or D itself when p is None.
+    of that form over one denominator, 1 at fc and 0 at the other free columns: a
+    derivation D′ of the table in the Q-basis √3^p_i·b_i, or D itself when p is None.
     """
     if table.size != len(table.ints):
         raise ValueError("not a product table: its outputs are not its basis vectors")
@@ -193,12 +193,12 @@ def _derivation_kernel(table: SparseTable):
         rows = [({t: x._an for t, x in na.items()}, {t: x._bn for t, x in na.items()}, den)
                 for na, _ in rows]
     reduced, pivots, _, _ = _gauss_jordan(sorted(rows, key=lambda row: len(row[0])))
-    kernel, one = [], (1, 0, 1) if p is None else (1, 1)
+    kernel, one = {}, (1, 0, 1) if p is None else (1, 1)
     for fc, entries in _kernel_columns(reduced, pivots, n * n):
         entries[fc] = one
         big, entries = math.lcm(*(x[-1] for x in entries.values())), sorted(entries.items())
-        kernel.append((fc, (*({c: x[part] * (big // x[-1]) for c, x in entries}
-                              for part in range(len(one) - 1)), big)))
+        kernel[fc] = (*({c: x[part] * (big // x[-1]) for c, x in entries}
+                        for part in range(len(one) - 1)), big)
     return p, n, kernel
 
 
@@ -221,7 +221,7 @@ def derivation_space(table: SparseTable):
     Each basis matrix is built from the kernel's integer rows, with no F3 value."""
     p, n, kernel = _derivation_kernel(table)
     basis, lift = [], p and [p[c // n] - p[c % n] for c in range(n * n)]
-    for fc, row in kernel:
+    for fc, row in kernel.items():
         if p is not None:
             # D[c] = √3^(lift c - lift fc)·D'[c] is √3^t·D'[c] over 3 for
             # t = lift c - lift fc + 2 in 0..4: 3^(t//2)·D'[c], times √3 when t is odd
@@ -265,19 +265,16 @@ def _rational_bracket(a, b):
     return na, da * db
 
 
-def _lie_closed(rows, n):
-    """[D_i, D_j] lies in the span of flat rows of n×n matrices, all of one form: the rows
-    are reduced by one ``_gauss_jordan``, and each commutator, by ``_bracket`` on rows over
-    Q(√3) or ``_rational_bracket`` on rows over Q, is cleared against the pivot rows by
-    that form's ``_cleared``, up to the first one left nonzero."""
-    if not rows:
+def _lie_closed(span, n):
+    """[D_i, D_j] lies in the span of flat rows of n×n matrices, all of one form, given as
+    a pivot span {c: row}, row 1 at c and 0 at every other key: each commutator, by
+    ``_bracket`` over Q(√3) or ``_rational_bracket`` over Q, is cleared against the span by
+    that form's ``_cleared``, up to the first one left nonzero; an empty span is closed."""
+    if not span:
         return True
-    if len(rows[0]) == 2:
-        bracket, clear = _rational_bracket, _rational_cleared
-    else:
-        bracket, clear = _bracket, _cleared
-    reduced, pivots, _, _ = _gauss_jordan(rows)
-    span, mats = dict(zip(pivots, reduced)), [_rows_of(row, n) for row in rows]
+    mats = [_rows_of(row, n) for row in span.values()]
+    rational = len(next(iter(span.values()))) == 2
+    bracket, clear = (_rational_bracket, _rational_cleared) if rational else (_bracket, _cleared)
     return not any(clear(bracket(x, y), span)[0] for i, x in enumerate(mats) for y in mats[i + 1:])
 
 
@@ -312,8 +309,9 @@ def _flat(m: ExactMatrix):
 
 
 def check_lie_closure(basis) -> bool:
-    """[D_i, D_j] lies in the span of the basis, by ``_lie_closed`` on the flattened basis."""
-    return _lie_closed([_flat(m) for m in basis], basis[0].cols if basis else 0)
+    """[D_i, D_j] lies in the span of the basis, by ``_lie_closed`` on its flattened pivot span."""
+    reduced, pivots, _, _ = _gauss_jordan([_flat(m) for m in basis])
+    return _lie_closed(dict(zip(pivots, reduced)), basis[0].cols if basis else 0)
 
 
 def killing_matrix(basis) -> ExactMatrix:
@@ -358,17 +356,16 @@ def check_tau_grading(flavor: str = COMPACT) -> bool:
 
 def derivation_report(table: SparseTable) -> dict:
     """JSON-ready report: dimension, Lie closure and trace-form signature, read from the
-    kernel rows of ``_derivation_kernel`` with no basis matrix built.  Over a Q-form each
-    row is a D′_f with D_f = √3^c_f·S·D′_f·S⁻¹, S = diag(√3^p_i): the change of basis by
-    S and the nonzero scalars keep the span and the brackets in it, so closure is the
-    same, and the trace sums of ``_trace_rows`` are the trace form of the D_f congruent
-    by the positive diag(d_f/√3^c_f), d_f the row's denominator, so its signature is."""
+    pivot span of ``_derivation_kernel``: one elimination and no basis matrix.  Over a Q-form
+    each row is a D′_f with D_f = √3^c_f·S·D′_f·S⁻¹, S = diag(√3^p_i): the change of
+    basis by S and the nonzero scalars keep the span and the brackets in it, so closure
+    is the same, and the trace sums of ``_trace_rows`` are the trace form of the D_f
+    congruent by the positive diag(d_f/√3^c_f), d_f the row's denominator, so its signature is."""
     _, n, kernel = _derivation_kernel(table)
-    rows = [row for _, row in kernel]
-    trace = [(na, nb, 1) for na, nb in _trace_rows(rows, n)]
-    pos, neg, zero = symmetric_signature(ExactMatrix._from_ints(trace, len(rows)))
+    trace = [(na, nb, 1) for na, nb in _trace_rows(list(kernel.values()), n)]
+    pos, neg, zero = symmetric_signature(ExactMatrix._from_ints(trace, len(kernel)))
     return {
-        "dimension": len(rows),
-        "lie_closed": _lie_closed(rows, n),
+        "dimension": len(kernel),
+        "lie_closed": _lie_closed(kernel, n),
         "killing_signature": {"pos": pos, "neg": neg, "zero": zero},
     }

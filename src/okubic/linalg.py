@@ -661,6 +661,12 @@ def symmetric_signature(m: ExactMatrix):
     negative square.  Valid because the real embedding of Q(√3) orders the field."""
     if m.rows != m.cols:
         raise ValueError("signature of non-square matrix")
+    # a[i][j] = a[j][i] on the stored integers, cross-multiplied by the row denominators
+    for i, (na, nb, d) in enumerate(m.ints):
+        for j, x in na.items():
+            ta, tb, dt = m.ints[j]
+            if x * dt != ta.get(i, 0) * d or nb[j] * dt != tb.get(i, 0) * d:
+                raise ValueError("signature of non-symmetric matrix")
     if any(any(nb.values()) for _, nb, _ in m.ints):
         a, clear, normal = list(m.ints), _cleared, _normalized
     else:

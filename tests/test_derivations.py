@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from okubic import albert, derivations
+from okubic import albert, derivations, linalg
 from okubic.derivations import (
     AlgebraPresentation,
     _bracket,
     _common_denominator,
     _flat,
     _lie_closed,
+    _rational_bracket,
     _rows_of,
     check_lie_closure,
     check_tau_grading,
@@ -30,6 +31,9 @@ from okubic.linalg import (
     SPLIT,
     ExactMatrix,
     SparseTable,
+    _cleared,
+    _gauss_jordan,
+    _rational_cleared,
     _reduced,
     _vector_ints,
     bilinear,
@@ -689,10 +693,11 @@ def test_lie_closure_fails_off_the_span():
     assert _commutator(e, f) == h
     assert check_lie_closure([e, f]) is _lie_closure_by_scalars([e, f]) is False
     assert check_lie_closure([e, f, h]) is _lie_closure_by_scalars([e, f, h]) is True
-    # the same three as flat rational rows (na, d), the form of a Q-form kernel
+    # the same three as flat rational rows (na, d), the form of a Q-form kernel, in a
+    # pivot span: each row 1 at its key and 0 at the other keys
     e, f, h = ({1: 1}, 1), ({2: 2}, 2), ({0: 3, 3: -3}, 3)
-    assert _lie_closed([e, f], 2) is False
-    assert _lie_closed([e, f, h], 2) is True
+    assert _lie_closed({1: e, 2: f}, 2) is False
+    assert _lie_closed({1: e, 2: f, 0: h}, 2) is True
 
 
 def test_lie_closure_matches_the_rank_test_on_random_sparse_matrices():
@@ -700,3 +705,69 @@ def test_lie_closure_matches_the_rank_test_on_random_sparse_matrices():
     for k in range(1, len(basis) + 1):
         assert check_lie_closure(basis[:k]) is _lie_closure_by_scalars(basis[:k])
     assert not _lie_closure_by_scalars(basis)
+
+
+def _lie_closed_by_elimination(rows, n):
+    """The closure test on a list of flat rows that reduces them by its own
+    ``_gauss_jordan``: the oracle for ``_lie_closed``, which clears against the pivot
+    span it is given."""
+    if not rows:
+        return True
+    if len(rows[0]) == 2:
+        bracket, clear = _rational_bracket, _rational_cleared
+    else:
+        bracket, clear = _bracket, _cleared
+    reduced, pivots, _, _ = _gauss_jordan(rows)
+    span, mats = dict(zip(pivots, reduced)), [_rows_of(row, n) for row in rows]
+    return not any(clear(bracket(x, y), span)[0] for i, x in enumerate(mats) for y in mats[i + 1:])
+
+
+@pytest.mark.parametrize("name", REPORT_TABLES)
+def test_span_closure_matches_the_elimination_oracle_on_the_kernel(name):
+    _, n, kernel = derivations._derivation_kernel(REPORT_TABLES[name][0]())
+    assert _lie_closed(kernel, n) is _lie_closed_by_elimination(list(kernel.values()), n)
+
+
+def test_span_closure_matches_the_elimination_oracle_on_random_sparse_matrices():
+    # the span of check_lie_closure: the pivot rows of the flattened basis
+    basis, closed = _random_sparse_matrices(), []
+    for k in range(len(basis) + 1):
+        flat = [_flat(m) for m in basis[:k]]
+        closed.append(check_lie_closure(basis[:k]))
+        assert closed[-1] is _lie_closed_by_elimination(flat, 8)
+    assert closed[0] and not closed[-1]
+
+
+@pytest.mark.parametrize("name", REPORT_TABLES)
+def test_kernel_is_a_pivot_span_in_both_row_forms(name, monkeypatch):
+    # each row is 1 at its own key and 0 at every other key, over Q and, with the
+    # Q-form turned off, over Q(√3); the free columns are the same in both
+    table, spans = REPORT_TABLES[name][0](), []
+    graded = derivations._q_form(table) is not None
+    for q_form in (derivations._q_form, lambda table: None):
+        monkeypatch.setattr(derivations, "_q_form", q_form)
+        _, _, kernel = derivations._derivation_kernel(table)
+        for key, row in kernel.items():
+            *parts, d = row
+            assert [[part.get(c, 0) for part in parts] for c in kernel] == [
+                [d if c == key else 0] + [0] * (len(parts) - 1) for c in kernel]
+        spans.append(kernel)
+    rational, q_sqrt3 = spans
+    assert list(rational) == list(q_sqrt3) == sorted(rational)
+    assert {len(row) for row in q_sqrt3.values()} <= {3}
+    assert {len(row) for row in rational.values()} <= {2 if graded else 3}
+
+
+@pytest.mark.parametrize("name", ["okubo", "split-okubo", "petersson", "ungraded-gl2"])
+def test_one_elimination_per_report_and_per_closure_check(name, monkeypatch):
+    # the report's one elimination is the Leibniz system's; _lie_closed makes none
+    table, calls = REPORT_TABLES[name][0](), []
+    _, basis = derivation_space(table)
+    _, n, kernel = derivations._derivation_kernel(table)
+    for module in (derivations, linalg):
+        monkeypatch.setattr(module, "_gauss_jordan",
+                            lambda rows: calls.append(len(rows)) or _gauss_jordan(rows))
+    assert _lie_closed(kernel, n) and calls == []
+    assert derivation_report(table)["lie_closed"] and len(calls) == 1
+    calls.clear()
+    assert check_lie_closure(basis) and calls == [len(basis)]

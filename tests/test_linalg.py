@@ -1718,3 +1718,14 @@ def test_signature_steps_in_the_form_of_the_rows(entries, steps, monkeypatch):
 def test_signature_needs_a_square_matrix():
     with pytest.raises(ValueError, match="signature of non-square matrix"):
         symmetric_signature(ExactMatrix([[1, 0]]))
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, 1], [2, 0]],
+    [[1, 1], [0, 1]],
+    [[0, 1 + R3], [1, 0]],
+    [[0, F3(1) / 3, 0], [F3(1) / 2, 0, 0], [0, 0, 1]],
+], ids=["rational", "one-sided", "sqrt3-part", "denominators"])
+def test_signature_needs_a_symmetric_matrix(entries):
+    with pytest.raises(ValueError, match="signature of non-symmetric matrix"):
+        symmetric_signature(ExactMatrix(entries))
