@@ -164,15 +164,17 @@ def lift_okubo_automorphism(phi):
 
 
 def is_graded_triple(phi0, phi1, phi2, rng: random.Random, samples: int = 50) -> bool:
-    """Check φ_i(x)*φ_{i+1}(y) = φ_{i+2}(x*y) cyclically on sampled pairs."""
+    """Check φ_i(x)*φ_{i+1}(y) = φ_{i+2}(x*y) cyclically on sampled pairs.  Equal
+    rotations are one identity, so each distinct rotation is checked once per sample,
+    in the order i = 0, 1, 2: a diagonal triple makes two products per sample."""
     phis = (phi0, phi1, phi2)
+    rotations = dict.fromkeys(phis[i:] + phis[:i] for i in range(3))
     for _ in range(samples):
         x = sample_okubo(rng)
         y = sample_okubo(rng)
         xy = okubo_mul(x, y)
-        for i in range(3):
-            lhs = okubo_mul(phis[i](x), phis[(i + 1) % 3](y))
-            if lhs != phis[(i + 2) % 3](xy):
+        for a, b, c in rotations:
+            if okubo_mul(a(x), b(y)) != c(xy):
                 return False
     return True
 

@@ -344,8 +344,14 @@ def _fixed_skew_matrices():
     )
 
 
+@functools.cache
+def _cayley_maps():
+    """The Cayley maps of ``_fixed_skew_matrices``, built once per process."""
+    return tuple(conjugation_automorphism(s) for s in _fixed_skew_matrices())
+
+
 def suite_automorphism(samples, seed, flavor, q):
-    phis = [conjugation_automorphism(s) for s in _fixed_skew_matrices()]
+    phis = _cayley_maps()
     lifted = lift_okubo_automorphism(phis[0])
     e0 = AlbertElement.scalar_idempotent(0)
     if cyclic_shift(e0) == e0:

@@ -74,17 +74,17 @@ class SplitOctonion(Vector):
 
     @classmethod
     def basis(cls, i: int) -> SplitOctonion:
-        c = [Fraction(0)] * 8
-        c[i] = Fraction(1)
-        return cls(c)
+        c = [0] * 8
+        c[i] = 1
+        return cls._from_ints((tuple(c), (0,) * 8, 1))
 
     @classmethod
     def zero(cls) -> SplitOctonion:
-        return cls([0] * 8)
+        return cls._from_ints(((0,) * 8, (0,) * 8, 1))
 
     @classmethod
     def unit(cls) -> SplitOctonion:
-        return cls([1, 1, 0, 0, 0, 0, 0, 0])
+        return cls._from_ints(((1, 1, 0, 0, 0, 0, 0, 0), (0,) * 8, 1))
 
     def __repr__(self):
         terms = [

@@ -61,7 +61,9 @@ from okubic.okubo import (
     okubo_mul,
     okubo_norm,
     polar,
+    sample_okubo,
 )
+from okubic.cli import _cayley_maps
 
 # the seeded points, perturbed points and Albert elements of the cone tests
 from test_geometry import _cone_samples
@@ -510,6 +512,68 @@ def test_graded_triples():
     for _ in range(20):
         a, b = sample_albert(rng), sample_albert(rng)
         assert mapped(ALBERT_HALF.mul(a, b)) == ALBERT_HALF.mul(mapped(a), mapped(b))
+
+
+def _graded_triple_by_rotations(phi0, phi1, phi2, rng, samples=50):
+    """The oracle for ``is_graded_triple``: all three cyclic rotations per sample,
+    equal ones included."""
+    phis = (phi0, phi1, phi2)
+    for _ in range(samples):
+        x = sample_okubo(rng)
+        y = sample_okubo(rng)
+        xy = okubo_mul(x, y)
+        for i in range(3):
+            lhs = okubo_mul(phis[i](x), phis[(i + 1) % 3](y))
+            if lhs != phis[(i + 2) % 3](xy):
+                return False
+    return True
+
+
+def _graded_triple_cases():
+    identity = lambda x: x
+    double, triple, sextuple = (lambda x, c=c: x.scale(c) for c in (2, 3, 6))
+    p0, p1, p2 = _cayley_maps()
+    return {
+        "phi0-diagonal": (p0, p0, p0),
+        "phi1-diagonal": (p1, p1, p1),
+        "phi2-diagonal": (p2, p2, p2),
+        "phi-id-id": (p0, identity, identity),
+        "phi0-phi1-phi2": (p0, p1, p2),
+        "identity-diagonal": (identity, identity, identity),
+        "id-phi1-id": (identity, p1, identity),
+        "doubling-diagonal": (double, double, double),
+        # scalings λ, μ, ν with λμ = ν: rotation 0 holds, a later one fails
+        "2-1-2": (double, identity, double),
+        "2-3-6": (double, triple, sextuple),
+    }
+
+
+@pytest.mark.parametrize("name", list(_graded_triple_cases()))
+def test_graded_triple_matches_the_rotation_oracle(name):
+    triple = _graded_triple_cases()[name]
+    for seed, samples in itertools.product((0, 612, 613), (1, 3, 20)):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert is_graded_triple(*triple, fast, samples) == _graded_triple_by_rotations(
+            *triple, slow, samples)
+        assert fast.getstate() == slow.getstate()
+
+
+def test_graded_triple_verdicts():
+    cases = _graded_triple_cases()
+    rng = random.Random(614)
+    passing = {name for name, triple in cases.items() if is_graded_triple(*triple, rng, 5)}
+    assert passing == {"phi0-diagonal", "phi1-diagonal", "phi2-diagonal", "identity-diagonal"}
+
+
+def test_diagonal_triple_makes_two_products_per_sample(monkeypatch):
+    calls = []
+    monkeypatch.setattr(albert_module, "okubo_mul",
+                        lambda x, y: calls.append(1) or okubo_mul(x, y))
+    phi = _cayley_maps()[0]
+    for samples in (1, 7, 20):
+        calls.clear()
+        assert is_graded_triple(phi, phi, phi, random.Random(615), samples)
+        assert len(calls) == 2 * samples
 
 
 def test_coords_and_json_roundtrip():

@@ -691,3 +691,28 @@ def test_one_parser_serves_every_call_of_main(capsys, monkeypatch):
     assert reused == fresh
     assert json.loads(reused[0][1])["flavor"] == "split"
     assert "flavor" not in json.loads(reused[2][1])
+
+
+def test_cayley_maps_are_built_once_per_process(capsys, monkeypatch):
+    # two automorphism suites in one process build the three fixed maps once, and
+    # report exactly as a run whose maps are built afresh
+    built, build = [], cli.conjugation_automorphism
+    monkeypatch.setattr(cli, "conjugation_automorphism", lambda s: built.append(1) or build(s))
+    cli._cayley_maps.cache_clear()
+    argv = ("check", "automorphism", "--seed", "3", "--samples", "5")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert len(built) == 3
+    assert first == second and first[0] == EXIT_OK
+    monkeypatch.setattr(cli, "_cayley_maps", cli._cayley_maps.__wrapped__)
+    assert run(capsys, *argv) == first
+    assert len(built) == 6
+
+
+def test_cached_cayley_maps_are_the_fresh_maps():
+    maps = cli._cayley_maps()
+    assert cli._cayley_maps() is maps
+    for phi, s in zip(maps, cli._fixed_skew_matrices(), strict=True):
+        fresh = okubo.conjugation_automorphism(s)
+        for k in range(8):
+            b = OkuboElement.basis(k)
+            assert phi(b) == fresh(b)

@@ -49,6 +49,19 @@ def test_unit_is_two_sided():
         assert oct_mul(x, one) == x
 
 
+def test_constants_are_the_stored_form_of_their_coordinates():
+    # basis, unit and zero write their stored integers; the coercing constructor
+    # reaches the same form from Fractions
+    cases = [(B(i), [Fraction(int(k == i)) for k in range(8)]) for i in range(8)]
+    cases += [(SplitOctonion.unit(), [1, 1, 0, 0, 0, 0, 0, 0]), (SplitOctonion.zero(), [0] * 8)]
+    for stored, coords in cases:
+        coerced = SplitOctonion(coords)
+        assert type(stored) is type(coerced) is SplitOctonion
+        assert stored == coerced and stored.ints == coerced.ints
+        assert list(map(type, stored.ints)) == list(map(type, coerced.ints)) == [tuple, tuple, int]
+        assert stored.coeffs == coerced.coeffs
+
+
 def test_norm_composition_on_basis_and_samples():
     for i in range(8):
         for j in range(8):

@@ -627,6 +627,12 @@ def test_each_rule_is_written_once():
     assert "_flat" in _calls(defs["derivations", "killing_matrix"])
     assert sum(text.count("getrandbits") for text in sources.values()) == 1
     assert "getrandbits" in ast.unparse(defs["field", "_drawn"])
+    # the fixed Cayley maps of the automorphism suite: built in one cached helper
+    assert sources["cli"].count("conjugation_automorphism(") == 1
+    assert [name for (stem, name), node in defs.items() if stem == "cli"
+            and "conjugation_automorphism" in _calls(node)] == ["_cayley_maps"]
+    assert [ast.unparse(d) for d in defs["cli", "_cayley_maps"].decorator_list] == [
+        "functools.cache"]
 
 
 @VECTOR_SAMPLERS
