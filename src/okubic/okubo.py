@@ -64,6 +64,7 @@ class NotCompactError(FlavorMismatchError):
 
 
 def _require_compact(*xs: OkuboElement) -> None:
+    OkuboElement._require_kind(*xs)
     for x in xs:
         if x.flavor != COMPACT:
             raise NotCompactError("input must be of the compact (division) flavor")
@@ -293,14 +294,47 @@ def zero_divisor_check(d: OkuboElement, rng: random.Random | None = None,
     return True
 
 
+def _rows_from_images(images):
+    """The 8×8 gcd-reduced sparse integer rows of the Q(√3)-linear map whose column a is
+    the stored form images[a], written over the lcm of the images' denominators: the
+    rows an ``ExactMatrix`` of the images would hold, for ``_mat_vec``."""
+    den = math.lcm(*(d for _, _, d in images))
+    cols = [(a, na, nb, den // d) for a, (na, nb, d) in enumerate(images)]
+    return [_reduced({a: m * na[k] for a, na, nb, m in cols if na[k] or nb[k]},
+                     {a: m * nb[k] for a, na, nb, m in cols if na[k] or nb[k]}, den)
+            for k in range(8)]
+
+
+@functools.cache
+def _idempotent_maps(flavor: str):
+    """The maps of the idempotent e = b₀, built once per flavor from products on the
+    basis: the rows of τ(x) = e*(e*x) and, for the compact flavor, the rows of
+    x̄ = e*τ(x) and the table of x·y = (e*x)*(y*e), cell (a, b) being
+    (e*b_a)*(b_b*e) (None for the split flavor).  Both paths are exact and end in the
+    canonical stored form, so each map gives what its products give."""
+    e = idempotent(flavor)
+    basis = [OkuboElement.basis(k, flavor) for k in range(8)]
+    left = [okubo_mul(e, b) for b in basis]
+    taus = [okubo_mul(e, x) for x in left]
+    tau = _rows_from_images([t.ints for t in taus])
+    if flavor == SPLIT:
+        return tau, None, None
+    conj = _rows_from_images([okubo_mul(e, t).ints for t in taus])
+    right = [okubo_mul(b, e) for b in basis]
+    cells = [[[(k, _raw_f3(a, b, d)) for k, (a, b) in enumerate(zip(na, nb)) if a or b]
+              for na, nb, d in (okubo_mul(x, y).ints for y in right)] for x in left]
+    return tau, conj, SparseTable(cells)
+
+
 def trivolution(x: OkuboElement) -> OkuboElement:
-    """τ(x) = e*(e*x), the order-3 automorphism attached to e."""
-    e = idempotent(x.flavor)
-    return okubo_mul(e, okubo_mul(e, x))
+    """τ(x) = e*(e*x), the order-3 automorphism attached to e: one pass over its rows."""
+    OkuboElement._require_kind(x)
+    return x._like(_mat_vec(_idempotent_maps(x.flavor)[0], x.ints))
 
 
 def trivolution_polar_form(x: OkuboElement) -> OkuboElement:
-    """Equivalent defining formula τ(x) = ⟨x, e⟩e - x*e."""
+    """Equivalent defining formula τ(x) = ⟨x, e⟩e - x*e, through the product, not τ's rows."""
+    OkuboElement._require_kind(x)
     e = idempotent(x.flavor)
     return e.scale(polar(x, e)) - okubo_mul(x, e)
 
@@ -314,16 +348,15 @@ def fix_tau(x: OkuboElement):
 
 
 def recovered_oct_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:
-    """Unital octonion product x·y = (e*x)*(y*e); compact flavor only."""
+    """Unital octonion product x·y = (e*x)*(y*e), one pass over its table; compact only."""
     _require_compact(x, y)
-    e = idempotent(COMPACT)
-    return okubo_mul(okubo_mul(e, x), okubo_mul(y, e))
+    return x._like(bilinear(_idempotent_maps(COMPACT)[2], x.ints, y.ints))
 
 
 def recovered_conj(x: OkuboElement) -> OkuboElement:
-    """Octonionic conjugation x̄ = e*τ(x) of the recovered product."""
+    """Conjugation x̄ = e*τ(x) of the recovered product, one pass over its rows."""
     _require_compact(x)
-    return okubo_mul(idempotent(COMPACT), trivolution(x))
+    return x._like(_mat_vec(_idempotent_maps(COMPACT)[1], x.ints))
 
 
 def bracket(x: OkuboElement, y: OkuboElement) -> OkuboElement:
@@ -408,18 +441,13 @@ def cayley_unitary(s: Mat3) -> Mat3:
 def conjugation_automorphism(s: Mat3):
     """Okubo automorphism x ↦ u x u† from the Cayley transform of s.
 
-    φ is Q(√3)-linear: 8×8 gcd-reduced sparse integer rows built once, whose column a is
-    φ(b_a) read back (and checked) by ``from_matrix``, its stored integers written over
-    their lcm; φ(x) is one ``_mat_vec`` pass over x.ints."""
+    φ is Q(√3)-linear: 8×8 gcd-reduced sparse integer rows built once by
+    ``_rows_from_images``, whose column a is φ(b_a) read back (and checked) by
+    ``from_matrix``; φ(x) is one ``_mat_vec`` pass over x.ints."""
     u = cayley_unitary(s)
     udag = u.dagger()
-    images = [OkuboElement.from_matrix(u @ b @ udag, COMPACT).ints
-              for b in basis_matrices(COMPACT)]
-    den = math.lcm(*(d for _, _, d in images))
-    cols = [(a, na, nb, den // d) for a, (na, nb, d) in enumerate(images)]
-    rows = [_reduced({a: m * na[k] for a, na, nb, m in cols if na[k] or nb[k]},
-                     {a: m * nb[k] for a, na, nb, m in cols if na[k] or nb[k]}, den)
-            for k in range(8)]
+    rows = _rows_from_images([OkuboElement.from_matrix(u @ b @ udag, COMPACT).ints
+                              for b in basis_matrices(COMPACT)])
 
     def phi(x: OkuboElement) -> OkuboElement:
         _require_compact(x)

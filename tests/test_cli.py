@@ -222,8 +222,9 @@ def test_each_suite_fails_on_its_mutant(capsys, monkeypatch, name, broken, suite
 @pytest.fixture
 def broken_okubo_constant(monkeypatch):
     """Both Okubo tables with the constants of cell (1, 2) doubled, where ``okubo_mul``
-    and the builder of the 𝔸_q tables read them; the cached 𝔸_q tables are emptied
-    before and after, so that none built on a broken table outlives the test."""
+    and the builder of the 𝔸_q tables read them; the cached 𝔸_q tables and maps of the
+    idempotent are emptied before and after, so that none built on a broken table
+    outlives the test."""
     broken = {}
     for flavor in (COMPACT, SPLIT):
         cells = [list(row) for row in okubo.structure_constants(flavor).cells]
@@ -231,9 +232,11 @@ def broken_okubo_constant(monkeypatch):
         broken[flavor] = SparseTable(cells)
     for module in (okubo, albert):
         monkeypatch.setattr(module, "structure_constants", broken.get)
-    albert._table.cache_clear()
+    for cached in (albert._table, okubo._idempotent_maps):
+        cached.cache_clear()
     yield
-    albert._table.cache_clear()
+    for cached in (albert._table, okubo._idempotent_maps):
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize("suite", ["veronese", "albert", "all"])
@@ -706,6 +709,25 @@ def test_cayley_maps_are_built_once_per_process(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cayley_maps", cli._cayley_maps.__wrapped__)
     assert run(capsys, *argv) == first
     assert len(built) == 6
+
+
+def test_idempotent_maps_are_built_once_per_process(capsys, monkeypatch):
+    # two octonion and two trivolution suites in one process build the maps of each
+    # flavor once (the rows of τ and x̄ for the compact flavor, of τ for the split one),
+    # and report exactly as runs whose maps are built afresh
+    built, write = [], okubo._rows_from_images
+    monkeypatch.setattr(okubo, "_rows_from_images", lambda images: built.append(1) or write(images))
+    okubo._idempotent_maps.cache_clear()
+    argvs = [("check", suite, "--seed", "3", "--samples", "5")
+             for suite in ("octonion", "trivolution", "octonion", "trivolution")]
+    cached = [run(capsys, *argv) for argv in argvs]
+    assert len(built) == 3
+    assert okubo._idempotent_maps.cache_info().misses == 2
+    assert okubo._idempotent_maps(SPLIT)[1:] == (None, None)  # τ only
+    assert cached[:2] == cached[2:] and {code for code, _ in cached} == {EXIT_OK}
+    monkeypatch.setattr(okubo, "_idempotent_maps", okubo._idempotent_maps.__wrapped__)
+    assert [run(capsys, *argv) for argv in argvs] == cached
+    assert len(built) > 3  # each call built its maps afresh
 
 
 def test_cached_cayley_maps_are_the_fresh_maps():

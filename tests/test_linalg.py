@@ -633,6 +633,16 @@ def test_each_rule_is_written_once():
             and "conjugation_automorphism" in _calls(node)] == ["_cayley_maps"]
     assert [ast.unparse(d) for d in defs["cli", "_cayley_maps"].decorator_list] == [
         "functools.cache"]
+    # one writer of a linear map's rows from its basis images, shared by the Cayley φ
+    # and the maps of the idempotent, which are built once per flavor
+    writers = [key for key, node in defs.items() for n in ast.walk(node)
+               if isinstance(n, ast.ListComp) and isinstance(n.elt, ast.Call)
+               and "_reduced" in _calls(n.elt) and isinstance(n.elt.args[0], ast.DictComp)]
+    assert writers == [("okubo", "_rows_from_images")]
+    assert sorted(key for key, node in defs.items() if "_rows_from_images" in _calls(node)) == [
+        ("okubo", "_idempotent_maps"), ("okubo", "conjugation_automorphism")]
+    assert [ast.unparse(d) for d in defs["okubo", "_idempotent_maps"].decorator_list] == [
+        "functools.cache"]
 
 
 @VECTOR_SAMPLERS
@@ -866,6 +876,7 @@ LIBRARY_TABLES = {
     "okubo": (lambda: structure_constants(COMPACT), F3),
     "split-okubo": (lambda: structure_constants(SPLIT), F3),
     "octonion": (lambda: hurwitz.MUL_TABLE, Fraction),
+    "recovered-octonion": (lambda: okubo._idempotent_maps(COMPACT)[2], F3),
     "okubo-presentation": (derivations.okubo_presentation, F3),
     "petersson-presentation": (derivations.petersson_presentation, F3),
     **{
@@ -938,7 +949,8 @@ def _built_afresh(name, monkeypatch):
         init(self, cells, size)
 
     monkeypatch.setattr(SparseTable, "__init__", record)
-    for cached in (structure_constants, okubo.gram_table, albert._table, geometry.beta_table):
+    for cached in (structure_constants, okubo.gram_table, okubo._idempotent_maps, albert._table,
+                   geometry.beta_table):
         cached.cache_clear()
     if name == "octonion":
         spec = importlib.util.find_spec(hurwitz.__name__)
@@ -998,7 +1010,8 @@ def test_library_constants_are_rational_or_rational_times_sqrt3_by_parity(name):
     else:
         for a, b, k, _, cb in entries:
             assert bool(cb) is bool((_parity(a) + _parity(b) + _parity(k)) % 2), (a, b, k)
-    if name in ("okubo", "split-okubo", "okubo-presentation", "albert-q=1/2"):
+    if name in ("okubo", "split-okubo", "recovered-octonion", "okubo-presentation",
+                "albert-q=1/2"):
         assert any(cb for *_, cb in entries)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from okubic import field
+from okubic import field, okubo
 from okubic.cli import _fixed_skew_matrices
 from okubic.field import C3, F3, SQRT3, sample_f3, sample_rational
 from okubic.linalg import (
@@ -21,7 +21,17 @@ from okubic.linalg import (
     symmetric_signature,
 )
 from okubic.albert import sample_albert
-from okubic.geometry import beta, plane_embed, sample_affine_point, vnorm
+from okubic.derivations import derivation_report
+from okubic.geometry import (
+    AffinePoint,
+    SlopePoint,
+    VeroneseVector,
+    beta,
+    plane_embed,
+    sample_affine_point,
+    vnorm,
+)
+from okubic.hurwitz import SplitOctonion
 from okubic.okubo import (
     FlavorMismatchError,
     HermiticityError,
@@ -368,6 +378,95 @@ def test_octonion_recovery():
             y, recovered_oct_mul(x, x)
         )
         assert recovered_oct_mul(x, recovered_conj(x)) == e.scale(okubo_norm(x))
+
+
+def _trivolution_by_products(x):
+    """τ(x) = e*(e*x), two Okubo products: the oracle for ``trivolution``."""
+    e = idempotent(x.flavor)
+    return okubo_mul(e, okubo_mul(e, x))
+
+
+def _recovered_oct_mul_by_products(x, y):
+    """x·y = (e*x)*(y*e), three Okubo products: the oracle for ``recovered_oct_mul``."""
+    e = idempotent(COMPACT)
+    return okubo_mul(okubo_mul(e, x), okubo_mul(y, e))
+
+
+def _recovered_conj_by_products(x):
+    """x̄ = e*τ(x), three Okubo products: the oracle for ``recovered_conj``."""
+    return okubo_mul(idempotent(COMPACT), _trivolution_by_products(x))
+
+
+def _stored(x):
+    return x.flavor, x.ints
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_trivolution_map_matches_the_product_oracle(flavor):
+    # the same stored form on the basis, zero, mixed and ≈33-bit coefficients and
+    # 300 samples: both paths are exact and end in the canonical form
+    rng = random.Random(430)
+    xs = _oracle_elements(rng, flavor) + [sample_okubo(rng, flavor) for _ in range(300)]
+    for x in xs:
+        assert _stored(trivolution(x)) == _stored(_trivolution_by_products(x))
+
+
+def test_recovered_maps_match_the_product_oracles():
+    rng = random.Random(431)
+    basis = [B(k) for k in range(8)]
+    xs = _oracle_elements(rng, COMPACT) + [sample_okubo(rng) for _ in range(300)]
+    pairs = [(x, y) for x in basis for y in basis]
+    pairs += [(x, y) for x, y in zip(xs, xs[1:] + xs[:1])]
+    pairs += [(x, x) for x in xs[8:]]
+    for x in xs:
+        assert _stored(recovered_conj(x)) == _stored(_recovered_conj_by_products(x))
+    for x, y in pairs:
+        assert _stored(recovered_oct_mul(x, y)) == _stored(_recovered_oct_mul_by_products(x, y))
+
+
+def test_recovered_table_is_unital_with_compact_g2_derivations():
+    # row 0 and column 0 are the identity, which on the 64 basis pairs proves
+    # e·x = x = x·e by bilinearity; Der of the octonions is compact g₂
+    table = okubo._idempotent_maps(COMPACT)[2]
+    one = F3(1)
+    assert [table.cells[0][b] for b in range(8)] == [((b, one),) for b in range(8)]
+    assert [table.cells[a][0] for a in range(8)] == [((a, one),) for a in range(8)]
+    assert sum(len(cell) for row in table.ints for cell in row) == 83
+    assert derivation_report(table) == {
+        "dimension": 14, "lie_closed": True, "killing_signature": {"pos": 0, "neg": 14, "zero": 0}}
+
+
+COMPACT_ONLY = {
+    "recovered_oct_mul-left": lambda z: recovered_oct_mul(z, B(1)),
+    "recovered_oct_mul-right": lambda z: recovered_oct_mul(B(1), z),
+    "recovered_conj": lambda z: recovered_conj(z),
+    "left_divide-divisor": lambda z: left_divide(B(1), z),
+    "left_divide-dividend": lambda z: left_divide(z, B(1)),
+    "cayley-phi": lambda z: conjugation_automorphism(_fixed_skew_matrices()[0])(z),
+    "affine-point": lambda z: AffinePoint(z, B(1)),
+    "slope-point": lambda z: SlopePoint(z),
+    "veronese-vector": lambda z: VeroneseVector(B(1), z, B(1), 1, 1, 1),
+    "okubo-slot": lambda z: VeroneseVector.okubo_slot(0, z),
+}
+EITHER_FLAVOR = {
+    "trivolution": trivolution,
+    "trivolution_polar_form": trivolution_polar_form,
+    "fix_tau": fix_tau,
+}
+
+
+@pytest.mark.parametrize("call", [*COMPACT_ONLY.values(), *EITHER_FLAVOR.values()],
+                         ids=[*COMPACT_ONLY, *EITHER_FLAVOR])
+def test_an_operand_of_another_kind_is_a_type_error_before_its_flavor(call):
+    # the kind is checked before the flavor is read
+    with pytest.raises(TypeError, match="expected OkuboElement, got SplitOctonion"):
+        call(SplitOctonion.basis(1))
+
+
+@pytest.mark.parametrize("call", COMPACT_ONLY.values(), ids=COMPACT_ONLY)
+def test_a_split_operand_of_a_compact_only_entry_point_is_a_flavor_error(call):
+    with pytest.raises(FlavorMismatchError):
+        call(B(1, SPLIT))
 
 
 def test_bracket_satisfies_jacobi_and_grading():
