@@ -13,7 +13,10 @@ matrix comes from Schur complements on the same rows through the same row operat
 
 Each row, in input order, is cleared in one pass by the fully reduced pivot rows
 found so far and, if nonzero, pivots on its first entry; the reduced row echelon
-form is unique, so the result is that of clearing column by column.  Arithmetic
+form is unique, so the result is that of clearing column by column.  A row already in
+the span of the pivot rows skips its pass: once a row has cleared to zero, each row is
+first put to an exact span test on the pivot rows' transpose packed into one integer
+per column, one integer multiply-add per entry of the row.  Arithmetic
 is exact, so no magnitude considerations apply and results are deterministic
 across platforms.
 """
@@ -568,6 +571,138 @@ def _rational_normalized(row, col):
     return ({j: x // g for j, x in na.items()}, pa // g), (pa, d)
 
 
+def _height(row):
+    """The largest magnitude of a nonzero sparse integer row's numerators, either form."""
+    h = max(map(abs, row[0].values()))
+    return h if len(row) == 2 else max(h, *map(abs, row[1].values()))
+
+
+def _weight(row):
+    """Σ|na| + 3Σ|nb| of a sparse integer row, Σ|na| of a rational row (na, d): the most
+    its entries multiply a packed entry by in ``_PackedSpan.holds``."""
+    w = sum(map(abs, row[0].values()))
+    return w if len(row) == 2 else w + 3 * sum(map(abs, row[1].values()))
+
+
+_SLACK = 16  # spare bits of W, so that D, the pivot rows and the rows can grow before a repack
+
+
+class _PackedSpan:
+    """An exact test of whether a sparse integer row lies in the span of fully reduced
+    pivot rows ``pivots`` {c: row} (1 at c, 0 at every other key), all of the row's form,
+    that reduces no row: the rows' transpose packed into one integer per column
+    (Kronecker substitution), read with one integer multiply-add per entry of the row.
+
+    Each column that is no key and that a packed integer holds owns a slot f of W bits,
+    at bit f·W; a slot is taken when such a column is first packed and handed on when
+    its column becomes a key.  For a key c, G_c packs −(D/pd)·P_c off column c (pd the
+    row's denominator) into the slots of its columns; for any other column j, G_j is D
+    at the slot of j, made when first read; D is a multiple of every pd.  Over Q(√3)
+    each G_j is a pair (Ga, Gb), Gb 0 off the keys.  Σ r_j·G_j is then Σ_f s_f·2^(fW),
+    s_f D times entry j of r cleared by the rows at the column j of slot f, what
+    ``_cleared`` leaves there; the keys, where the cleared row is zero, own no slot.  A
+    nonzero sum has a nonzero s_f.  A zero sum has none when every |s_f| < 2^W, for the
+    lowest nonzero s_f would be a multiple of 2^W: the sum of a row r is certain when
+    ``_weight(r)``·T < 2^W, T ≥ D and every packed entry, for then each |s_f| < 2^W.
+    Over Q(√3) the two sums are Σ(ra·Ga + 3rb·Gb) and Σ(ra·Gb + rb·Ga).
+
+    ``pivots`` is read, not copied, and must not be empty: the caller adds to ``dirty``
+    each key whose row it sets, and those rows are repacked before the next test; a row
+    whose denominator does not divide D widens D in place, every G_j times the same
+    factor.  A zero sum that is not certain repacks everything with a wider W."""
+
+    __slots__ = ("pivots", "dirty", "den", "width", "height", "slots", "spare", "packed")
+
+    def __init__(self, pivots, weight):
+        self.pivots, self.dirty, self.den = pivots, set(), 1
+        self._repack(weight)
+
+    def _repack(self, weight):
+        """Every row packed anew at W = bitlen(weight·T) + ``_SLACK``."""
+        rows = self.pivots.values()
+        self.den = math.lcm(self.den, *(row[-1] for row in rows))
+        self.height = max(self.den // row[-1] * _height(row) for row in rows)
+        self.width = (weight * self.height).bit_length() + _SLACK
+        cols = dict.fromkeys(itertools.chain.from_iterable(row[0] for row in rows))
+        for c in self.pivots:  # a key owns no slot
+            cols.pop(c, None)
+        self.slots, self.spare = dict(zip(cols, itertools.count())), []
+        self.packed = tuple({} for _ in next(iter(rows))[:-1])
+        self.dirty.clear()
+        for c, row in self.pivots.items():
+            self._pack(c, row)
+
+    def _take(self, j):
+        """A slot for column j, which has none: a spare one, else a new one."""
+        f = self.slots[j] = self.spare.pop() if self.spare else len(self.slots) + len(self.spare)
+        return f
+
+    def _pack(self, c, row):
+        """G_c from ``row``, D first widened to a multiple of its denominator."""
+        pd = row[-1]
+        if self.den % pd:
+            m = pd // math.gcd(self.den, pd)
+            for g in self.packed:
+                for j in g:
+                    g[j] *= m
+            self.den *= m
+            self.height *= m
+        s = self.den // pd
+        self.height = max(self.height, s * _height(row))
+        if c in self.slots:  # a key owns no slot
+            self.spare.append(self.slots.pop(c))
+        slots, w = self.slots, self.width
+        for part, g in zip(row[:-1], self.packed):
+            packed = 0
+            for j, x in part.items():
+                if j != c:
+                    f = slots.get(j)
+                    packed -= x << (self._take(j) if f is None else f) * w
+            g[c] = s * packed
+
+    def _free(self, j):
+        """Packs column j, no key: D at its slot, and no √3 part; returns G_j."""
+        f = self.slots.get(j)
+        g = self.packed[0][j] = self.den << (self._take(j) if f is None else f) * self.width
+        if len(self.packed) == 2:
+            self.packed[1][j] = 0
+        return g
+
+    def holds(self, row) -> bool:
+        """``row`` lies in the span of the pivot rows."""
+        if self.dirty:
+            for c in self.dirty:
+                self._pack(c, self.pivots[c])
+            self.dirty.clear()
+        if len(row) == 2:
+            g, s = self.packed[0], 0
+            for j, x in row[0].items():
+                try:
+                    s += x * g[j]
+                except KeyError:
+                    s += x * self._free(j)
+            if s:
+                return False
+        else:
+            (ga, gb), (na, nb, _) = self.packed, row
+            sa = sb = 0
+            for j, x in na.items():
+                try:
+                    a, b = ga[j], gb[j]
+                except KeyError:
+                    a, b = self._free(j), 0
+                y = nb[j]
+                sa += x * a + 3 * y * b
+                sb += x * b + y * a
+            if sa or sb:
+                return False
+        weight = _weight(row)
+        if weight * self.height < 1 << self.width:
+            return True
+        self._repack(weight)
+        return self.holds(row)
+
+
 def _gauss_jordan(rows):
     """Gauss–Jordan elimination by row insertion on sparse integer rows, through the
     row operations of their form: ``_cleared`` and ``_normalized`` on rows (na, nb, d)
@@ -575,7 +710,10 @@ def _gauss_jordan(rows):
     is cleared in one pass by the pivot rows found so far, which are kept fully reduced
     (pivot entry 1, and 0 in every other pivot column).  A row left nonzero is divided
     by its first entry, its divisor, and becomes a pivot row; its column is then cleared
-    from the earlier pivot rows that hold it.  The input rows are unchanged.
+    from the earlier pivot rows that hold it.  An empty row is skipped.  From the first
+    row that clears to zero on, each later row is first asked ``_PackedSpan.holds`` on the
+    pivot rows of the moment: a row in their span would clear to zero, and takes no
+    pass.  A full-rank matrix never packs.  The input rows are unchanged.
 
     Returns the reduced rows in the input's form (gcd-reduced), ordered by pivot column
     and followed by zero rows, the pivot columns, the divisors in insertion order and
@@ -586,10 +724,14 @@ def _gauss_jordan(rows):
         clear, normal, zero = _rational_cleared, _rational_normalized, ({}, 1)
     else:
         clear, normal, zero = _cleared, _normalized, ({}, {}, 1)
-    pivots, divisors, sign = {}, [], 1
-    for row in rows:
+    pivots, divisors, sign, span = {}, [], 1, None
+    for i, row in enumerate(rows):
+        if not row[0] or span is not None and span.holds(row):
+            continue
         row = clear(row, pivots)
         if not row[0]:
+            if span is None and i + 1 < len(rows):
+                span = _PackedSpan(pivots, _weight(rows[i]))
             continue
         col = min(row[0])
         row, divisor = normal(row, col)
@@ -598,7 +740,11 @@ def _gauss_jordan(rows):
                 sign = -sign
             if col in prow[0]:
                 pivots[c] = clear(prow, {col: row})
+                if span is not None:
+                    span.dirty.add(c)
         pivots[col] = row
+        if span is not None:
+            span.dirty.add(col)
         divisors.append(divisor)
     order = sorted(pivots)
     return [pivots[c] for c in order] + [zero] * (len(rows) - len(order)), order, divisors, sign

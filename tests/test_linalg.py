@@ -1507,24 +1507,78 @@ def test_tall_sparse_case_fills_in(monkeypatch):
     assert (m.rows, m.cols) == (40, 12) and any(filled)
 
 
-def test_each_leibniz_row_takes_one_reduction_pass(monkeypatch):
-    # every nonempty row of the 512×64 Okubo system is cleared by one call of the
-    # one-pass reduction, also the rows that hold several pivot columns; the other
-    # calls clear a new pivot column from earlier pivot rows
-    algebra = derivations.AlgebraPresentation(DERIVATION_TENSORS["okubo"]())
-    rows, ncols = _leibniz_rows(algebra, monkeypatch)
-    assert all(len(row) == 2 for row in rows)  # the graded table's rational rows
-    passes, clear = [], linalg._rational_cleared
+def _watched_elimination(rows, monkeypatch):
+    """``_gauss_jordan`` on rows with its reduction passes and span tests recorded: the
+    output; each span test as (row, answer, whether the form's reduction pass against
+    the pivot rows of that moment clears the row to zero); each reduction pass as (row,
+    how many pivot columns it holds); and the span's events, "packed" for each packing
+    afresh and "widened" for each pivot row packed over a D widened in place."""
+    clear = linalg._rational_cleared if rows and len(rows[0]) == 2 else linalg._cleared
+    tests, passes, events = [], [], []
+    holds, repack, pack = linalg._PackedSpan.holds, linalg._PackedSpan._repack, linalg._PackedSpan._pack
 
-    def watched(row, pivots):
+    def watched_holds(span, row):
+        answer = holds(span, row)
+        tests.append((row, answer, not clear(row, dict(span.pivots))[0]))
+        return answer
+
+    def watched_pack(span, c, row):
+        den = span.den
+        pack(span, c, row)
+        if span.den != den:
+            events.append("widened")
+
+    def watched_clear(row, pivots):
         passes.append((row, sum(c in pivots for c in row[0])))
         return clear(row, pivots)
 
-    monkeypatch.setattr(linalg, "_rational_cleared", watched)
-    _gauss_jordan(rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg._PackedSpan, "holds", watched_holds)
+        patch.setattr(linalg._PackedSpan, "_repack",
+                      lambda span, weight: events.append("packed") or repack(span, weight))
+        patch.setattr(linalg._PackedSpan, "_pack", watched_pack)
+        patch.setattr(linalg, clear.__name__, watched_clear)
+        out = _gauss_jordan(rows)
+    return out, tests, passes, collections.Counter(events)
+
+
+def test_each_leibniz_row_takes_one_reduction_pass(monkeypatch):
+    # every nonempty row of the 512×64 Okubo system takes at most one call of the
+    # one-pass reduction, also the rows that hold several pivot columns, and it takes
+    # none exactly when the span test finds it in the span of the pivot rows of that
+    # moment, where the pass would clear it to zero; the other calls clear a new pivot
+    # column from earlier pivot rows
+    algebra = derivations.AlgebraPresentation(DERIVATION_TENSORS["okubo"]())
+    rows, ncols = _leibniz_rows(algebra, monkeypatch)
+    assert all(len(row) == 2 for row in rows)  # the graded table's rational rows
+    _, tests, passes, _ = _watched_elimination(rows, monkeypatch)
+    assert all(answer is zero for _, answer, zero in tests)
     per_row = collections.Counter(id(row) for row, _ in passes)
-    assert all(per_row[id(row)] == 1 for row in rows if row[0])
+    in_span = {id(row) for row, answer, _ in tests if answer}
+    assert all(per_row[id(row)] == (id(row) not in in_span) for row in rows if row[0])
     assert max(hits for row, hits in passes if any(row is r for r in rows)) > 1
+    # the work: of the 508 nonempty rows, 452 are dependent, and all but the first
+    # zero row skip their pass; the 56 pivot rows take theirs
+    assert len(in_span) > 440
+    assert sum(per_row[id(row)] for row in rows) < 70
+
+
+def _left_mult_full_rank():
+    """A 27×27 L_a of full rank at q = 1/2, a a seeded Albert sample."""
+    m = albert.left_mult_operator(albert.ALBERT_HALF, sample_albert(random.Random("full-rank")))
+    assert rank(m) == 27
+    return m
+
+
+@pytest.mark.parametrize("run", [lambda m: _gauss_jordan(m.ints), determinant, rref],
+                         ids=["gauss-jordan", "determinant", "rref"])
+def test_a_full_rank_matrix_packs_nothing(run, monkeypatch):
+    # no row of a nonsingular matrix clears to zero, so its elimination never packs
+    packed = []
+    monkeypatch.setattr(linalg, "_PackedSpan", lambda *a: packed.append(a))
+    m = _left_mult_full_rank()
+    run(m)
+    assert packed == []
 
 
 def _random_sparse_rows(rng, rational):
@@ -1568,6 +1622,97 @@ def test_insertion_matches_both_oracles_on_random_sparse_rows(rational):
         if m.rows == m.cols:
             want = math.prod(divisors, start=F3(sign)) if len(pivots) == m.rows else F3()
             assert _bits([determinant(m)]) == _bits([want])
+
+
+def _sparse_row(entries, d, rational):
+    """Integer pairs {j: (a, b)} over d as a sparse row (na, d) or (na, nb, d), without
+    its zero entries (a rational row keeps only the a)."""
+    if rational:
+        return {j: a for j, (a, _) in entries.items() if a}, d
+    keep = [j for j, (a, b) in entries.items() if a or b]
+    return {j: entries[j][0] for j in keep}, {j: entries[j][1] for j in keep}, d
+
+
+def _growing_rows(rng, rational, ncols=13):
+    """Rows whose elimination packs and then outgrows its packing: three independent rows
+    over 1 in the first ncols − 3 columns and their sum, the first zero row; a row
+    p·e_c + e_(c+1), c = ncols − 3, for a prime p, whose pivot row is over p, so D grows
+    in place; rows with entries of 2^100, 2^200 and 2^300, whose pivot rows outgrow W;
+    and after each, combinations of the rows so far (in the span, not in lowest terms)
+    and a combination with an entry in the last column, which no pivot row holds until
+    such a row pivots on it."""
+    def fresh(bits):
+        return {j: (rng.randint(-2**bits, 2**bits) or 1, rng.randint(-2**bits, 2**bits) // 3)
+                for j in rng.sample(range(ncols - 3), 3)}
+
+    def combination(rows, extra=False):
+        (p, dp), (q, dq) = rng.sample(rows, 2)
+        k, m = rng.randint(-3, 3) or 1, rng.randint(1, 4)
+        out = {j: tuple(k * dq * x + m * dp * y for x, y in zip(p.get(j, (0, 0)), q.get(j, (0, 0))))
+               for j in p.keys() | q.keys()}
+        if extra:
+            out[ncols - 1] = (rng.randint(1, 9), rng.randint(0, 3))
+        return out, dp * dq * m
+
+    rows = [(fresh(3), 1) for _ in range(3)]
+    rows.append(({j: tuple(map(sum, zip(*(r.get(j, (0, 0)) for r, _ in rows))))
+                  for j in range(ncols - 3)}, 1))
+    rows.append(({ncols - 3: (rng.choice((29, 31, 37)), 0), ncols - 2: (1, 0)}, 1))
+    for bits in (100, 200, 300):
+        rows.append((fresh(bits), rng.randint(1, 9)))
+        rows.extend(combination(rows) for _ in range(3))
+        rows.append(combination(rows, extra=True))
+    return [_sparse_row(entries, d, rational) for entries, d in rows], ncols
+
+
+SPAN_CASES = {
+    "random-sparse": lambda rng, rational: [_random_sparse_rows(rng, rational) for _ in range(150)],
+    "growing": lambda rng, rational: [_growing_rows(rng, rational) for _ in range(12)],
+}
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["sqrt3-rows", "rational-rows"])
+@pytest.mark.parametrize("case", SPAN_CASES)
+def test_span_test_answers_as_the_reduction_pass(case, rational, monkeypatch):
+    # each span test answers "in the span" exactly when the form's reduction pass
+    # against the pivot rows of that moment leaves zero, and the elimination that skips
+    # those rows is the oracles' elimination
+    rng = random.Random(f"span:{case}:{rational}")
+    answers = collections.Counter()
+    for rows, ncols in SPAN_CASES[case](rng, rational):
+        _, tests, _, events = _watched_elimination(rows, monkeypatch)
+        assert all(answer is zero for _, answer, zero in tests)
+        answers.update(answer for _, answer, _ in tests)
+        if case == "growing":  # the prime widens D in place, the entries of 2^100 and more W
+            assert events["widened"] >= 1 and events["packed"] >= 3
+        _assert_same_elimination(rows, ncols)
+    assert answers[True] > 40 and answers[False] > 40
+
+
+def test_span_test_sees_a_carry_that_one_bit_less_would_cancel():
+    # pivot rows e0 + e2 and e3 + e2 over 1, packed for rows of weight 3 at W = bitlen(3)
+    # + slack.  Rows e0 + t·e2 and e3 + t·e2 leave e1 + e0 + e3 at -2t in the slot of
+    # column 2 and 1 in the slot of column 1 above it.  At t = 2^(W-2) the sum is
+    # -2^(W-1) + 2^W, which slots of W - 1 bits would carry away to 0; at t = 2^(W-1) it
+    # is 0, but weight 3 times T = t reaches 2^W, so the zero is not certain and
+    # everything repacks with a wider W, where the sum is not 0
+    pivots = {0: ({0: 1, 2: 1}, 1), 3: ({3: 1, 2: 1}, 1)}
+    span = linalg._PackedSpan(pivots, 3)
+    w = span.width
+    assert w == 2 + linalg._SLACK
+    row = ({0: 1, 3: 1, 1: 1}, 1)
+    for t, repacked in ((2 ** (w - 2), False), (2 ** (w - 1), True)):
+        pivots.update({0: ({0: 1, 2: t}, 1), 3: ({3: 1, 2: t}, 1)})
+        span.dirty |= {0, 3}
+        assert span.holds(row) is False
+        assert linalg._rational_cleared(row, pivots) == ({1: 1, 2: -2 * t}, 1)
+        assert (span.width > w) is repacked
+        assert span.holds(({0: 1, 3: -1}, 1)) is True
+        # the same over Q(√3), with √3 parts 0 and an entry (1 + √3)/1 in the span
+        q3 = {c: (pa, dict.fromkeys(pa, 0), pd) for c, (pa, pd) in pivots.items()}
+        q3_span = linalg._PackedSpan(q3, 3)
+        assert q3_span.holds(({0: 1, 3: 1, 1: 1}, {0: 0, 3: 0, 1: 0}, 1)) is False
+        assert q3_span.holds(({0: 1, 3: -1}, {0: 1, 3: -1}, 1)) is True
 
 
 def _signature_by_scalars(m):
