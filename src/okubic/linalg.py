@@ -11,14 +11,15 @@ determinant come from one elimination by row insertion on sparse integer rows
 the one stored form of an ``ExactMatrix``; the signature of a symmetric
 matrix comes from Schur complements on the same rows through the same row operations.
 
-Each row, in input order, is cleared in one pass by the fully reduced pivot rows
-found so far and, if nonzero, pivots on its first entry; the reduced row echelon
-form is unique, so the result is that of clearing column by column.  A row already in
-the span of the pivot rows skips its pass: once a row has cleared to zero, each row is
-first put to an exact span test on the pivot rows' transpose packed into one integer
-per column, one integer multiply-add per entry of the row.  Arithmetic
-is exact, so no magnitude considerations apply and results are deterministic
-across platforms.
+Each row, in input order, is cleared by the pivot rows found so far and, if nonzero,
+pivots on its first entry; the reduced row echelon form is unique, so the result is
+that of clearing column by column.  Until a row clears to zero, a pivot row is reduced
+only against earlier runs of pivot rows, and the runs are settled to full reduction
+once.  A row already in the span of the pivot rows skips its pass: once a row has
+cleared to zero, each row is first put to an exact span test on the pivot rows'
+transpose packed into one integer per column, one integer multiply-add per entry of
+the row.  Arithmetic is exact, so no magnitude considerations apply and results are
+deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -114,14 +115,17 @@ def bilinear(table: SparseTable, u, v):
     form (na, nb, d) of a ``Vector``, summed as integer numerators over ``terms``; the
     result is in that form too, gcd-reduced by one gcd.  In a symmetric table the
     cell (a, b), b > a, stands for (b, a) too and takes u[a]·v[b] + u[b]·v[a]; a
-    rational constant takes two integer products, and so does a √3 one.  A row is
-    skipped when u[a] is zero (and v[a], in a symmetric table), a term when v[b] is
-    zero or, for a mirrored pair, when its pair product is."""
+    rational constant takes two integer products, and so does a √3 one.  When ``u is
+    v`` on a symmetric table the pair product is 2·u[a]·u[b], four integer products,
+    and u[a]² on the diagonal.  A row is skipped when u[a] is zero (and v[a], in a
+    symmetric table), a term when v[b] is zero or, for a mirrored pair, when its pair
+    product is."""
     una, unb, du = u
     vna, vnb, dv = v
     symmetric, rows = table.terms
     if len(una) != len(rows) or len(vna) != len(rows):
         raise ValueError(f"operands of {len(una)} and {len(vna)} for a table of {len(rows)} rows")
+    square = symmetric and u is v
     out_a, out_b = [0] * table.size, [0] * table.size
     for a, (row, ua, ub, va, vb) in enumerate(zip(rows, una, unb, vna, vnb)):
         if not (ua or ub or symmetric and (va or vb)):
@@ -131,7 +135,11 @@ def bilinear(table: SparseTable, u, v):
             xa, xb = vna[b], vnb[b]
             # the pair product fa + fb√3: (ua + ub√3)(xa + xb√3), plus
             # (ya + yb√3)(va + vb√3) for the mirrored cell (b, a) of a symmetric table
-            if symmetric and b != a:
+            if square and b != a:  # u is v: twice (ua + ub√3)(xa + xb√3)
+                if not (xa or xb):
+                    continue
+                fa, fb = 2 * (ua * xa + ub3 * xb), 2 * (ua * xb + ub * xa)
+            elif symmetric and b != a:
                 ya, yb = una[b], unb[b]
                 fa = ua * xa + ub3 * xb + ya * va + yb * vb3
                 fb = ua * xb + ub * xa + ya * vb + yb * va
@@ -703,33 +711,65 @@ class _PackedSpan:
         return self.holds(row)
 
 
+def _settle(runs, clear):
+    """The pivot rows of ``runs`` fully reduced, {c: row} in insertion order.  Each run,
+    newest first, is cleared in one pass by the settled rows of all later runs, which are
+    0 at every other pivot column (this run's too), so the pass leaves each of its rows 0
+    at every pivot column but its own."""
+    settled = {}
+    for run in reversed(runs):
+        for c, row in run.items():
+            if not settled.keys().isdisjoint(row[0]):
+                run[c] = clear(row, settled)
+        settled.update(run)
+    return {c: row for run in runs for c, row in run.items()}
+
+
 def _gauss_jordan(rows):
     """Gauss–Jordan elimination by row insertion on sparse integer rows, through the
     row operations of their form: ``_cleared`` and ``_normalized`` on rows (na, nb, d)
     over Q(√3), their rational twins on rows (na, d) over Q.  Each row, in input order,
-    is cleared in one pass by the pivot rows found so far, which are kept fully reduced
-    (pivot entry 1, and 0 in every other pivot column).  A row left nonzero is divided
-    by its first entry, its divisor, and becomes a pivot row; its column is then cleared
-    from the earlier pivot rows that hold it.  An empty row is skipped.  From the first
-    row that clears to zero on, each later row is first asked ``_PackedSpan.holds`` on the
-    pivot rows of the moment: a row in their span would clear to zero, and takes no
-    pass.  A full-rank matrix never packs.  The input rows are unchanged.
+    is cleared by the pivot rows found so far; a row left nonzero is divided by its
+    first entry, its divisor, and becomes a pivot row.  An empty row is skipped.
+
+    Until a row clears to zero, the pivot rows are kept in runs: maximal stretches, in
+    insertion order, of pivot rows none of which holds another's column.  A new pivot
+    row joins the last run when no row of that run holds its column, and opens a new
+    run otherwise.  The invariant is that a pivot row is zero at the columns of every
+    earlier run, so a row is cleared run by run, oldest first, in one pass per run it
+    holds a column of, and a run adds fill only in the columns of later runs.  At the
+    first row that clears to zero, or at the end, ``_settle`` makes the pivot rows fully
+    reduced (pivot entry 1, and 0 in every other pivot column).  From then on each row
+    is cleared in one pass, and a new pivot column is cleared from the earlier pivot
+    rows that hold it; each row is first asked ``_PackedSpan.holds`` on the pivot rows
+    of the moment: a row in their span would clear to zero, and takes no pass.  A
+    full-rank matrix settles once, at the end, and never packs.  The input rows are
+    unchanged.
 
     Returns the reduced rows in the input's form (gcd-reduced), ordered by pivot column
     and followed by zero rows, the pivot columns, the divisors in insertion order and
     the sign of the insertion order of the pivot columns.  RREF is unique, so the rows
-    and pivots are those of clearing column by column; for a square matrix of full rank
-    the divisors' product times the sign is the determinant."""
+    and pivots are those of clearing column by column; the cleared row of each insertion
+    is unique too (zero at every pivot column, in the row plus the pivot rows' span), so
+    the runs move no divisor and no sign.  For a square matrix of full rank the
+    divisors' product times the sign is the determinant."""
     if rows and len(rows[0]) == 2:
         clear, normal, zero = _rational_cleared, _rational_normalized, ({}, 1)
     else:
         clear, normal, zero = _cleared, _normalized, ({}, {}, 1)
-    pivots, divisors, sign, span = {}, [], 1, None
+    pivots, divisors, sign, span, runs = {}, [], 1, None, [{}]
     for i, row in enumerate(rows):
         if not row[0] or span is not None and span.holds(row):
             continue
-        row = clear(row, pivots)
+        if runs is None:
+            row = clear(row, pivots)
+        else:  # oldest run first: a run's rows are zero at every earlier run's columns
+            for run in runs:
+                if not run.keys().isdisjoint(row[0]):
+                    row = clear(row, run)
         if not row[0]:
+            if runs is not None:
+                pivots, runs = _settle(runs, clear), None
             if span is None and i + 1 < len(rows):
                 span = _PackedSpan(pivots, _weight(rows[i]))
             continue
@@ -738,14 +778,20 @@ def _gauss_jordan(rows):
         for c, prow in pivots.items():
             if c > col:  # one inversion of the pivot columns
                 sign = -sign
-            if col in prow[0]:
+            if runs is None and col in prow[0]:
                 pivots[c] = clear(prow, {col: row})
                 if span is not None:
                     span.dirty.add(c)
+        if runs is not None:  # a run's rows hold none of its columns but their own
+            if any(col in prow[0] for prow in runs[-1].values()):
+                runs.append({})
+            runs[-1][col] = row
         pivots[col] = row
         if span is not None:
             span.dirty.add(col)
         divisors.append(divisor)
+    if runs is not None:
+        pivots = _settle(runs, clear)
     order = sorted(pivots)
     return [pivots[c] for c in order] + [zero] * (len(rows) - len(order)), order, divisors, sign
 

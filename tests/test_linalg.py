@@ -1062,6 +1062,11 @@ def _assert_bilinear_matches_the_oracle(table, scalar, seed):
         assert got == want
         assert [type(x) for x in got] == [scalar] * table.size
         assert hash(tuple(got)) == hash(tuple(want))
+    # a square: both operands are one stored tuple, which a symmetric table reads
+    # through the pair products 2·u[a]·u[b] and the diagonal u[a]²
+    for u in basis + others:
+        x = _vector_ints(u)
+        assert bilinear(table, x, x) == _vector_ints(_bilinear_by_scalars(cells, table.size, u, u, scalar(0)))
     if scalar is F3:
         # column b of the left multiplication by u is u times basis vector b
         for u in others:
@@ -1442,6 +1447,11 @@ def _edge_matrices():
         # column 0 swaps row 0 down to position 2, where column 1 clears it to zero
         "swapped-row-becomes-zero": [[0, 2, 2 * r3], [0, 1, r3], [1, 0, 0]],
         "tall-sparse-300x24": _tall_sparse(rng, 300, 24),
+        # pivot rows 3 and 0 make one run; column 1, which row 1 holds, opens a second run
+        # left of column 3; row 3 is the sum of rows 0-2, so the runs settle there, row
+        # 4's column 2 is cleared from the settled rows at once, and row 5 is in the span
+        "runs-settle-mid-loop": [[0, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1 + r3, 0],
+                                 [1, 2, 1 + r3, 1], [0, 0, 2, 1 + r3], [0, 0, 2, 2 + r3]],
     }
 
 
@@ -1508,14 +1518,17 @@ def test_tall_sparse_case_fills_in(monkeypatch):
 
 
 def _watched_elimination(rows, monkeypatch):
-    """``_gauss_jordan`` on rows with its reduction passes and span tests recorded: the
-    output; each span test as (row, answer, whether the form's reduction pass against
+    """``_gauss_jordan`` on rows with its reduction passes, runs and span tests recorded:
+    the output; each span test as (row, answer, whether the form's reduction pass against
     the pivot rows of that moment clears the row to zero); each reduction pass as (row,
-    how many pivot columns it holds); and the span's events, "packed" for each packing
-    afresh and "widened" for each pivot row packed over a D widened in place."""
+    the pivot columns it was given, in their order, the row it returned); the runs that
+    ``_settle`` was handed, each as its pivot rows {c: row} before settling; and the
+    span's events, "packed" for each packing afresh and "widened" for each pivot row
+    packed over a D widened in place."""
     clear = linalg._rational_cleared if rows and len(rows[0]) == 2 else linalg._cleared
-    tests, passes, events = [], [], []
+    tests, passes, runs, events = [], [], [], []
     holds, repack, pack = linalg._PackedSpan.holds, linalg._PackedSpan._repack, linalg._PackedSpan._pack
+    settle = linalg._settle
 
     def watched_holds(span, row):
         answer = holds(span, row)
@@ -1529,8 +1542,13 @@ def _watched_elimination(rows, monkeypatch):
             events.append("widened")
 
     def watched_clear(row, pivots):
-        passes.append((row, sum(c in pivots for c in row[0])))
-        return clear(row, pivots)
+        out = clear(row, pivots)
+        passes.append((row, list(pivots), out))
+        return out
+
+    def watched_settle(given, cleared):
+        runs.extend(dict(run) for run in given)
+        return settle(given, cleared)
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg._PackedSpan, "holds", watched_holds)
@@ -1538,29 +1556,65 @@ def _watched_elimination(rows, monkeypatch):
                       lambda span, weight: events.append("packed") or repack(span, weight))
         patch.setattr(linalg._PackedSpan, "_pack", watched_pack)
         patch.setattr(linalg, clear.__name__, watched_clear)
+        patch.setattr(linalg, "_settle", watched_settle)
         out = _gauss_jordan(rows)
-    return out, tests, passes, collections.Counter(events)
+    return out, tests, passes, runs, collections.Counter(events)
+
+
+def _assert_one_pass_per_run(rows, passes, runs):
+    """The runs and the passes of an elimination up to its first row that clears to
+    zero, as ``_watched_elimination`` records them.  Within a run no pivot row holds
+    another's column; each run after the first opens on a column that a row of the run
+    before it holds; every pivot row is 0 at the columns of all earlier runs.  The
+    nonempty input rows up to the first zero row, in order, take the first passes: one
+    per run that the row holds a column of at that moment, oldest run first, after which
+    the row is 0 at every pivot column so far and pivots on the next column, or is zero.
+    Returns the number of those passes."""
+    order = [c for run in runs for c in run]  # the pivot columns in insertion order
+    for j, run in enumerate(runs):
+        earlier = {c for r in runs[:j] for c in r}
+        for c, row in run.items():
+            assert min(row[0]) == c and not (earlier | set(run) - {c}) & set(row[0])
+        if j:
+            assert any(next(iter(run)) in row[0] for row in runs[j - 1].values())
+    k = 0
+    for n, row in enumerate([row for row in rows if row[0]][:len(order) + 1]):
+        done = set(order[:n])
+        for run in runs:
+            cols = [c for c in run if c in done]
+            if not set(cols).isdisjoint(row[0]):
+                arg, given, out = passes[k]
+                assert arg is row and given == cols
+                row, k = out, k + 1
+        assert not done & set(row[0])
+        assert min(row[0]) == order[n] if n < len(order) else not row[0]
+    return k
 
 
 def test_each_leibniz_row_takes_one_reduction_pass(monkeypatch):
-    # every nonempty row of the 512×64 Okubo system takes at most one call of the
-    # one-pass reduction, also the rows that hold several pivot columns, and it takes
-    # none exactly when the span test finds it in the span of the pivot rows of that
-    # moment, where the pass would clear it to zero; the other calls clear a new pivot
-    # column from earlier pivot rows
+    # on the 512×64 Okubo system each nonempty row up to the first one that clears to
+    # zero takes one pass per run of pivot rows it holds a column of; every later
+    # nonempty row takes at most one call of the one-pass reduction, also the rows that
+    # hold several pivot columns, and it takes none exactly when the span test finds it
+    # in the span of the pivot rows of that moment, where the pass would clear it to
+    # zero; the other calls settle the runs or clear a new pivot column from earlier
+    # pivot rows
     algebra = derivations.AlgebraPresentation(DERIVATION_TENSORS["okubo"]())
     rows, ncols = _leibniz_rows(algebra, monkeypatch)
     assert all(len(row) == 2 for row in rows)  # the graded table's rational rows
-    _, tests, passes, _ = _watched_elimination(rows, monkeypatch)
+    _, tests, passes, runs, _ = _watched_elimination(rows, monkeypatch)
+    early = _assert_one_pass_per_run(rows, passes, runs)
     assert all(answer is zero for _, answer, zero in tests)
-    per_row = collections.Counter(id(row) for row, _ in passes)
+    late = [row for row in rows if row[0]][sum(map(len, runs)) + 1:]
+    per_row = collections.Counter(id(row) for row, _, _ in passes)
     in_span = {id(row) for row, answer, _ in tests if answer}
-    assert all(per_row[id(row)] == (id(row) not in in_span) for row in rows if row[0])
-    assert max(hits for row, hits in passes if any(row is r for r in rows)) > 1
+    assert all(per_row[id(row)] == (id(row) not in in_span) for row in late)
+    assert max(len(set(cols) & set(row[0])) for row, cols, _ in passes
+               if any(row is r for r in late)) > 1
     # the work: of the 508 nonempty rows, 452 are dependent, and all but the first
     # zero row skip their pass; the 56 pivot rows take theirs
     assert len(in_span) > 440
-    assert sum(per_row[id(row)] for row in rows) < 70
+    assert early + sum(per_row[id(row)] for row in late) < 70
 
 
 def _left_mult_full_rank():
@@ -1579,6 +1633,39 @@ def test_a_full_rank_matrix_packs_nothing(run, monkeypatch):
     m = _left_mult_full_rank()
     run(m)
     assert packed == []
+
+
+@pytest.mark.parametrize(("make", "count"), [(lambda: ExactMatrix(_left_mult_at_half()), 29),
+                                             (_left_mult_full_rank, 110)],
+                         ids=["left-mult-27", "full-rank"])
+def test_pivot_rows_settle_once(make, count, monkeypatch):
+    # the seeded L_ε at q = 1/2 (rank 17) keeps its pivot rows in runs up to its first
+    # zero row, the full-rank L_a up to its end; each row takes one pass per run it
+    # holds a column of, and settling one pass per pivot row that holds a later run's
+    # column.  Clearing each new pivot column from the earlier pivot rows as it came
+    # took 98 and 322 passes
+    m = make()
+    _, _, passes, runs, _ = _watched_elimination(m.ints, monkeypatch)
+    _assert_one_pass_per_run(m.ints, passes, runs)
+    assert len(passes) == count
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["sqrt3-rows", "rational-rows"])
+def test_runs_settle_at_the_first_zero_row(rational, monkeypatch):
+    # the second run's column 1 lies left of the first run's column 3; row 3 clears to
+    # zero, the runs settle there, and the eager loop and the span test take over: row
+    # 4 is not in the span and back-clears column 2, row 5 is
+    m = ExactMatrix(_edge_matrices()["runs-settle-mid-loop"])
+    rows = [(na, d) for na, _, d in m.ints] if rational else m.ints
+    _, tests, passes, runs, events = _watched_elimination(rows, monkeypatch)
+    assert [list(run) for run in runs] == [[3, 0], [1]]
+    early = _assert_one_pass_per_run(rows, passes, runs)
+    assert [(row, answer) for row, answer, _ in tests] == [(rows[4], False), (rows[5], True)]
+    assert events["packed"] == 1
+    # after the early passes: one settling pass (row 1 holds column 1), row 4's pass,
+    # and column 2 cleared from the two pivot rows that hold it
+    assert [(arg is rows[4], cols) for arg, cols, _ in passes[early:]] == [
+        (False, [1]), (True, [3, 0, 1]), (False, [2]), (False, [2])]
 
 
 def _random_sparse_rows(rng, rational):
@@ -1680,7 +1767,7 @@ def test_span_test_answers_as_the_reduction_pass(case, rational, monkeypatch):
     rng = random.Random(f"span:{case}:{rational}")
     answers = collections.Counter()
     for rows, ncols in SPAN_CASES[case](rng, rational):
-        _, tests, _, events = _watched_elimination(rows, monkeypatch)
+        _, tests, _, _, events = _watched_elimination(rows, monkeypatch)
         assert all(answer is zero for _, answer, zero in tests)
         answers.update(answer for _, answer, _ in tests)
         if case == "growing":  # the prime widens D in place, the entries of 2^100 and more W
