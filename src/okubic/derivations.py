@@ -23,9 +23,10 @@ from .linalg import (
     COMPACT,
     ExactMatrix,
     SparseTable,
+    _cleared,
     _gauss_jordan,
     _kernel_columns,
-    _PackedSpan,
+    _rational_cleared,
     _reduced,
     _vector_ints,
     bilinear,
@@ -267,15 +268,14 @@ def _rational_bracket(a, b):
 def _lie_closed(span, n):
     """[D_i, D_j] lies in the span of flat rows of n×n matrices, all of one form, given as
     a pivot span {c: row}, row 1 at c and 0 at every other key: each commutator, by
-    ``_bracket`` over Q(√3) or ``_rational_bracket`` over Q, is asked the exact span test
-    ``_PackedSpan.holds`` on the span, up to the first one outside it; an empty span is
-    closed."""
+    ``_bracket`` over Q(√3) or ``_rational_bracket`` over Q, is cleared against the span by
+    that form's ``_cleared``, up to the first one left nonzero; an empty span is closed."""
     if not span:
         return True
     mats = [_rows_of(row, n) for row in span.values()]
-    bracket = _rational_bracket if len(next(iter(span.values()))) == 2 else _bracket
-    packed = _PackedSpan(span, 1)
-    return all(packed.holds(bracket(x, y)) for i, x in enumerate(mats) for y in mats[i + 1:])
+    rational = len(next(iter(span.values()))) == 2
+    bracket, clear = (_rational_bracket, _rational_cleared) if rational else (_bracket, _cleared)
+    return not any(clear(bracket(x, y), span)[0] for i, x in enumerate(mats) for y in mats[i + 1:])
 
 
 def _trace_rows(rows, n):

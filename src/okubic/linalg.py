@@ -13,17 +13,18 @@ matrix comes from Schur complements on the same rows through the same row operat
 
 Each row, in input order, is cleared by the pivot rows found so far and, if nonzero,
 pivots on its first entry; the reduced row echelon form is unique, so the result is
-that of clearing column by column.  Until a row clears to zero, a pivot row is reduced
-only against earlier runs of pivot rows, and the runs are settled to full reduction
-once.  A row already in the span of the pivot rows skips its pass: once a row has
-cleared to zero, each row is first put to an exact span test on the pivot rows'
-transpose packed into one integer per column, one integer multiply-add per entry of
-the row.  Arithmetic is exact, so no magnitude considerations apply and results are
-deterministic across platforms.
+that of clearing column by column.  The pivot rows live in one list of runs: before
+the first row that clears to zero a row is cleared run by run, at that row the runs
+settle into one, fully reduced, and after it a new pivot column is cleared from that
+run, whose span each row is first tested for on the run's transpose packed into one
+integer per column, one integer multiply-add per entry of the row; a row in the span
+skips its pass.  Arithmetic is exact, so no magnitude considerations apply and results
+are deterministic across platforms.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -732,23 +733,23 @@ def _gauss_jordan(rows):
     is cleared by the pivot rows found so far; a row left nonzero is divided by its
     first entry, its divisor, and becomes a pivot row.  An empty row is skipped.
 
-    Until a row clears to zero, the pivot rows are kept in runs: maximal stretches, in
-    insertion order, of pivot rows none of which holds another's column.  A new pivot
-    row joins the last run when no row of that run holds its column, and opens a new
-    run otherwise.  The invariant is that a pivot row is zero at the columns of every
+    The pivot rows are kept only in runs: stretches, in insertion order, of pivot rows
+    none of which holds another's column.  Until a row clears to zero, a new pivot row
+    joins the last run when no row of that run holds its column, and opens a new run
+    otherwise.  The invariant is that a pivot row is zero at the columns of every
     earlier run, so a row is cleared run by run, oldest first, in one pass per run it
     holds a column of, and a run adds fill only in the columns of later runs.  At the
-    first row that clears to zero, or at the end, ``_settle`` makes the pivot rows fully
-    reduced (pivot entry 1, and 0 in every other pivot column).  From then on each row
-    is cleared in one pass, and a new pivot column is cleared from the earlier pivot
-    rows that hold it; each row is first asked ``_PackedSpan.holds`` on the pivot rows
-    of the moment: a row in their span would clear to zero, and takes no pass.  A
-    full-rank matrix settles once, at the end, and never packs.  The input rows are
-    unchanged.
+    first row that clears to zero, when a row follows it, ``_settle`` makes the runs one
+    run of fully reduced pivot rows (pivot entry 1, and 0 in every other pivot column),
+    else they settle at the end.  After it each row is first asked ``_PackedSpan.holds``
+    on that run, and a row in its span, which would clear to zero, takes no pass; a new
+    pivot column is cleared from the run's rows that hold it.  A full-rank matrix
+    settles once, at the end, and never packs.  The input rows are unchanged.
 
     Returns the reduced rows in the input's form (gcd-reduced), ordered by pivot column
     and followed by zero rows, the pivot columns, the divisors in insertion order and
-    the sign of the insertion order of the pivot columns.  RREF is unique, so the rows
+    the sign of the insertion order of the pivot columns, which flips at each new pivot
+    column with an odd number of earlier ones to its right.  RREF is unique, so the rows
     and pivots are those of clearing column by column; the cleared row of each insertion
     is unique too (zero at every pivot column, in the row plus the pivot rows' span), so
     the runs move no divisor and no sign.  For a square matrix of full rank the
@@ -757,43 +758,38 @@ def _gauss_jordan(rows):
         clear, normal, zero = _rational_cleared, _rational_normalized, ({}, 1)
     else:
         clear, normal, zero = _cleared, _normalized, ({}, {}, 1)
-    pivots, divisors, sign, span, runs = {}, [], 1, None, [{}]
+    runs, cols, divisors, sign, span = [{}], [], [], 1, None
     for i, row in enumerate(rows):
         if not row[0] or span is not None and span.holds(row):
             continue
-        if runs is None:
-            row = clear(row, pivots)
-        else:  # oldest run first: a run's rows are zero at every earlier run's columns
-            for run in runs:
-                if not run.keys().isdisjoint(row[0]):
-                    row = clear(row, run)
+        for run in runs:  # oldest first: a run's rows are zero at every earlier run's columns
+            if not run.keys().isdisjoint(row[0]):
+                row = clear(row, run)
         if not row[0]:
-            if runs is not None:
-                pivots, runs = _settle(runs, clear), None
-            if span is None and i + 1 < len(rows):
-                span = _PackedSpan(pivots, _weight(rows[i]))
+            if i + 1 < len(rows):
+                runs = [_settle(runs, clear)]
+                span = _PackedSpan(runs[0], _weight(rows[i]))
             continue
         col = min(row[0])
         row, divisor = normal(row, col)
-        for c, prow in pivots.items():
-            if c > col:  # one inversion of the pivot columns
-                sign = -sign
-            if runs is None and col in prow[0]:
-                pivots[c] = clear(prow, {col: row})
-                if span is not None:
+        k = bisect.bisect(cols, col)
+        if (len(cols) - k) % 2:  # an odd number of inversions of the pivot columns
+            sign = -sign
+        cols.insert(k, col)
+        run = runs[-1]
+        if span is not None:  # the one settled run: clear col from its rows that hold it
+            for c, prow in run.items():
+                if col in prow[0]:
+                    run[c] = clear(prow, {col: row})
                     span.dirty.add(c)
-        if runs is not None:  # a run's rows hold none of its columns but their own
-            if any(col in prow[0] for prow in runs[-1].values()):
-                runs.append({})
-            runs[-1][col] = row
-        pivots[col] = row
-        if span is not None:
             span.dirty.add(col)
+        elif any(col in prow[0] for prow in run.values()):  # no row of a run holds another's column
+            run = {}
+            runs.append(run)
+        run[col] = row
         divisors.append(divisor)
-    if runs is not None:
-        pivots = _settle(runs, clear)
-    order = sorted(pivots)
-    return [pivots[c] for c in order] + [zero] * (len(rows) - len(order)), order, divisors, sign
+    pivots = _settle(runs, clear) if span is None else runs[0]
+    return [pivots[c] for c in cols] + [zero] * (len(rows) - len(cols)), cols, divisors, sign
 
 
 def rref(m: ExactMatrix):

@@ -321,27 +321,18 @@ def test_report_matches_the_q_sqrt3_chain(name):
 
 @pytest.mark.parametrize("name", ["okubo", "split-okubo", "petersson", "ungraded-gl2"])
 def test_report_reads_the_kernel_in_its_own_form(name, monkeypatch):
-    # over a Q-form the report brackets, asks the span test and sums on rational rows
-    # and builds no basis matrix: its one ExactMatrix is the trace form handed to the
-    # signature.  With no Q-form it takes the Q(√3) bracket and span test; UNGRADED
-    # itself has a 1-dimensional Der and so no bracket, and its widening to gl2 has some
+    # over a Q-form the report brackets, clears and sums on rational rows and builds
+    # no basis matrix: its one ExactMatrix is the trace form handed to the signature.
+    # With no Q-form it takes the Q(√3) bracket and clearing; UNGRADED itself has a
+    # 1-dimensional Der and so no bracket, and its widening to gl2 has some
     table = REPORT_TABLES[name][0]()
     graded = derivations._q_form(table) is not None
     assert graded is (name != "ungraded-gl2")
     calls, signed = [], []
-    for fn in ("_bracket", "_rational_bracket"):
+    for fn in ("_bracket", "_cleared", "_rational_bracket", "_rational_cleared"):
         real = getattr(derivations, fn)
         monkeypatch.setattr(derivations, fn,
                             lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
-
-    class Watched(linalg._PackedSpan):  # the closure's span tests, not the elimination's
-        __slots__ = ()
-
-        def holds(self, row):
-            calls.append("rational span test" if len(row) == 2 else "Q(√3) span test")
-            return super().holds(row)
-
-    monkeypatch.setattr(derivations, "_PackedSpan", Watched)
     signature = derivations.symmetric_signature
     monkeypatch.setattr(derivations, "symmetric_signature",
                         lambda m: signed.append(m) or signature(m))
@@ -349,7 +340,7 @@ def test_report_reads_the_kernel_in_its_own_form(name, monkeypatch):
     report = derivation_report(table)
     assert report["lie_closed"] and report["dimension"] == (8 if graded else 4)
     assert len(built) == len(signed) == 1 and built[0] is signed[0]
-    q_sqrt3, rational = {"_bracket", "Q(√3) span test"}, {"_rational_bracket", "rational span test"}
+    q_sqrt3, rational = {"_bracket", "_cleared"}, {"_rational_bracket", "_rational_cleared"}
     assert set(calls) == (rational if graded else q_sqrt3)
 
 

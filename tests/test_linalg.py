@@ -643,6 +643,11 @@ def test_each_rule_is_written_once():
         ("okubo", "_idempotent_maps"), ("okubo", "conjugation_automorphism")]
     assert [ast.unparse(d) for d in defs["okubo", "_idempotent_maps"].decorator_list] == [
         "functools.cache"]
+    # one home for the pivot rows: the span test is the elimination's alone, and the
+    # derivation report's Lie closure clears each bracket in one pass
+    assert [key for key, node in defs.items() if "_PackedSpan" in _calls(node)] == [
+        ("linalg", "_gauss_jordan")]
+    assert "_PackedSpan" not in sources["derivations"]
 
 
 @VECTOR_SAMPLERS
@@ -1595,25 +1600,34 @@ def test_each_leibniz_row_takes_one_reduction_pass(monkeypatch):
     # on the 512×64 Okubo system each nonempty row up to the first one that clears to
     # zero takes one pass per run of pivot rows it holds a column of; every later
     # nonempty row takes at most one call of the one-pass reduction, also the rows that
-    # hold several pivot columns, and it takes none exactly when the span test finds it
-    # in the span of the pivot rows of that moment, where the pass would clear it to
-    # zero; the other calls settle the runs or clear a new pivot column from earlier
-    # pivot rows
+    # hold several pivot columns: one exactly when the span test finds it outside the
+    # span of the pivot rows of that moment, where the pass would not clear it to zero,
+    # and it holds one of their columns, and none otherwise; the other calls settle the
+    # runs or clear a new pivot column from earlier pivot rows
     algebra = derivations.AlgebraPresentation(DERIVATION_TENSORS["okubo"]())
     rows, ncols = _leibniz_rows(algebra, monkeypatch)
     assert all(len(row) == 2 for row in rows)  # the graded table's rational rows
+    holds, keyed = linalg._PackedSpan.holds, {}
+
+    def watched_holds(span, row):  # whether the row holds a pivot column when tested
+        keyed[id(row)] = not span.pivots.keys().isdisjoint(row[0])
+        return holds(span, row)
+
+    monkeypatch.setattr(linalg._PackedSpan, "holds", watched_holds)
     _, tests, passes, runs, _ = _watched_elimination(rows, monkeypatch)
     early = _assert_one_pass_per_run(rows, passes, runs)
     assert all(answer is zero for _, answer, zero in tests)
     late = [row for row in rows if row[0]][sum(map(len, runs)) + 1:]
     per_row = collections.Counter(id(row) for row, _, _ in passes)
     in_span = {id(row) for row, answer, _ in tests if answer}
-    assert all(per_row[id(row)] == (id(row) not in in_span) for row in late)
+    assert all(per_row[id(row)] == (id(row) not in in_span and keyed[id(row)]) for row in late)
     assert max(len(set(cols) & set(row[0])) for row, cols, _ in passes
                if any(row is r for r in late)) > 1
     # the work: of the 508 nonempty rows, 452 are dependent, and all but the first
-    # zero row skip their pass; the 56 pivot rows take theirs
+    # zero row skip their pass; the 56 pivot rows take theirs, but for the 4 late ones
+    # that hold no pivot column and pivot with no pass
     assert len(in_span) > 440
+    assert sum(id(row) not in in_span and not keyed[id(row)] for row in late) == 4
     assert early + sum(per_row[id(row)] for row in late) < 70
 
 
