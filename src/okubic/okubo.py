@@ -9,9 +9,10 @@ vector over Q(√3) in the canonical basis (e, i1..i7), and a traceless
 computed in bulk through a cached structure-constant tensor in integer
 form (``linalg.SparseTable``).  The matrix path is the Michel–Radicati
 product ``michel_radicati_mul`` at θ = √3/6, summed on integer numerators
-around its one 3×3 product.  It is the source of the table on its upper
-triangle only, since b_t*b_s is the √3-conjugate of b_s*b_t
-(``structure_constants``), and the cross-validation oracle for all of it.
+around its one 3×3 product.  The table's 36 upper cells are stored integers
+read off it, and b_t*b_s is the √3-conjugate of b_s*b_t (``structure_constants``);
+the matrix path is the test oracle that pins them, and the cross-validation
+oracle for all of it.
 The polar form ⟨x, y⟩ is a one-coordinate table in closed form
 (``gram_table``), n(x) = ⟨x, x⟩/2, and ``mat_norm`` = (1/6)Tr(x²) on the
 matrix view is their oracle.
@@ -20,6 +21,7 @@ matrix view is their oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -191,26 +193,57 @@ def okubo_mul_matrix(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     return OkuboElement.from_matrix(m, x.flavor)
 
 
+# The 36 upper cells (s, t), s ≤ t, of each flavor's table, row by row: (0, 0), (0, 1), …,
+# (0, 7), (1, 1), …, (7, 7).  A cell lists the (k, A, B) of b_s*b_t = Σ (A + B√3)/6·b_k.
+_UPPER_CELLS = {
+    COMPACT: (
+        ((0, 6, 0),), ((1, 3, 0), (2, 0, -3)), ((1, 0, 3), (2, 3, 0)), ((0, 6, 0), (3, -6, 0)),
+        ((4, 3, 0), (5, 0, -3)), ((4, 0, 3), (5, 3, 0)), ((6, -6, 0),), ((7, -6, 0),),
+        ((0, 4, 0), (3, -6, 0)), ((3, 0, -2),), ((2, 0, 2),), ((6, 3, 0), (7, 0, -1)),
+        ((6, 0, 1), (7, 3, 0)), ((4, 3, 0), (5, 0, -1)), ((4, 0, 1), (5, 3, 0)),
+        ((0, 4, 0), (3, -6, 0)), ((1, 0, -2),), ((6, 0, -1), (7, -3, 0)),
+        ((6, 3, 0), (7, 0, -1)), ((4, 0, 1), (5, 3, 0)), ((4, -3, 0), (5, 0, 1)),
+        ((0, 4, 0), (3, -6, 0)), ((4, 3, 0), (5, 0, -1)), ((4, 0, 1), (5, 3, 0)),
+        ((6, -3, 0), (7, 0, 1)), ((6, 0, -1), (7, -3, 0)), ((0, -2, 0), (3, 6, 0)),
+        ((0, 0, -2), (3, 0, 2)), ((1, 3, 0), (2, 0, -1)), ((1, 0, -1), (2, -3, 0)),
+        ((0, -2, 0), (3, 6, 0)), ((1, 0, 1), (2, 3, 0)), ((1, 3, 0), (2, 0, -1)), ((0, -2, 0),),
+        ((0, 0, -2), (3, 0, 4)), ((0, -2, 0),),
+    ),
+    SPLIT: (
+        ((0, 6, 0),), ((1, 3, 0), (2, 0, 3)), ((1, 0, -3), (2, 3, 0)), ((0, 6, 0), (3, -6, 0)),
+        ((4, 3, 0), (5, 0, 3)), ((4, 0, -3), (5, 3, 0)), ((6, -6, 0),), ((7, -6, 0),),
+        ((0, -4, 0), (3, 6, 0)), ((3, 0, -2),), ((2, 0, -2),), ((6, -3, 0), (7, 0, 1)),
+        ((6, 0, 1), (7, 3, 0)), ((4, 3, 0), (5, 0, 1)), ((4, 0, 1), (5, -3, 0)),
+        ((0, -4, 0), (3, 6, 0)), ((1, 0, 2),), ((6, 0, -1), (7, -3, 0)),
+        ((6, -3, 0), (7, 0, 1)), ((4, 0, -1), (5, 3, 0)), ((4, 3, 0), (5, 0, 1)),
+        ((0, 4, 0), (3, -6, 0)), ((4, 3, 0), (5, 0, 1)), ((4, 0, -1), (5, 3, 0)),
+        ((6, -3, 0), (7, 0, 1)), ((6, 0, -1), (7, -3, 0)), ((0, 2, 0), (3, -6, 0)),
+        ((0, 0, -2), (3, 0, 2)), ((1, 3, 0), (2, 0, 1)), ((1, 0, -1), (2, 3, 0)),
+        ((0, 2, 0), (3, -6, 0)), ((1, 0, -1), (2, 3, 0)), ((1, -3, 0), (2, 0, -1)),
+        ((0, -2, 0),), ((0, 0, -2), (3, 0, 4)), ((0, -2, 0),),
+    ),
+}
+
+
 @functools.cache
 def structure_constants(flavor: str) -> SparseTable:
     """Sparse tensor and its integer form: cells[a][b] holds (k, c) with b_a*b_b = Σ c·b_k.
 
-    Only the 36 cells s ≤ t are products, ``michel_radicati_mul`` on the basis matrices
-    (each built once) read back by ``from_matrix`` as (na, nb, d); cell (t, s) is
-    (na, -nb, d).  The conjugation σ: √3 ↦ -√3 fixes the basis matrices, whose entries
-    lie in Q(i), swaps μ = 1/2 + i√3/6 with μ̄ and commutes with the product, the trace
-    and the Q-linear read-back, so σ(b_s*b_t) = μ̄·b_s·b_t + μ·b_t·b_s - (1/3)Tr(b_s·b_t)·Id,
-    which is b_t*b_s."""
-    mats = basis_matrices(flavor)
+    The 36 cells s ≤ t are ``_UPPER_CELLS``: ``michel_radicati_mul`` at θ = √3/6 on
+    ``basis_matrices(flavor)``, read back by ``from_matrix``.  Cell (t, s) is the
+    √3-conjugate (k, A, -B): σ: √3 ↦ -√3 fixes the basis matrices, whose entries lie in
+    Q(i), swaps μ = 1/2 + i√3/6 with μ̄ and commutes with the product, the trace and the
+    Q-linear read-back, so σ(b_s*b_t) = μ̄·b_s·b_t + μ·b_t·b_s - (1/3)Tr(b_s·b_t)·Id =
+    b_t*b_s.  The upper cells of ``ints`` of the oracle ``_structure_constants_by_all_products``
+    in tests/test_okubo.py regenerate them, and ``test_stored_cells_are_the_all_products_oracle``
+    pins them to it."""
+    _check_flavor(flavor)
     cells = [[()] * 8 for _ in range(8)]
-    for s in range(8):
-        for t in range(s, 8):
-            na, nb, d = OkuboElement.from_matrix(
-                michel_radicati_mul(mats[s], mats[t], THETA_OKUBO, flavor), flavor).ints
-            nonzero = [(k, a, b) for k, (a, b) in enumerate(zip(na, nb)) if a or b]
-            cells[t][s] = [(k, _raw_f3(a, -b, d)) for k, a, b in nonzero]
-            # written last, so cell (s, s) holds the product itself
-            cells[s][t] = [(k, _raw_f3(a, b, d)) for k, a, b in nonzero]
+    for (s, t), cell in zip(itertools.combinations_with_replacement(range(8), 2),
+                            _UPPER_CELLS[flavor]):
+        cells[t][s] = [(k, _raw_f3(a, -b, 6)) for k, a, b in cell]
+        # written last, so cell (s, s) holds the product itself
+        cells[s][t] = [(k, _raw_f3(a, b, 6)) for k, a, b in cell]
     return SparseTable(cells)
 
 

@@ -192,24 +192,24 @@ def test_import_builds_no_table():
 
 @pytest.mark.parametrize("flavor", [linalg.COMPACT, linalg.SPLIT])
 def test_cold_okubo_table_reads_each_basis_matrix_once(flavor):
-    # the first structure_constants(flavor) reads the 8 basis matrices once and
-    # makes one 3×3 product per unordered pair of basis elements (36), read back
-    # with no further to_matrix; the mirrored cells are √3-conjugates and need no
-    # product; the matrices stay integers throughout, so no C3 is built
+    # the first structure_constants(flavor) writes the table from its stored upper
+    # cells and their √3-conjugates: it reads no basis matrix, makes no 3×3 or
+    # Michel–Radicati product and builds no C3
     code = (
         "from okubic import field, linalg, okubo\n"
         "calls = []\n"
         "for cls, name in ((okubo.OkuboElement, 'to_matrix'), (linalg.Mat3, '__matmul__'),\n"
-        "                  (field.C3, '__init__')):\n"
+        "                  (field.C3, '__init__'), (okubo, 'michel_radicati_mul')):\n"
         "    f = getattr(cls, name)\n"
         "    setattr(cls, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))\n"
         f"okubo.structure_constants({flavor!r})\n"
-        "print(calls.count('to_matrix'), calls.count('__matmul__'), calls.count('__init__'))"
+        "print(*map(calls.count, ('to_matrix', '__matmul__', '__init__', 'michel_radicati_mul')))"
     )
-    to_matrix, matmul, c3 = map(int, _fresh_python(code))
-    assert to_matrix <= 8
-    assert matmul == 36
+    to_matrix, matmul, c3, michel_radicati = map(int, _fresh_python(code))
+    assert to_matrix == 0
+    assert matmul == 0
     assert c3 == 0
+    assert michel_radicati == 0
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -203,7 +203,7 @@ def _mu_product(x, y):
 
 @pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
 def test_products_match_the_mu_product_oracle(flavor):
-    # pins the structure table, which is built through okubo_mul_matrix
+    # pins the structure table, whose stored cells are read off the matrix path
     rng = random.Random(417)
     pairs = [(B(i, flavor), B(j, flavor)) for i in range(8) for j in range(8)]
     pairs += [(sample_okubo(rng, flavor), sample_okubo(rng, flavor)) for _ in range(20)]
@@ -234,6 +234,17 @@ def test_upper_triangle_build_equals_the_all_products_oracle(flavor):
     want = _structure_constants_by_all_products(flavor)
     got = structure_constants(flavor)
     assert (got.ints, got.den) == (want.ints, want.den)
+
+
+@pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
+def test_stored_cells_are_the_all_products_oracle(flavor):
+    # the stored upper cells are the oracle's cells s ≤ t as they are stored, over
+    # its one denominator 6, and the table written from them reads as the oracle's
+    want = _structure_constants_by_all_products(flavor)
+    assert want.den == 6
+    assert okubo._UPPER_CELLS[flavor] == tuple(
+        want.ints[s][t] for s in range(8) for t in range(s, 8))
+    assert structure_constants(flavor).terms == want.terms
 
 
 def _sigma(x):
