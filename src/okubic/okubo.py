@@ -9,10 +9,10 @@ vector over Q(√3) in the canonical basis (e, i1..i7), and a traceless
 computed in bulk through a cached structure-constant tensor in integer
 form (``linalg.SparseTable``).  The matrix path is the Michel–Radicati
 product ``michel_radicati_mul`` at θ = √3/6, summed on integer numerators
-around its one 3×3 product.  The table's 36 upper cells are stored integers
-read off it, and b_t*b_s is the √3-conjugate of b_s*b_t (``structure_constants``);
-the matrix path is the test oracle that pins them, and the cross-validation
-oracle for all of it.
+around its one 3×3 product.  The compact table's 36 upper cells are stored integers
+read off it, the split ones are their twist by conjugation with diag(1, -i, -i), and
+b_t*b_s is the √3-conjugate of b_s*b_t (``structure_constants``); the matrix path is
+the test oracle that pins them, and the cross-validation oracle for all of it.
 The polar form ⟨x, y⟩ is a one-coordinate table in closed form
 (``gram_table``), n(x) = ⟨x, x⟩/2, and ``mat_norm`` = (1/6)Tr(x²) on the
 matrix view is their oracle.
@@ -193,54 +193,46 @@ def okubo_mul_matrix(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     return OkuboElement.from_matrix(m, x.flavor)
 
 
-# The 36 upper cells (s, t), s ≤ t, of each flavor's table, row by row: (0, 0), (0, 1), …,
-# (0, 7), (1, 1), …, (7, 7).  A cell lists the (k, A, B) of b_s*b_t = Σ (A + B√3)/6·b_k.
-_UPPER_CELLS = {
-    COMPACT: (
-        ((0, 6, 0),), ((1, 3, 0), (2, 0, -3)), ((1, 0, 3), (2, 3, 0)), ((0, 6, 0), (3, -6, 0)),
-        ((4, 3, 0), (5, 0, -3)), ((4, 0, 3), (5, 3, 0)), ((6, -6, 0),), ((7, -6, 0),),
-        ((0, 4, 0), (3, -6, 0)), ((3, 0, -2),), ((2, 0, 2),), ((6, 3, 0), (7, 0, -1)),
-        ((6, 0, 1), (7, 3, 0)), ((4, 3, 0), (5, 0, -1)), ((4, 0, 1), (5, 3, 0)),
-        ((0, 4, 0), (3, -6, 0)), ((1, 0, -2),), ((6, 0, -1), (7, -3, 0)),
-        ((6, 3, 0), (7, 0, -1)), ((4, 0, 1), (5, 3, 0)), ((4, -3, 0), (5, 0, 1)),
-        ((0, 4, 0), (3, -6, 0)), ((4, 3, 0), (5, 0, -1)), ((4, 0, 1), (5, 3, 0)),
-        ((6, -3, 0), (7, 0, 1)), ((6, 0, -1), (7, -3, 0)), ((0, -2, 0), (3, 6, 0)),
-        ((0, 0, -2), (3, 0, 2)), ((1, 3, 0), (2, 0, -1)), ((1, 0, -1), (2, -3, 0)),
-        ((0, -2, 0), (3, 6, 0)), ((1, 0, 1), (2, 3, 0)), ((1, 3, 0), (2, 0, -1)), ((0, -2, 0),),
-        ((0, 0, -2), (3, 0, 4)), ((0, -2, 0),),
-    ),
-    SPLIT: (
-        ((0, 6, 0),), ((1, 3, 0), (2, 0, 3)), ((1, 0, -3), (2, 3, 0)), ((0, 6, 0), (3, -6, 0)),
-        ((4, 3, 0), (5, 0, 3)), ((4, 0, -3), (5, 3, 0)), ((6, -6, 0),), ((7, -6, 0),),
-        ((0, -4, 0), (3, 6, 0)), ((3, 0, -2),), ((2, 0, -2),), ((6, -3, 0), (7, 0, 1)),
-        ((6, 0, 1), (7, 3, 0)), ((4, 3, 0), (5, 0, 1)), ((4, 0, 1), (5, -3, 0)),
-        ((0, -4, 0), (3, 6, 0)), ((1, 0, 2),), ((6, 0, -1), (7, -3, 0)),
-        ((6, -3, 0), (7, 0, 1)), ((4, 0, -1), (5, 3, 0)), ((4, 3, 0), (5, 0, 1)),
-        ((0, 4, 0), (3, -6, 0)), ((4, 3, 0), (5, 0, 1)), ((4, 0, -1), (5, 3, 0)),
-        ((6, -3, 0), (7, 0, 1)), ((6, 0, -1), (7, -3, 0)), ((0, 2, 0), (3, -6, 0)),
-        ((0, 0, -2), (3, 0, 2)), ((1, 3, 0), (2, 0, 1)), ((1, 0, -1), (2, 3, 0)),
-        ((0, 2, 0), (3, -6, 0)), ((1, 0, -1), (2, 3, 0)), ((1, -3, 0), (2, 0, -1)),
-        ((0, -2, 0),), ((0, 0, -2), (3, 0, 4)), ((0, -2, 0),),
-    ),
-}
+# The 36 upper cells (s, t), s ≤ t, of the compact table, row by row: (0, 0), (0, 1), …, (0, 7),
+# (1, 1), …, (7, 7).  A cell lists the (k, A, B) of b_s*b_t = Σ (A + B√3)/6·b_k.  The weights
+# w_j of the twist give D·b_j·D⁻¹ = i^(w_j)·b_j, D = diag(1, -i, -i), from the split b_j to
+# the compact one.
+_UPPER_CELLS = (
+    ((0, 6, 0),), ((1, 3, 0), (2, 0, -3)), ((1, 0, 3), (2, 3, 0)), ((0, 6, 0), (3, -6, 0)),
+    ((4, 3, 0), (5, 0, -3)), ((4, 0, 3), (5, 3, 0)), ((6, -6, 0),), ((7, -6, 0),),
+    ((0, 4, 0), (3, -6, 0)), ((3, 0, -2),), ((2, 0, 2),), ((6, 3, 0), (7, 0, -1)),
+    ((6, 0, 1), (7, 3, 0)), ((4, 3, 0), (5, 0, -1)), ((4, 0, 1), (5, 3, 0)),
+    ((0, 4, 0), (3, -6, 0)), ((1, 0, -2),), ((6, 0, -1), (7, -3, 0)),
+    ((6, 3, 0), (7, 0, -1)), ((4, 0, 1), (5, 3, 0)), ((4, -3, 0), (5, 0, 1)),
+    ((0, 4, 0), (3, -6, 0)), ((4, 3, 0), (5, 0, -1)), ((4, 0, 1), (5, 3, 0)),
+    ((6, -3, 0), (7, 0, 1)), ((6, 0, -1), (7, -3, 0)), ((0, -2, 0), (3, 6, 0)),
+    ((0, 0, -2), (3, 0, 2)), ((1, 3, 0), (2, 0, -1)), ((1, 0, -1), (2, -3, 0)),
+    ((0, -2, 0), (3, 6, 0)), ((1, 0, 1), (2, 3, 0)), ((1, 3, 0), (2, 0, -1)), ((0, -2, 0),),
+    ((0, 0, -2), (3, 0, 4)), ((0, -2, 0),),
+)
+_TWIST_WEIGHTS = (0, 1, -1, 0, 1, -1, 0, 0)
 
 
 @functools.cache
 def structure_constants(flavor: str) -> SparseTable:
     """Sparse tensor and its integer form: cells[a][b] holds (k, c) with b_a*b_b = Σ c·b_k.
 
-    The 36 cells s ≤ t are ``_UPPER_CELLS``: ``michel_radicati_mul`` at θ = √3/6 on
-    ``basis_matrices(flavor)``, read back by ``from_matrix``.  Cell (t, s) is the
-    √3-conjugate (k, A, -B): σ: √3 ↦ -√3 fixes the basis matrices, whose entries lie in
-    Q(i), swaps μ = 1/2 + i√3/6 with μ̄ and commutes with the product, the trace and the
-    Q-linear read-back, so σ(b_s*b_t) = μ̄·b_s·b_t + μ·b_t·b_s - (1/3)Tr(b_s·b_t)·Id =
-    b_t*b_s.  The upper cells of ``ints`` of the oracle ``_structure_constants_by_all_products``
-    in tests/test_okubo.py regenerate them, and ``test_stored_cells_are_the_all_products_oracle``
-    pins them to it."""
-    _check_flavor(flavor)
+    The 36 compact cells s ≤ t are ``_UPPER_CELLS``, the upper cells of ``ints`` of the
+    oracle ``_structure_constants_by_all_products(COMPACT)`` in tests/test_okubo.py.  A split
+    cell is the compact one with each (k, A, B) times i^(w_s + w_t - w_k) = ±1, w being
+    ``_TWIST_WEIGHTS``: conjugation by D respects the matrix product, the trace and Id, so it
+    carries the split Michel–Radicati product onto the compact one, and the factor is real
+    as both flavors' constants are.  Cell (t, s) is the √3-conjugate (k, A, -B): σ: √3 ↦ -√3
+    fixes the basis matrices, whose entries lie in Q(i), swaps μ = 1/2 + i√3/6 with μ̄ and
+    commutes with the product, the trace and the Q-linear read-back, so σ(b_s*b_t) = b_t*b_s;
+    σ fixes the twist's rational factor, whose exponent is symmetric in s and t.
+    ``test_stored_cells_are_the_all_products_oracle`` pins both flavors' upper cells to the
+    oracle, and the two tests after it pin the twist on the basis matrices and both tables."""
+    g, w = _gamma(flavor), _TWIST_WEIGHTS
     cells = [[()] * 8 for _ in range(8)]
-    for (s, t), cell in zip(itertools.combinations_with_replacement(range(8), 2),
-                            _UPPER_CELLS[flavor]):
+    for (s, t), cell in zip(itertools.combinations_with_replacement(range(8), 2), _UPPER_CELLS):
+        cell = [(k, a, b) if (w[s] + w[t] - w[k]) % 4 == 0 else (k, g * a, g * b)
+                for k, a, b in cell]  # γ = 1 leaves the compact cells as stored
         cells[t][s] = [(k, _raw_f3(a, -b, 6)) for k, a, b in cell]
         # written last, so cell (s, s) holds the product itself
         cells[s][t] = [(k, _raw_f3(a, b, 6)) for k, a, b in cell]

@@ -893,6 +893,7 @@ LIBRARY_TABLES = {
     "okubo-gram": (lambda: okubo.gram_table(COMPACT), F3),
     "split-okubo-gram": (lambda: okubo.gram_table(SPLIT), F3),
     "beta": (geometry.beta_table, F3),
+    "adjoint": (geometry.adjoint_table, F3),
 }
 
 
@@ -921,7 +922,7 @@ def _kernel_inputs(n, rng):
 # The library tables that SparseTable finds symmetric in (a, b): 𝔸_q is
 # commutative, and a Gram table is a symmetric form.
 SYMMETRIC_TABLES = {name for name in LIBRARY_TABLES if name.startswith("albert-")} | {
-    "okubo-gram", "split-okubo-gram", "beta"}
+    "okubo-gram", "split-okubo-gram", "beta", "adjoint"}
 
 
 def _assert_terms(table):
@@ -955,7 +956,7 @@ def _built_afresh(name, monkeypatch):
 
     monkeypatch.setattr(SparseTable, "__init__", record)
     for cached in (structure_constants, okubo.gram_table, okubo._idempotent_maps, albert._table,
-                   geometry.beta_table):
+                   geometry.beta_table, geometry.adjoint_table):
         cached.cache_clear()
     if name == "octonion":
         spec = importlib.util.find_spec(hurwitz.__name__)

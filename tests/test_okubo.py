@@ -1,6 +1,7 @@
 """Okubo algebras (compact and split): product, norm, trivolution,
 octonion recovery, Michel–Radicati deformations, exact automorphisms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -236,15 +237,51 @@ def test_upper_triangle_build_equals_the_all_products_oracle(flavor):
     assert (got.ints, got.den) == (want.ints, want.den)
 
 
+def _i_power(e):
+    """i^e as an integer, for the even exponents of the twist; odd ones raise KeyError."""
+    return {0: 1, 2: -1}[e % 4]
+
+
 @pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
 def test_stored_cells_are_the_all_products_oracle(flavor):
-    # the stored upper cells are the oracle's cells s ≤ t as they are stored, over
-    # its one denominator 6, and the table written from them reads as the oracle's
+    # the stored compact upper cells, each (k, A, B) of cell (s, t) times
+    # i^(w_s + w_t - w_k) for the split flavor, are the oracle's cells s ≤ t as they are
+    # stored, over its one denominator 6, and the table written from them reads as the
+    # oracle's
+    w = okubo._TWIST_WEIGHTS if flavor == SPLIT else (0,) * 8
     want = _structure_constants_by_all_products(flavor)
     assert want.den == 6
-    assert okubo._UPPER_CELLS[flavor] == tuple(
-        want.ints[s][t] for s in range(8) for t in range(s, 8))
+    upper = [(s, t) for s in range(8) for t in range(s, 8)]
+    twisted = tuple(tuple((k, f * a, f * b) for k, a, b in cell
+                          for f in [_i_power(w[s] + w[t] - w[k])])
+                    for (s, t), cell in zip(upper, okubo._UPPER_CELLS, strict=True))
+    assert twisted == tuple(want.ints[s][t] for s, t in upper)
     assert structure_constants(flavor).terms == want.terms
+
+
+def test_twist_conjugates_the_split_basis_onto_the_compact_one():
+    # D·b_j·D⁻¹ = i^(w_j)·b_j for D = diag(1, -i, -i), from the split basis matrix to the
+    # compact one: the weights the split table is twisted by, read off no table
+    d = Mat3.diag(1, C3(0, -1), C3(0, -1))
+    i_powers = (C3(1), C3(0, 1), C3(-1), C3(0, -1))
+    for w, split, compact in zip(okubo._TWIST_WEIGHTS, basis_matrices(SPLIT),
+                                 basis_matrices(COMPACT), strict=True):
+        assert d @ split @ d.inverse() == compact.scale(i_powers[w % 4])
+
+
+@pytest.mark.parametrize("table", [structure_constants, okubo.gram_table])
+def test_split_tables_are_the_twisted_compact_tables(table):
+    # each split constant of (a, b → k) is the compact one times i^(w_a + w_b - w_k),
+    # w_k = 0 on a form's one output: the twist is an isomorphism of the split product
+    # onto the compact one, and an isometry of their polar forms
+    w = okubo._TWIST_WEIGHTS
+    compact, split = table(COMPACT), table(SPLIT)
+    out = w if compact.size == 8 else (0,)
+    assert split.den == compact.den
+    for a, b in itertools.product(range(8), repeat=2):
+        assert split.ints[a][b] == tuple(
+            (k, f * ca, f * cb) for k, ca, cb in compact.ints[a][b]
+            for f in [_i_power(w[a] + w[b] - out[k])])
 
 
 def _sigma(x):
