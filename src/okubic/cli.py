@@ -65,7 +65,6 @@ from .linalg import COMPACT, SPLIT, Mat3, rank
 from .okubo import (
     OkuboElement,
     THETA_OKUBO,
-    _dense,
     basis_matrices,
     conjugation_automorphism,
     idempotent,
@@ -455,7 +454,7 @@ def _octonion_table_rows(tensor):
 
 
 def cmd_table(args) -> int:
-    tensor = _dense(TABLES[args.algebra]())
+    tensor = TABLES[args.algebra]().constants
     if args.algebra in ("okubo", "split-okubo"):
         header, rows, render = "a,b,k,value_a,value_b", _okubo_table_rows, F3.to_json
     else:  # a rational table: each value is its part a

@@ -28,58 +28,31 @@ from .linalg import (
     _kernel_columns,
     _rational_cleared,
     _reduced,
-    _vector_ints,
-    bilinear,
     symmetric_signature,
 )
-from .okubo import (
-    OkuboElement,
-    _dense,
-    fix_tau,
-    structure_constants,
-    structure_constants_dense,
-)
+from .okubo import OkuboElement, fix_tau, structure_constants
 
 
-class AlgebraPresentation(SparseTable):
-    """A finite-dimensional algebra given by an n×n×n structure-constant tensor over
-    F3, stored as the ``SparseTable`` of its nonzero constants and nothing else."""
-
-    __slots__ = ()
-
-    def __init__(self, constants):
-        constants = [[[F3.coerce(x) for x in row] for row in plane] for plane in constants]
-        n = len(constants)
-        if any(
-            len(plane) != n or any(len(row) != n for row in plane)
-            for plane in constants
-        ):
-            raise ValueError("structure tensor must be n×n×n")
-        super().__init__([[list(enumerate(row)) for row in plane] for plane in constants])
-
-    @property
-    def dimension(self) -> int:
-        return len(self.ints)
-
-    @property
-    def constants(self):
-        """The dense tensor of F3 values, built from the table on each call."""
-        return _dense(self)
-
-    def __repr__(self):
-        return f"AlgebraPresentation(dim={self.dimension})"
-
-    def mul_coords(self, u, v):
-        """Bilinear product of coordinate vectors (F3s, Fractions or ints), as F3s."""
-        na, nb, d = bilinear(self, _vector_ints(u), _vector_ints(v))
-        return [_raw_f3(a, b, d) for a, b in zip(na, nb)]
+def AlgebraPresentation(constants) -> SparseTable:
+    """The ``SparseTable`` of a finite-dimensional algebra given by an n×n×n
+    structure-constant tensor, each entry coerced to F3: the one reader of a dense
+    tensor.  A function under a class's name, which perfbench and the package call."""
+    constants = [[[F3.coerce(x) for x in row] for row in plane] for plane in constants]
+    n = len(constants)
+    if any(
+        len(plane) != n or any(len(row) != n for row in plane)
+        for plane in constants
+    ):
+        raise ValueError("structure tensor must be n×n×n")
+    return SparseTable([[list(enumerate(row)) for row in plane] for plane in constants])
 
 
-def okubo_presentation(flavor: str = COMPACT) -> AlgebraPresentation:
-    return AlgebraPresentation(structure_constants_dense(flavor))
+def okubo_presentation(flavor: str = COMPACT) -> SparseTable:
+    """The cached Okubo table of ``structure_constants``."""
+    return structure_constants(flavor)
 
 
-def petersson_presentation() -> AlgebraPresentation:
+def petersson_presentation() -> SparseTable:
     return AlgebraPresentation(petersson_structure_constants())
 
 
@@ -130,8 +103,8 @@ def _q_form(table: SparseTable):
 
 
 def _derivation_kernel(table: SparseTable):
-    """The Leibniz system of any n×n structure-constant table (an ``AlgebraPresentation``
-    is one; a form raises ValueError), written once and eliminated once: (p, n, kernel),
+    """The Leibniz system of any n×n structure-constant ``SparseTable`` (a form raises
+    ValueError), written once and eliminated once: (p, n, kernel),
     p the table's ``_q_form`` parities or None, kernel the pivot span {fc: row}, fc free.
 
     Unknown D[r][s] sits at flat index r*n + s; equation (i, j, k) is one sparse

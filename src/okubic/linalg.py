@@ -49,7 +49,8 @@ class SparseTable(Frozen):
     zeros), and ``nonzero[a]`` the (b, ints[a][b]) of the nonempty cells.  A cell
     object that the input lists twice is stored once.  There are ``size`` output
     coordinates k: as many as rows for a product, one for a form, whose value is
-    ``bilinear(...)[0]``.  ``cells`` builds the (k, c) as F3s on each call.
+    ``bilinear(...)[0]``.  ``cells`` builds the (k, c) as F3s on each call, and
+    ``constants`` the dense tensor, the form ``derivations.AlgebraPresentation`` reads.
 
     ``terms`` is the form ``bilinear`` reads, (symmetric, rows): ``symmetric`` when
     ints[a][b] == ints[b][a] for every a and b, and rows[a] the (b, rat, sq) of the
@@ -82,6 +83,17 @@ class SparseTable(Frozen):
     def cells(self):
         return tuple(tuple(tuple((k, _raw_f3(a, b, self.den)) for k, a, b in cell) for cell in row)
                      for row in self.ints)
+
+    @property
+    def constants(self):
+        """The dense tensor [a][b][k] of the constants as F3s, 0 where a cell has none."""
+        return tuple(tuple(tuple(dict(cell).get(k, _ZERO) for k in range(self.size)) for cell in row)
+                     for row in self.cells)
+
+    def mul_coords(self, u, v):
+        """Bilinear product of coordinate vectors (F3s, Fractions or ints), as F3s."""
+        na, nb, d = bilinear(self, _vector_ints(u), _vector_ints(v))
+        return [_raw_f3(a, b, d) for a, b in zip(na, nb)]
 
 
 def _numerators(xs):

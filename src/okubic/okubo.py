@@ -239,16 +239,9 @@ def structure_constants(flavor: str) -> SparseTable:
     return SparseTable(cells)
 
 
-def _dense(table: SparseTable):
-    """The dense tensor [a][b][k] of a table's constants as F3s, 0 where a cell has none."""
-    zero = F3()
-    return tuple(tuple(tuple(dict(cell).get(k, zero) for k in range(table.size)) for cell in row)
-                 for row in table.cells)
-
-
 def structure_constants_dense(flavor: str):
     """Dense 8×8×8 tensor of F3 values."""
-    return _dense(structure_constants(flavor))
+    return structure_constants(flavor).constants
 
 
 def okubo_mul(x: OkuboElement, y: OkuboElement) -> OkuboElement:
@@ -286,9 +279,7 @@ def okubo_norm(x: OkuboElement) -> F3:
 
 def gram_matrix(flavor: str) -> ExactMatrix:
     """The dense view of ``gram_table``: entry (a, b) is ⟨b_a, b_b⟩."""
-    return ExactMatrix(
-        [[cell[0][1] if cell else 0 for cell in row] for row in gram_table(flavor).cells]
-    )
+    return ExactMatrix([[cell[0] for cell in row] for row in gram_table(flavor).constants])
 
 
 def is_positive_definite(flavor: str) -> bool:

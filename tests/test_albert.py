@@ -48,6 +48,7 @@ from okubic.geometry import (
     SlopePoint,
     VeroneseVector,
     beta,
+    beta_table,
     plane_embed,
     sample_affine_point,
     sharp,
@@ -160,6 +161,17 @@ def test_table_cache_hits_for_an_equal_q():
     table = albert_module._table(F3(1) / 2)
     assert albert_module._table(AlbertAlgebra(HALF).q) is table
     assert albert_module._table(ALBERT_HALF.q) is table
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1)], ids=str)
+def test_beta_is_the_trace_form_of_the_albert_product(q):
+    # β(v, w) = T(v∘w): two writers of 27×27 tables, geometry.beta_table and albert._table,
+    # agree cell by cell, each β constant the sum of the 𝔸_q constants at outputs 24–26
+    # (the λ, whose sum is T); those constants do not depend on q
+    product, form = albert_module._table(F3(q)).cells, beta_table().cells
+    for a, b in itertools.product(range(27), repeat=2):
+        assert sum((c for k, c in product[a][b] if k >= 24), F3()) == sum(
+            (c for _, c in form[a][b]), F3()), (a, b)
 
 
 def _fresh_python(code):

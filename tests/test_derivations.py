@@ -39,7 +39,7 @@ from okubic.linalg import (
     bilinear,
     rank,
 )
-from okubic.okubo import OkuboElement, _dense, polar, sample_okubo, structure_constants
+from okubic.okubo import OkuboElement, polar, sample_okubo, structure_constants
 
 # the tensors, the seam on derivation_space and the row reading of the
 # elimination oracle in test_linalg
@@ -118,9 +118,11 @@ def test_derivation_space_reads_only_the_table():
 
 @pytest.mark.parametrize("flavor", [COMPACT, SPLIT])
 def test_okubo_table_and_presentation_give_one_report(flavor):
-    # the report of okubic derivations reads the cached table; the presentation
-    # is the same constants brought in as a dense tensor
-    table, pres = structure_constants(flavor), okubo_presentation(flavor)
+    # the report of okubic derivations reads the cached table, and the presentation
+    # is that table; the same constants brought in as a dense tensor give one report too
+    table = structure_constants(flavor)
+    assert okubo_presentation(flavor) is table
+    pres = AlgebraPresentation(table.constants)
     assert (table.ints, table.den) == (pres.ints, pres.den)
     assert derivation_report(table) == derivation_report(pres)
 
@@ -190,7 +192,7 @@ LEIBNIZ_TENSORS = {
 @pytest.mark.parametrize("name", LEIBNIZ_TENSORS)
 def test_leibniz_rows_match_the_scalar_oracle(name, monkeypatch):
     algebra = AlgebraPresentation(LEIBNIZ_TENSORS[name]())
-    n = algebra.dimension
+    n = len(algebra.ints)
     rows, ncols = _leibniz_rows(algebra, monkeypatch)
     assert (len(rows), ncols) == (n ** 3, n * n)
     # a graded table's rows are rational rows (na, d) of its tensor in the basis
@@ -393,7 +395,7 @@ def test_q_form_constants_match_the_rescaled_tensor(name):
         table = AlgebraPresentation(c)
     else:
         table = LIBRARY_TABLES[name.removeprefix("table-")][0]()
-        c = _dense(table)
+        c = table.constants
     assert table.size == len(table.ints)
     view = derivations._q_form(table)
     assert (view is None) is (name == "ungraded")

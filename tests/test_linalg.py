@@ -388,7 +388,8 @@ FROZEN_VALUES = [
     SparseTable([[[(0, 1)]]]),
     Vector(()),
     ExactMatrix([[1, 2]]),
-    derivations.AlgebraPresentation([[[1]]]),
+    # a presentation is a plain SparseTable, under its own id
+    pytest.param(derivations.AlgebraPresentation([[[1]]]), id="AlgebraPresentation"),
     albert.AlbertAlgebra(Fraction(1, 2)),
     geometry.line_embed(_E),
     geometry.AffinePoint(_E, _Z),
@@ -648,6 +649,17 @@ def test_each_rule_is_written_once():
     assert [key for key, node in defs.items() if "_PackedSpan" in _calls(node)] == [
         ("linalg", "_gauss_jordan")]
     assert "_PackedSpan" not in sources["derivations"]
+    # one table type: a dense tensor is read by one function into a plain SparseTable,
+    # and every table has one dense view, SparseTable.constants
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    assert [(stem, node.name) for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and "SparseTable" in {ast.unparse(base) for base in node.bases}] == []
+    assert [key for key in defs if key[1].split(".")[-1] == "_dense"] == []
+    presentations = [(stem, type(node).__name__) for stem, tree in trees.items()
+                     for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name == "AlgebraPresentation"]
+    assert presentations == [("derivations", "FunctionDef")]
 
 
 @VECTOR_SAMPLERS
@@ -1023,12 +1035,13 @@ def test_library_constants_are_rational_or_rational_times_sqrt3_by_parity(name):
 
 def test_tables_store_only_integers_and_tuples():
     # no scalar copy of the constants: every slot of every table, a presentation's
-    # too, holds integers in tuples, and a presentation adds no slot of its own
+    # too, holds integers in tuples, and a presentation is a plain SparseTable
     assert SparseTable.__slots__ == ("ints", "nonzero", "terms", "den", "size")
-    assert derivations.AlgebraPresentation.__slots__ == ()
+    presentation = derivations.AlgebraPresentation(
+        [[[F3(1, 2), Fraction(1, 3)], [0, 1]], [[0, F3(0, 1)], [2, Fraction(-5, 7)]]])
+    assert type(presentation) is SparseTable
     tables = [make() for make, _ in LIBRARY_TABLES.values()]
-    tables.append(derivations.AlgebraPresentation(
-        [[[F3(1, 2), Fraction(1, 3)], [0, 1]], [[0, F3(0, 1)], [2, Fraction(-5, 7)]]]))
+    tables.append(presentation)
     for table in tables:
         assert not hasattr(table, "__dict__")
         slots = [a for cls in type(table).__mro__ for a in getattr(cls, "__slots__", ())]
@@ -1038,6 +1051,35 @@ def test_tables_store_only_integers_and_tuples():
             assert isinstance(x, (int, tuple)), (type(table).__name__, type(x).__name__)
             if isinstance(x, tuple):
                 stack.extend(x)
+
+
+def _dense_by_cells(table):
+    """The dense tensor [a][b][k] of a table's constants: zeros, with each (k, c)
+    of ``cells`` written in."""
+    cells = table.cells
+    out = [[[F3()] * table.size for _ in row] for row in cells]
+    for a, row in enumerate(cells):
+        for b, cell in enumerate(row):
+            for k, c in cell:
+                out[a][b][k] = c
+    return out
+
+
+@pytest.mark.parametrize("name", LIBRARY_TABLES)
+def test_dense_view_and_mul_coords_match_the_oracles(name):
+    table = LIBRARY_TABLES[name][0]()
+    dense = table.constants
+    assert dense == tuple(tuple(map(tuple, row)) for row in _dense_by_cells(table))
+    assert {type(c) for row in dense for cell in row for c in cell} == {F3}
+    # mul_coords is bilinear on the stored form of its coordinate lists, read back as F3s
+    rng, n = random.Random(f"mul-coords:{name}"), len(table.ints)
+    vectors = [[F3(int(i == j)) for i in range(n)] for j in (0, n - 1)]
+    vectors += [[sample_f3(rng) for _ in range(n)] for _ in range(3)]
+    vectors.append([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)])
+    for u, v in itertools.product(vectors, repeat=2):
+        got = table.mul_coords(u, v)
+        assert [type(c) for c in got] == [F3] * table.size
+        assert _vector_ints(got) == bilinear(table, _vector_ints(u), _vector_ints(v))
 
 
 def test_sparse_table_drops_zero_constants():
