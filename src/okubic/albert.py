@@ -10,7 +10,9 @@ q = 1/2 not); ROADMAP.md item 3 records that gap with the paper.
 
 ``AlbertAlgebra.mul`` and ``left_mult_operator`` read the integer form of
 the sparse 27×27 structure-constant table of 𝔸_q (``_table``), built per q
-on first use.
+on first use as q·X + Z/2 by ``geometry._frame_table``, the one writer of the
+tables on V, which writes the adjoint (X − Y)/2 too: the deformation moves
+only the cross term X.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ import random
 from fractions import Fraction
 
 from .field import F3, Frozen, _drawn
-from .linalg import COMPACT, ExactMatrix, SparseTable, bilinear, bilinear_left
-from .okubo import (
-    gram_table,
-    okubo_mul,
-    okubo_norm,
-    polar,
-    sample_okubo,
-    structure_constants,
-)
-from .geometry import ProjPoint, VeroneseVector, _concat, _put, trace, vnorm
+from .linalg import ExactMatrix, bilinear, bilinear_left
+from .okubo import okubo_mul, okubo_norm, polar, sample_okubo
+from .geometry import ProjPoint, VeroneseVector, _concat, _frame_table, trace, vnorm
 
 HALF = F3(Fraction(1, 2))
 
@@ -40,24 +35,10 @@ AlbertElement = VeroneseVector
 
 @functools.cache
 def _table(q: F3):
-    """𝔸_q as a ``bilinear`` table on the flat coordinates: for each cyclic
-    (i, j, k), (x; λ)∘(y; μ) has slot i (λ_j + λ_k)y_i/2 + (μ_j + μ_k)x_i/2
+    """𝔸_q = q·X + Z/2 of ``geometry._frame_table`` on the flat coordinates: for each
+    cyclic (i, j, k), (x; λ)∘(y; μ) has slot i (λ_j + λ_k)y_i/2 + (μ_j + μ_k)x_i/2
     + q(x_j*y_k + y_j*x_k) and scalar i λ_iμ_i + (polar(x_j,y_j) + polar(x_k,y_k))/2."""
-    sc = structure_constants(COMPACT).cells
-    g = gram_table(COMPACT).cells
-    table = [[()] * 27 for _ in range(27)]
-    for i in range(3):  # the product is commutative: one cell for both orders
-        j, k = (i + 1) % 3, (i + 2) % 3
-        _put(table, 24 + i, 24 + i, [(24 + i, F3(1))])
-        for s in range(8):
-            a = 8 * i + s
-            _put(table, 24 + j, a, [(a, HALF)])
-            _put(table, 24 + k, a, [(a, HALF)])
-            for t in range(8):
-                for _, c in g[s][t]:
-                    _put(table, a, 8 * i + t, [(24 + l, c * HALF) for l in (j, k)])
-                _put(table, a, 8 * j + t, [(8 * k + m, q * c) for m, c in sc[s][t]])
-    return SparseTable(table)
+    return _frame_table(q, 0, HALF)
 
 
 class AlbertAlgebra(Frozen):

@@ -16,6 +16,7 @@ algebra; the compact flavor has a negative-definite trace form.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .field import F3, _raw_f3
 from .hurwitz import petersson_structure_constants
@@ -34,10 +35,11 @@ from .okubo import OkuboElement, fix_tau, structure_constants
 
 
 def AlgebraPresentation(constants) -> SparseTable:
-    """The ``SparseTable`` of a finite-dimensional algebra given by an n×n×n
-    structure-constant tensor, each entry coerced to F3: the one reader of a dense
-    tensor.  A function under a class's name, which perfbench and the package call."""
-    constants = [[[F3.coerce(x) for x in row] for row in plane] for plane in constants]
+    """The ``SparseTable`` of an algebra given by an n×n×n structure-constant tensor, each
+    entry not an int, ``Fraction`` or F3 coerced to F3 (a float or str raises ``TypeError``):
+    the one reader of a dense tensor (a function under the class name perfbench calls)."""
+    constants = [[[x if type(x) in (int, Fraction, F3) else F3.coerce(x) for x in row]
+                  for row in plane] for plane in constants]
     n = len(constants)
     if any(
         len(plane) != n or any(len(row) != n for row in plane)

@@ -2,9 +2,10 @@
 
 The projective plane consists of rays on the Veronese cone v^♯ = 0 (``sharp``) in
 𝒪³×Q(√3)³, with incidence given by the bilinear form β; each is one pass over a
-closed-form ``bilinear`` table built from the Okubo tables (``adjoint_table``,
-``beta_table``).  The projective line, the quadric n(x) = ξ1ξ2, is the plane's line at
-infinity ℓ∞ = e2^⊥.  Everything here is for the compact (division) flavor only.
+closed-form ``bilinear`` table built from the Okubo tables (``adjoint_table``, written
+with ``albert``'s 𝔸_q by the one frame loop ``_frame_table``, and ``beta_table``).  The
+projective line, the quadric n(x) = ξ1ξ2, is the plane's line at infinity ℓ∞ = e2^⊥.
+Everything here is for the compact (division) flavor only.
 """
 
 from __future__ import annotations
@@ -237,24 +238,34 @@ def _put(cells, a, b, cell):
     cells[a][b] = cells[b][a] = tuple(cell)
 
 
-@functools.cache
-def adjoint_table() -> SparseTable:
-    """The symmetric table B with B(v, v) = v^♯ and 2B(v, w) = v×w, the cross product, from
-    the compact Okubo structure constants and Gram table: for each cyclic (i, j, k),
-    B((x; λ), (y; μ)) has slot i (x_j*y_k + y_j*x_k - λ_i y_i - μ_i x_i)/2 and scalar i
-    (λ_jμ_k + μ_jλ_k - ⟨x_i, y_i⟩)/2."""
+def _frame_table(cross, own, other) -> SparseTable:
+    """cross·X + own·Y + other·Z, the one writer of the tables on V, from the compact Okubo
+    tables: for each cyclic (i, j, k), on ((x; λ), (y; μ)), X has slot i x_j*y_k + y_j*x_k,
+    Y slot i λ_i y_i + μ_i x_i and scalar i ⟨x_i, y_i⟩ − λ_jμ_k − μ_jλ_k, and Z slot i
+    (λ_j + λ_k)y_i + (μ_j + μ_k)x_i and scalar i ⟨x_j, y_j⟩ + ⟨x_k, y_k⟩ + 2λ_iμ_i."""
     sc, g = structure_constants(COMPACT).cells, gram_table(COMPACT).cells
-    half = F3(1) / 2
     cells = [[()] * 27 for _ in range(27)]
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        _put(cells, 24 + j, 24 + k, [(24 + i, half)])
+        lam = [(l, f) for l, f in ((i, own), (j, other), (k, other)) if f]
+        _put(cells, 24 + i, 24 + i, [(24 + i, 2 * other)])
+        _put(cells, 24 + j, 24 + k, [(24 + i, -own)])
         for s in range(8):
-            _put(cells, 24 + i, 8 * i + s, [(8 * i + s, -half)])
+            for l, f in lam:
+                _put(cells, 24 + l, 8 * i + s, [(8 * i + s, f)])
             for t in range(8):
-                _put(cells, 8 * j + s, 8 * k + t, [(8 * i + m, c * half) for m, c in sc[s][t]])
-                _put(cells, 8 * i + s, 8 * i + t, [(24 + i, -c * half) for _, c in g[s][t]])
+                _put(cells, 8 * i + s, 8 * j + t, [(8 * k + m, cross * c) for m, c in sc[s][t]])
+                _put(cells, 8 * i + s, 8 * i + t,
+                     [(24 + l, f * c) for _, c in g[s][t] for l, f in lam])
     return SparseTable(cells)
+
+
+@functools.cache
+def adjoint_table() -> SparseTable:
+    """B = (X − Y)/2 of ``_frame_table``, with B(v, v) = v^♯ and 2B(v, w) = v×w, the cross
+    product: for each cyclic (i, j, k), B((x; λ), (y; μ)) has slot i (x_j*y_k + y_j*x_k
+    - λ_i y_i - μ_i x_i)/2 and scalar i (λ_jμ_k + μ_jλ_k - ⟨x_i, y_i⟩)/2."""
+    return _frame_table(F3(1) / 2, F3(-1) / 2, 0)
 
 
 def sharp(v: VeroneseVector) -> VeroneseVector:

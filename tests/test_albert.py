@@ -48,21 +48,24 @@ from okubic.geometry import (
     SlopePoint,
     VeroneseVector,
     beta,
+    _put,
     beta_table,
     plane_embed,
     sample_affine_point,
     sharp,
 )
-from okubic.linalg import ExactMatrix, Mat3, determinant, nullspace, rank
+from okubic.linalg import ExactMatrix, Mat3, SparseTable, determinant, nullspace, rank
 from okubic.linalg import COMPACT
 from okubic.okubo import (
     OkuboElement,
     conjugation_automorphism,
+    gram_table,
     idempotent,
     okubo_mul,
     okubo_norm,
     polar,
     sample_okubo,
+    structure_constants,
 )
 from okubic.cli import _cayley_maps
 
@@ -156,6 +159,36 @@ def test_mul_matches_the_slotwise_oracle(q):
         assert left_mult_operator(algebra, a) == _left_mult_by_products(algebra, a)
 
 
+def _albert_table_by_loop(q):
+    """𝔸_q written cell by cell from its docstring's slot and scalar formulas, one
+    loop over the cyclic frame: the oracle for ``_table``, which ``geometry._frame_table``
+    writes as q·X + Z/2."""
+    sc = structure_constants(COMPACT).cells
+    g = gram_table(COMPACT).cells
+    half = F3(HALF)
+    table = [[()] * 27 for _ in range(27)]
+    for i in range(3):  # the product is commutative: one cell for both orders
+        j, k = (i + 1) % 3, (i + 2) % 3
+        _put(table, 24 + i, 24 + i, [(24 + i, F3(1))])
+        for s in range(8):
+            a = 8 * i + s
+            _put(table, 24 + j, a, [(a, half)])
+            _put(table, 24 + k, a, [(a, half)])
+            for t in range(8):
+                for _, c in g[s][t]:
+                    _put(table, a, 8 * i + t, [(24 + l, c * half) for l in (j, k)])
+                _put(table, a, 8 * j + t, [(8 * k + m, q * c) for m, c in sc[s][t]])
+    return SparseTable(table)
+
+
+@pytest.mark.parametrize("q", [F3(0), F3(HALF), F3(-HALF), F3(1), F3(2), F3(Fraction(-1, 3)),
+                               F3(0, 1)], ids=str)
+def test_table_is_the_loop_oracle(q):
+    got, want = albert_module._table(q), _albert_table_by_loop(q)
+    assert (got.ints, got.den, got.terms, got.nonzero, got.size) == (
+        want.ints, want.den, want.terms, want.nonzero, want.size)
+
+
 def test_table_cache_hits_for_an_equal_q():
     # _table is cached on the F3 q, so every spelling of one q shares a table
     table = albert_module._table(F3(1) / 2)
@@ -165,9 +198,10 @@ def test_table_cache_hits_for_an_equal_q():
 
 @pytest.mark.parametrize("q", [Fraction(0), Fraction(1)], ids=str)
 def test_beta_is_the_trace_form_of_the_albert_product(q):
-    # β(v, w) = T(v∘w): two writers of 27×27 tables, geometry.beta_table and albert._table,
-    # agree cell by cell, each β constant the sum of the 𝔸_q constants at outputs 24–26
-    # (the λ, whose sum is T); those constants do not depend on q
+    # β(v, w) = T(v∘w): the two writers of 27×27 tables, geometry.beta_table and
+    # geometry._frame_table (here as albert._table), agree cell by cell, each β constant
+    # the sum of the 𝔸_q constants at outputs 24–26 (the λ, whose sum is T); those
+    # constants do not depend on q
     product, form = albert_module._table(F3(q)).cells, beta_table().cells
     for a, b in itertools.product(range(27), repeat=2):
         assert sum((c for k, c in product[a][b] if k >= 24), F3()) == sum(

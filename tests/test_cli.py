@@ -222,15 +222,17 @@ def test_each_suite_fails_on_its_mutant(capsys, monkeypatch, name, broken, suite
 @pytest.fixture
 def broken_okubo_constant(monkeypatch):
     """Both Okubo tables with the constants of cell (1, 2) doubled, where ``okubo_mul``
-    and the builder of the 𝔸_q tables read them; the cached 𝔸_q tables and maps of the
-    idempotent are emptied before and after, so that none built on a broken table
-    outlives the test."""
+    and ``geometry._frame_table``, the writer of the 𝔸_q tables, read them; the adjoint
+    table is built before, so the Veronese cone keeps the true table, and the cached 𝔸_q
+    tables and maps of the idempotent are emptied before and after, so that none built
+    on a broken table outlives the test."""
     broken = {}
     for flavor in (COMPACT, SPLIT):
         cells = [list(row) for row in okubo.structure_constants(flavor).cells]
         cells[1][2] = tuple((k, c + c) for k, c in cells[1][2])
         broken[flavor] = SparseTable(cells)
-    for module in (okubo, albert):
+    geometry.adjoint_table()
+    for module in (okubo, geometry):
         monkeypatch.setattr(module, "structure_constants", broken.get)
     for cached in (albert._table, okubo._idempotent_maps):
         cached.cache_clear()

@@ -563,6 +563,23 @@ def test_presentation_validates_shape():
         AlgebraPresentation([[[F3(1)], [F3()]]])
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1"], ids=repr)
+def test_presentation_rejects_an_entry_that_is_not_exact(entry):
+    with pytest.raises(TypeError):
+        AlgebraPresentation([[[1, 0], [0, 0]], [[0, entry], [0, 1]]])
+
+
+@pytest.mark.parametrize("one, half", [(True, Fraction(1, 2)), (1, Fraction(1, 2)),
+                                       (Fraction(1), F3(1) / 2), (F3(1), F3(1) / 2)],
+                         ids=["bool", "int", "Fraction", "F3"])
+def test_presentation_reads_every_exact_entry_type_alike(one, half):
+    # ints, Fractions and F3s are read as they are, a bool is coerced: one table for each
+    want = SparseTable([[[(0, F3(1))], [(1, F3(1) / 2)]], [[(1, F3(1) / 2)], []]])
+    got = AlgebraPresentation([[[one, 0], [0, half]], [[0, half], [False, 0]]])
+    assert (got.ints, got.den, got.terms, got.nonzero, got.size) == (
+        want.ints, want.den, want.terms, want.nonzero, want.size)
+
+
 def test_presentation_product_matches_okubo_product():
     rng = random.Random(703)
     from okubic.okubo import OkuboElement, okubo_mul

@@ -18,6 +18,8 @@ from okubic.geometry import (
     ProjPoint,
     SlopePoint,
     VeroneseVector,
+    _frame_table,
+    _put,
     adjoint_table,
     affine_incident,
     affine_join,
@@ -33,14 +35,20 @@ from okubic.geometry import (
     vnorm,
 )
 from okubic.cli import _fixed_skew_matrices
-from okubic.albert import idempotent_from_point, point_from_idempotent, sample_albert
+from okubic.albert import (
+    _table as albert_table,
+    idempotent_from_point,
+    point_from_idempotent,
+    sample_albert,
+)
 from okubic.derivations import _q_form
-from okubic.linalg import COMPACT, SPLIT, ExactMatrix, bilinear, nullspace
+from okubic.linalg import COMPACT, SPLIT, ExactMatrix, SparseTable, bilinear, nullspace
 from okubic.okubo import (
     FlavorMismatchError,
     OkuboElement,
     conjugation_automorphism,
     gram_matrix,
+    gram_table,
     idempotent,
     left_divide,
     mat_norm,
@@ -49,6 +57,7 @@ from okubic.okubo import (
     recovered_conj,
     recovered_oct_mul,
     sample_okubo,
+    structure_constants,
 )
 
 B = OkuboElement.basis
@@ -461,6 +470,50 @@ def test_sharp_is_the_slotwise_adjoint_bit_for_bit():
     for v in vs:
         got, want = sharp(v), _sharp_by_slots(v)
         assert (type(got), got.ints) == (type(want), want.ints), v
+
+
+def _adjoint_table_by_loop():
+    """B written cell by cell from ``adjoint_table``'s docstring, one loop over the
+    cyclic frame: the oracle for the table that ``_frame_table`` writes as (X − Y)/2."""
+    sc, g = structure_constants(COMPACT).cells, gram_table(COMPACT).cells
+    half = F3(1) / 2
+    cells = [[()] * 27 for _ in range(27)]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        _put(cells, 24 + j, 24 + k, [(24 + i, half)])
+        for s in range(8):
+            _put(cells, 24 + i, 8 * i + s, [(8 * i + s, -half)])
+            for t in range(8):
+                _put(cells, 8 * j + s, 8 * k + t, [(8 * i + m, c * half) for m, c in sc[s][t]])
+                _put(cells, 8 * i + s, 8 * i + t, [(24 + i, -c * half) for _, c in g[s][t]])
+    return SparseTable(cells)
+
+
+def test_adjoint_table_is_the_loop_oracle():
+    got, want = adjoint_table(), _adjoint_table_by_loop()
+    assert (got.ints, got.den, got.terms, got.nonzero, got.size) == (
+        want.ints, want.den, want.terms, want.nonzero, want.size)
+
+
+def test_albert_and_adjoint_tables_are_one_three_term_family():
+    # X, Y and Z of _frame_table at unit coefficients: 𝔸_q = q·X + Z/2, so the
+    # deformation moves only the cross term X, and B = (X − Y)/2
+    x, y, z = (_frame_table(*unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    rng = random.Random(512)
+    pairs = [(sample_albert(rng), sample_albert(rng)) for _ in range(12)]
+    basis = [VeroneseVector.from_coords([int(k == a) for k in range(27)]) for a in range(27)]
+    pairs += list(zip(basis, basis[1:] + basis[:1]))
+
+    def product(table, v, w):
+        return v._like(bilinear(table, v.ints, w.ints))
+
+    for v, w in pairs:
+        xs, ys, zs = (product(t, v, w) for t in (x, y, z))
+        assert product(adjoint_table(), v, w) == (xs - ys).scale(Fraction(1, 2))
+        for q in (F3(0), F3(Fraction(1, 2)), F3(-1), F3(2), F3(Fraction(-1, 3)), F3(0, 1)):
+            deformed = product(albert_table(q), v, w)
+            assert deformed == xs.scale(q) + zs.scale(Fraction(1, 2))
+            assert deformed - product(albert_table(F3(0)), v, w) == xs.scale(q)
 
 
 def test_adjoint_table_is_symmetric_with_a_q_form():

@@ -660,6 +660,17 @@ def test_each_rule_is_written_once():
                      for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                      and node.name == "AlgebraPresentation"]
     assert presentations == [("derivations", "FunctionDef")]
+    # one writer of the tables on V: 𝔸_q and the adjoint B are each one _frame_table
+    # call, and albert reads no Okubo or Gram table and writes no cell itself
+    assert [key for key in defs if key[1].split(".")[-1] == "_frame_table"] == [
+        ("geometry", "_frame_table")]
+    assert sorted(key for key, node in defs.items() if "_frame_table" in _calls(node)) == [
+        ("albert", "_table"), ("geometry", "adjoint_table")]
+    assert "structure_constants(" not in sources["albert"]
+    assert "gram_table(" not in sources["albert"]
+    assert "_put" not in {alias.name for node in ast.walk(trees["albert"])
+                          if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {stem for (stem, _), node in defs.items() if "_put" in _calls(node)} == {"geometry"}
 
 
 @VECTOR_SAMPLERS
